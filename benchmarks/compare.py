@@ -31,8 +31,8 @@ import sys
 
 #: Substrings selecting the sink-fed hot-path rows for the trajectory
 #: section: every benchmark whose event stream crosses a sink.
-TRAJECTORY_MARKERS = ("with_sink", "with_legacy_sink", "with_harness",
-                      "trace_capture", "trace_replay")
+TRAJECTORY_MARKERS = ("with_sink", "with_harness", "trace_capture",
+                      "trace_replay")
 
 
 def load_means(path: str) -> dict:

@@ -67,7 +67,7 @@ def test_bench_functional_executor(benchmark):
 # column extends from the compiled tier, consume_batch on the sinks)
 # took test_bench_executor_with_sink from 61.7ms to ~19ms mean (3.3x)
 # and test_bench_compiled_executor_with_sink from 34.3ms to ~5.6ms
-# (6.1x); a bare-callable sink still takes the exact per-event path.
+# (6.1x).
 def test_bench_executor_with_sink(benchmark):
     program = build_alu_loop(8_000)
 
@@ -76,20 +76,6 @@ def test_bench_executor_with_sink(benchmark):
         sink = CountingSink()
         executor.run(sink=sink)
         return sink.count
-
-    assert benchmark(run) > 40_000
-
-
-def test_bench_executor_with_legacy_sink(benchmark):
-    """The compatibility path: a bare callable gets every event as a
-    TraceEvent, exactly as before the columnar pipeline."""
-    program = build_alu_loop(8_000)
-
-    def run():
-        executor = Executor(program, seed=1)
-        count = [0]
-        executor.run(sink=lambda e: count.__setitem__(0, count[0] + 1))
-        return count[0]
 
     assert benchmark(run) > 40_000
 
@@ -258,7 +244,7 @@ def test_bench_full_stack_pi(benchmark):
 
     def run():
         core = OoOCore(four_wide(), TageSCL())
-        workload.run(scale=0.25, seed=1, pbs=PBSEngine(), sink=core.feed)
+        workload.run(scale=0.25, seed=1, pbs=PBSEngine(), sink=core)
         return core.finalize().ipc
 
     ipc = benchmark(run)

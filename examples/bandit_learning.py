@@ -48,11 +48,11 @@ def main():
         ("tage-sc-l-8kb", TageSCL),
     ):
         base_core = OoOCore(four_wide(), predictor_factory())
-        workload.run(scale=SCALE, seed=SEED, sink=base_core.feed)
+        workload.run(scale=SCALE, seed=SEED, sink=base_core)
         base_stats = base_core.finalize()
 
         pbs_core = OoOCore(four_wide(), predictor_factory())
-        workload.run(scale=SCALE, seed=SEED, pbs=PBSEngine(), sink=pbs_core.feed)
+        workload.run(scale=SCALE, seed=SEED, pbs=PBSEngine(), sink=pbs_core)
         pbs_stats = pbs_core.finalize()
 
         print(f"  {label:15s} IPC {base_stats.ipc:.3f} -> {pbs_stats.ipc:.3f}"

@@ -1,9 +1,10 @@
 """The analysis-pass contract and registry.
 
 An :class:`AnalysisPass` is a plain trace sink — exactly the protocol
-predictors, timing cores and the PBS engine already speak: it is called
-once per committed-path :class:`~repro.functional.trace.TraceEvent` and,
-when the stream ends, :meth:`result` returns a JSON-serializable payload
+predictor harnesses and timing cores already speak: its
+``consume_batch`` receives the committed path as
+:class:`~repro.functional.trace.EventBatch` columns and, when the stream
+ends, :meth:`result` returns a JSON-serializable payload
 following the same structured-results conventions as
 :class:`~repro.sim.results.RunResult` (plain dicts of primitives, stable
 key order, derived quantities computed from the counters they summarize).
@@ -15,7 +16,7 @@ mirroring ``@register_workload`` / ``@register_predictor``::
 
     @register_analysis("my-study")
     class MyStudy(AnalysisPass):
-        def __call__(self, event): ...
+        def consume_batch(self, batch): ...
         def result(self): return {...}
 
 ``repro analyze`` (the ``pbs-experiments analyze`` subcommand) and
@@ -32,19 +33,18 @@ from ..sim.registry import Registry, validate_options
 
 
 class AnalysisPass:
-    """One streaming trace consumer: feed events, then read the result.
+    """One streaming trace consumer: feed batches, then read the result.
 
-    Subclasses implement ``__call__(event)`` (the hot path — one call per
-    retired instruction) and :meth:`result`.  A pass instance is single
-    use: it accumulates state across the whole stream and is rebuilt for
-    every analyzed trace.
+    Subclasses implement ``consume_batch(batch)`` and :meth:`result`.  A
+    pass that defines only ``__call__(event)`` still works:
+    :func:`~repro.analysis.run.analyze_trace` wraps it in
+    :class:`~repro.functional.trace.PerEventSink`.  A pass instance is
+    single use: it accumulates state across the whole stream and is
+    rebuilt for every analyzed trace.
     """
 
     #: Registry name (set by :func:`register_analysis`).
     name: str = "?"
-
-    def __call__(self, event) -> None:
-        raise NotImplementedError
 
     def result(self) -> Dict:
         """The pass's JSON-serializable findings for the consumed stream."""

@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from typing import Dict, Optional, Sequence
 
-from ..functional.trace import ProbMode, TraceEvent
+from ..functional.trace import ProbMode
 from ..isa.opcodes import OpClass
 from .base import AnalysisPass, register_analysis
 
@@ -45,6 +45,20 @@ def direction_entropy(taken: int, executions: int) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def branch_rows(conds):
+    """Row indices of the conditional branches in a batch's ``conds``
+    column, in order (``conds.index`` is a C-level scan)."""
+    find = conds.index
+    i = 0
+    while True:
+        try:
+            i = find(True, i)
+        except ValueError:
+            return
+        yield i
+        i += 1
+
+
 class _BranchSites:
     """Shared per-site accounting: pc -> (executions, taken, prob)."""
 
@@ -53,13 +67,19 @@ class _BranchSites:
         self.taken: Counter = Counter()
         self.prob: set = set()
 
-    def observe(self, event) -> None:
-        pc = event.pc
-        self.executions[pc] += 1
-        if event.taken:
-            self.taken[pc] += 1
-        if event.prob_mode != ProbMode.NOT_PROB:
-            self.prob.add(pc)
+    def observe(self, batch) -> None:
+        pcs = batch.pcs
+        takens = batch.takens
+        prob_modes = batch.prob_modes
+        executions = self.executions
+        NOT_PROB = ProbMode.NOT_PROB
+        for i in branch_rows(batch.conds):
+            pc = pcs[i]
+            executions[pc] += 1
+            if takens[i]:
+                self.taken[pc] += 1
+            if prob_modes[i] != NOT_PROB:
+                self.prob.add(pc)
 
 
 @register_analysis("instruction-mix")
@@ -76,19 +96,22 @@ class InstructionMix(AnalysisPass):
         self.loads = 0
         self.stores = 0
 
-    def __call__(self, event) -> None:
-        self.instructions += 1
-        self.by_class[event.op_class] += 1
-        if event.addr is not None:
-            if event.is_store:
-                self.stores += 1
-            else:
-                self.loads += 1
-        if event.is_cond_branch:
+    def consume_batch(self, batch) -> None:
+        self.instructions += len(batch.pcs)
+        self.by_class.update(batch.classes)
+        for addr, is_store in zip(batch.addrs, batch.stores):
+            if addr is not None:
+                if is_store:
+                    self.stores += 1
+                else:
+                    self.loads += 1
+        takens = batch.takens
+        prob_modes = batch.prob_modes
+        for i in branch_rows(batch.conds):
             self.cond_branches += 1
-            if event.taken:
+            if takens[i]:
                 self.taken += 1
-            prob_mode = event.prob_mode
+            prob_mode = prob_modes[i]
             if prob_mode != ProbMode.NOT_PROB:
                 self.prob_branches += 1
                 if prob_mode == ProbMode.PBS_HIT:
@@ -145,10 +168,9 @@ class BranchEntropy(AnalysisPass):
         self.sites = _BranchSites()
         self.instructions = 0
 
-    def __call__(self, event) -> None:
-        self.instructions += 1
-        if event.is_cond_branch:
-            self.sites.observe(event)
+    def consume_batch(self, batch) -> None:
+        self.instructions += len(batch.pcs)
+        self.sites.observe(batch)
 
     def _aggregate(self, pcs) -> Dict:
         executions = sum(self.sites.executions[pc] for pc in pcs)
@@ -207,9 +229,8 @@ class TakenRateHistogram(AnalysisPass):
         self.bins = bins
         self.sites = _BranchSites()
 
-    def __call__(self, event) -> None:
-        if event.is_cond_branch:
-            self.sites.observe(event)
+    def consume_batch(self, batch) -> None:
+        self.sites.observe(batch)
 
     def result(self) -> Dict:
         by_site = [0] * self.bins
@@ -259,70 +280,19 @@ class MispredictBreakdown(AnalysisPass):
         self.per_pc: Dict[str, Counter] = {name: Counter() for name in names}
         self.executions: Counter = Counter()
 
-    def __call__(self, event) -> None:
-        if event.is_cond_branch:
-            self.executions[event.pc] += 1
-            for name, harness in self.harnesses.items():
-                before = harness.stats.mispredicts
-                harness(event)
-                if harness.stats.mispredicts != before:
-                    self.per_pc[name][event.pc] += 1
-        else:
-            for harness in self.harnesses.values():
-                harness(event)
-
     def consume_batch(self, batch) -> None:
-        """Columnar fast path, bit-identical to the per-event walk.
-
-        Non-branch rows only bump every harness's instruction counter,
-        so they are accounted in bulk; branch rows (sparse — found with
-        a C-level column scan) keep the exact per-event attribution
-        semantics, including each harness's own predict/update order.
-        """
-        conds = batch.conds
-        n = len(conds)
-        find = conds.index
-        branch_rows = []
-        i = 0
-        while True:
-            try:
-                i = find(True, i)
-            except ValueError:
-                break
-            branch_rows.append(i)
-            i += 1
-        bulk = n - len(branch_rows)
-        harness_items = list(self.harnesses.items())
-        for _, harness in harness_items:
-            harness.stats.instructions += bulk
-        if not branch_rows:
-            return
+        """Each harness classifies the batch and reports its mispredicted
+        rows, which are attributed to their branch sites."""
         pcs = batch.pcs
         executions = self.executions
-        per_pc = self.per_pc
-        make = TraceEvent
-        for i in branch_rows:
-            pc = pcs[i]
-            event = make(
-                pc,
-                batch.ops[i],
-                batch.classes[i],
-                batch.dests[i],
-                batch.srcs[i],
-                is_cond_branch=True,
-                taken=batch.takens[i],
-                target=batch.targets[i],
-                next_pc=batch.next_pcs[i],
-                addr=batch.addrs[i],
-                is_store=batch.stores[i],
-                prob_mode=batch.prob_modes[i],
-            )
-            executions[pc] += 1
-            for name, harness in harness_items:
-                before = harness.stats.mispredicts
-                harness(event)
-                if harness.stats.mispredicts != before:
-                    per_pc[name][pc] += 1
+        for i in branch_rows(batch.conds):
+            executions[pcs[i]] += 1
+        for name, harness in self.harnesses.items():
+            mispredicted = []
+            harness.consume_batch(batch, mispredicted)
+            per_pc = self.per_pc[name]
+            for i in mispredicted:
+                per_pc[pcs[i]] += 1
 
     def result(self) -> Dict:
         payload = {}
@@ -359,16 +329,16 @@ class WorkingSet(AnalysisPass):
         self.read: set = set()
         self.written: set = set()
 
-    def __call__(self, event) -> None:
-        addr = event.addr
-        if addr is None:
-            return
-        if event.is_store:
-            self.stores += 1
-            self.written.add(addr)
-        else:
-            self.loads += 1
-            self.read.add(addr)
+    def consume_batch(self, batch) -> None:
+        for addr, is_store in zip(batch.addrs, batch.stores):
+            if addr is None:
+                continue
+            if is_store:
+                self.stores += 1
+                self.written.add(addr)
+            else:
+                self.loads += 1
+                self.read.add(addr)
 
     def result(self) -> Dict:
         touched = self.read | self.written

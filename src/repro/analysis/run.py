@@ -23,7 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..functional.trace import EventBatch
+from ..functional.trace import EventBatch, as_batch_sink
 from ..trace import TraceReader, TraceStore
 from ..trace.format import unpack_events_batch
 from .base import AnalysisPass, analysis_names, create_analysis
@@ -68,24 +68,15 @@ def analyze_trace(
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     sinks = resolve_passes(passes, **options)
+    consumers = [as_batch_sink(sink).consume_batch for sink in sinks]
     events = 0
-    consumers = [getattr(sink, "consume_batch", None) for sink in sinks]
-    if sinks and all(consume is not None for consume in consumers):
-        # Every pass speaks the columnar protocol (e.g. ``mispredicts``
-        # alone): decode each stored frame straight into an EventBatch
-        # and fan the batch out — no TraceEvent construction.
-        batch = EventBatch()
-        for payload in reader._event_payloads():
-            unpack_events_batch(payload, batch)
-            for consume in consumers:
-                consume(batch)
-            events += len(batch.pcs)
-            batch.clear()
-    else:
-        for event in reader.events():
-            for sink in sinks:
-                sink(event)
-            events += 1
+    batch = EventBatch()
+    for payload in reader._event_payloads():
+        unpack_events_batch(payload, batch)
+        for consume in consumers:
+            consume(batch)
+        events += len(batch.pcs)
+        batch.clear()
     meta = reader.meta
     return {
         "workload": meta.get("workload"),

@@ -10,7 +10,7 @@ from .base import BranchPredictor, saturating_update
 from .budget import KIB, BudgetReport, predictor_budget
 from .corrector import StatisticalCorrector
 from .folded import FoldedHistory
-from .harness import BranchStats, PredictorHarness, measure_mpki
+from .harness import BranchStats, PredictorHarness
 from .loop import LoopPredictor
 from .perceptron import Perceptron
 from .perfect import PerfectPredictor
@@ -29,7 +29,6 @@ __all__ = [
     "FoldedHistory",
     "BranchStats",
     "PredictorHarness",
-    "measure_mpki",
     "LoopPredictor",
     "Perceptron",
     "PerfectPredictor",

@@ -1,7 +1,8 @@
 """Trace-driven branch predictor harness and MPKI accounting.
 
 :class:`PredictorHarness` is a trace sink: feed it the functional
-simulator's events and it accumulates per-category misprediction counts.
+simulator's event batches and it accumulates per-category misprediction
+counts.
 The categories mirror the paper's Figure 1: *probabilistic* branches
 (PROB_JMP instances that consult the predictor) versus *regular* branches.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..functional.trace import ProbMode, TraceEvent
+from ..functional.trace import ProbMode
 from .base import BranchPredictor
 
 
@@ -84,13 +85,20 @@ class BranchStats:
 
 
 class PredictorHarness:
-    """Feeds conditional-branch events to a predictor and keeps stats."""
+    """Feeds conditional-branch rows to a predictor and keeps stats.
+
+    :meth:`consume_batch` is the one definition of the branch taxonomy
+    (PBS hit, CFD queue branch, filtered, perfect, predicted); the
+    timing core classifies through its own harness instead of keeping a
+    copy.
+    """
 
     def __init__(
         self,
         predictor: BranchPredictor,
         filter_probabilistic: bool = False,
         pbs_inserts_history: bool = True,
+        oracle_pcs=frozenset(),
     ):
         self.predictor = predictor
         self.filter_probabilistic = filter_probabilistic
@@ -98,60 +106,20 @@ class PredictorHarness:
         #: into the predictor's history register for free (no table
         #: access).  Keeps history-correlated regular branches accurate.
         self.pbs_inserts_history = pbs_inserts_history
+        #: Branches at these PCs resolve from a decoupled predicate queue
+        #: (control-flow decoupling's branch-on-queue): counted as
+        #: regular, never mispredicted and invisible to the predictor.
+        self.oracle_pcs = oracle_pcs
         self.stats = BranchStats()
 
-    def __call__(self, event: TraceEvent) -> None:
-        stats = self.stats
-        stats.instructions += 1
-        if not event.is_cond_branch:
-            return
+    def consume_batch(self, batch, mispredicted=None) -> None:
+        """Classify every conditional-branch row of an :class:`EventBatch`.
 
-        prob_mode = event.prob_mode
-        if prob_mode == ProbMode.PBS_HIT:
-            # PBS supplies the direction at fetch: the predictor is neither
-            # probed nor updated, and no misprediction is possible.
-            stats.pbs_hits += 1
-            if self.pbs_inserts_history:
-                self.predictor.insert_history(event.pc, event.taken)
-            return
-
-        is_prob = prob_mode == ProbMode.PREDICTED
-        if is_prob and self.filter_probabilistic:
-            # Figure 9 experiment: keep probabilistic branches out of the
-            # predictor; charge them a static not-taken prediction.
-            stats.prob_branches += 1
-            if event.taken:
-                stats.prob_mispredicts += 1
-            return
-
-        predictor = self.predictor
-        if predictor.perfect:
-            if is_prob:
-                stats.prob_branches += 1
-            else:
-                stats.regular_branches += 1
-            return
-
-        prediction = predictor.predict(event.pc)
-        predictor.update(event.pc, event.taken)
-        mispredicted = prediction != event.taken
-        if is_prob:
-            stats.prob_branches += 1
-            if mispredicted:
-                stats.prob_mispredicts += 1
-        else:
-            stats.regular_branches += 1
-            if mispredicted:
-                stats.regular_mispredicts += 1
-
-    def consume_batch(self, batch) -> None:
-        """Columnar fast path: consume an :class:`EventBatch`.
-
-        Bit-identical to feeding every event through :meth:`__call__`,
-        but walks the batch's parallel arrays directly — no TraceEvent
-        construction, no per-event call crossing, all hot lookups
-        hoisted out of the loop.  Only conditional-branch rows are
-        visited (``conds.index(True, i)`` is a C-level scan).
+        Walks the batch's parallel arrays directly with all hot lookups
+        hoisted out of the loop; only conditional-branch rows are
+        visited (``conds.index(True, i)`` is a C-level scan).  When
+        ``mispredicted`` is a list, the row index of every mispredicted
+        branch is appended to it, in order.
         """
         stats = self.stats
         conds = batch.conds
@@ -162,10 +130,12 @@ class PredictorHarness:
         perfect = predictor.perfect
         filter_prob = self.filter_probabilistic
         inserts = self.pbs_inserts_history
+        oracle = self.oracle_pcs
         static_prediction = None if perfect else predictor.static_prediction
         predict = predictor.predict
         update = predictor.update
         insert_history = predictor.insert_history
+        record = (mispredicted if mispredicted is not None else []).append
         pcs = batch.pcs
         takens = batch.takens
         prob_modes = batch.prob_modes
@@ -188,13 +158,22 @@ class PredictorHarness:
             prob_mode = prob_modes[i]
             taken = takens[i]
             if prob_mode == PBS_HIT:
+                # PBS supplies the direction at fetch: the predictor is
+                # neither probed nor updated, and no misprediction is
+                # possible.
                 pbs_hits += 1
                 if inserts:
                     insert_history(pcs[i], taken)
+            elif oracle and pcs[i] in oracle:
+                # CFD branch-on-queue: the predicate is waiting at fetch.
+                regular_branches += 1
             elif prob_mode == PREDICTED and filter_prob:
+                # Figure 9 experiment: keep probabilistic branches out of
+                # the predictor; charge them a static not-taken prediction.
                 prob_branches += 1
                 if taken:
                     prob_mispredicts += 1
+                    record(i)
             elif perfect:
                 if prob_mode == PREDICTED:
                     prob_branches += 1
@@ -209,15 +188,16 @@ class PredictorHarness:
                     # constant prediction and a no-op update, so the
                     # table calls fold away entirely.
                     prediction = static_prediction
-                mispredicted = prediction != taken
                 if prob_mode == PREDICTED:
                     prob_branches += 1
-                    if mispredicted:
+                    if prediction != taken:
                         prob_mispredicts += 1
+                        record(i)
                 else:
                     regular_branches += 1
-                    if mispredicted:
+                    if prediction != taken:
                         regular_mispredicts += 1
+                        record(i)
             i += 1
 
         stats.regular_branches += regular_branches
@@ -225,15 +205,3 @@ class PredictorHarness:
         stats.prob_branches += prob_branches
         stats.prob_mispredicts += prob_mispredicts
         stats.pbs_hits += pbs_hits
-
-
-def measure_mpki(
-    events,
-    predictor: BranchPredictor,
-    filter_probabilistic: bool = False,
-) -> BranchStats:
-    """Convenience: run a stored event list through a fresh harness."""
-    harness = PredictorHarness(predictor, filter_probabilistic)
-    for event in events:
-        harness(event)
-    return harness.stats

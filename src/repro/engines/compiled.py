@@ -17,10 +17,10 @@ program:
   fast path (blocks are straight-line, so the block-granular budget
   check raises the same ``ExecutionLimitExceeded`` — same message, same
   ``retired`` — as the interpreter's per-instruction check);
-* with a batch-capable sink (one that declares ``consume_batch``), the
-  columnar variant emits events as :class:`EventBatch` column extends:
-  runs of never-raising instructions cost one constant-tuple ``extend``
-  per column instead of one ``TraceEvent`` per instruction.
+* with a sink attached, the columnar variant emits events as
+  :class:`EventBatch` column extends: runs of never-raising instructions
+  cost one constant-tuple ``extend`` per column instead of one append
+  per instruction.
 
 The generated function runs against the same ``MachineState``, drand48
 stream, PBS engine and trace-event protocol as the interpreter, so its
@@ -46,7 +46,7 @@ from ..functional.executor import (
     nan_max,
     nan_min,
 )
-from ..functional.trace import EventBatch, TraceEvent
+from ..functional.trace import EventBatch, as_batch_sink
 from ..isa.opcodes import OP_CLASS, Op
 from ..isa.registers import COND_REG_NUM
 from ..storage import ShardedStore, canonical_digest
@@ -58,9 +58,9 @@ from .base import Engine, register_engine
 #: v3: columnar sink variant (EventBatch extends per basic block).
 CODEGEN_VERSION = 3
 
-#: Sink modes for the generated-code variant key.
+#: Sink modes for the generated-code variant key.  The values are part
+#: of persisted codegen keys, so they never change.
 SINK_NONE = 0      # no events: block-granular retire counting
-SINK_EVENTS = 1    # legacy per-event callable: sink(TraceEvent(...))
 SINK_BATCH = 2     # columnar: EventBatch extends, sink.consume_batch
 
 #: Batch-mode flush threshold: the generated code delivers the pending
@@ -96,8 +96,8 @@ _TRANSCENDENTAL = {
 #: float/int conversion errors, no math-domain functions).  Their trace
 #: events are fully static, so the batch variant may execute a run of
 #: them straight-line and emit all their event columns as one constant
-#: extend per column, preserving the exact fault/event ordering of the
-#: per-event path.
+#: extend per column, preserving the exact fault/event ordering of
+#: instruction-by-instruction emission.
 _NEVER_RAISES = {
     Op.ADD, Op.FADD, Op.SUB, Op.FSUB, Op.MUL, Op.FMUL,
     Op.AND, Op.OR, Op.XOR,
@@ -181,14 +181,13 @@ def generate_source(
     """The specialized ``_compiled_run(self, sink)`` source for one
     program under one execution variant.
 
-    ``sink`` is one of :data:`SINK_NONE`, :data:`SINK_EVENTS` or
-    :data:`SINK_BATCH`.  The batch variant fills an
-    :class:`~repro.functional.trace.EventBatch` instead of calling the
-    sink per event: runs of never-raising instructions become one
-    constant-tuple ``extend`` per column, dynamic instructions append
-    their twelve fields individually, and the batch is handed to
-    ``sink.consume_batch`` at block boundaries (once it holds
-    :data:`BATCH_FLUSH` events) and on every exit.
+    ``sink`` is :data:`SINK_NONE` or :data:`SINK_BATCH`.  The batch
+    variant fills an :class:`~repro.functional.trace.EventBatch`: runs
+    of never-raising instructions become one constant-tuple ``extend``
+    per column, dynamic instructions append their twelve fields
+    individually, and the batch is handed to ``sink.consume_batch`` at
+    block boundaries (once it holds :data:`BATCH_FLUSH` events) and on
+    every exit.
 
     ``step=True`` generates the resumable single-step variant used by
     the :mod:`repro.diff` lockstep harness: every PC becomes its own
@@ -199,7 +198,6 @@ def generate_source(
     paused — the same contract as ``Executor.run(budget=...)``.
     """
     sink = int(sink)
-    batch = sink == SINK_BATCH
     n = len(decoded)
     leaders = list(range(n)) if step else _block_leaders(decoded)
 
@@ -257,32 +255,13 @@ def generate_source(
             return
         dest_code = d[1] if dest is None else dest
         srcs_code = repr(d[11] if srcs is None else srcs)
-        if batch:
-            bput(depth,
-                 f"_apc({pc}); _aop(_OPS[{pc}]); _acl(_CLS[{pc}]); "
-                 f"_ade({dest_code}); _asr({srcs_code})")
-            bput(depth,
-                 f"_aco({cond}); _atk({taken}); _atg({target}); "
-                 f"_anx({next_pc})")
-            bput(depth, f"_aad({addr}); _ast({store}); _apm({prob})")
-            return
-        extra = ""
-        if cond:
-            extra += ", is_cond_branch=True"
-        if taken != "False":
-            extra += f", taken={taken}"
-        if target != "None":
-            extra += f", target={target}"
-        extra += f", next_pc={next_pc}"
-        if addr != "None":
-            extra += f", addr={addr}"
-        if store:
-            extra += ", is_store=True"
-        if prob != "0":
-            extra += f", prob_mode={prob}"
         bput(depth,
-             f"sink(_E({pc}, _OPS[{pc}], _CLS[{pc}], {dest_code}, "
-             f"{srcs_code}{extra}))")
+             f"_apc({pc}); _aop(_OPS[{pc}]); _acl(_CLS[{pc}]); "
+             f"_ade({dest_code}); _asr({srcs_code})")
+        bput(depth,
+             f"_aco({cond}); _atk({taken}); _atg({target}); "
+             f"_anx({next_pc})")
+        bput(depth, f"_aad({addr}); _ast({store}); _apm({prob})")
 
     def retire(depth: int, count: int) -> None:
         bput(depth, f"retired += {1 if sink else count}")
@@ -393,7 +372,7 @@ def generate_source(
         K = len(block)
         bput(3, f"if _L == {start}:")
         depth = 4
-        if batch:
+        if sink:
             # Deliver the pending columns once they pass the threshold;
             # flush position never changes event order.
             bput(depth, f"if _len(_bpcs) >= {BATCH_FLUSH}:")
@@ -421,7 +400,7 @@ def generate_source(
         while j < K:
             pc = block[j]
             d = decoded[pc]
-            if batch and not step:
+            if sink and not step:
                 run_len = 0
                 while (j + run_len < K
                        and decoded[block[j + run_len]][0] in _NEVER_RAISES):
@@ -709,7 +688,7 @@ def generate_source(
         put(1, "pbs_observe_call = pbs.observe_call")
         put(1, "pbs_observe_return = pbs.observe_return")
         put(1, "pbs_transact = pbs.transact")
-    if batch:
+    if sink:
         put(1, "_bt = _B()")
         put(1, "_bpcs = _bt.pcs")
         put(1, "_apc = _bpcs.append; _xpc = _bpcs.extend")
@@ -749,10 +728,10 @@ def generate_source(
     if step:
         put(2, "self._pc = _L")
         put(2, "self._pending_cmp = _pend")
-    if batch:
+    if sink:
         # Deliver the buffered tail on every exit — pause, HALT, limit
-        # or fault — so a batch sink has observed exactly the events a
-        # per-event sink would have by the time control returns.
+        # or fault — so the sink has observed every retired instruction
+        # by the time control returns.
         put(2, "if _bpcs:")
         put(3, "_consume(_bt)")
         put(3, "_bt.clear()")
@@ -770,7 +749,7 @@ class CodegenStore(ShardedStore):
 #: (program digest, variant) -> bound function — shared process-wide so
 #: every engine instance (and every Session in a sweep worker) reuses
 #: one compilation per program.  The variant leads with the sink mode
-#: (:data:`SINK_NONE` / :data:`SINK_EVENTS` / :data:`SINK_BATCH`).
+#: (:data:`SINK_NONE` / :data:`SINK_BATCH`).
 _MEMO: Dict[Tuple[str, Tuple[int, bool, bool, bool]], object] = {}
 
 
@@ -779,7 +758,6 @@ def _bind(source: str, program, decoded: List[tuple]):
     namespace = {
         "_XE": ExecutionError,
         "_XL": ExecutionLimitExceeded,
-        "_E": TraceEvent,
         "_B": EventBatch,
         "_PG": ProbGroup,
         "_N": program.name,
@@ -807,9 +785,8 @@ def compiled_function(
 ):
     """The (memoized) compiled function for one program + variant.
 
-    ``sink`` is a sink mode (:data:`SINK_NONE`, :data:`SINK_EVENTS` or
-    :data:`SINK_BATCH`); a bool is accepted for backward compatibility
-    and coerced.  Returns ``(function, cache_hit)`` — ``cache_hit`` is
+    ``sink`` is a sink mode (:data:`SINK_NONE` or :data:`SINK_BATCH`).
+    Returns ``(function, cache_hit)`` — ``cache_hit`` is
     True when no fresh code generation happened (in-process memo or a
     warm store).
     """
@@ -849,13 +826,21 @@ def compiled_function(
     return function, hit
 
 
-def sink_mode(sink) -> int:
-    """Classify a sink object into a codegen sink mode."""
-    if sink is None:
-        return SINK_NONE
-    if getattr(sink, "consume_batch", None) is not None:
-        return SINK_BATCH
-    return SINK_EVENTS
+class _ClearOnRaise:
+    """Empties the pending batch when the sink raises, so the generated
+    code's tail flush never re-delivers rows the sink already saw."""
+
+    __slots__ = ("_consume",)
+
+    def __init__(self, sink):
+        self._consume = sink.consume_batch
+
+    def consume_batch(self, batch) -> None:
+        try:
+            self._consume(batch)
+        except BaseException:
+            batch.clear()
+            raise
 
 
 class CompiledExecutor(Executor):
@@ -869,9 +854,9 @@ class CompiledExecutor(Executor):
         self._step_stop = 0
 
     def run(self, sink=None, budget=None):
-        # The execution variant (events? batched events? PBS?
-        # consumed-value recording?) is only known here, so compilation
-        # is lazy per run.  A budget — or any earlier partial progress —
+        # The execution variant (events? PBS? consumed-value
+        # recording?) is only known here, so compilation is lazy per
+        # run.  A budget — or any earlier partial progress —
         # routes to the resumable step variant; a fresh unbounded run
         # keeps the fast block-dispatch code.
         if self._halted:
@@ -879,7 +864,7 @@ class CompiledExecutor(Executor):
         step = budget is not None or self._pc != 0 or self.retired != 0
         function, cache_hit = compiled_function(
             self.program,
-            sink=sink_mode(sink),
+            sink=SINK_NONE if sink is None else SINK_BATCH,
             pbs=self.pbs is not None,
             record_consumed=self.record_consumed,
             step=step,
@@ -892,6 +877,8 @@ class CompiledExecutor(Executor):
             self._step_stop = (
                 limit if budget is None else min(limit, self.retired + budget)
             )
+        if sink is not None:
+            sink = _ClearOnRaise(as_batch_sink(sink))
         return function(self, sink)
 
 
@@ -900,7 +887,7 @@ class CompiledEngine(Engine):
     """Tier 1: specialized generated Python, cached by program digest.
 
     Supports every workload and attachment (the generated code speaks
-    the full sink/PBS/consumed-values protocol, per-event or columnar).
+    the full sink/PBS/consumed-values protocol).
     ``cache_dir=`` adds a persistent :class:`CodegenStore` under the
     in-process memo, so cold processes skip code generation for
     already-seen programs.

@@ -70,7 +70,7 @@ def technique_comparison(
         try:
             program = build_predicated(name, scale=scale)
             pred_core = OoOCore(four_wide(), Tournament())
-            Executor(program, seed=seed).run(sink=pred_core.feed)
+            Executor(program, seed=seed).run(sink=pred_core)
             predication = pred_core.finalize().cycles
         except KeyError:
             predication = "n/a"
@@ -79,7 +79,7 @@ def technique_comparison(
         cfd_core = OoOCore(
             four_wide(), Tournament(), oracle_pcs=cfd.queue_branch_pcs
         )
-        Executor(cfd.program, seed=seed).run(sink=cfd_core.feed)
+        Executor(cfd.program, seed=seed).run(sink=cfd_core)
         cfd_cycles = cfd_core.finalize().cycles
 
         pbs_cycles = _timed_cycles(name, scale, seed, pbs=True)

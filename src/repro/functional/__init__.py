@@ -11,7 +11,7 @@ from .executor import (
 )
 from .rng import Drand48, RecordingRng
 from .state import MachineState, MemoryFault
-from .trace import EventBatch, ProbMode, TraceEvent
+from .trace import EventBatch, PerEventSink, ProbMode, TraceEvent, as_batch_sink
 
 __all__ = [
     "ExecutionError",
@@ -26,6 +26,8 @@ __all__ = [
     "MachineState",
     "MemoryFault",
     "EventBatch",
+    "PerEventSink",
     "ProbMode",
     "TraceEvent",
+    "as_batch_sink",
 ]

@@ -2,10 +2,10 @@
 
 The executor interprets a :class:`~repro.isa.program.Program`, optionally
 driving a PBS engine for ``PROB_CMP``/``PROB_JMP`` groups, and feeds one
-:class:`~repro.functional.trace.TraceEvent` per retired instruction to a
-``sink`` callable.  Timing models and MPKI counters are such sinks; when no
-sink is given, events are not materialised (fast path for accuracy and
-randomness experiments).
+row per retired instruction to a ``sink``, in
+:class:`~repro.functional.trace.EventBatch` chunks.  Timing models and MPKI
+counters are such sinks; when no sink is given, events are not
+materialised (fast path for accuracy and randomness experiments).
 
 PBS functional semantics (paper Section III-B): when a probabilistic branch
 group executes and the PBS engine reports a *hit*, the direction recorded at
@@ -18,22 +18,23 @@ the branch behaves exactly like a regular branch.
 from __future__ import annotations
 
 from math import cos as _cos, exp as _exp, log as _log, sin as _sin
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..isa.opcodes import OP_CLASS, Op, evaluate_cmp
 from ..isa.program import Program
 from ..isa.registers import COND_REG_NUM, Reg
 from .rng import Drand48
 from .state import MachineState
-from .trace import EventBatch, ProbMode, TraceEvent
+from .trace import EventBatch, ProbMode, as_batch_sink
 
-#: Interpreter flush granularity for the columnar sink path: a batch is
-#: delivered every this-many retired instructions (and at every pause,
-#: HALT or fault, so batch-capable sinks observe exactly the events a
-#: per-event sink would have seen by the time ``run()`` returns).
+#: Interpreter flush granularity: a batch is delivered every this-many
+#: retired instructions (and at every pause, HALT or fault, so the sink
+#: has seen every retired instruction by the time ``run()`` returns).
 BATCH_CHUNK = 1024
 
-Sink = Callable[[TraceEvent], None]
+#: A columnar sink (declares ``consume_batch``) or a bare per-event
+#: callable, which :func:`~repro.functional.trace.as_batch_sink` adapts.
+Sink = object
 
 
 class ExecutionLimitExceeded(Exception):
@@ -206,7 +207,7 @@ class Executor:
     def run(
         self, sink: Optional[Sink] = None, budget: Optional[int] = None
     ) -> MachineState:
-        """Execute until HALT; feed events to ``sink`` if given.
+        """Execute until HALT; feed event batches to ``sink`` if given.
 
         ``budget`` bounds how many instructions *this call* may retire;
         execution pauses (without error) once it is spent and a later
@@ -235,12 +236,8 @@ class Executor:
         if decoded is None:
             decoded = self._decoded = self._decode(program.instructions)
 
-        # Columnar sink path: sinks that declare ``consume_batch``
-        # receive EventBatch chunks instead of per-event calls.  Plain
-        # callables keep the exact legacy per-event emission below.
-        consume_batch = getattr(sink, "consume_batch", None) if emit else None
-        batching = consume_batch is not None
-        if batching:
+        if emit:
+            consume_batch = as_batch_sink(sink).consume_batch
             batch = EventBatch()
             b_pc = batch.pcs.append
             b_op = batch.ops.append
@@ -259,7 +256,6 @@ class Executor:
 
         # Hoisted globals/builtins: every name below is read once here
         # instead of per retired instruction.
-        make_event = TraceEvent
         eval_cmp = evaluate_cmp
         prob_decision = ProbDecision
         prob_group = ProbGroup
@@ -577,25 +573,18 @@ class Executor:
                     retired += 1
                     self._halted = True
                     if emit:
-                        if batching:
-                            b_pc(pc)
-                            b_op(op)
-                            b_cls(op_class[op])
-                            b_dest(-1)
-                            b_srcs(())
-                            b_cond(False)
-                            b_taken(False)
-                            b_target(None)
-                            b_next(pc + 1)
-                            b_addr(None)
-                            b_store(False)
-                            b_prob(NOT_PROB)
-                        else:
-                            sink(
-                                make_event(
-                                    pc, op, op_class[op], -1, (), next_pc=pc + 1
-                                )
-                            )
+                        b_pc(pc)
+                        b_op(op)
+                        b_cls(op_class[op])
+                        b_dest(-1)
+                        b_srcs(())
+                        b_cond(False)
+                        b_taken(False)
+                        b_target(None)
+                        b_next(pc + 1)
+                        b_addr(None)
+                        b_store(False)
+                        b_prob(NOT_PROB)
                     break
                 else:  # pragma: no cover - all opcodes handled above
                     raise ExecutionError(f"{program.name}@{pc}: unhandled {op.name}")
@@ -604,41 +593,27 @@ class Executor:
                     pbs.observe_branch(pc, taken, target)
 
                 if emit:
-                    if batching:
-                        b_pc(pc)
-                        b_op(op)
-                        b_cls(op_class[op])
-                        b_dest(dest)
-                        b_srcs(trace_srcs)
-                        b_cond(is_branch)
-                        b_taken(taken)
-                        b_target(target)
-                        b_next(next_pc)
-                        b_addr(addr)
-                        b_store(is_store)
-                        b_prob(prob_mode)
-                        batch_fill += 1
-                        if batch_fill >= chunk:
+                    b_pc(pc)
+                    b_op(op)
+                    b_cls(op_class[op])
+                    b_dest(dest)
+                    b_srcs(trace_srcs)
+                    b_cond(is_branch)
+                    b_taken(taken)
+                    b_target(target)
+                    b_next(next_pc)
+                    b_addr(addr)
+                    b_store(is_store)
+                    b_prob(prob_mode)
+                    batch_fill += 1
+                    if batch_fill >= chunk:
+                        batch_fill = 0
+                        # Cleared even if the sink raises, so the tail
+                        # flush below never re-delivers these rows.
+                        try:
                             consume_batch(batch)
+                        finally:
                             batch.clear()
-                            batch_fill = 0
-                    else:
-                        sink(
-                            make_event(
-                                pc,
-                                op,
-                                op_class[op],
-                                dest,
-                                trace_srcs,
-                                is_cond_branch=is_branch,
-                                taken=taken,
-                                target=target,
-                                next_pc=next_pc,
-                                addr=addr,
-                                is_store=is_store,
-                                prob_mode=prob_mode,
-                            )
-                        )
 
                 retired += 1
                 pc = next_pc
@@ -648,13 +623,15 @@ class Executor:
             self.retired = retired
             self._pc = pc
             self._pending_cmp = pending_cmp
-            # Deliver any buffered columnar tail.  Runs on every exit —
-            # budget pause, HALT, limit overrun or fault — so the batch
-            # sink has seen exactly the retired-instruction stream a
-            # per-event sink would have by the time control returns.
-            if batching and batch.pcs:
-                consume_batch(batch)
-                batch.clear()
+            # Deliver any buffered tail.  Runs on every exit — budget
+            # pause, HALT, limit overrun or fault — so the sink has seen
+            # exactly the retired-instruction stream by the time control
+            # returns.
+            if emit and batch.pcs:
+                try:
+                    consume_batch(batch)
+                finally:
+                    batch.clear()
 
         return state
 

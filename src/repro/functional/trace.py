@@ -1,8 +1,11 @@
 """Dynamic trace events emitted by the functional simulator.
 
-The functional simulator executes the committed path and emits one
-:class:`TraceEvent` per retired instruction.  Timing models, MPKI counters
-and other consumers observe this stream; they never re-execute semantics.
+The functional simulator executes the committed path and emits it as
+:class:`EventBatch` columns, one row per retired instruction.  Timing
+models, MPKI counters and other consumers observe this stream through
+``consume_batch``; they never re-execute semantics.  :class:`TraceEvent`
+is the one-row view of a batch: what :func:`as_batch_sink` hands a bare
+per-event callable, and what displays and diffs show.
 """
 
 from __future__ import annotations
@@ -88,11 +91,11 @@ class EventBatch:
     """A columnar run of retired instructions (structure of arrays).
 
     Producers (the pre-decoded interpreter, the compiled tier, trace
-    replay) fill the parallel column lists and hand the batch to a sink
-    that declares a ``consume_batch`` method.  Column ``i`` across all
-    twelve lists describes the same retired instruction that a
-    :class:`TraceEvent` would, field for field — batching changes how
-    events travel, never what they say.
+    replay) fill the parallel column lists and hand the batch to the
+    sink's ``consume_batch`` method — the only way events travel.
+    Column ``i`` across all twelve lists describes one retired
+    instruction, field for field what :meth:`events` turns into a
+    :class:`TraceEvent`.
 
     Ownership contract: the producer may reuse the batch object (via
     :meth:`clear`) as soon as ``consume_batch`` returns, so consumers
@@ -161,12 +164,8 @@ class EventBatch:
         self.prob_modes.append(event.prob_mode)
 
     def events(self):
-        """Explode the batch into :class:`TraceEvent` objects.
-
-        This is the compatibility adapter for legacy per-event sinks: a
-        batch-producing tier can keep any plain callable working by
-        iterating this generator and calling ``sink(event)``.
-        """
+        """Explode the batch into :class:`TraceEvent` objects, in row
+        order (what :class:`PerEventSink` feeds a bare callable)."""
         make = TraceEvent
         for i in range(len(self.pcs)):
             yield make(
@@ -191,20 +190,38 @@ class EventBatch:
             batch.append_event(event)
         return batch
 
-    def deliver(self, sink) -> bool:
-        """Hand the batch to ``sink``, batched if it opts in.
-
-        Returns ``True`` when the sink consumed the batch columnar-ly
-        (it declared ``consume_batch``), ``False`` when the batch was
-        exploded into per-event calls for a legacy callable.
-        """
-        consume = getattr(sink, "consume_batch", None)
-        if consume is not None:
-            consume(self)
-            return True
-        for event in self.events():
-            sink(event)
-        return False
-
     def __repr__(self) -> str:
         return f"<EventBatch n={len(self.pcs)}>"
+
+
+class PerEventSink:
+    """Adapts a bare per-event callable to the columnar protocol.
+
+    ``consume_batch`` explodes each batch with :meth:`EventBatch.events`
+    and calls the wrapped callable once per row, in order.  Events still
+    arrive a batch at a time, so a callable that inspects live machine
+    state (registers, ``Executor.retired``) must drive the producer with
+    ``step()`` to see it per instruction.
+    """
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def consume_batch(self, batch: EventBatch) -> None:
+        sink = self.sink
+        for event in batch.events():
+            sink(event)
+
+
+def as_batch_sink(sink):
+    """``sink`` itself when it declares ``consume_batch`` (or is
+    ``None``), else ``sink`` wrapped in :class:`PerEventSink`.
+
+    Producers apply this where a sink enters them, so every consumer
+    downstream speaks one protocol.
+    """
+    if sink is None or getattr(sink, "consume_batch", None) is not None:
+        return sink
+    return PerEventSink(sink)

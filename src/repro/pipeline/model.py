@@ -26,7 +26,7 @@ from collections import deque
 from typing import Dict, Optional
 
 from ..branch.base import BranchPredictor
-from ..functional.trace import ProbMode, TraceEvent
+from ..branch.harness import PredictorHarness
 from ..isa.opcodes import OpClass
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
@@ -34,7 +34,15 @@ from .metrics import CoreStats
 
 
 class OoOCore:
-    """A trace sink computing cycles, IPC and branch statistics."""
+    """A columnar trace sink computing cycles, IPC and branch statistics.
+
+    Branch classification is delegated to an owned
+    :class:`~repro.branch.PredictorHarness` built from the core's
+    predictor and options, so ``stats.branches`` *is* that harness's
+    :class:`~repro.branch.BranchStats`.  Each batch is classified first,
+    then timed: predictor state depends only on the ``(pc, taken,
+    prob_mode)`` order, never on cycle timing, so this is exact.
+    """
 
     def __init__(
         self,
@@ -48,15 +56,14 @@ class OoOCore:
         self.config = config
         self.predictor = predictor
         self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
-        self.filter_probabilistic = filter_probabilistic
-        #: Branches at these PCs resolve from a decoupled predicate queue
-        #: (control-flow decoupling's branch-on-queue): never mispredicted
-        #: and invisible to the predictor.
-        self.oracle_pcs = oracle_pcs
-        #: Shift PBS-known directions into predictor history (free in
-        #: hardware; preserves correlation for regular branches).
-        self.pbs_inserts_history = pbs_inserts_history
+        self.harness = PredictorHarness(
+            predictor,
+            filter_probabilistic=filter_probabilistic,
+            pbs_inserts_history=pbs_inserts_history,
+            oracle_pcs=oracle_pcs,
+        )
         self.stats = CoreStats(config.name, predictor_name=predictor.name)
+        self.stats.branches = self.harness.stats
 
         self._latency: Dict[int, int] = dict(config.latencies)
         self._reg_ready: Dict[int, int] = {}
@@ -69,134 +76,123 @@ class OoOCore:
         self._last_cycle = 0
 
     # ------------------------------------------------------------------
-    def __call__(self, event: TraceEvent) -> None:
-        self.feed(event)
+    def consume_batch(self, batch) -> None:
+        mispredicted = []
+        self.harness.consume_batch(batch, mispredicted)
+        # Sentinel row: the walk below compares every row against the
+        # next mispredicted one, and no row index reaches len(batch).
+        n = len(batch.pcs)
+        mispredicted.append(n)
 
-    def feed(self, event: TraceEvent) -> None:
         config = self.config
         width = config.width
+        rob_size = config.rob_size
+        penalty = config.mispredict_penalty
         stats = self.stats
-        stats.instructions += 1
-
-        # ----- dispatch: front-end bandwidth + ROB occupancy -----------
-        dispatch = self._frontend_ready
-        commit_times = self._commit_times
-        if len(commit_times) >= config.rob_size:
-            # The slot frees the cycle after its occupant commits.
-            oldest = commit_times.popleft()
-            if oldest + 1 > dispatch:
-                dispatch = oldest + 1
-        if dispatch > self._dispatch_cycle:
-            self._dispatch_cycle = dispatch
-            self._dispatch_slots = 1
-        else:
-            if self._dispatch_slots >= width:
-                self._dispatch_cycle += 1
-                self._dispatch_slots = 1
-            else:
-                self._dispatch_slots += 1
-            dispatch = self._dispatch_cycle
-
-        # ----- issue & execute: dataflow ------------------------------
-        ready = dispatch + 1
+        stats.instructions += n
+        latency_of = self._latency
+        access = self.hierarchy.access
         reg_ready = self._reg_ready
-        for reg in event.srcs:
-            when = reg_ready.get(reg, 0)
-            if when > ready:
-                ready = when
+        ready_of = reg_ready.get
+        commit_times = self._commit_times
+        pop_oldest = commit_times.popleft
+        push_commit = commit_times.append
+        LOAD = OpClass.LOAD
+        STORE = OpClass.STORE
 
-        op_class = event.op_class
-        if op_class == OpClass.LOAD:
-            latency = self.hierarchy.access(event.addr)
-        elif op_class == OpClass.STORE:
-            self.hierarchy.access(event.addr)
-            latency = self._latency[OpClass.STORE]
-        else:
-            latency = self._latency[op_class]
-        complete = ready + latency
+        frontend_ready = self._frontend_ready
+        dispatch_cycle = self._dispatch_cycle
+        dispatch_slots = self._dispatch_slots
+        commit_cycle = self._commit_cycle
+        commit_slots = self._commit_slots
+        last_cycle = self._last_cycle
+        branch_stall = 0
+        miss_index = 0
+        next_miss = mispredicted[0]
 
-        if event.dest >= 0:
-            reg_ready[event.dest] = complete
+        srcs_col = batch.srcs
+        classes = batch.classes
+        addrs = batch.addrs
+        dests = batch.dests
+        for i in range(n):
+            # ----- dispatch: front-end bandwidth + ROB occupancy -------
+            dispatch = frontend_ready
+            if len(commit_times) >= rob_size:
+                # The slot frees the cycle after its occupant commits.
+                oldest = pop_oldest()
+                if oldest + 1 > dispatch:
+                    dispatch = oldest + 1
+            if dispatch > dispatch_cycle:
+                dispatch_cycle = dispatch
+                dispatch_slots = 1
+            else:
+                if dispatch_slots >= width:
+                    dispatch_cycle += 1
+                    dispatch_slots = 1
+                else:
+                    dispatch_slots += 1
+                dispatch = dispatch_cycle
 
-        # ----- branches: predictor interaction ------------------------
-        if event.is_cond_branch:
-            mispredicted = self._handle_branch(event)
-            if mispredicted:
-                self._frontend_ready = complete + config.mispredict_penalty
+            # ----- issue & execute: dataflow --------------------------
+            ready = dispatch + 1
+            for reg in srcs_col[i]:
+                when = ready_of(reg, 0)
+                if when > ready:
+                    ready = when
+
+            op_class = classes[i]
+            if op_class == LOAD:
+                complete = ready + access(addrs[i])
+            elif op_class == STORE:
+                access(addrs[i])
+                complete = ready + latency_of[STORE]
+            else:
+                complete = ready + latency_of[op_class]
+
+            dest = dests[i]
+            if dest >= 0:
+                reg_ready[dest] = complete
+
+            # ----- mispredicted branch: refill after resolution -------
+            if i == next_miss:
+                frontend_ready = complete + penalty
                 # CPI-stack attribution: the front-end sits idle from the
                 # cycle after the branch entered the window until it
                 # resolves and the pipeline refills.
-                stall = self._frontend_ready - (dispatch + 1)
+                stall = frontend_ready - (dispatch + 1)
                 if stall > 0:
-                    stats.branch_stall_cycles += stall
+                    branch_stall += stall
+                miss_index += 1
+                next_miss = mispredicted[miss_index]
 
-        # ----- commit: in order, width per cycle -----------------------
-        commit = complete
-        if commit < self._commit_cycle:
-            commit = self._commit_cycle
-        if commit == self._commit_cycle:
-            if self._commit_slots >= width:
-                commit += 1
-                self._commit_slots = 1
+            # ----- commit: in order, width per cycle -------------------
+            commit = complete
+            if commit < commit_cycle:
+                commit = commit_cycle
+            if commit == commit_cycle:
+                if commit_slots >= width:
+                    commit += 1
+                    commit_slots = 1
+                else:
+                    commit_slots += 1
             else:
-                self._commit_slots += 1
-        else:
-            self._commit_slots = 1
-        self._commit_cycle = commit
-        commit_times.append(commit)
-        if commit > self._last_cycle:
-            self._last_cycle = commit
+                commit_slots = 1
+            commit_cycle = commit
+            push_commit(commit)
+            if commit > last_cycle:
+                last_cycle = commit
 
-    # ------------------------------------------------------------------
-    def _handle_branch(self, event: TraceEvent) -> bool:
-        """Consult the predictor; returns True on a misprediction."""
-        stats = self.stats
-        prob_mode = event.prob_mode
-
-        if prob_mode == ProbMode.PBS_HIT:
-            stats.branches.pbs_hits += 1
-            if self.pbs_inserts_history:
-                self.predictor.insert_history(event.pc, event.taken)
-            return False
-
-        if event.pc in self.oracle_pcs:
-            # CFD branch-on-queue: the predicate is waiting at fetch.
-            stats.branches.regular_branches += 1
-            return False
-
-        is_prob = prob_mode == ProbMode.PREDICTED
-        if is_prob and self.filter_probabilistic:
-            stats.branches.prob_branches += 1
-            if event.taken:  # static not-taken for filtered branches
-                stats.branches.prob_mispredicts += 1
-                return True
-            return False
-
-        predictor = self.predictor
-        if predictor.perfect:
-            if is_prob:
-                stats.branches.prob_branches += 1
-            else:
-                stats.branches.regular_branches += 1
-            return False
-
-        prediction = predictor.predict(event.pc)
-        predictor.update(event.pc, event.taken)
-        mispredicted = prediction != event.taken
-        if is_prob:
-            stats.branches.prob_branches += 1
-            if mispredicted:
-                stats.branches.prob_mispredicts += 1
-        else:
-            stats.branches.regular_branches += 1
-            if mispredicted:
-                stats.branches.regular_mispredicts += 1
-        return mispredicted
+        self._frontend_ready = frontend_ready
+        self._dispatch_cycle = dispatch_cycle
+        self._dispatch_slots = dispatch_slots
+        self._commit_cycle = commit_cycle
+        self._commit_slots = commit_slots
+        self._last_cycle = last_cycle
+        stats.branch_stall_cycles += branch_stall
 
     # ------------------------------------------------------------------
     def finalize(self) -> CoreStats:
         """Close accounting and return the stats object."""
         stats = self.stats
         stats.cycles = self._last_cycle if self._last_cycle else 1
-        stats.branches.instructions = stats.instructions
         return stats

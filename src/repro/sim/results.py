@@ -156,15 +156,15 @@ class RunResult:
     engine_used: Optional[str] = None
     #: True when the compiled tier reused already-generated code.
     compiled_hit: bool = False
-    #: Columnar-sink accounting: ``sink_batches`` counts EventBatches
-    #: the run's sink fan-out received; ``sink_fallbacks`` counts the
-    #: batches it had to explode to per-event delivery for legacy
-    #: consumers (``sink_fallback_consumers`` names them).  Transient
-    #: like ``engine_used`` — the batch pipeline never changes results,
-    #: so none of this is serialized.
+    #: EventBatches the run's sink fan-out received.  Transient like
+    #: ``engine_used`` — batching never changes results, so it is never
+    #: serialized.
     sink_batches: int = 0
+    #: Always 0: events only travel as batches now, so no run explodes
+    #: batches for a per-event consumer.  Kept only because the frozen
+    #: benchmark's tracer still sums it (``sim.fallback_batches``);
+    #: transient and never serialized.
     sink_fallbacks: int = 0
-    sink_fallback_consumers: Optional[List[str]] = None
 
     # -- convenience accessors -----------------------------------------
     def predictor(self, name: str) -> PredictorMetrics:
@@ -182,7 +182,6 @@ class RunResult:
         data.pop("compiled_hit")
         data.pop("sink_batches")
         data.pop("sink_fallbacks")
-        data.pop("sink_fallback_consumers")
         return data
 
     @classmethod
@@ -194,7 +193,6 @@ class RunResult:
         data.pop("compiled_hit", None)
         data.pop("sink_batches", None)
         data.pop("sink_fallbacks", None)
-        data.pop("sink_fallback_consumers", None)
         data["predictors"] = {
             name: PredictorMetrics(**metrics)
             for name, metrics in (data.get("predictors") or {}).items()

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..functional import as_batch_sink
 from .registry import create_predictor, get_workload
 from .results import CoreMetrics, PBSMetrics, PredictorMetrics, RunResult
 
@@ -40,66 +41,23 @@ DEFAULT_SEED = 1
 
 
 class FanOut:
-    """Fans one trace event stream out to several consumers.
+    """Fans one columnar event stream out to several consumers.
 
-    When at least one member speaks the columnar protocol
-    (:class:`~repro.functional.EventBatch` via ``consume_batch``), the
-    fan-out declares ``consume_batch`` itself so batch-producing
-    engines hand it whole batches: columnar members receive the batch
-    directly, and legacy per-event callables get the rows exploded to
-    :class:`~repro.functional.TraceEvent` objects — once per batch,
-    shared across all of them.  ``batches`` counts batches received;
-    ``fallbacks`` counts the ones that needed an explosion.  An
-    all-legacy fan-out exposes no ``consume_batch``, keeping producers
-    on the exact per-event path.
+    Every member receives each :class:`~repro.functional.EventBatch` in
+    attachment order; a bare per-event callable is wrapped in
+    :class:`~repro.functional.PerEventSink` on the way in.  ``batches``
+    counts the batches received.
     """
 
     def __init__(self, sinks: Sequence[Callable]):
         self.sinks = list(sinks)
-        self._columnar = [
-            consume
-            for consume in (
-                getattr(sink, "consume_batch", None) for sink in self.sinks
-            )
-            if consume is not None
-        ]
-        self._legacy = [
-            sink for sink in self.sinks
-            if getattr(sink, "consume_batch", None) is None
-        ]
+        self._consumers = [as_batch_sink(sink).consume_batch for sink in self.sinks]
         self.batches = 0
-        self.fallbacks = 0
-        if self._columnar:
-            # Conditional instance attribute: producers probe with
-            # getattr, so an all-legacy fan-out must not look columnar.
-            self.consume_batch = self._consume_batch
 
-    def __call__(self, event) -> None:
-        for sink in self.sinks:
-            sink(event)
-
-    def _consume_batch(self, batch) -> None:
+    def consume_batch(self, batch) -> None:
         self.batches += 1
-        for consume in self._columnar:
+        for consume in self._consumers:
             consume(batch)
-        legacy = self._legacy
-        if legacy:
-            self.fallbacks += 1
-            if len(legacy) == 1:
-                only = legacy[0]
-                for event in batch.events():
-                    only(event)
-            else:
-                for event in batch.events():
-                    for sink in legacy:
-                        sink(event)
-
-    def legacy_names(self) -> List[str]:
-        """Display names of the members that force per-event explosion."""
-        return [
-            getattr(sink, "__qualname__", None) or type(sink).__name__
-            for sink in self._legacy
-        ]
 
 
 @dataclass
@@ -234,9 +192,12 @@ class Session:
     def sink(self, consumer: Callable) -> "Session":
         """Attach an arbitrary extra trace consumer.
 
-        Unlike predictors and cores, extra sinks are caller-owned: they
-        are not rebuilt per run, so a sink fed by several ``run()``
-        calls accumulates state across all of them.
+        ``consumer`` is a columnar sink (it declares ``consume_batch``)
+        or a bare per-event callable, which is fed each batch's rows in
+        order once the batch is delivered.  Unlike predictors and cores,
+        extra sinks are caller-owned: they are not rebuilt per run, so a
+        sink fed by several ``run()`` calls accumulates state across all
+        of them.
         """
         self._extra_sinks.append(consumer)
         return self
@@ -293,7 +254,7 @@ class Session:
                 )
                 core = OoOCore(config, spec.make(), **spec.options)
                 self.cores[spec.label] = core
-                consumers.append(core.feed)
+                consumers.append(core)
         else:
             for spec in self._specs:
                 harness = PredictorHarness(spec.make(), **spec.options)
@@ -344,18 +305,7 @@ class Session:
             # later record_consumed replay stays bit-identical; the
             # executor's semantics do not depend on the flag.
             record_consumed = True
-        sink = None
-        sink_tap = None
-        if consumers:
-            if (
-                len(consumers) == 1
-                and getattr(consumers[0], "consume_batch", None) is None
-            ):
-                # A lone legacy callable keeps the direct per-event
-                # path — no wrapper, no per-event indirection.
-                sink = consumers[0]
-            else:
-                sink = sink_tap = FanOut(consumers)
+        sink = FanOut(consumers) if consumers else None
 
         tier = self._resolve_engine(
             workload,
@@ -417,11 +367,8 @@ class Session:
         if tier is not None:
             result.engine_used = tier.name
             result.compiled_hit = tier.last_cache_hit
-        if sink_tap is not None:
-            result.sink_batches = sink_tap.batches
-            result.sink_fallbacks = sink_tap.fallbacks
-            if sink_tap.fallbacks:
-                result.sink_fallback_consumers = sink_tap.legacy_names()
+        if sink is not None:
+            result.sink_batches = sink.batches
         return result
 
     def _resolve_engine(self, workload, *, sink: bool, record_consumed: bool):
@@ -455,15 +402,9 @@ class Session:
         self.workload_run = None
 
         started = time.perf_counter()
-        sink_tap = None
-        if (
-            len(consumers) == 1
-            and getattr(consumers[0], "consume_batch", None) is None
-        ):
-            reader.replay(consumers[0])
-        elif consumers:
-            sink_tap = FanOut(consumers)
-            reader.replay(sink_tap)
+        sink = FanOut(consumers) if consumers else None
+        if sink is not None:
+            reader.replay(sink)
         # No consumers: everything the result needs is in the metadata,
         # so the event stream is not even decompressed.
         wall_time = time.perf_counter() - started
@@ -484,11 +425,8 @@ class Session:
             ),
         )
         result.trace_origin = "replay"
-        if sink_tap is not None:
-            result.sink_batches = sink_tap.batches
-            result.sink_fallbacks = sink_tap.fallbacks
-            if sink_tap.fallbacks:
-                result.sink_fallback_consumers = sink_tap.legacy_names()
+        if sink is not None:
+            result.sink_batches = sink.batches
         return result
 
     def _resolved_pbs_config(self) -> Optional[Dict]:

@@ -170,8 +170,7 @@ class SweepResult:
                  engine_used: Optional[Dict[str, int]] = None,
                  compiled_hits: int = 0, vectorized: int = 0,
                  engine_fallbacks: Optional[List[Dict]] = None,
-                 sink_batches: int = 0,
-                 sink_fallbacks: Optional[List[Dict]] = None):
+                 sink_batches: int = 0):
         self.results = results
         self.cache_hits = cache_hits
         self.simulated = simulated
@@ -185,7 +184,6 @@ class SweepResult:
         self.vectorized = vectorized
         self.engine_fallbacks = engine_fallbacks or []
         self.sink_batches = sink_batches
-        self.sink_fallbacks = sink_fallbacks or []
 
     def to_stats(self) -> Dict:
         """Machine-readable run summary (the ``--stats-json`` contract —
@@ -208,24 +206,14 @@ class SweepResult:
         reason records the workload, the exception, and whether it was
         a safe ineligibility or a real engine fault (``None`` when no
         column fell back).
-        ``sink_batches`` totals the columnar EventBatches delivered to
-        the simulated runs' sink fan-outs; ``sink_fallbacks`` follows
-        the ``engine_fallbacks`` shape — ``{"count", "reasons"}``
-        where each reason names a run that had to explode batches to
-        per-event delivery for legacy consumers (``None`` when every
-        batch stayed columnar).
+        ``sink_batches`` totals the EventBatches delivered to the
+        simulated runs' sink fan-outs.
         """
         fallbacks = None
         if self.engine_fallbacks:
             fallbacks = {
                 "count": len(self.engine_fallbacks),
                 "reasons": [dict(f) for f in self.engine_fallbacks],
-            }
-        sink_fallbacks = None
-        if self.sink_fallbacks:
-            sink_fallbacks = {
-                "count": len(self.sink_fallbacks),
-                "reasons": [dict(f) for f in self.sink_fallbacks],
             }
         return {
             "specs": len(self.results),
@@ -241,7 +229,6 @@ class SweepResult:
             "vectorized": self.vectorized,
             "engine_fallbacks": fallbacks,
             "sink_batches": self.sink_batches,
-            "sink_fallbacks": sink_fallbacks,
         }
 
     def __iter__(self):
@@ -493,7 +480,6 @@ class Sweep:
         engine_used: Dict[str, int] = {}
         compiled_hits = 0
         sink_batches = 0
-        sink_fallbacks: List[Dict] = []
         for result in results:
             tier_name = getattr(result, "engine_used", None)
             if tier_name:
@@ -501,17 +487,6 @@ class Sweep:
             if getattr(result, "compiled_hit", False):
                 compiled_hits += 1
             sink_batches += getattr(result, "sink_batches", 0)
-            exploded = getattr(result, "sink_fallbacks", 0)
-            if exploded:
-                sink_fallbacks.append({
-                    "workload": result.workload,
-                    "seed": result.seed,
-                    "mode": "pbs" if result.pbs else "base",
-                    "batches": exploded,
-                    "consumers": list(
-                        getattr(result, "sink_fallback_consumers", None) or []
-                    ),
-                })
 
         return SweepResult(
             results, cache_hits=len(specs) - total_pending,
@@ -525,7 +500,6 @@ class Sweep:
             vectorized=engine_used.get("vector", 0),
             engine_fallbacks=engine_fallbacks,
             sink_batches=sink_batches,
-            sink_fallbacks=sink_fallbacks,
         )
 
     def _run_vector_columns(

@@ -32,7 +32,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
-from ..functional.trace import EventBatch, TraceEvent
+from ..functional.trace import EventBatch, TraceEvent, as_batch_sink
 from ..isa.opcodes import OP_CLASS, Op
 
 #: Bump on any incompatible change to the framing or event packing.
@@ -216,10 +216,11 @@ class TraceWriter:
     the run metadata to write the metadata frame and trailer; an
     unfinalized file is unreadable by design (no trailer magic).
 
-    The writer speaks both sink protocols: per-event (it is callable)
-    and columnar (:meth:`consume_batch` packs records straight from
+    :meth:`consume_batch` packs records straight from
     :class:`EventBatch` columns, caching the packed bytes per
-    ``(pc, flags, target)`` so steady-state capture re-packs nothing).
+    ``(pc, flags, target)`` so steady-state capture re-packs nothing.
+    The cache assumes what every committed path of one program
+    guarantees: a pc always holds the same op, dest and sources.
     """
 
     def __init__(
@@ -234,27 +235,21 @@ class TraceWriter:
         self.events = 0
         self._buffer: list = []
         self._buffered = 0
-        #: (pc, flags, target) -> packed record bytes (sans addr tail).
-        #: Valid because op/dest/srcs are static per pc within one run.
-        self._pack_cache: Dict[tuple, bytes] = {}
+        #: (pc, flags, target) -> (op, dest, srcs, packed record sans
+        #: addr tail).  A hit is reused only if op/dest/srcs also match,
+        #: so a pc that carries different instructions repacks exactly.
+        self._pack_cache: Dict[tuple, tuple] = {}
         self._handle = open(self.path, "wb")
         flags = HEADER_FLAG_ZLIB if compress else 0
         self._handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags))
         self._finalized = False
 
-    # The hot capture path: one call per retired instruction.
-    def __call__(self, event: TraceEvent) -> None:
-        self._buffer.append(pack_event(event))
-        self.events += 1
-        self._buffered += 1
-        if self._buffered >= self.events_per_frame:
-            self._flush_frame()
-
     def consume_batch(self, batch: EventBatch) -> None:
-        """Columnar capture: pack a batch without building TraceEvents.
+        """Pack a batch's rows; records equal :func:`pack_event`'s.
 
-        Byte-identical to calling the writer per event — same records,
-        same frame boundaries (frames flush on the same event counts).
+        Frames flush every ``events_per_frame`` events wherever the
+        batch boundaries fall, so the file bytes do not depend on how
+        the stream was chunked.
         """
         pcs = batch.pcs
         ops = batch.ops
@@ -302,16 +297,22 @@ class TraceWriter:
             if addr is not None:
                 flags |= F_ADDR
             key = (pc, flags, target)
-            record = cache_get(key)
-            if record is None:
-                srcs = srcs_col[i]
-                record = (
-                    pack_head(pc, ops[i], flags, dests[i], len(srcs))
-                    + bytes(srcs)
-                )
+            op = ops[i]
+            dest = dests[i]
+            srcs = srcs_col[i]
+            entry = cache_get(key)
+            if (
+                entry is not None
+                and entry[0] == op
+                and entry[1] == dest
+                and entry[2] == srcs
+            ):
+                record = entry[3]
+            else:
+                record = pack_head(pc, op, flags, dest, len(srcs)) + bytes(srcs)
                 if target is not None:
                     record += pack_u32(target)
-                cache[key] = record
+                cache[key] = (op, dest, srcs, record)
             if addr is not None:
                 record += pack_u32(addr)
             append(record)
@@ -445,17 +446,10 @@ class TraceReader:
     def replay(self, sink) -> int:
         """Feed every event to ``sink``; returns the event count.
 
-        A batch-capable sink (one declaring ``consume_batch``) receives
-        one :class:`EventBatch` per stored frame, decoded straight into
-        columns — no per-event TraceEvent construction.
+        The sink receives one :class:`EventBatch` per stored frame,
+        decoded straight into columns.
         """
-        consume = getattr(sink, "consume_batch", None)
-        if consume is None:
-            count = 0
-            for event in self.events():
-                sink(event)
-                count += 1
-            return count
+        consume = as_batch_sink(sink).consume_batch
         count = 0
         batch = EventBatch()
         for payload in self._event_payloads():

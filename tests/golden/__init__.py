@@ -14,6 +14,7 @@ Regenerate after an *intentional* simulation-semantics change with::
 and commit the diff; an unintentional diff is a regression.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 from typing import List
@@ -35,7 +36,7 @@ GOLDEN_PREDICTORS = ("tournament", "tage-sc-l")
 
 
 def golden_specs() -> List[RunSpec]:
-    """The canonical grid: untimed base/pbs points plus one timed run."""
+    """The canonical grid: untimed base/pbs points plus timed runs."""
     specs = [
         RunSpec(
             workload=workload,
@@ -52,16 +53,24 @@ def golden_specs() -> List[RunSpec]:
         )
         for mode in ("base", "pbs")
     ]
-    specs.append(
-        RunSpec(
-            workload="pi",
-            scale=GOLDEN_SCALE,
-            seed=1,
-            mode="base",
-            predictors=GOLDEN_PREDICTORS,
-            timing=_four_wide_dict(),
+    # Timed runs pin the OoO core's branch arms: plain prediction, PBS
+    # hits (never mispredict), and Figure 9's filtered static prediction.
+    for mode, harness_options in (
+        ("base", {}),
+        ("pbs", {}),
+        ("base", {"filter_probabilistic": True}),
+    ):
+        specs.append(
+            RunSpec(
+                workload="pi",
+                scale=GOLDEN_SCALE,
+                seed=1,
+                mode=mode,
+                predictors=GOLDEN_PREDICTORS,
+                harness_options=harness_options,
+                timing=_four_wide_dict(),
+            )
         )
-    )
     return specs
 
 
@@ -73,7 +82,43 @@ def _four_wide_dict():
 
 def fixture_name(spec: RunSpec) -> str:
     timed = "-timed" if spec.timing is not None else ""
-    return f"{spec.workload}-{spec.mode}-seed{spec.seed}{timed}.json"
+    filtered = (
+        "-filtered" if spec.harness_options.get("filter_probabilistic") else ""
+    )
+    return f"{spec.workload}-{spec.mode}-seed{spec.seed}{timed}{filtered}.json"
+
+
+#: The CFD ablation's timed cores.  A Session cannot express
+#: ``oracle_pcs`` (queue branches resolved at fetch), so this fixture
+#: pins the core's stats for every CFD-transformed workload directly.
+CFD_ORACLE_FIXTURE = "cfd-oracle-timed.json"
+
+
+def cfd_oracle_json() -> str:
+    """Each CFD program on the 4-wide core, per golden predictor, as
+    fixture JSON.  (CFD removes the probabilistic branches, so the
+    filter option has nothing to act on here.)"""
+    from repro.functional import Executor
+    from repro.pipeline import OoOCore
+    from repro.sim.registry import create_predictor
+    from repro.transforms import build_cfd, cfd_applicable
+
+    rows = []
+    for name in cfd_applicable():
+        cfd = build_cfd(name, scale=GOLDEN_SCALE)
+        for predictor in GOLDEN_PREDICTORS:
+            core = OoOCore(
+                four_wide(),
+                create_predictor(predictor),
+                oracle_pcs=cfd.queue_branch_pcs,
+            )
+            Executor(cfd.program, seed=1).run(sink=core)
+            stats = core.finalize()
+            row = {"workload": name}
+            row.update(stats.as_dict())
+            row["branch_stall_cycles"] = stats.branch_stall_cycles
+            rows.append(row)
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def normalized_json(result) -> str:

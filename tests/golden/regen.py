@@ -14,10 +14,12 @@ import sys
 from repro.sim import SerialExecutor
 
 from . import (
+    CFD_ORACLE_FIXTURE,
     GOLDEN_AUTOPILOTS,
     GOLDEN_DIR,
     MANIFEST_PATH,
     autopilot_sweep,
+    cfd_oracle_json,
     fixture_name,
     golden_specs,
     normalized_json,
@@ -40,6 +42,8 @@ def main() -> int:
         print(f"wrote {name} (digest {spec.digest()[:12]}...)", file=sys.stderr)
     MANIFEST_PATH.write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote specs.json ({len(manifest)} fixtures)", file=sys.stderr)
+    (GOLDEN_DIR / CFD_ORACLE_FIXTURE).write_text(cfd_oracle_json())
+    print(f"wrote {CFD_ORACLE_FIXTURE}", file=sys.stderr)
     for name, kwargs in GOLDEN_AUTOPILOTS:
         report = autopilot_sweep(kwargs).run(executor="serial")
         (GOLDEN_DIR / name).write_text(normalized_report_json(report))

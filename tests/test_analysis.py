@@ -21,7 +21,7 @@ from repro.analysis import (
     select_digests,
 )
 from repro.analysis.base import ANALYSES
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RunResult, Session
 from repro.trace import TraceStore
@@ -102,8 +102,7 @@ class TestDirectionEntropy:
 class TestPassesOnSyntheticStreams:
     def _run(self, name, events, **options):
         sink = create_analysis(name, **options)
-        for event in events:
-            sink(event)
+        sink.consume_batch(EventBatch.from_events(events))
         return sink.result()
 
     def test_instruction_mix(self):

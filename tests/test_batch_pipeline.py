@@ -1,33 +1,38 @@
-"""The columnar sink contract: batched delivery is bit-identical.
+"""The columnar sink contract: how a stream is chunked never matters.
 
-The batch pipeline (``EventBatch`` from the engines, ``consume_batch``
-on the consumers) is a pure speed play — every test here pins the
-"never changes results" half of that bargain:
+``EventBatch`` is the only way events travel, so there is no per-event
+implementation to compare against.  Instead every test here pins chunk
+invariance — one-event batches, the whole stream as one batch, and
+arbitrary cut points give identical results:
 
-* ``EventBatch`` explodes back to the exact ``TraceEvent`` stream it
-  was packed from;
-* ``PredictorHarness.consume_batch`` produces the same final stats as
-  the per-event ``__call__`` walk, for **every registered predictor**;
-* ``MispredictBreakdown.consume_batch`` matches the per-event pass
-  down to the per-PC mispredict attribution;
-* the sim-layer ``FanOut`` feeds columnar and legacy members the same
-  stream, and its ``sink_batches``/``sink_fallbacks`` counters surface
-  through sweep stats;
+* ``EventBatch`` explodes back to the exact ``TraceEvent`` rows it was
+  packed from, and bare callables reach them through ``as_batch_sink``;
+* the interpreter's and the compiled tier's ``step(1)``-driven streams
+  equal a straight run;
+* ``PredictorHarness``, ``OoOCore`` (whose timing state crosses batch
+  boundaries), ``MispredictBreakdown`` and ``TraceWriter`` give
+  identical stats or bytes under any chunking;
+* the sim-layer ``FanOut`` feeds every member the same stream, and its
+  ``sink_batches`` counter surfaces through sweep stats;
 * the sink-attached diff mode holds interp and compiled to the same
   batch-fed tally at every barrier.
 
-Hypothesis drives generated programs through the interp-vs-batch
-comparison where it is installed; the exhaustive per-predictor sweeps
-run regardless.
+Hypothesis drives random cut points and generated programs where it is
+installed; the exhaustive per-predictor sweeps run regardless.
 """
+
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro.branch import PredictorHarness
-from repro.functional import EventBatch, Executor
+from repro.functional import EventBatch, Executor, PerEventSink, as_batch_sink
 from repro.functional.trace import ProbMode, TraceEvent
+from repro.pipeline import OoOCore, four_wide
 from repro.sim import FanOut, Session, Sweep, get_workload, predictor_names
 from repro.sim.registry import create_predictor
+from repro.trace import TraceWriter
 
 # One mid-size branchy workload keeps every per-predictor case fast.
 WORKLOAD = "bandit"
@@ -35,30 +40,115 @@ SCALE = 0.05
 SEED = 3
 
 
-def capture_events(workload=WORKLOAD, scale=SCALE, seed=SEED):
-    events = []
-    get_workload(workload).run(scale=scale, seed=seed, sink=events.append)
-    return events
+class _Collector:
+    """Columnar sink that copies every batch into one growing batch."""
+
+    def __init__(self):
+        self.batch = EventBatch()
+        self.batches = 0
+
+    def consume_batch(self, batch):
+        self.batches += 1
+        for column in EventBatch.__slots__:
+            getattr(self.batch, column).extend(getattr(batch, column))
+
+
+def capture(workload=WORKLOAD, scale=SCALE, seed=SEED, pbs=False):
+    """The whole committed-path stream of one run, as one batch."""
+    from repro.core import PBSEngine
+
+    collector = _Collector()
+    get_workload(workload).run(
+        scale=scale, seed=seed, pbs=PBSEngine() if pbs else None,
+        sink=collector,
+    )
+    return collector.batch
 
 
 @pytest.fixture(scope="module")
-def event_stream():
-    return capture_events()
+def stream():
+    return capture()
+
+
+@pytest.fixture(scope="module")
+def pbs_stream():
+    batch = capture(pbs=True)
+    assert ProbMode.PBS_HIT in batch.prob_modes
+    assert ProbMode.PREDICTED in batch.prob_modes
+    return batch
+
+
+def chunks(batch, cuts):
+    """``batch`` split at the given row indices, as fresh batches."""
+    bounds = sorted({0, len(batch), *(c for c in cuts if 0 < c < len(batch))})
+    pieces = []
+    for start, stop in zip(bounds, bounds[1:]):
+        piece = EventBatch()
+        for column in EventBatch.__slots__:
+            getattr(piece, column).extend(getattr(batch, column)[start:stop])
+        pieces.append(piece)
+    return pieces
+
+
+def one_event_batches(batch):
+    return chunks(batch, range(len(batch)))
+
+
+def every(batch, size):
+    return chunks(batch, range(size, len(batch), size))
+
+
+def feed(consumer, pieces):
+    for piece in pieces:
+        consumer.consume_batch(piece)
+    return consumer
+
+
+def assert_batches_equal(a, b):
+    assert len(a) == len(b)
+    for column in EventBatch.__slots__:
+        assert getattr(a, column) == getattr(b, column), column
+
+
+# -- per-consumer results, keyed for comparison ------------------------
+def harness_stats(pieces, name="tournament", **options):
+    harness = PredictorHarness(create_predictor(name), **options)
+    return feed(harness, pieces).stats.as_dict()
+
+
+def core_stats(pieces, name="tournament", **options):
+    core = feed(OoOCore(four_wide(), create_predictor(name), **options), pieces)
+    stats = core.finalize()
+    return stats.as_dict(), stats.branch_stall_cycles
+
+
+def mispredict_report(pieces):
+    from repro.analysis import create_analysis
+
+    names = ("tournament", "tage-sc-l", "bimodal")
+    breakdown = create_analysis("mispredicts", predictors=names, top=None)
+    return feed(breakdown, pieces).result()
+
+
+def trace_bytes(pieces, events_per_frame=500):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "t.trace"
+        writer = feed(TraceWriter(path, events_per_frame=events_per_frame), pieces)
+        writer.finalize({"workload": WORKLOAD})
+        return path.read_bytes()
 
 
 # ----------------------------------------------------------------------
-# EventBatch itself.
+# EventBatch itself and the one per-event adapter.
 # ----------------------------------------------------------------------
 class TestEventBatch:
-    def test_round_trip_explodes_to_identical_events(self, event_stream):
-        batch = EventBatch.from_events(event_stream)
-        assert len(batch) == len(event_stream)
-        for original, exploded in zip(event_stream, batch.events()):
-            for slot in TraceEvent.__slots__:
-                assert getattr(original, slot) == getattr(exploded, slot)
+    def test_round_trip_explodes_to_identical_events(self, stream):
+        events = list(stream.events())
+        assert all(isinstance(event, TraceEvent) for event in events)
+        assert_batches_equal(EventBatch.from_events(events), stream)
 
-    def test_clear_empties_every_column(self, event_stream):
-        batch = EventBatch.from_events(event_stream[:10])
+    def test_clear_empties_every_column(self, stream):
+        batch = chunks(stream, [10])[0]
         batch.clear()
         assert len(batch) == 0
         for column in EventBatch.__slots__:
@@ -75,174 +165,178 @@ class TestEventBatch:
             def consume_batch(self, batch):
                 self.batches.append(len(batch))
 
-        batch = EventBatch.from_events(capture_events(scale=0.01))
         consumer = Columnar()
-        assert batch.deliver(consumer) is True
-        assert consumer.batches == [len(batch)]
+        assert as_batch_sink(consumer) is consumer
+        assert as_batch_sink(None) is None
+        get_workload("pi").run(scale=0.01, seed=1, sink=consumer)
+        assert consumer.batches and sum(consumer.batches) > 0
 
-    def test_deliver_falls_back_to_per_event(self):
+    def test_deliver_falls_back_to_per_event(self, stream):
         events = []
-        batch = EventBatch.from_events(capture_events(scale=0.01))
-        assert batch.deliver(events.append) is False
-        assert len(events) == len(batch)
+        adapter = as_batch_sink(events.append)
+        assert isinstance(adapter, PerEventSink)
+        feed(adapter, every(stream, 1000))
+        assert_batches_equal(EventBatch.from_events(events), stream)
 
 
 # ----------------------------------------------------------------------
-# The interpreter's batched emission: same stream, either protocol.
+# Producers: stepping one instruction at a time changes nothing.
 # ----------------------------------------------------------------------
-class _Collector:
-    """Columnar sink that explodes every batch back to events."""
-
-    def __init__(self):
-        self.events = []
-        self.batches = 0
-
-    def consume_batch(self, batch):
-        self.batches += 1
-        self.events.extend(batch.events())
+def stepped(executor, sink):
+    while executor.step(1, sink=sink):
+        pass
 
 
-def assert_streams_equal(per_event, exploded):
-    assert len(per_event) == len(exploded)
-    for a, b in zip(per_event, exploded):
-        for slot in TraceEvent.__slots__:
-            assert getattr(a, slot) == getattr(b, slot), slot
-
-
-def test_interp_batch_stream_matches_per_event(event_stream):
+def test_interp_batch_stream_matches_per_event(stream):
+    program = get_workload(WORKLOAD).build(SCALE)
     collector = _Collector()
-    get_workload(WORKLOAD).run(scale=SCALE, seed=SEED, sink=collector)
-    assert collector.batches >= 1
-    assert_streams_equal(event_stream, collector.events)
+    stepped(Executor(program, seed=SEED), collector)
+    assert collector.batches == len(stream)
+    assert_batches_equal(collector.batch, stream)
 
 
-def test_compiled_batch_stream_matches_per_event(event_stream):
+def test_compiled_batch_stream_matches_per_event(stream):
     from repro.engines import create_engine
 
+    program = get_workload(WORKLOAD).build(SCALE)
+    engine = create_engine("compiled")
+    straight = _Collector()
+    engine.executor(program, seed=SEED).run(sink=straight)
+    assert_batches_equal(straight.batch, stream)
+
+    # The step variant, at an odd stride (a step(1) walk of the whole
+    # stream would recompile-check per instruction).
+    per_step = _Collector()
+    executor = engine.executor(program, seed=SEED)
+    while executor.step(61, sink=per_step):
+        pass
+    assert per_step.batches == -(-len(stream) // 61)
+    assert_batches_equal(per_step.batch, stream)
+
+
+def test_budget_pause_flushes_batch(stream):
+    """A budget-paused run() must already have delivered every retired
+    instruction — the diff steppers rely on it."""
+    program = get_workload(WORKLOAD).build(SCALE)
     collector = _Collector()
-    get_workload(WORKLOAD).run(
-        scale=SCALE, seed=SEED, sink=collector,
-        engine=create_engine("compiled"),
-    )
-    assert collector.batches >= 1
-    assert_streams_equal(event_stream, collector.events)
-
-
-def test_budget_pause_flushes_batch():
-    """A budget-paused run() must already have delivered every event a
-    per-event sink would have seen — the diff steppers rely on it."""
-    program = get_workload("pi").build(0.05)
-    reference = []
-    ex = Executor(program, seed=1)
-    ex.run(sink=reference.append)
-
-    collector = _Collector()
-    paused = Executor(program, seed=1)
+    paused = Executor(program, seed=SEED)
     while not paused.halted:
         paused.run(sink=collector, budget=97)
-        assert len(collector.events) == paused.retired
-    assert_streams_equal(reference, collector.events)
+        assert len(collector.batch) == paused.retired
+    assert_batches_equal(collector.batch, stream)
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled"])
+def test_raising_sink_sees_each_row_once(engine, stream):
+    """A bare callable that raises partway through a chunk stops the run
+    at that event: the tail flush must not hand it the chunk again."""
+    from repro.engines import create_engine
+
+    stop = 1500  # inside the second 1024-row chunk
+    assert len(stream) > 2 * stop
+    seen = []
+
+    def sink(event):
+        seen.append(event.pc)
+        if len(seen) == stop:
+            raise RuntimeError("sink gave up")
+
+    program = get_workload(WORKLOAD).build(SCALE)
+    executor = create_engine(engine).executor(program, seed=SEED)
+    with pytest.raises(RuntimeError, match="sink gave up"):
+        executor.run(sink=sink)
+    assert seen == stream.pcs[:stop]
 
 
 # ----------------------------------------------------------------------
-# PredictorHarness.consume_batch — every registered predictor.
+# PredictorHarness — every registered predictor.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", predictor_names())
-def test_harness_batch_matches_per_event(name, event_stream):
-    per_event = PredictorHarness(create_predictor(name))
-    for event in event_stream:
-        per_event(event)
-
-    batched = PredictorHarness(create_predictor(name))
+def test_harness_batch_matches_per_event(name, stream):
+    whole = harness_stats([stream], name)
+    assert harness_stats(one_event_batches(stream), name) == whole
     # Uneven chunk sizes cover batch-boundary handling.
-    for start in range(0, len(event_stream), 777):
-        batched.consume_batch(
-            EventBatch.from_events(event_stream[start:start + 777])
-        )
-    assert batched.stats.as_dict() == per_event.stats.as_dict()
+    assert harness_stats(every(stream, 777), name) == whole
 
 
 @pytest.mark.parametrize("name", predictor_names())
-def test_harness_batch_matches_per_event_pbs(name):
+def test_harness_batch_matches_per_event_pbs(name, pbs_stream):
     """Same contract with PBS prob modes in the stream (PBS_HIT and
     PREDICTED rows take the harness's special arms)."""
-    from repro.core import PBSEngine
-
-    events = []
-    get_workload(WORKLOAD).run(
-        scale=SCALE, seed=SEED, pbs=PBSEngine(), sink=events.append
-    )
-    assert any(e.prob_mode != ProbMode.NOT_PROB for e in events)
-
-    for options in ({}, {"pbs_inserts_history": True}):
-        per_event = PredictorHarness(create_predictor(name), **options)
-        for event in events:
-            per_event(event)
-        batched = PredictorHarness(create_predictor(name), **options)
-        batched.consume_batch(EventBatch.from_events(events))
-        assert batched.stats.as_dict() == per_event.stats.as_dict()
+    for options in ({}, {"pbs_inserts_history": False},
+                    {"filter_probabilistic": True}):
+        whole = harness_stats([pbs_stream], name, **options)
+        assert harness_stats(one_event_batches(pbs_stream), name, **options) == whole
 
 
-def test_session_single_and_multi_predictor_results_unchanged():
-    """End to end: the batched Session path reports the same metrics as
-    feeding the same harnesses per-event by hand."""
-    result = (
-        Session(WORKLOAD, scale=SCALE, seed=SEED)
-        .predictors("tournament", "gshare", "tage-sc-l")
-        .run()
-    )
+def test_session_single_and_multi_predictor_results_unchanged(stream):
+    """End to end: the Session reports what the same harnesses compute
+    over the whole stream by hand."""
+    names = ("tournament", "gshare", "tage-sc-l")
+    result = Session(WORKLOAD, scale=SCALE, seed=SEED).predictors(*names).run()
     assert result.sink_batches > 0
     assert result.sink_fallbacks == 0
-    events = capture_events()
-    for name in ("tournament", "gshare", "tage-sc-l"):
-        harness = PredictorHarness(create_predictor(name))
-        for event in events:
-            harness(event)
+    for name in names:
+        stats = harness_stats([stream], name)
         reported = result.predictor(name)
-        assert reported.instructions == harness.stats.instructions
-        assert reported.mispredicts == harness.stats.mispredicts
-        assert reported.mpki == pytest.approx(harness.stats.mpki)
-
-
-# ----------------------------------------------------------------------
-# MispredictBreakdown.consume_batch — per-PC attribution parity.
-# ----------------------------------------------------------------------
-def test_mispredict_breakdown_batch_matches_per_event(event_stream):
-    from repro.analysis import create_analysis
-
-    names = ("tournament", "tage-sc-l", "bimodal")
-    per_event = create_analysis("mispredicts", predictors=names, top=None)
-    for event in event_stream:
-        per_event(event)
-
-    batched = create_analysis("mispredicts", predictors=names, top=None)
-    for start in range(0, len(event_stream), 513):
-        batched.consume_batch(
-            EventBatch.from_events(event_stream[start:start + 513])
+        assert reported.instructions == stats["instructions"]
+        assert reported.mispredicts == (
+            stats["regular_mispredicts"] + stats["prob_mispredicts"]
         )
-    assert batched.result() == per_event.result()
+        assert reported.mpki == pytest.approx(stats["mpki"])
 
 
 # ----------------------------------------------------------------------
-# FanOut batching semantics and counters.
+# OoOCore — timing state crosses batch boundaries.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["tournament", "tage-sc-l", "perfect"])
+def test_core_batch_boundaries_change_nothing(name, pbs_stream):
+    for options in ({}, {"filter_probabilistic": True}):
+        whole = core_stats([pbs_stream], name, **options)
+        assert core_stats(one_event_batches(pbs_stream), name, **options) == whole
+        assert core_stats(every(pbs_stream, 333), name, **options) == whole
+
+
+def test_core_branches_are_its_harness_stats(pbs_stream):
+    core = feed(OoOCore(four_wide(), create_predictor("tournament")), [pbs_stream])
+    assert core.stats.branches is core.harness.stats
+    assert core.finalize().branches.as_dict() == harness_stats([pbs_stream])
+
+
+# ----------------------------------------------------------------------
+# MispredictBreakdown and TraceWriter.
+# ----------------------------------------------------------------------
+def test_mispredict_breakdown_batch_matches_per_event(stream):
+    whole = mispredict_report([stream])
+    assert mispredict_report(one_event_batches(stream)) == whole
+    assert mispredict_report(every(stream, 513)) == whole
+
+
+def test_trace_writer_bytes_ignore_batch_boundaries(stream):
+    whole = trace_bytes([stream])
+    assert trace_bytes(one_event_batches(stream)) == whole
+    assert trace_bytes(every(stream, 777)) == whole
+
+
+# ----------------------------------------------------------------------
+# FanOut and the sink counters.
 # ----------------------------------------------------------------------
 class TestFanOut:
-    def test_all_legacy_fanout_stays_per_event(self):
+    def test_all_legacy_fanout_stays_per_event(self, stream):
         sinks = [[], []]
         fan = FanOut([sinks[0].append, sinks[1].append])
-        assert getattr(fan, "consume_batch", None) is None
+        feed(fan, every(stream, 1000))
+        for events in sinks:
+            assert_batches_equal(EventBatch.from_events(events), stream)
 
-    def test_mixed_fanout_explodes_once_for_legacy(self, event_stream):
+    def test_mixed_fanout_explodes_once_for_legacy(self, stream):
         harness = PredictorHarness(create_predictor("tournament"))
         legacy = []
         fan = FanOut([harness, legacy.append])
-        batch = EventBatch.from_events(event_stream)
-        fan.consume_batch(batch)
+        fan.consume_batch(stream)
         assert fan.batches == 1
-        assert fan.fallbacks == 1
-        assert fan.legacy_names() == ["list.append"]
-        assert len(legacy) == len(event_stream)
-        assert harness.stats.instructions == len(event_stream)
+        assert len(legacy) == len(stream)
+        assert harness.stats.instructions == len(stream)
 
     def test_sweep_stats_surface_sink_counters(self):
         stats = (
@@ -252,9 +346,9 @@ class TestFanOut:
             .to_stats()
         )
         assert stats["sink_batches"] > 0
-        assert stats["sink_fallbacks"] is None
+        assert "sink_fallbacks" not in stats
 
-    def test_session_legacy_sink_counts_fallbacks(self):
+    def test_session_legacy_sink_never_falls_back(self):
         events = []
         result = (
             Session("pi", scale=0.05, seed=1)
@@ -262,9 +356,25 @@ class TestFanOut:
             .sink(events.append)
             .run()
         )
-        assert result.sink_fallbacks == result.sink_batches > 0
-        assert result.sink_fallback_consumers == ["list.append"]
+        assert result.sink_batches > 0
+        assert result.sink_fallbacks == 0
         assert len(events) == result.instructions
+
+    def test_timed_runs_deliver_batches(self):
+        from repro.pipeline import four_wide
+
+        result = (
+            Session("pi", scale=0.05, seed=1)
+            .predictors("tournament").timing(four_wide).run()
+        )
+        assert result.sink_batches > 0
+        stats = (
+            Sweep(workloads=["pi"], scales=[0.05], seeds=[1],
+                  predictors=["tournament"], timing=four_wide)
+            .run()
+            .to_stats()
+        )
+        assert stats["specs"] == 2 and stats["sink_batches"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -317,50 +427,62 @@ def test_diff_sink_detects_tally_skew():
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: generated programs, interp per-event vs batched, plus the
-# harness tally on top.
+# Hypothesis: random cut points, and generated programs stepped one
+# instruction at a time.
 # ----------------------------------------------------------------------
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+SMALL = capture(scale=0.02, pbs=True)
+CUTS = st.lists(st.integers(min_value=1, max_value=len(SMALL) - 1), max_size=40)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cuts=CUTS, predictor=st.sampled_from(["tournament", "tage-sc-l", "gshare"]))
+def test_random_cuts_harness_and_core(cuts, predictor):
+    pieces = chunks(SMALL, cuts)
+    assert harness_stats(pieces, predictor) == harness_stats([SMALL], predictor)
+    assert core_stats(pieces, predictor) == core_stats([SMALL], predictor)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cuts=CUTS)
+def test_random_cuts_mispredicts_and_trace_bytes(cuts):
+    pieces = chunks(SMALL, cuts)
+    assert mispredict_report(pieces) == mispredict_report([SMALL])
+    assert trace_bytes(pieces, events_per_frame=1000) == trace_bytes(
+        [SMALL], events_per_frame=1000
+    )
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        predictor=st.sampled_from(predictor_names()))
 def test_generated_programs_batch_equivalence(seed, predictor):
+    """A generated program stepped one instruction at a time emits the
+    straight run's stream — and faults identically — and the harness
+    tally over it is the same."""
     from repro.diff import build_program, generate
 
     program = build_program(generate(seed, "full"))
 
-    reference = []
-    ref_harness = PredictorHarness(create_predictor(predictor))
+    def run(drive):
+        collector = _Collector()
+        try:
+            # A small limit bounds the stepped run; both drives must
+            # raise it at the same retired count if a program reaches it.
+            drive(Executor(program, seed=seed, max_instructions=20_000), collector)
+        except Exception as exc:  # noqa: BLE001 — must fault identically
+            fault = f"{type(exc).__name__}: {exc}"
+        else:
+            fault = None
+        return collector.batch, fault
 
-    def per_event(event):
-        reference.append(event)
-        ref_harness(event)
-
-    try:
-        Executor(program, seed=seed).run(sink=per_event)
-    except Exception as exc:  # noqa: BLE001 — must fault identically below
-        fault = f"{type(exc).__name__}: {exc}"
-    else:
-        fault = None
-
-    collector = _Collector()
-    batch_harness = PredictorHarness(create_predictor(predictor))
-
-    class Fan:
-        def consume_batch(self, batch):
-            collector.consume_batch(batch)
-            batch_harness.consume_batch(batch)
-
-    try:
-        Executor(program, seed=seed).run(sink=Fan())
-    except Exception as exc:  # noqa: BLE001
-        assert fault == f"{type(exc).__name__}: {exc}"
-    else:
-        assert fault is None
-
-    assert_streams_equal(reference, collector.events)
-    assert batch_harness.stats.as_dict() == ref_harness.stats.as_dict()
+    straight, fault = run(lambda executor, sink: executor.run(sink=sink))
+    per_step, step_fault = run(stepped)
+    assert step_fault == fault
+    assert_batches_equal(per_step, straight)
+    assert harness_stats(one_event_batches(straight), predictor) == harness_stats(
+        [straight], predictor
+    )

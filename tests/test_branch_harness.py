@@ -5,10 +5,17 @@ from repro.branch import (
     AlwaysTaken,
     BranchStats,
     PerfectPredictor,
-    measure_mpki,
+    PredictorHarness,
 )
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa import Op, OpClass
+
+
+def measure(events, predictor, mispredicted=None, **options):
+    """Run a stored event list through a fresh harness; its stats."""
+    harness = PredictorHarness(predictor, **options)
+    harness.consume_batch(EventBatch.from_events(events), mispredicted)
+    return harness.stats
 
 
 def alu_event(pc=0):
@@ -47,14 +54,14 @@ class TestBranchStats:
 class TestHarnessCounting:
     def test_counts_instructions_and_branches(self):
         events = [alu_event(), branch_event(10, True), alu_event(2)]
-        stats = measure_mpki(events, AlwaysTaken())
+        stats = measure(events, AlwaysTaken())
         assert stats.instructions == 3
         assert stats.regular_branches == 1
         assert stats.mispredicts == 0
 
     def test_counts_mispredicts(self):
         events = [branch_event(10, False)] * 5
-        stats = measure_mpki(events, AlwaysTaken())
+        stats = measure(events, AlwaysTaken())
         assert stats.regular_mispredicts == 5
 
     def test_probabilistic_branches_counted_separately(self):
@@ -62,7 +69,7 @@ class TestHarnessCounting:
             branch_event(10, True, ProbMode.PREDICTED),
             branch_event(20, True),
         ]
-        stats = measure_mpki(events, AlwaysNotTaken())
+        stats = measure(events, AlwaysNotTaken())
         assert stats.prob_branches == 1
         assert stats.regular_branches == 1
         assert stats.prob_mispredicts == 1
@@ -72,6 +79,8 @@ class TestHarnessCounting:
 class TestPbsBypass:
     def test_pbs_hits_never_touch_predictor(self):
         class Boom(AlwaysTaken):
+            static_prediction = None  # overridden predict: not a constant kernel
+
             def predict(self, pc):
                 raise AssertionError("predictor consulted for a PBS hit")
 
@@ -79,7 +88,7 @@ class TestPbsBypass:
                 raise AssertionError("predictor updated for a PBS hit")
 
         events = [branch_event(10, True, ProbMode.PBS_HIT)] * 3
-        stats = measure_mpki(events, Boom())
+        stats = measure(events, Boom())
         assert stats.pbs_hits == 3
         assert stats.mispredicts == 0
 
@@ -88,7 +97,7 @@ class TestPbsBypass:
             branch_event(10, True, ProbMode.PBS_HIT),
             branch_event(20, True),
         ]
-        stats = measure_mpki(events, AlwaysTaken())
+        stats = measure(events, AlwaysTaken())
         assert stats.branches == 2
 
 
@@ -99,6 +108,8 @@ class TestFiltering:
         calls = []
 
         class Spy(AlwaysTaken):
+            static_prediction = None  # overridden update: not a constant kernel
+
             def update(self, pc, taken):
                 calls.append(pc)
 
@@ -106,7 +117,7 @@ class TestFiltering:
             branch_event(10, True, ProbMode.PREDICTED),
             branch_event(20, True),
         ]
-        measure_mpki(events, Spy(), filter_probabilistic=True)
+        measure(events, Spy(), filter_probabilistic=True)
         assert calls == [20]
 
     def test_filtered_prob_branches_statically_predicted(self):
@@ -114,13 +125,13 @@ class TestFiltering:
             branch_event(10, True, ProbMode.PREDICTED),
             branch_event(10, False, ProbMode.PREDICTED),
         ]
-        stats = measure_mpki(events, AlwaysTaken(), filter_probabilistic=True)
+        stats = measure(events, AlwaysTaken(), filter_probabilistic=True)
         # Static not-taken: the taken instance mispredicts, the other not.
         assert stats.prob_mispredicts == 1
 
     def test_regular_branches_unaffected_by_filtering(self):
         events = [branch_event(20, True)] * 4
-        stats = measure_mpki(events, AlwaysTaken(), filter_probabilistic=True)
+        stats = measure(events, AlwaysTaken(), filter_probabilistic=True)
         assert stats.regular_mispredicts == 0
         assert stats.regular_branches == 4
 
@@ -128,6 +139,49 @@ class TestFiltering:
 class TestPerfectShortCircuit:
     def test_perfect_counts_but_never_misses(self):
         events = [branch_event(10, True), branch_event(10, False)]
-        stats = measure_mpki(events, PerfectPredictor())
+        stats = measure(events, PerfectPredictor())
         assert stats.regular_branches == 2
         assert stats.mispredicts == 0
+
+
+class TestMispredictedRows:
+    def test_rows_name_every_mispredicted_branch_in_order(self):
+        events = [
+            alu_event(),
+            branch_event(10, False),                    # row 1: miss
+            branch_event(20, True),                     # row 2: hit
+            branch_event(30, True, ProbMode.PBS_HIT),   # row 3: never
+            branch_event(40, False, ProbMode.PREDICTED),  # row 4: miss
+        ]
+        rows = []
+        stats = measure(events, AlwaysTaken(), rows)
+        assert rows == [1, 4]
+        assert stats.mispredicts == len(rows)
+
+    def test_filtered_rows_follow_the_static_prediction(self):
+        events = [
+            branch_event(10, True, ProbMode.PREDICTED),
+            branch_event(10, False, ProbMode.PREDICTED),
+        ]
+        rows = []
+        measure(events, AlwaysTaken(), rows, filter_probabilistic=True)
+        assert rows == [0]
+
+
+class TestOraclePcs:
+    """Control-flow decoupling's branch-on-queue (the CFD ablation)."""
+
+    def test_queue_branches_count_as_regular_and_never_miss(self):
+        class Boom(AlwaysTaken):
+            static_prediction = None  # overridden predict: not a constant kernel
+
+            def predict(self, pc):
+                assert pc != 10, "predictor consulted for a queue branch"
+                return super().predict(pc)
+
+        events = [branch_event(10, False), branch_event(20, False)] * 3
+        rows = []
+        stats = measure(events, Boom(), rows, oracle_pcs=frozenset({10}))
+        assert stats.regular_branches == 6
+        assert stats.regular_mispredicts == 3
+        assert rows == [1, 3, 5]

@@ -5,7 +5,7 @@ import pytest
 from repro.core import PBSEngine
 from repro.functional.executor import ProbGroup
 from repro.branch import AlwaysNotTaken, PerfectPredictor
-from repro.functional.trace import TraceEvent
+from repro.functional.trace import EventBatch, TraceEvent
 from repro.isa import Op, OpClass
 from repro.pipeline import OoOCore, four_wide
 
@@ -103,31 +103,35 @@ class TestCpiStack:
     def alu_event(self, pc=0):
         return TraceEvent(pc, Op.ADD, OpClass.IALU, 1, (), next_pc=pc + 1)
 
+    def run_core(self, predictor, rounds, *per_round):
+        """Feed ``rounds`` repetitions of ``per_round`` events as one
+        batch; returns the finalized stats."""
+        events = [event for _ in range(rounds) for event in per_round]
+        core = OoOCore(four_wide(), predictor)
+        core.consume_batch(EventBatch.from_events(events))
+        return core.finalize()
+
     def test_branch_component_tracks_mispredictions(self):
-        core = OoOCore(four_wide(), AlwaysNotTaken())
-        for _ in range(500):
-            core.feed(self.branch_event(taken=True))  # always mispredicted
-            for pc in range(3):
-                core.feed(self.alu_event(pc))
-        stats = core.finalize()
+        stats = self.run_core(
+            AlwaysNotTaken(), 500,
+            self.branch_event(taken=True),  # always mispredicted
+            *(self.alu_event(pc) for pc in range(3)),
+        )
         stack = stats.cpi_stack(width=4)
         assert stack["branch"] > 1.0
         assert stack["branch"] > stack["other"]
 
     def test_no_branch_component_without_mispredicts(self):
-        core = OoOCore(four_wide(), PerfectPredictor())
-        for _ in range(500):
-            core.feed(self.branch_event())
-            core.feed(self.alu_event())
-        stats = core.finalize()
+        stats = self.run_core(
+            PerfectPredictor(), 500, self.branch_event(), self.alu_event()
+        )
         assert stats.cpi_stack(width=4)["branch"] == 0.0
 
     def test_components_sum_to_total_cpi(self):
-        core = OoOCore(four_wide(), AlwaysNotTaken())
-        for _ in range(300):
-            core.feed(self.branch_event(taken=True))
-            core.feed(self.alu_event())
-        stats = core.finalize()
+        stats = self.run_core(
+            AlwaysNotTaken(), 300,
+            self.branch_event(taken=True), self.alu_event(),
+        )
         stack = stats.cpi_stack(width=4)
         total = stats.cycles / stats.instructions
         assert sum(stack.values()) == pytest.approx(total, rel=0.02)

@@ -135,7 +135,10 @@ class TestCategory2Swap:
                 if value < 0.5:
                     violations.append(value)
 
-        executor.run(sink=sink)
+        # Sinks see events a batch at a time, so single-step to read the
+        # machine state right after each instruction retires.
+        while executor.step(1, sink=sink):
+            pass
         assert adds_on_taken_path, "the taken path never executed"
         assert not violations
 

@@ -31,6 +31,8 @@ from repro.engines import (
 )
 from repro.engines.compiled import (
     _MEMO,
+    SINK_BATCH,
+    SINK_NONE,
     CompiledEngine,
     compiled_function,
     generate_source,
@@ -180,9 +182,9 @@ class TestCompiledTier:
     def test_generated_source_is_valid_python(self):
         program = get_workload("pi").build(0.02)
         decoded = Executor._decode(program.instructions)
-        for sink in (False, True):
+        for sink, pbs in ((SINK_NONE, False), (SINK_BATCH, True)):
             source = generate_source(
-                program, decoded, sink=sink, pbs=sink, record_consumed=False
+                program, decoded, sink=sink, pbs=pbs, record_consumed=False
             )
             ast.parse(source)  # raises SyntaxError on malformed codegen
 

@@ -29,10 +29,12 @@ from repro.sim import (
 )
 
 from .golden import (
+    CFD_ORACLE_FIXTURE,
     GOLDEN_AUTOPILOTS,
     GOLDEN_DIR,
     MANIFEST_PATH,
     autopilot_sweep,
+    cfd_oracle_json,
     fixture_name,
     golden_specs,
     normalized_json,
@@ -95,6 +97,13 @@ class TestGoldenCorpus:
             assert path.exists(), f"missing fixture {entry['fixture']}"
             data = json.loads(path.read_text())
             assert data["wall_time"] == 0.0  # normalized at regen time
+
+
+def test_cfd_oracle_cores_reproduce_fixture():
+    # The CFD ablation's queue-branch path runs outside any Session, so
+    # no executor replays it; the core stats are pinned here instead.
+    expected = (GOLDEN_DIR / CFD_ORACLE_FIXTURE).read_text()
+    assert cfd_oracle_json() == expected
 
 
 @pytest.mark.parametrize("name", sorted(EXECUTORS))

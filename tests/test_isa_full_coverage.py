@@ -167,7 +167,7 @@ class TestOpcodeCoverage:
 
     def test_timing_model_handles_every_opcode(self, program):
         core = OoOCore(four_wide(), Tournament())
-        Executor(program, seed=6).run(sink=core.feed)
+        Executor(program, seed=6).run(sink=core)
         stats = core.finalize()
         assert stats.cycles > 0
         assert stats.instructions > 0

@@ -5,14 +5,13 @@ import pytest
 from repro.branch import AlwaysNotTaken, AlwaysTaken, PerfectPredictor, Tournament
 from repro.core import PBSEngine
 from repro.functional import Executor
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa import F, Op, OpClass, ProgramBuilder, R
 from repro.pipeline import CoreConfig, OoOCore, eight_wide, four_wide
 
 
 def feed_events(core, events):
-    for event in events:
-        core.feed(event)
+    core.consume_batch(EventBatch.from_events(events))
     return core.finalize()
 
 
@@ -142,6 +141,8 @@ class TestFiltering:
         trained = []
 
         class Spy(AlwaysTaken):
+            static_prediction = None  # overridden update: not a constant kernel
+
             def update(self, pc, taken):
                 trained.append(pc)
 
@@ -175,11 +176,11 @@ class TestEndToEndTiming:
         program = self.build_prob_kernel(5000)
 
         base_core = OoOCore(four_wide(), Tournament())
-        Executor(program, seed=4).run(sink=base_core.feed)
+        Executor(program, seed=4).run(sink=base_core)
         base = base_core.finalize()
 
         pbs_core = OoOCore(four_wide(), Tournament())
-        Executor(program, seed=4, pbs=PBSEngine()).run(sink=pbs_core.feed)
+        Executor(program, seed=4, pbs=PBSEngine()).run(sink=pbs_core)
         with_pbs = pbs_core.finalize()
 
         assert with_pbs.mpki < 0.1 * base.mpki
@@ -190,7 +191,7 @@ class TestEndToEndTiming:
 
         def cycles():
             core = OoOCore(four_wide(), Tournament())
-            Executor(program, seed=4).run(sink=core.feed)
+            Executor(program, seed=4).run(sink=core)
             return core.finalize().cycles
 
         assert cycles() == cycles()

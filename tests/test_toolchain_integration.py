@@ -79,11 +79,11 @@ class TestToolchain:
         aware = decode_program(encoded, pbs_aware=True)
 
         base_core = OoOCore(four_wide(), TageSCL())
-        Executor(source, seed=3).run(sink=base_core.feed)
+        Executor(source, seed=3).run(sink=base_core)
         baseline = base_core.finalize()
 
         pbs_core = OoOCore(four_wide(), TageSCL())
-        Executor(aware, seed=3, pbs=PBSEngine()).run(sink=pbs_core.feed)
+        Executor(aware, seed=3, pbs=PBSEngine()).run(sink=pbs_core)
         with_pbs = pbs_core.finalize()
 
         assert with_pbs.mpki < 0.2 * baseline.mpki
@@ -104,7 +104,7 @@ class TestToolchain:
             l2=Cache("l2", 8192, ways=4, latency=12),
         )
         core = OoOCore(four_wide(), Tournament(), hierarchy=hierarchy)
-        Executor(source, seed=3).run(sink=core.feed)
+        Executor(source, seed=3).run(sink=core)
         core.finalize()
         stats = hierarchy.stats()
         assert stats["l1_accesses"] > 0

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core import PBSConfig
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RemoteExecutor, RunSpec, Session, Sweep, WorkerServer
 from repro.storage import ShardedStore, canonical_digest
@@ -48,6 +48,8 @@ def _assert_events_equal(a: TraceEvent, b: TraceEvent):
 
 
 class TestEventPacking:
+    # Every case sits at pc 7, so the writer's per-site record cache must
+    # tell instructions apart by more than pc and flags.
     CASES = [
         _event(),
         _event(op=Op.HALT, op_class=OP_CLASS[Op.HALT], dest=-1, srcs=()),
@@ -69,6 +71,8 @@ class TestEventPacking:
         # A taken branch whose target happens to be the fall-through.
         _event(op=Op.JT, op_class=OP_CLASS[Op.JT], dest=-1, srcs=(),
                is_cond_branch=True, taken=True, target=8, next_pc=8),
+        # Same pc and flags as the first case, different dest and srcs.
+        _event(dest=4, srcs=(5,)),
     ]
 
     def test_roundtrip_preserves_every_field(self):
@@ -88,8 +92,7 @@ class TestTraceFile:
     def _capture(self, tmp_path, events, compress=True, meta=None):
         path = tmp_path / "t.trace"
         writer = TraceWriter(path, compress=compress, events_per_frame=4)
-        for event in events:
-            writer(event)
+        writer.consume_batch(EventBatch.from_events(events))
         writer.finalize(meta or {"workload": "x"})
         return path
 
@@ -108,7 +111,7 @@ class TestTraceFile:
     def test_unfinalized_file_is_unreadable(self, tmp_path):
         path = tmp_path / "partial.trace"
         writer = TraceWriter(path)
-        writer(_event())
+        writer.consume_batch(EventBatch.from_events([_event()]))
         writer._flush_frame()
         writer._handle.close()
         with pytest.raises(TraceFormatError):
@@ -173,8 +176,9 @@ class TestTraceDigest:
 class TestTraceStore:
     def _capture_one(self, store, digest, events=None, meta=None):
         capture = store.writer(digest)
-        for event in events or TestEventPacking.CASES:
-            capture.sink(event)
+        capture.sink.consume_batch(
+            EventBatch.from_events(events or TestEventPacking.CASES)
+        )
         capture.commit(meta or {
             "workload": "pi", "scale": SCALE, "seed": 1, "pbs_config": None,
         })
@@ -247,7 +251,7 @@ class TestTraceStore:
         store = TraceStore(tmp_path)
         digest = trace_digest("pi", SCALE, 3, None)
         capture = store.writer(digest)
-        capture.sink(_event())
+        capture.sink.consume_batch(EventBatch.from_events([_event()]))
         capture.abort()
         assert store.open(digest) is None
         assert not list(tmp_path.glob("??/*"))
@@ -261,8 +265,7 @@ class TestTraceStoreByteBudget:
     def _capture(self, store, seed):
         digest = trace_digest("pi", SCALE, seed, None)
         capture = store.writer(digest)
-        for event in TestEventPacking.CASES:
-            capture.sink(event)
+        capture.sink.consume_batch(EventBatch.from_events(TestEventPacking.CASES))
         capture.commit({
             "workload": "pi", "scale": SCALE, "seed": seed, "pbs_config": None,
         })

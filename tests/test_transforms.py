@@ -122,7 +122,7 @@ class TestCfdTiming:
                 Tournament(),
                 oracle_pcs=cfd.queue_branch_pcs if oracle else frozenset(),
             )
-            Executor(cfd.program, seed=3).run(sink=core.feed)
+            Executor(cfd.program, seed=3).run(sink=core)
             return core.finalize()
 
         with_oracle = run(True)
@@ -139,18 +139,18 @@ class TestCfdTiming:
         scale = 0.25
 
         base_core = OoOCore(four_wide(), Tournament())
-        workload.run(scale=scale, seed=3, sink=base_core.feed)
+        workload.run(scale=scale, seed=3, sink=base_core)
         baseline = base_core.finalize()
 
         cfd = build_cfd("pi", scale=scale)
         cfd_core = OoOCore(
             four_wide(), Tournament(), oracle_pcs=cfd.queue_branch_pcs
         )
-        Executor(cfd.program, seed=3).run(sink=cfd_core.feed)
+        Executor(cfd.program, seed=3).run(sink=cfd_core)
         cfd_stats = cfd_core.finalize()
 
         pbs_core = OoOCore(four_wide(), Tournament())
-        workload.run(scale=scale, seed=3, pbs=PBSEngine(), sink=pbs_core.feed)
+        workload.run(scale=scale, seed=3, pbs=PBSEngine(), sink=pbs_core)
         pbs_stats = pbs_core.finalize()
 
         assert cfd_stats.cycles < baseline.cycles
