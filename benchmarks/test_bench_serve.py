@@ -1,23 +1,16 @@
-"""Benchmarks for the sweep-as-a-service round trip.
+"""Benchmark for the sweep-as-a-service round trip.
 
 Times the submit -> stream -> reassemble overhead of the ``http``
-executor against the direct ``remote`` executor on the same warm-cache
-batch: both workers hold a pre-warmed result cache, so the measured cost
-is pure coordination (HTTP parsing, job bookkeeping, lease dispatch,
-NDJSON streaming) rather than simulation.  Non-gating via compare.py,
-like every other benchmark here.
+executor on a warm-cache batch: the worker holds a pre-warmed result
+cache, so the measured cost is pure coordination (HTTP parsing, job
+bookkeeping, lease dispatch, NDJSON streaming) rather than simulation.
+Non-gating via compare.py, like every other benchmark here.
 """
 
 from conftest import run_once
 
 from repro.serve import Coordinator
-from repro.sim import (
-    CoordinatorWorker,
-    HttpExecutor,
-    RemoteExecutor,
-    Sweep,
-    WorkerServer,
-)
+from repro.sim import CoordinatorWorker, HttpExecutor, Sweep
 
 GRID = dict(workloads=["pi"], seeds=(0, 1, 2, 3), modes=("base",))
 
@@ -36,19 +29,4 @@ def test_serve_http_round_trip_warm(benchmark, bench_scale, tmp_path):
     finally:
         worker.stop()
         coordinator.stop()
-    assert result.cache_hits + result.simulated == 4
-
-
-def test_serve_remote_round_trip_warm(benchmark, bench_scale, tmp_path):
-    # The baseline the coordinator is measured against: the same batch
-    # through a direct worker connection, no HTTP/job layer in between.
-    server = WorkerServer(processes=1, cache_dir=str(tmp_path)).start()
-    executor = RemoteExecutor(workers=[server.address_string])
-    sweep = Sweep(scales=(bench_scale,), **GRID)
-    try:
-        sweep.run(executor=executor)  # warm the worker cache untimed
-        result = run_once(benchmark, lambda: sweep.run(executor=executor))
-    finally:
-        executor.close()
-        server.stop()
     assert result.cache_hits + result.simulated == 4

@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 Where to next: docs/index.md maps the documentation suite — the
 Session/Sweep API reference (docs/api.md), the trace layer this script
 captures into (docs/traces.md), the analysis toolkit it finishes with
-(docs/analysis.md), and distributed execution (docs/distributed.md).
+(docs/analysis.md), and distributed execution (docs/service.md).
 """
 
 import os

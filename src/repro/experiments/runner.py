@@ -167,13 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep_parser.add_argument(
-        "--workers", type=_csv, default=None, metavar="HOST:PORT,...",
-        help=(
-            "repro-worker addresses for --executor remote "
-            "(default: the REPRO_WORKERS environment variable)"
-        ),
-    )
-    sweep_parser.add_argument(
         "--coordinator", type=str, default=None, metavar="HOST:PORT",
         help=(
             "repro-coordinator address for --executor http "
@@ -277,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
             "execution backend (default: throwaway process pool, "
             "serial when --processes is 1)"
         ),
-    )
-    autopilot_parser.add_argument(
-        "--workers", type=_csv, default=None, metavar="HOST:PORT,...",
-        help="repro-worker addresses for --executor remote",
     )
     autopilot_parser.add_argument(
         "--coordinator", type=str, default=None, metavar="HOST:PORT",
@@ -498,7 +487,7 @@ def _cmd_run(args) -> int:
     if args.engine:
         # Experiments build their own Sessions/Sweeps; the process-wide
         # default engine reaches all of them (workers re-resolve it from
-        # the specs they receive, so remote backends stay unaffected).
+        # the specs they receive, so distributed backends stay unaffected).
         set_default_engine(args.engine)
     selected = (
         list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -526,8 +515,8 @@ def _cmd_run(args) -> int:
 
 
 def _resolve_executor(args):
-    """Resolve ``--executor/--workers/--coordinator/--token`` to an
-    executor argument for ``run()``.
+    """Resolve ``--executor/--coordinator/--token`` to an executor
+    argument for ``run()``.
 
     Returns ``(executor, owned)`` where ``executor`` is a name, an
     instance, or ``None`` (the backend default), and ``owned`` is the
@@ -535,33 +524,19 @@ def _resolve_executor(args):
     which ``run()`` closes itself).
     """
     executor = args.executor
-    owned = None
-    if args.workers or executor == "remote":
-        if executor not in (None, "remote"):
-            raise SystemExit(
-                f"--workers only applies to --executor remote, not {executor!r}"
-            )
-        from ..sim import RemoteExecutor
+    if not (args.coordinator or executor == "http"):
+        return executor, None
+    if executor not in (None, "http"):
+        raise SystemExit(
+            f"--coordinator only applies to --executor http, not {executor!r}"
+        )
+    from ..sim import HttpExecutor
 
-        try:
-            owned = executor = RemoteExecutor(workers=args.workers)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    elif args.coordinator or executor == "http":
-        if executor not in (None, "http"):
-            raise SystemExit(
-                f"--coordinator only applies to --executor http, not {executor!r}"
-            )
-        from ..sim import HttpExecutor
-
-        try:
-            executor = HttpExecutor(
-                coordinator=args.coordinator, token=args.token
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        owned = executor
-    return executor, owned
+    try:
+        owned = HttpExecutor(coordinator=args.coordinator, token=args.token)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return owned, owned
 
 
 def _cmd_sweep(args) -> int:
@@ -607,11 +582,7 @@ def _cmd_sweep(args) -> int:
         if owned is not None:
             owned.close()
             if args.progress:
-                for address, stats in sorted(owned.telemetry.items()):
-                    label = (
-                        address if address.startswith("coordinator:")
-                        else f"worker {address}"
-                    )
+                for label, stats in sorted(owned.telemetry.items()):
                     print(f"[{label}] " + "  ".join(
                         f"{key}={value}" for key, value in stats.items()
                     ), file=sys.stderr)

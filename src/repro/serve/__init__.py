@@ -1,7 +1,6 @@
 """repro.serve — sweep-as-a-service: the coordinator daemon and its clients.
 
-The package turns the client-side :class:`~repro.sim.remote.RemoteExecutor`
-library into a long-lived service:
+The package is the repo's one distributed stack:
 
 * :class:`Coordinator` (``repro-coordinator``) — a stdlib-only asyncio
   daemon exposing an HTTP/JSON API over the existing ``RunSpec`` /

@@ -31,7 +31,7 @@ COORDINATOR_ENV = "REPRO_COORDINATOR"
 #: Environment variable carrying the shared bearer secret.
 TOKEN_ENV = "REPRO_TOKEN"
 
-#: Default coordinator port (the worker daemon's 7340 plus ten).
+#: Default coordinator port.
 DEFAULT_PORT = 7350
 
 

@@ -11,7 +11,11 @@ the first line of each connection:
   Any frame from a worker renews its leases; a worker silent for longer
   than ``lease_seconds`` has its in-flight specs requeued for the
   other workers and takes no new work until it speaks again — so a
-  killed worker loses nothing but time.
+  killed worker loses nothing but time.  When a submitted spec's trace
+  already sits in a client-side store this daemon can read, the run
+  frame offers to stream it, and a cold worker pulls it once
+  (``trace_want`` -> ``trace_data``/``trace_end``) instead of
+  interpreting the committed path itself.
 
 * **HTTP plane** — everything else is HTTP/1.1 with JSON bodies:
 
@@ -46,6 +50,8 @@ import argparse
 import asyncio
 import hmac
 import json
+import logging
+import os
 import signal
 import sys
 import threading
@@ -59,14 +65,16 @@ from ..sim.registry import workload_names
 from ..sim.remote import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    TRACE_CHUNK_BYTES,
     ProtocolError,
     decode_frame,
     encode_frame,
-    parse_address,
 )
 from ..sim.results import RunResult
 from ..sim.sweep import RunSpec, Sweep
-from .client import DEFAULT_PORT, TOKEN_ENV
+from .client import DEFAULT_PORT, TOKEN_ENV, parse_coordinator_address
+
+log = logging.getLogger(__name__)
 
 #: Hard ceiling on one HTTP request body (mirrors the frame cap).
 MAX_BODY_BYTES = MAX_FRAME_BYTES
@@ -112,6 +120,8 @@ class _Job:
         self.worker_cache_hits = 0  # answered from a worker's cache
         self.deduped = 0           # attached to an identical in-flight spec
         self.simulated = 0         # simulations this job put on a worker
+        self.trace_streams = 0     # traces streamed to cold workers
+        self.trace_stream_bytes = 0
         self.event = asyncio.Event()
 
     @property
@@ -140,16 +150,19 @@ class _Job:
             "cache_hits": self.cache_hits,
             "worker_cache_hits": self.worker_cache_hits,
             "deduped": self.deduped,
+            "trace_streams": self.trace_streams,
+            "trace_stream_bytes": self.trace_stream_bytes,
         }
 
 
 class _Task:
     """One distinct spec digest in flight, with its subscribed jobs."""
 
-    __slots__ = ("digest", "spec", "wire_spec", "directive", "waiters",
-                 "attempts", "done")
+    __slots__ = ("digest", "spec", "wire_spec", "directive", "trace_source",
+                 "waiters", "attempts", "done")
 
-    def __init__(self, digest: str, spec: RunSpec, directive: Optional[Dict]):
+    def __init__(self, digest: str, spec: RunSpec, directive: Optional[Dict],
+                 trace_source=None):
         self.digest = digest
         self.spec = spec
         # Precomputed run-frame payload; trace fields never cross the
@@ -158,6 +171,9 @@ class _Task:
         self.wire_spec.pop("trace_store", None)
         self.wire_spec.pop("trace_mode", None)
         self.directive = directive
+        #: Path of this spec's trace in the submitter's store, when this
+        #: daemon can read it: offered to cold workers as a stream.
+        self.trace_source = trace_source
         self.waiters: List[Tuple[_Job, int]] = []
         self.attempts = 0
         self.done = False
@@ -217,7 +233,6 @@ class Coordinator:
         cache_max_bytes: Optional[int] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = 3,
-        verbose: bool = False,
     ):
         self.host = host
         self.port = port
@@ -228,7 +243,6 @@ class Coordinator:
         self.lease_seconds = lease_seconds
         self.heartbeat_seconds = max(0.05, min(lease_seconds / 4, 5.0))
         self.max_attempts = max_attempts
-        self.verbose = verbose
         self._workers: Dict[str, _WorkerLink] = {}
         self._jobs: Dict[str, _Job] = {}
         self._active: Dict[str, _Task] = {}
@@ -244,6 +258,8 @@ class Coordinator:
         self.worker_cache_hits = 0
         self.deduped = 0
         self.requeues = 0
+        self.trace_streams = 0
+        self.trace_stream_bytes = 0
         self.address: Tuple[str, int] = (host, port)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -362,9 +378,7 @@ class Coordinator:
         await self._close()
 
     def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[repro-coordinator {self.address_string}] {message}",
-                  file=sys.stderr, flush=True)
+        log.info("[repro-coordinator %s] %s", self.address_string, message)
 
     # -- connection routing ---------------------------------------------
 
@@ -477,6 +491,8 @@ class Coordinator:
                     self._worker_result(link, message)
                 elif kind == "error":
                     self._worker_error(link, message)
+                elif kind == "trace_want":
+                    await self._answer_trace_want(link, message)
                 elif kind == "heartbeat":
                     pass
                 elif kind == "ping":
@@ -543,7 +559,8 @@ class Coordinator:
             "digest": task.digest,
         }
         if task.directive and link.trace_store:
-            frame["trace"] = task.directive
+            stream = {"stream": True} if task.trace_source is not None else {}
+            frame["trace"] = {**task.directive, **stream}
         # Run frames are small; the kernel buffer absorbs them without
         # an explicit drain (worker reads keep the window bounded).
         link.writer.write(encode_frame(frame))
@@ -743,7 +760,7 @@ class Coordinator:
                 job.deduped += 1
                 self.deduped += 1
                 continue
-            task = _Task(digest, clean, directive)
+            task = _Task(digest, clean, directive, self._trace_source(spec))
             task.waiters.append((job, index))
             self._active[digest] = task
             self._pending.append(task)
@@ -752,6 +769,81 @@ class Coordinator:
         self._log(f"job {job.id}: {job.specs} specs submitted "
                   f"({job.cache_hits} cached, {job.deduped} deduped)")
         return job
+
+    @staticmethod
+    def _trace_source(spec: RunSpec):
+        """Path of ``spec``'s trace in its submitter's store, or ``None``.
+
+        Never creates the store directory: a submitter that has not
+        captured anything locally should not grow an empty store as a
+        side effect of offering streams.
+        """
+        if spec.trace_store is None or not os.path.isdir(spec.trace_store):
+            return None
+        from ..trace import TraceStore
+
+        path = TraceStore(spec.trace_store).path(spec.trace_digest())
+        return path if path.exists() else None
+
+    async def _answer_trace_want(self, link: _WorkerLink, message: Dict) -> None:
+        """A cold worker parked a spec we offered to stream: send the
+        trace, or ``trace_unavailable`` so it runs the spec without."""
+        digest = message.get("digest")
+        task = link.inflight.get(message.get("id"))
+        if task is None or task.trace_source is None:
+            # The lease moved on (or nothing was offered): the worker
+            # still holds the parked specs and must release them.
+            await self._send_frame(link.writer, {
+                "type": "trace_unavailable", "digest": digest,
+            })
+            return
+        sent = await self._stream_trace(link.writer, digest, task.trace_source)
+        if sent is None:
+            return
+        self.trace_streams += 1
+        self.trace_stream_bytes += sent
+        if task.waiters:
+            job = task.waiters[0][0]  # the job that put the spec on a worker
+            job.trace_streams += 1
+            job.trace_stream_bytes += sent
+        self._log(f"streamed trace {str(digest)[:12]} ({sent} bytes) "
+                  f"to {link.name}")
+
+    async def _stream_trace(self, writer, digest: str, path) -> Optional[int]:
+        """Ship one trace file's bytes to a worker, chunked and
+        checksummed; returns the bytes sent, or ``None`` when the file
+        vanished and ``trace_unavailable`` went out instead."""
+        import base64
+        import hashlib
+
+        hasher = hashlib.sha256()
+        sent = 0
+        try:
+            handle = open(path, "rb")
+        except OSError:
+            # Evicted between the offer and the request (a gc race):
+            # same graceful path as a stale offer.
+            await self._send_frame(writer, {
+                "type": "trace_unavailable", "digest": digest,
+            })
+            return None
+        with handle:
+            while True:
+                # Off the loop: a disk read must not stall other workers.
+                chunk = await asyncio.to_thread(handle.read, TRACE_CHUNK_BYTES)
+                if not chunk:
+                    break
+                hasher.update(chunk)
+                sent += len(chunk)
+                await self._send_frame(writer, {
+                    "type": "trace_data", "digest": digest,
+                    "data": base64.b64encode(chunk).decode("ascii"),
+                })
+        await self._send_frame(writer, {
+            "type": "trace_end", "digest": digest,
+            "sha256": hasher.hexdigest(), "bytes": sent,
+        })
+        return sent
 
     def _prune_jobs(self) -> None:
         while len(self._jobs) > MAX_RETAINED_JOBS:
@@ -798,6 +890,8 @@ class Coordinator:
             "worker_cache_hits": self.worker_cache_hits,
             "deduped": self.deduped,
             "requeues": self.requeues,
+            "trace_streams": self.trace_streams,
+            "trace_stream_bytes": self.trace_stream_bytes,
             "pending": len(self._pending),
             "active": len(self._active),
             "workers": len(self._workers),
@@ -964,8 +1058,6 @@ class Coordinator:
 
 def coordinator_main(argv=None) -> int:
     """Entry point of the ``repro-coordinator`` console script."""
-    import os
-
     parser = argparse.ArgumentParser(
         prog="repro-coordinator",
         description=(
@@ -1016,11 +1108,7 @@ def coordinator_main(argv=None) -> int:
         help="log scheduling decisions to stderr",
     )
     args = parser.parse_args(argv)
-    host, port = parse_address(args.listen)
-    if port == 7340 and ":" not in args.listen:
-        # parse_address defaults to the worker port; a bare host given
-        # to the coordinator means the coordinator's own default port.
-        port = DEFAULT_PORT
+    host, port = parse_coordinator_address(args.listen)
     cache_max_bytes = None
     if args.cache_max_bytes is not None:
         from ..storage import parse_size
@@ -1041,8 +1129,9 @@ def coordinator_main(argv=None) -> int:
         cache_max_bytes=cache_max_bytes,
         lease_seconds=args.lease_seconds,
         max_attempts=args.max_attempts,
-        verbose=args.verbose,
     )
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         asyncio.run(coordinator.serve_async())
     except KeyboardInterrupt:  # pragma: no cover — belt and braces

@@ -8,7 +8,7 @@ One import gives everything a scenario needs:
 * :class:`Sweep` — parameter-grid execution over pluggable
   :class:`Executor` backends (serial, per-call process pool, a
   persistent :class:`WorkerPoolExecutor`, or the distributed
-  :class:`RemoteExecutor` speaking to ``repro-worker`` daemons) with
+  :class:`HttpExecutor` driving a ``repro-coordinator``) with
   deterministic per-run seeding and an on-disk sharded
   :class:`ResultCache`;
 * :func:`register_workload` / :func:`register_predictor` — decorator
@@ -39,8 +39,6 @@ from .remote import (
     PROTOCOL_VERSION,
     CoordinatorWorker,
     ProtocolError,
-    RemoteExecutor,
-    WorkerServer,
     decode_frame,
     encode_frame,
 )
@@ -125,8 +123,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "CoordinatorWorker",
     "ProtocolError",
-    "RemoteExecutor",
-    "WorkerServer",
     "decode_frame",
     "encode_frame",
     "COORDINATOR_ENV",

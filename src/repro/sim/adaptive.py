@@ -19,7 +19,7 @@ The whole loop is deterministic given ``(budget, seed)``:
 
 So the emitted :class:`RefinementReport` — rounds, per-cell spend,
 frontier estimate — is **byte-identical** across ``serial`` /
-``process`` / ``pool`` / ``remote`` / ``http`` executors and joins
+``process`` / ``pool`` / ``http`` executors and joins
 ``tests/golden/`` rather than routing around it.  See
 ``docs/adaptive.md`` for the objective contract and budget semantics.
 
@@ -498,7 +498,7 @@ class AdaptiveSweep:
     budget`` always holds, cache hits included.  All specs of a round
     form a single executor batch — ``map()`` returns them in spec
     order, which is the barrier that keeps the loop deterministic on
-    parallel and remote backends.
+    parallel and distributed backends.
     """
 
     def __init__(

@@ -12,9 +12,10 @@ ship with the package:
   workers steal the next spec, and reports per-spec completion through
   an optional callback.
 
-A fourth, the distributed :class:`~repro.sim.remote.RemoteExecutor`
-(``"remote"``), lives in :mod:`repro.sim.remote` alongside its wire
-protocol and the ``repro-worker`` daemon.
+A fourth, the distributed :class:`~repro.serve.client.HttpExecutor`
+(``"http"``), lives in :mod:`repro.serve.client`: it submits the batch
+to a ``repro-coordinator``, which fans it out to registered
+``repro-worker`` daemons (:mod:`repro.sim.remote`).
 
 All executors honour the same contract: ``map(specs, on_result=None)``
 returns results **in spec order**, regardless of completion order, and
@@ -138,8 +139,8 @@ def create_executor(
     batch has a single spec.  A string is looked up in the registry; an
     :class:`Executor` instance passes through untouched (the caller
     keeps ownership and must ``close()`` it).  Extra keyword ``options``
-    are forwarded to the backend constructor (e.g. ``workers=[...]`` for
-    the ``remote`` backend); options the backend does not accept raise
+    are forwarded to the backend constructor (e.g. ``coordinator=...``
+    for the ``http`` backend); options the backend does not accept raise
     ``TypeError`` naming the valid ones.
     """
     if isinstance(executor, Executor):

@@ -1,41 +1,35 @@
-"""Distributed sweep execution: wire protocol, worker daemon, client.
+"""The worker half of distributed sweeps: wire protocol and worker daemon.
 
-This module crosses the machine boundary for :class:`~repro.sim.sweep.Sweep`
-grids.  Three pieces ship together:
+This module holds what a simulation worker needs to serve a
+``repro-coordinator`` (:mod:`repro.serve.coordinator`), the scheduler
+that fans :class:`~repro.sim.sweep.Sweep` grids out across machines:
 
 * **Wire protocol** — newline-delimited JSON frames (one message object
   per line, ``\\n``-terminated) over a plain TCP socket.  Every frame is
   a dict with a ``"type"`` key; :func:`encode_frame` / :func:`decode_frame`
-  are the only codec.  A connection opens with a handshake that
-  negotiates the protocol version *and* the cache/digest version, so a
-  client and worker that would compute different spec digests refuse to
-  talk instead of silently polluting each other's caches.
+  are the only codec.  A worker opens with a ``register`` frame that
+  carries the protocol version *and* the cache/digest version, so a
+  worker that would compute different spec digests is refused instead
+  of silently polluting the fleet's caches.
 
-* **Worker daemon** — :class:`WorkerServer`, exposed on the command line
-  as ``repro-worker --listen host:port --processes N --cache-dir ...``.
-  It accepts any number of client connections, pulls ``run`` frames,
-  simulates each spec with the existing Session machinery (inline for
-  ``--processes 1``, through a shared multiprocessing pool otherwise),
-  answers warm requests straight from its sharded
-  :class:`~repro.sim.cache.ResultCache`, and streams ``result`` frames
-  back as they complete.
-
-* **Client** — :class:`RemoteExecutor`, registered as ``"remote"``.  It
-  fans a batch of specs out over one or more worker addresses with
-  work-stealing dispatch (one shared queue; each connection pipelines a
-  small window and takes the next spec the moment one completes),
-  reconnects on transport errors, and falls failed specs back to the
-  remaining workers.  Because every spec carries its own seed, results
-  are bit-identical to the ``serial`` backend.
+* **Worker daemon** — :class:`CoordinatorWorker`, exposed on the command
+  line as ``repro-worker --coordinator host:port --processes N
+  --cache-dir ...``.  It dials the coordinator, simulates each leased
+  spec with the existing Session machinery (inline for ``--processes
+  1``, through a multiprocessing pool otherwise), answers warm requests
+  straight from its sharded :class:`~repro.sim.cache.ResultCache`, and
+  streams ``result`` frames back as they complete.
 
 Message frames
 --------------
 
 ====================  =====================================================
-``hello``             handshake; carries ``protocol``, ``cache_version``
-                      and (from the worker) ``processes`` plus
-                      ``trace_store`` (whether the worker holds a local
-                      trace store clients may ask it to use)
+``register``          worker -> coordinator: ``protocol``,
+                      ``cache_version``, ``processes``, ``trace_store``
+                      (whether the worker holds a local trace store) and
+                      optional ``token``/``name``; answered with
+                      ``registered`` (``worker``, ``lease_seconds``,
+                      ``heartbeat_seconds``) or ``error``
 ``run``               ``{"id": n, "spec": RunSpec.to_dict(), "digest":
                       sha256}``; an optional ``"trace": {"mode": ...}``
                       asks the worker to serve the spec through its
@@ -49,56 +43,58 @@ Message frames
                       ``"capture"``/``"replay"``/absent, and
                       ``"engine"``/``"engine_hit"``: which execution
                       tier ran the spec (absent for the legacy path)
-``trace_want``        worker -> client: ``{"id": n, "digest": d}`` — the
-                      worker parks the spec and asks for the offered
+``trace_want``        worker -> coordinator: ``{"id": n, "digest": d}`` —
+                      the worker parks the spec and asks for the offered
                       trace before running it
-``trace_data``        client -> worker: ``{"digest": d, "data": base64}``
-                      — one chunk of the trace file's raw bytes (the
-                      already-compressed frames ship verbatim), each
+``trace_data``        coordinator -> worker: ``{"digest": d, "data":
+                      base64}`` — one chunk of the trace file's raw bytes
+                      (the already-compressed frames ship verbatim), each
                       frame under the 64 MiB cap
-``trace_end``         client -> worker: ``{"digest": d, "sha256": hex,
-                      "bytes": n}`` — closes the stream; the worker
+``trace_end``         coordinator -> worker: ``{"digest": d, "sha256":
+                      hex, "bytes": n}`` — closes the stream; the worker
                       verifies the checksum *and* that the received
                       file's metadata re-derives the claimed store
                       digest before committing it to its store
-``trace_unavailable`` client -> worker: ``{"digest": d}`` — the offer
-                      could not be honoured (file evicted since);
+``trace_unavailable`` coordinator -> worker: ``{"digest": d}`` — the
+                      offer could not be honoured (file evicted since);
                       parked specs run without the trace
 ``error``             ``{"message": str}`` plus ``"id"`` when tied to
                       one spec
+``heartbeat``         worker -> coordinator: renews the worker's leases
+``draining``          worker -> coordinator: assign no new work
 ``ping``              liveness probe; answered with ``pong``
-``bye``               clean client shutdown
+``bye``               clean shutdown
 ====================  =====================================================
 
-Trace reuse never ships the client's store *path* over the wire: the
-client strips its local ``trace_store`` from the spec and sends only the
+Trace reuse never ships a store *path* over the wire: the coordinator
+strips the client's ``trace_store`` from the spec and sends only the
 directive; each worker reads and writes its own store next to its own
-cache.  What **can** cross the wire — when the client holds the trace
-and the worker does not — is the trace file itself, streamed once in
-``trace_data`` chunks and digest-verified on receipt, after which every
-later spec of the same committed path replays from the worker's local
-disk.
+cache.  What **can** cross the wire — when the coordinator can read the
+client's trace and the worker's store lacks it — is the trace file
+itself, streamed once in ``trace_data`` chunks and digest-verified on
+receipt, after which every later spec of the same committed path
+replays from the worker's local disk.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import signal
 import socket
-import socketserver
 import sys
 import threading
 import time
-from collections import deque
-from queue import Empty, Queue
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .cache import CACHE_VERSION, ResultCache
-from .executors import Executor, _execute_spec, _pool_context, register_executor
+from .executors import _execute_spec, _pool_context
 from .results import RunResult
 from .sweep import RunSpec
+
+log = logging.getLogger(__name__)
 
 #: Bump on incompatible frame/handshake changes.
 #: v2: trace streaming (``trace_want``/``trace_data``/``trace_end``/
@@ -112,15 +108,14 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: resulting frame far under :data:`MAX_FRAME_BYTES`.
 TRACE_CHUNK_BYTES = 4 * 1024 * 1024
 
-DEFAULT_PORT = 7340
-
-#: Environment variable consulted when no worker addresses are given
-#: (``Sweep.run(executor="remote")`` with zero plumbing).
-WORKERS_ENV = "REPRO_WORKERS"
-
 
 class ProtocolError(Exception):
     """A malformed, truncated or protocol-violating frame."""
+
+
+class _FatalWorkerError(Exception):
+    """The coordinator refused this worker (bad token, version
+    mismatch): reconnecting cannot help."""
 
 
 # ----------------------------------------------------------------------
@@ -166,43 +161,95 @@ def _read_frame(rfile) -> Optional[Dict]:
     return decode_frame(line)
 
 
-def parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    """``"host:port"`` (or a ready tuple) -> ``(host, port)``.
+# ----------------------------------------------------------------------
+# The worker daemon.
+# ----------------------------------------------------------------------
 
-    Whitespace around either part is forgiven — ``"a:7340, b:7340"``
-    split on commas must not produce a host named ``" b"``.
+class CoordinatorWorker:
+    """A ``repro-worker`` that dials into a ``repro-coordinator``:
+    ``repro-worker --coordinator host:port``.
+
+    The worker opens one TCP connection, sends a ``register`` frame
+    (token, protocol and cache version, process count), and then serves
+    ``run`` frames the coordinator pushes under its lease.  A heartbeat
+    frame every ``heartbeat_seconds`` (announced by the coordinator at
+    registration) keeps the lease alive while long specs simulate; if
+    the connection drops, the worker reconnects and re-registers with
+    backoff while the coordinator reschedules whatever it was leasing.
+
+    ``processes <= 1`` simulates inline on the connection thread;
+    larger values share one multiprocessing pool.  With ``cache_dir``
+    set, the worker answers warm specs from its sharded
+    :class:`ResultCache` without re-simulating; with ``trace_dir`` set,
+    it advertises a local :class:`~repro.trace.TraceStore` and serves
+    trace-directive specs through it (interpret once, replay for every
+    later request of the same committed path), accepting wire-streamed
+    traces the coordinator offers.  ``trace_max_bytes`` bounds that
+    store: when a capture or a received stream pushes it past the
+    budget, the least-recently-used traces are evicted (the daemon
+    equivalent of ``repro trace gc --max-bytes``).  ``fail_after=N`` is
+    a test hook: the worker severs its connection after its N-th
+    ``run`` frame, simulating a worker killed mid-grid.
     """
-    if isinstance(address, tuple):
-        return address[0].strip(), int(address[1])
-    host, _, port = address.strip().rpartition(":")
-    if not host:
-        host, port = address, str(DEFAULT_PORT)
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ValueError(f"bad worker address {address!r}; want host:port") from None
 
+    def __init__(
+        self,
+        coordinator: Union[str, Tuple[str, int]],
+        processes: int = 1,
+        cache_dir: Optional[str] = None,
+        trace_dir: Optional[str] = None,
+        trace_max_bytes: Optional[int] = None,
+        token: Optional[str] = None,
+        name: Optional[str] = None,
+        fail_after: Optional[int] = None,
+        timeout: float = 300.0,
+        reconnect_attempts: int = 5,
+        reconnect_delay: float = 0.2,
+        protocol_version: int = PROTOCOL_VERSION,
+        cache_version: int = CACHE_VERSION,
+    ):
+        # Lazy: repro.serve.client imports this package's executors.
+        from ..serve.client import TOKEN_ENV, parse_coordinator_address
 
-# ----------------------------------------------------------------------
-# Worker daemon.
-# ----------------------------------------------------------------------
-
-class _SimulationHost:
-    """State shared by both worker flavours — the listening
-    :class:`WorkerServer` and the dial-out :class:`CoordinatorWorker`:
-    a sharded result cache, a lazily-spawned multiprocessing pool, and
-    a byte-budgeted local trace store."""
-
-    def _init_host(self, processes, cache_dir, trace_dir,
-                   trace_max_bytes, verbose) -> None:
+        self.coordinator = parse_coordinator_address(coordinator)
+        if token is None:
+            token = os.environ.get(TOKEN_ENV) or None
         self.processes = processes
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.trace_dir = str(trace_dir) if trace_dir else None
         self.trace_max_bytes = trace_max_bytes
-        self.verbose = verbose
+        self.token = token
+        self.name = name
+        self.fail_after = fail_after
+        self.timeout = timeout
+        self.reconnect_attempts = reconnect_attempts
+        self.reconnect_delay = reconnect_delay
+        self.protocol_version = protocol_version
+        self.cache_version = cache_version
+        self.requests = 0
+        self.completed = 0
+        self.worker_id: Optional[str] = None
+        self.heartbeat_seconds = 5.0
+        #: Set when the worker gives up — stopped, failed, or drained.
+        self.stopped = threading.Event()
         self._trace_store = None
         self._pool = None
         self._lock = threading.Lock()
+        self._draining = False
+        self._inflight = 0
+        self._drain_cond = threading.Condition(self._lock)
+        self._write_lock = threading.Lock()
+        #: trace digest -> [(run_id, spec, digest), ...] awaiting a stream.
+        self._parked: Dict[str, list] = {}
+        #: trace digest -> in-flight stream receive state.
+        self._incoming: Dict[str, Dict] = {}
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
+        self._wfile = None
+        self._thread: Optional[threading.Thread] = None
+        self._heartbeat: Optional[threading.Thread] = None
+
+    # -- shared resources -----------------------------------------------
 
     @property
     def pool(self):
@@ -246,1187 +293,9 @@ class _SimulationHost:
             pool.terminate()
             pool.join()
 
-    def _log(self, message: str) -> None:  # pragma: no cover — overridden
-        if self.verbose:
-            print(f"[repro-worker] {message}", file=sys.stderr, flush=True)
-
-
-class _WorkerTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    owner: "WorkerServer"
-
-
-class _ConnectionHandler(socketserver.StreamRequestHandler):
-    """One client connection: handshake, then a run/result stream."""
-
-    # The protocol writes one small framed message at a time and always
-    # flushes; with Nagle on, a result frame written while the previous
-    # one is still unacknowledged sits behind the peer's delayed-ACK
-    # timer (~40ms on Linux) — a latency cliff, even on loopback.
-    disable_nagle_algorithm = True
-
-    def handle(self):
-        worker: WorkerServer = self.server.owner
-        write_lock = threading.Lock()
-        worker._track(self.connection, add=True)
-        #: trace digest -> [(run_id, spec, digest), ...] awaiting a stream.
-        self._parked: Dict[str, list] = {}
-        #: trace digest -> in-flight stream receive state.
-        self._incoming: Dict[str, Dict] = {}
-        try:
-            self._send(write_lock, {
-                "type": "hello",
-                "protocol": worker.protocol_version,
-                "cache_version": worker.cache_version,
-                "processes": worker.processes,
-                "trace_store": worker.trace_dir is not None,
-                "server": "repro-worker",
-            })
-            reply = _read_frame(self.rfile)
-            if reply is None:
-                return
-            if (
-                reply.get("type") != "hello"
-                or reply.get("protocol") != worker.protocol_version
-                or reply.get("cache_version") != worker.cache_version
-            ):
-                self._send(write_lock, {
-                    "type": "error",
-                    "message": (
-                        "handshake rejected: worker speaks protocol "
-                        f"{worker.protocol_version} / cache v{worker.cache_version}, "
-                        f"client sent {reply!r}"
-                    ),
-                })
-                return
-            while True:
-                try:
-                    message = _read_frame(self.rfile)
-                except ProtocolError as exc:
-                    # Corrupt stream: tell the client why, then drop the
-                    # connection — it will retry the spec elsewhere.
-                    self._send(write_lock, {"type": "error", "message": str(exc)})
-                    return
-                if message is None or message["type"] == "bye":
-                    return
-                if message["type"] == "ping":
-                    self._send(write_lock, {"type": "pong"})
-                    continue
-                if message["type"] in (
-                    "trace_data", "trace_end", "trace_unavailable"
-                ):
-                    try:
-                        self._handle_trace_frame(write_lock, message)
-                    except ProtocolError as exc:
-                        # Same contract as a corrupt read: say why,
-                        # then drop the connection.
-                        self._send(write_lock, {
-                            "type": "error", "message": str(exc),
-                        })
-                        return
-                    continue
-                if message["type"] != "run":
-                    self._send(write_lock, {
-                        "type": "error",
-                        "message": f"unexpected frame type {message['type']!r}",
-                    })
-                    return
-                if worker._draining:
-                    # Refuse, but keep the connection alive: pool
-                    # callbacks for specs already running still need it.
-                    self._send(write_lock, {
-                        "type": "error", "id": message.get("id"),
-                        "message": "worker is draining; resubmit elsewhere",
-                    })
-                    continue
-                if not worker._note_request():
-                    return  # fail_after test hook fired: simulate a crash
-                self._handle_run(write_lock, message)
-        except (OSError, ValueError):
-            pass  # connection torn down under us; nothing to salvage
-        finally:
-            self._discard_incoming()
-            worker._track(self.connection, add=False)
-
-    # -- pieces ---------------------------------------------------------
-
-    def _send(self, write_lock, message: Dict) -> None:
-        payload = encode_frame(message)
-        with write_lock:
-            self.wfile.write(payload)
-            self.wfile.flush()
-
-    def _send_quietly(self, write_lock, message: Dict) -> None:
-        """Send from a pool callback, where the client may already be gone."""
-        try:
-            self._send(write_lock, message)
-        except (OSError, ValueError):
-            pass
-
-    def _handle_run(self, write_lock, message: Dict) -> None:
-        worker: WorkerServer = self.server.owner
-        run_id = message.get("id")
-        try:
-            spec = RunSpec.from_dict(message["spec"])
-        except Exception as exc:
-            self._send(write_lock, {
-                "type": "error", "id": run_id,
-                "message": f"undecodable spec: {exc}",
-            })
-            return
-        directive = message.get("trace")
-        if directive and worker.trace_dir is not None:
-            # The client asked for trace reuse; point the spec at this
-            # worker's own store (trace paths never cross the wire).
-            from dataclasses import replace as _replace
-
-            spec = _replace(
-                spec,
-                trace_store=worker.trace_dir,
-                trace_mode=str(directive.get("mode") or "auto"),
-            )
-        digest = spec.digest()
-        claimed = message.get("digest")
-        if claimed is not None and claimed != digest:
-            self._send(write_lock, {
-                "type": "error", "id": run_id,
-                "message": (
-                    f"digest mismatch: client says {claimed}, worker computes "
-                    f"{digest} — incompatible spec encodings"
-                ),
-            })
-            return
-        if worker.cache is not None:
-            hit = worker.cache.get(digest)
-            if hit is not None:
-                worker._log(f"cache hit {spec.workload} seed={spec.seed} {spec.mode}")
-                self._send(write_lock, {
-                    "type": "result", "id": run_id,
-                    "result": hit.to_dict(), "cached": True,
-                })
-                return
-        if (
-            directive
-            and directive.get("stream")
-            and spec.trace_store is not None
-            and spec.trace_mode in ("auto", "replay")
-        ):
-            # The client holds this spec's trace; if our store does not,
-            # park the spec and pull the trace over the wire once —
-            # every later spec of the same committed path replays from
-            # local disk.
-            trace_digest = spec.trace_digest()
-            parked = self._parked.get(trace_digest)
-            if parked is not None:
-                parked.append((run_id, spec, digest))
-                return
-            if not worker.trace_store.path(trace_digest).exists():
-                self._parked[trace_digest] = [(run_id, spec, digest)]
-                self._send(write_lock, {
-                    "type": "trace_want", "id": run_id,
-                    "digest": trace_digest,
-                })
-                return
-        self._execute_run(write_lock, run_id, spec, digest)
-
-    def _execute_run(self, write_lock, run_id, spec, digest: str) -> None:
-        worker: WorkerServer = self.server.owner
-
-        def deliver(result: RunResult) -> None:
-            try:
-                if worker.cache is not None:
-                    worker.cache.put(digest, result)
-                if result.trace_origin == "capture":
-                    worker._note_trace_write()
-                worker._log(
-                    f"ran {spec.workload} scale={spec.scale:g} seed={spec.seed} "
-                    f"{spec.mode} in {result.wall_time:.2f}s"
-                    + (f" [trace {result.trace_origin}]"
-                       if result.trace_origin else "")
-                )
-                self._send_quietly(write_lock, {
-                    "type": "result", "id": run_id,
-                    "result": result.to_dict(), "cached": False,
-                    "trace": result.trace_origin,
-                    "engine": result.engine_used,
-                    "engine_hit": result.compiled_hit,
-                })
-            finally:
-                worker._end_run()
-
-        def failed(exc: BaseException) -> None:
-            try:
-                self._send_quietly(write_lock, {
-                    "type": "error", "id": run_id,
-                    "message": f"simulation failed: {exc!r}",
-                })
-            finally:
-                worker._end_run()
-
-        worker._begin_run()
-        if worker.processes <= 1:
-            try:
-                result = _execute_spec(spec)
-            except Exception as exc:
-                failed(exc)
-                return
-            deliver(result)
-        else:
-            worker.pool.apply_async(
-                _execute_spec, (spec,),
-                callback=deliver, error_callback=failed,
-            )
-
-    # -- trace streaming ------------------------------------------------
-
-    def _handle_trace_frame(self, write_lock, message: Dict) -> None:
-        worker: WorkerServer = self.server.owner
-        kind = message["type"]
-        digest = message.get("digest")
-        if not isinstance(digest, str) or digest not in self._parked:
-            raise ProtocolError(f"{kind} for unrequested trace {digest!r}")
-        if kind == "trace_unavailable":
-            # The client's offer went stale (e.g. its store was gc'd
-            # between offer and request): run the parked specs without
-            # the trace — they interpret + capture locally instead.
-            self._release_parked(write_lock, digest)
-            return
-        state = self._incoming.get(digest)
-        if state is None:
-            import hashlib
-
-            path = worker.trace_store.path(digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(
-                f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            state = self._incoming[digest] = {
-                "tmp": tmp,
-                "handle": open(tmp, "wb"),
-                "hasher": hashlib.sha256(),
-                "bytes": 0,
-            }
-        if kind == "trace_data":
-            import base64
-
-            try:
-                chunk = base64.b64decode(message.get("data") or "", validate=True)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(f"undecodable trace chunk: {exc}") from None
-            state["handle"].write(chunk)
-            state["hasher"].update(chunk)
-            state["bytes"] += len(chunk)
-            return
-        # trace_end: verify and commit (or fall back to interpreting).
-        state = self._incoming.pop(digest)
-        state["handle"].close()
-        failure = None
-        if state["hasher"].hexdigest() != message.get("sha256"):
-            failure = "checksum mismatch"
-        elif state["bytes"] != message.get("bytes"):
-            failure = (
-                f"length mismatch ({state['bytes']} received, "
-                f"{message.get('bytes')} announced)"
-            )
-        else:
-            failure = worker.trace_store.adopt(state["tmp"], digest)
-        if failure is not None:
-            state["tmp"].unlink(missing_ok=True)
-            worker._log(
-                f"rejected streamed trace {digest[:12]}: {failure}; "
-                "parked specs will interpret locally"
-            )
-        else:
-            worker._log(
-                f"received trace {digest[:12]} "
-                f"({state['bytes']} bytes) into {worker.trace_store.root}"
-            )
-            worker._note_trace_write()
-        self._release_parked(write_lock, digest)
-
-    def _release_parked(self, write_lock, digest: str) -> None:
-        for run_id, spec, spec_digest in self._parked.pop(digest, []):
-            self._execute_run(write_lock, run_id, spec, spec_digest)
-
-    def _discard_incoming(self) -> None:
-        """Connection teardown: drop half-received stream temp files."""
-        for state in self._incoming.values():
-            try:
-                state["handle"].close()
-            except OSError:
-                pass
-            state["tmp"].unlink(missing_ok=True)
-        self._incoming.clear()
-
-
-class WorkerServer(_SimulationHost):
-    """A ``repro-worker`` daemon, embeddable in-process for tests.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    :attr:`address`).  ``processes <= 1`` simulates inline in the
-    connection thread; larger values share one multiprocessing pool
-    across all connections.  With ``cache_dir`` set, the worker answers
-    warm specs from its sharded :class:`ResultCache` without
-    re-simulating; with ``trace_dir`` set, it advertises a local
-    :class:`~repro.trace.TraceStore` and serves trace-directive specs
-    through it (interpret once, replay for every later request of the
-    same committed path).  ``trace_max_bytes`` bounds that store: when a
-    capture or a received wire stream pushes it past the budget, the
-    least-recently-used traces are evicted (the daemon equivalent of
-    ``repro trace gc --max-bytes``), so long-running workers stay
-    bounded.  ``fail_after=N`` is a **test hook**: the
-    worker drops every connection and stops accepting after its N-th
-    ``run`` request, simulating a worker killed mid-grid.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        processes: int = 1,
-        cache_dir: Optional[str] = None,
-        trace_dir: Optional[str] = None,
-        trace_max_bytes: Optional[int] = None,
-        fail_after: Optional[int] = None,
-        verbose: bool = False,
-        protocol_version: int = PROTOCOL_VERSION,
-        cache_version: int = CACHE_VERSION,
-    ):
-        self._init_host(processes, cache_dir, trace_dir,
-                        trace_max_bytes, verbose)
-        self.fail_after = fail_after
-        self.protocol_version = protocol_version
-        self.cache_version = cache_version
-        self.requests = 0
-        self._inflight = 0
-        self._draining = False
-        self._drain_cond = threading.Condition(self._lock)
-        self._connections: set = set()
-        self._server = _WorkerTCPServer((host, port), _ConnectionHandler)
-        self._server.owner = self
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
-
-    @property
-    def address_string(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "WorkerServer":
-        """Serve in a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-            name=f"repro-worker:{self.address_string}",
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path)."""
-        self._server.serve_forever(poll_interval=0.2)
-
-    def stop(self, force: bool = False) -> None:
-        """Stop accepting connections and shut down.
-
-        ``force=True`` additionally severs live connections mid-frame —
-        the programmatic equivalent of ``kill -9`` on the daemon, used
-        to exercise client-side rescheduling.
-        """
-        if force:
-            with self._lock:
-                victims = list(self._connections)
-            for conn in victims:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._close_pool()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: refuse new specs, wait for in-flight ones
-        to finish (results flushed to their clients), then stop.
-
-        ``run`` frames received while draining are answered with an
-        ``error`` frame, which the client requeues on its remaining
-        workers; the connections stay open so pool callbacks for specs
-        already running can still deliver.  Returns ``True`` when
-        everything drained before ``timeout``.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._drain_cond:
-            self._draining = True
-            while self._inflight > 0:
-                remaining = 0.5
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._drain_cond.wait(min(remaining, 0.5))
-            drained = self._inflight == 0
-        self.stop(force=True)
-        return drained
-
-    # -- handler support ------------------------------------------------
-
-    def _begin_run(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def _end_run(self) -> None:
-        with self._drain_cond:
-            self._inflight -= 1
-            self._drain_cond.notify_all()
-
-    def _track(self, conn, add: bool) -> None:
-        with self._lock:
-            if add:
-                self._connections.add(conn)
-            else:
-                self._connections.discard(conn)
-
-    def _note_request(self) -> bool:
-        """Count a run request; False when the fail_after hook trips."""
-        with self._lock:
-            self.requests += 1
-            tripped = (
-                self.fail_after is not None and self.requests > self.fail_after
-            )
-        if tripped:
-            # Stop synchronously (we are on a handler thread, not the
-            # accept loop) so the listener is gone before the client can
-            # burn spec retries against a half-dead worker.
-            self.stop(force=True)
-            return False
-        return True
-
     def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[repro-worker {self.address_string}] {message}",
-                  file=sys.stderr, flush=True)
-
-
-def worker_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the ``repro-worker`` console script."""
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description=(
-            "Simulation worker daemon: accepts RunSpec frames from "
-            "RemoteExecutor clients and streams RunResults back"
-        ),
-    )
-    parser.add_argument(
-        "--listen", default=f"127.0.0.1:{DEFAULT_PORT}", metavar="HOST:PORT",
-        help=f"address to bind (default 127.0.0.1:{DEFAULT_PORT}; port 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--processes", type=int, default=1, metavar="N",
-        help="concurrent simulations (1 = inline in the connection thread)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="sharded result cache; warm specs are answered from disk",
-    )
-    parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help=(
-            "local trace store; specs sent with a trace directive are "
-            "interpreted once and replayed from the committed-path trace"
-        ),
-    )
-    parser.add_argument(
-        "--trace-max-bytes", default=None, metavar="SIZE",
-        help=(
-            "byte budget for --trace-dir (e.g. 512M, 2G): least-recently-"
-            "used traces are evicted whenever a capture or a received "
-            "wire stream pushes the store past it"
-        ),
-    )
-    parser.add_argument(
-        "--coordinator", default=None, metavar="HOST:PORT",
-        help=(
-            "dial into a repro-coordinator and serve leased specs "
-            "instead of listening for direct connections"
-        ),
-    )
-    parser.add_argument(
-        "--token", default=None, metavar="SECRET",
-        help="shared secret for --coordinator (default: $REPRO_TOKEN)",
-    )
-    parser.add_argument(
-        "--name", default=None, metavar="NAME",
-        help="name prefix this worker registers under with the coordinator",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
-        help=(
-            "on SIGTERM/SIGINT, wait this long for in-flight specs to "
-            "finish and flush before exiting (default 30)"
-        ),
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="log one line per served request to stderr",
-    )
-    args = parser.parse_args(argv)
-    trace_max_bytes = None
-    if args.trace_max_bytes is not None:
-        from ..storage import parse_size
-
-        if args.trace_dir is None:
-            parser.error("--trace-max-bytes requires --trace-dir")
-        try:
-            trace_max_bytes = parse_size(args.trace_max_bytes)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    # Signals set an event instead of raising: the serving threads keep
-    # running while the main thread drains in-flight specs gracefully.
-    stop_signal = threading.Event()
-
-    def _on_signal(signum, frame):  # noqa: ARG001 — signal handler shape
-        stop_signal.set()
-
-    try:
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-    except ValueError:
-        pass  # not the main thread (embedded); rely on KeyboardInterrupt
-
-    if args.coordinator is not None:
-        try:
-            worker = CoordinatorWorker(
-                args.coordinator, processes=args.processes,
-                cache_dir=args.cache_dir, trace_dir=args.trace_dir,
-                trace_max_bytes=trace_max_bytes, token=args.token,
-                name=args.name, verbose=args.verbose,
-            ).start()
-        except (OSError, ProtocolError, _FatalWorkerError) as exc:
-            print(f"repro-worker: cannot register with {args.coordinator}: {exc}",
-                  file=sys.stderr, flush=True)
-            return 1
-        print(
-            f"repro-worker registered with {args.coordinator} as "
-            f"{worker.worker_id} (protocol v{PROTOCOL_VERSION}, "
-            f"cache v{CACHE_VERSION}, processes={args.processes})",
-            file=sys.stderr, flush=True,
-        )
-        try:
-            while not stop_signal.wait(0.2):
-                if worker.stopped.is_set():
-                    print("repro-worker: lost the coordinator, exiting",
-                          file=sys.stderr, flush=True)
-                    return 1
-        except KeyboardInterrupt:
-            pass
-        print("repro-worker: draining before shutdown",
-              file=sys.stderr, flush=True)
-        worker.drain(timeout=args.drain_timeout)
-        return 0
-
-    host, port = parse_address(args.listen)
-    server = WorkerServer(
-        host=host, port=port, processes=args.processes,
-        cache_dir=args.cache_dir, trace_dir=args.trace_dir,
-        trace_max_bytes=trace_max_bytes,
-        verbose=args.verbose,
-    ).start()
-    print(
-        f"repro-worker listening on {server.address_string} "
-        f"(protocol v{PROTOCOL_VERSION}, cache v{CACHE_VERSION}, "
-        f"processes={args.processes})",
-        file=sys.stderr, flush=True,
-    )
-    try:
-        while not stop_signal.wait(0.2):
-            pass
-    except KeyboardInterrupt:
-        pass
-    print("repro-worker: draining before shutdown",
-          file=sys.stderr, flush=True)
-    server.drain(timeout=args.drain_timeout)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Client: the "remote" executor.
-# ----------------------------------------------------------------------
-
-class _FatalWorkerError(Exception):
-    """This worker can never serve us (e.g. protocol mismatch) — do not
-    reconnect, but let the other workers keep draining the queue."""
-
-
-class _Dispatch:
-    """Shared work-stealing state between one map() call's client threads."""
-
-    def __init__(self, specs: Sequence[RunSpec], max_attempts: int):
-        self.cond = threading.Condition()
-        self.pending = deque((i, spec, 0) for i, spec in enumerate(specs))
-        self.remaining = len(specs)
-        self.max_attempts = max_attempts
-        self.failure: Optional[str] = None
-        self.worker_notes: Dict[str, str] = {}
-        self.done_queue: Queue = Queue()
-        self.live_workers = 0
-
-    def stopped(self) -> bool:
-        return self.failure is not None or self.remaining == 0
-
-    def take_nowait(self):
-        with self.cond:
-            if self.stopped() or not self.pending:
-                return None
-            return self.pending.popleft()
-
-    def take(self):
-        """Next work item, waiting for requeues; None when dispatch ends."""
-        with self.cond:
-            while True:
-                if self.stopped():
-                    return None
-                if self.pending:
-                    return self.pending.popleft()
-                self.cond.wait(0.05)
-
-    def requeue(self, items, reason: str) -> int:
-        """Put dropped in-flight items back; give up past max_attempts."""
-        requeued = 0
-        with self.cond:
-            for index, spec, attempts in items:
-                attempts += 1
-                if attempts >= self.max_attempts:
-                    self.failure = (
-                        f"spec #{index} ({spec.workload!r} seed={spec.seed} "
-                        f"{spec.mode}) failed {attempts} times; last error: "
-                        f"{reason}"
-                    )
-                else:
-                    self.pending.append((index, spec, attempts))
-                    requeued += 1
-            self.cond.notify_all()
-        return requeued
-
-    def complete(self, index: int, spec: RunSpec, result: RunResult) -> None:
-        with self.cond:
-            self.remaining -= 1
-            self.cond.notify_all()
-        self.done_queue.put((index, spec, result))
-
-    def abort(self, reason: str) -> None:
-        with self.cond:
-            if self.failure is None:
-                self.failure = reason
-            self.cond.notify_all()
-
-    def note_worker(self, address: str, note: str) -> None:
-        with self.cond:
-            self.worker_notes[address] = note
-
-    def worker_started(self) -> None:
-        with self.cond:
-            self.live_workers += 1
-
-    def worker_exited(self) -> None:
-        with self.cond:
-            self.live_workers -= 1
-            self.cond.notify_all()
-
-
-class _WorkerClient(threading.Thread):
-    """One connection (plus reconnects) to one worker address."""
-
-    def __init__(self, state: _Dispatch, address: Tuple[str, int],
-                 executor: "RemoteExecutor"):
-        super().__init__(daemon=True, name=f"remote-client:{address[0]}:{address[1]}")
-        self.state = state
-        self.address = address
-        self.executor = executor
-        self.label = f"{address[0]}:{address[1]}"
-        self.inflight: Dict[int, Tuple[int, RunSpec, int]] = {}
-        self.trace_capable = False
-        self._trace_stores: Dict[str, object] = {}
-        self.stats = {
-            "dispatched": 0, "completed": 0, "cache_hits": 0,
-            "requeued": 0, "reconnects": 0,
-            "trace_captures": 0, "trace_hits": 0,
-            "trace_streams": 0, "trace_stream_bytes": 0,
-        }
-
-    # -- lifecycle ------------------------------------------------------
-
-    def run(self):
-        self.state.worker_started()
-        attempts_left = self.executor.reconnect_attempts
-        try:
-            while not self.state.stopped():
-                sock = self._connect()
-                if sock is None:
-                    self.state.note_worker(self.label, "unreachable")
-                    return
-                try:
-                    self._serve(sock)
-                    return  # clean drain: dispatch finished
-                except _FatalWorkerError as exc:
-                    self.state.note_worker(self.label, str(exc))
-                    return
-                except (OSError, ProtocolError) as exc:
-                    self._drop_inflight(f"{type(exc).__name__}: {exc}")
-                    self.stats["reconnects"] += 1
-                    self.state.note_worker(
-                        self.label, f"connection lost: {exc}"
-                    )
-                    attempts_left -= 1
-                    if attempts_left < 0:
-                        return
-                    time.sleep(self.executor.reconnect_delay)
-                finally:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-        finally:
-            self._drop_inflight("client thread exited")
-            self.state.worker_exited()
-
-    def _connect(self) -> Optional[socket.socket]:
-        delay = self.executor.reconnect_delay
-        for attempt in range(self.executor.connect_attempts):
-            if self.state.stopped():
-                return None
-            try:
-                sock = socket.create_connection(
-                    self.address, timeout=self.executor.timeout
-                )
-                # Framed request/response traffic: Nagle + delayed ACK
-                # would stall back-to-back small frames (~40ms each).
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                return sock
-            except OSError:
-                if attempt + 1 < self.executor.connect_attempts:
-                    time.sleep(delay)
-                    delay = min(delay * 2, 1.0)
-        return None
-
-    def _drop_inflight(self, reason: str) -> None:
-        dropped, self.inflight = self.inflight, {}
-        if dropped:
-            self.stats["requeued"] += len(dropped)
-            self.state.requeue(dropped.values(), reason)
-
-    # -- the protocol conversation --------------------------------------
-
-    def _serve(self, sock: socket.socket) -> None:
-        rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
-        window = self._handshake(rfile, wfile)
-        next_id = self.stats["dispatched"]  # unique per thread lifetime
-        while True:
-            # Keep the pipeline full: one frame per free window slot.
-            while len(self.inflight) < window:
-                item = self.state.take_nowait()
-                if item is None:
-                    break
-                next_id += 1
-                self._send_run(wfile, next_id, item)
-            if not self.inflight:
-                item = self.state.take()  # blocks for requeues
-                if item is None:
-                    self._send_bye(wfile)
-                    return
-                next_id += 1
-                self._send_run(wfile, next_id, item)
-            self._receive_one(rfile, wfile)
-
-    def _handshake(self, rfile, wfile) -> int:
-        hello = _read_frame(rfile)
-        if hello is None:
-            raise ProtocolError("worker closed the connection before hello")
-        if hello.get("type") == "error":
-            raise _FatalWorkerError(hello.get("message", "worker refused us"))
-        if hello.get("type") != "hello":
-            raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
-        if hello.get("protocol") != PROTOCOL_VERSION:
-            raise _FatalWorkerError(
-                f"protocol version mismatch: worker speaks "
-                f"{hello.get('protocol')!r}, client speaks {PROTOCOL_VERSION}"
-            )
-        if hello.get("cache_version") != CACHE_VERSION:
-            raise _FatalWorkerError(
-                f"cache version mismatch: worker digests with "
-                f"v{hello.get('cache_version')!r}, client with v{CACHE_VERSION}"
-            )
-        wfile.write(encode_frame({
-            "type": "hello",
-            "protocol": PROTOCOL_VERSION,
-            "cache_version": CACHE_VERSION,
-            "client": "repro-remote-executor",
-        }))
-        wfile.flush()
-        self.trace_capable = bool(hello.get("trace_store"))
-        try:
-            advertised = int(hello.get("processes") or 1)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed hello frame: {exc!r}") from None
-        return max(1, min(advertised * 2, 32))
-
-    def _local_trace_path(self, spec: RunSpec):
-        """Path of this spec's trace in the *client's* store, or ``None``.
-
-        Never creates the store directory: a client that has not
-        captured anything locally (the common remote case) should not
-        grow an empty store as a side effect of offering streams.
-        """
-        if spec.trace_store is None or not os.path.isdir(spec.trace_store):
-            return None
-        store = self._trace_stores.get(spec.trace_store)
-        if store is None:
-            from ..trace import TraceStore
-
-            store = TraceStore(spec.trace_store)
-            self._trace_stores[spec.trace_store] = store
-        path = store.path(spec.trace_digest())
-        return path if path.exists() else None
-
-    def _send_run(self, wfile, run_id: int, item) -> None:
-        index, spec, attempts = item
-        self.inflight[run_id] = item
-        self.stats["dispatched"] += 1
-        # The client's trace-store *path* is local and never shipped;
-        # a capable worker gets a directive to use its own store.
-        wire_spec = spec.to_dict()
-        wire_spec.pop("trace_store", None)
-        trace_mode = wire_spec.pop("trace_mode", "auto")
-        frame = {
-            "type": "run",
-            "id": run_id,
-            "spec": wire_spec,
-            "digest": spec.digest(),
-        }
-        if spec.trace_store is not None and self.trace_capable:
-            directive = {"mode": trace_mode}
-            if self._local_trace_path(spec) is not None:
-                # We hold the committed path on local disk; offer to
-                # stream it should the worker's store turn out cold.
-                directive["stream"] = True
-            frame["trace"] = directive
-        wfile.write(encode_frame(frame))
-        wfile.flush()
-
-    def _send_bye(self, wfile) -> None:
-        try:
-            wfile.write(encode_frame({"type": "bye"}))
-            wfile.flush()
-        except (OSError, ValueError):
-            pass  # the work is done; a lost goodbye costs nothing
-
-    def _stream_trace(self, wfile, digest: str, path) -> None:
-        """Ship one trace file's bytes to the worker, chunked + checksummed."""
-        import base64
-        import hashlib
-
-        hasher = hashlib.sha256()
-        sent = 0
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            # Evicted between the exists() probe and the open (a local
-            # gc race, not a connection problem): same graceful path as
-            # a stale offer.
-            wfile.write(encode_frame({
-                "type": "trace_unavailable", "digest": digest,
-            }))
-            wfile.flush()
-            return
-        with handle:
-            while True:
-                chunk = handle.read(TRACE_CHUNK_BYTES)
-                if not chunk:
-                    break
-                hasher.update(chunk)
-                sent += len(chunk)
-                wfile.write(encode_frame({
-                    "type": "trace_data", "digest": digest,
-                    "data": base64.b64encode(chunk).decode("ascii"),
-                }))
-        wfile.write(encode_frame({
-            "type": "trace_end", "digest": digest,
-            "sha256": hasher.hexdigest(), "bytes": sent,
-        }))
-        wfile.flush()
-        self.stats["trace_streams"] += 1
-        self.stats["trace_stream_bytes"] += sent
-
-    def _receive_one(self, rfile, wfile) -> None:
-        message = _read_frame(rfile)
-        if message is None:
-            raise ProtocolError("worker closed the connection mid-batch")
-        kind = message["type"]
-        if kind == "trace_want":
-            run_id = message.get("id")
-            item = self.inflight.get(run_id)
-            if item is None:
-                raise ProtocolError(f"trace_want for unknown run id {run_id!r}")
-            digest = message.get("digest")
-            path = self._local_trace_path(item[1])
-            if path is None:
-                # Evicted between offer and request (a gc race): the
-                # worker runs the spec without the trace instead.
-                wfile.write(encode_frame({
-                    "type": "trace_unavailable", "digest": digest,
-                }))
-                wfile.flush()
-            else:
-                self._stream_trace(wfile, digest, path)
-            return
-        if kind == "result":
-            run_id = message.get("id")
-            item = self.inflight.get(run_id)
-            if item is None:
-                raise ProtocolError(f"result for unknown run id {run_id!r}")
-            index, spec, attempts = item
-            try:
-                result = RunResult.from_dict(message["result"])
-            except (KeyError, TypeError, ValueError) as exc:
-                # Well-formed JSON, ill-formed payload (version-skewed
-                # worker?).  The spec is still in ``inflight``, so the
-                # connection drop triggered by this error requeues it.
-                raise ProtocolError(f"malformed result frame: {exc!r}") from None
-            self.inflight.pop(run_id)
-            result.cached = bool(message.get("cached"))
-            engine = message.get("engine")
-            if engine:
-                result.engine_used = str(engine)
-                result.compiled_hit = bool(message.get("engine_hit"))
-            origin = message.get("trace")
-            if origin in ("capture", "replay"):
-                result.trace_origin = origin
-                self.stats["trace_captures" if origin == "capture" else "trace_hits"] += 1
-            self.stats["completed"] += 1
-            if result.cached:
-                self.stats["cache_hits"] += 1
-            self.state.complete(index, spec, result)
-        elif kind == "error":
-            run_id = message.get("id")
-            reason = message.get("message", "unspecified worker error")
-            if run_id is None:
-                raise ProtocolError(f"worker error: {reason}")
-            item = self.inflight.pop(run_id, None)
-            if item is not None:
-                self.stats["requeued"] += 1
-                self.state.requeue([item], reason)
-        elif kind == "pong":
-            pass
-        else:
-            raise ProtocolError(f"unexpected frame type {kind!r}")
-
-
-@register_executor("remote")
-class RemoteExecutor(Executor):
-    """Fan a spec batch out to ``repro-worker`` daemons over TCP.
-
-    ``workers`` is a list of ``"host:port"`` strings (or ``(host, port)``
-    tuples); when omitted, the ``REPRO_WORKERS`` environment variable
-    supplies a comma-separated list — which is what lets a plain
-    ``Sweep.run(executor="remote")`` work with no extra plumbing.
-
-    Dispatch is work-stealing: all connections pull from one shared
-    queue, each pipelining up to twice the worker's advertised process
-    count.  A worker that dies mid-batch has its in-flight specs
-    requeued for the remaining workers and is reconnected with backoff;
-    a spec that keeps failing (``max_attempts``) aborts the batch with
-    the underlying error.  Per-worker telemetry lands in
-    :attr:`telemetry` after each ``map()``.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
-        processes: int = 1,
-        timeout: float = 300.0,
-        connect_attempts: int = 5,
-        reconnect_attempts: int = 2,
-        reconnect_delay: float = 0.05,
-        max_attempts: int = 3,
-    ):
-        del processes  # width lives on the workers, not the client
-        if workers is None:
-            configured = os.environ.get(WORKERS_ENV, "")
-            workers = [
-                part.strip() for part in configured.split(",") if part.strip()
-            ]
-        if not workers:
-            raise ValueError(
-                "RemoteExecutor needs worker addresses: pass workers=[...] "
-                f"or set {WORKERS_ENV}=host:port,host:port"
-            )
-        self.workers = [parse_address(worker) for worker in workers]
-        self.timeout = timeout
-        self.connect_attempts = connect_attempts
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_delay = reconnect_delay
-        self.max_attempts = max_attempts
-        self.batches = 0
-        self.dispatched = 0
-        self.completed = 0
-        #: address -> counters from the most recent ``map()`` call.
-        self.telemetry: Dict[str, Dict[str, int]] = {}
-
-    def map(self, specs, on_result=None):
-        specs = list(specs)
-        if not specs:
-            return []
-        self.batches += 1
-        self.dispatched += len(specs)
-        state = _Dispatch(specs, max_attempts=self.max_attempts)
-        clients = [
-            _WorkerClient(state, address, self) for address in self.workers
-        ]
-        for client in clients:
-            client.start()
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        try:
-            filled = 0
-            while filled < len(specs):
-                if state.failure is not None:
-                    break
-                if not any(client.is_alive() for client in clients):
-                    # Late completions may still sit in the queue; drain
-                    # below decides whether this is actually a failure.
-                    if state.done_queue.empty():
-                        break
-                try:
-                    index, spec, result = state.done_queue.get(timeout=0.05)
-                except Empty:
-                    continue
-                results[index] = result
-                filled += 1
-                self.completed += 1
-                if on_result is not None:
-                    on_result(index, spec, result)
-        finally:
-            failure = state.failure
-            state.abort("dispatch loop exited")
-            for client in clients:
-                client.join(timeout=self.timeout)
-            self.telemetry = {
-                client.label: dict(client.stats) for client in clients
-            }
-        while True:  # completions that raced the loop exit
-            try:
-                index, spec, result = state.done_queue.get_nowait()
-            except Empty:
-                break
-            if results[index] is None:
-                results[index] = result
-                self.completed += 1
-                if on_result is not None:
-                    on_result(index, spec, result)
-        missing = [index for index, result in enumerate(results) if result is None]
-        if missing:
-            notes = "; ".join(
-                f"{address}: {note}"
-                for address, note in sorted(state.worker_notes.items())
-            ) or "no worker diagnostics"
-            reason = failure or f"all workers exited ({notes})"
-            raise RuntimeError(
-                f"remote executor finished {len(specs) - len(missing)}/"
-                f"{len(specs)} specs: {reason}"
-            )
-        return results
-
-
-# ----------------------------------------------------------------------
-# Coordinator-registered worker.
-# ----------------------------------------------------------------------
-
-class CoordinatorWorker(_SimulationHost):
-    """A ``repro-worker`` that dials into a ``repro-coordinator``
-    instead of listening: ``repro-worker --coordinator host:port``.
-
-    The worker opens one TCP connection, sends a ``register`` frame
-    (token, protocol and cache version, process count), and then serves
-    ``run`` frames the coordinator pushes under its lease.  A heartbeat
-    frame every ``heartbeat_seconds`` (announced by the coordinator at
-    registration) keeps the lease alive while long specs simulate; if
-    the connection drops, the worker reconnects and re-registers with
-    backoff while the coordinator reschedules whatever it was leasing.
-
-    Simulation behaviour — result cache, trace store with byte budget,
-    inline vs pooled execution — is identical to :class:`WorkerServer`
-    (both share :class:`_SimulationHost`).  ``fail_after=N`` is a test
-    hook: the worker severs its connection after its N-th ``run``
-    frame, simulating a worker killed mid-grid.
-    """
-
-    def __init__(
-        self,
-        coordinator: Union[str, Tuple[str, int]],
-        processes: int = 1,
-        cache_dir: Optional[str] = None,
-        trace_dir: Optional[str] = None,
-        trace_max_bytes: Optional[int] = None,
-        token: Optional[str] = None,
-        name: Optional[str] = None,
-        fail_after: Optional[int] = None,
-        verbose: bool = False,
-        timeout: float = 300.0,
-        reconnect_attempts: int = 5,
-        reconnect_delay: float = 0.2,
-        protocol_version: int = PROTOCOL_VERSION,
-        cache_version: int = CACHE_VERSION,
-    ):
-        self._init_host(processes, cache_dir, trace_dir,
-                        trace_max_bytes, verbose)
-        if isinstance(coordinator, tuple) or ":" in str(coordinator):
-            self.coordinator = parse_address(coordinator)
-        else:
-            from ..serve.client import DEFAULT_PORT as _COORDINATOR_PORT
-
-            self.coordinator = (str(coordinator).strip(), _COORDINATOR_PORT)
-        if token is None:
-            from ..serve.client import TOKEN_ENV
-
-            token = os.environ.get(TOKEN_ENV) or None
-        self.token = token
-        self.name = name
-        self.fail_after = fail_after
-        self.timeout = timeout
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_delay = reconnect_delay
-        self.protocol_version = protocol_version
-        self.cache_version = cache_version
-        self.requests = 0
-        self.completed = 0
-        self.worker_id: Optional[str] = None
-        self.heartbeat_seconds = 5.0
-        #: Set when the worker gives up — stopped, failed, or drained.
-        self.stopped = threading.Event()
-        self._draining = False
-        self._inflight = 0
-        self._drain_cond = threading.Condition(self._lock)
-        self._write_lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._wfile = None
-        self._thread: Optional[threading.Thread] = None
-        self._heartbeat: Optional[threading.Thread] = None
+        label = self.worker_id or f"@{self.coordinator[0]}:{self.coordinator[1]}"
+        log.info("[repro-worker %s] %s", label, message)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -1453,8 +322,11 @@ class CoordinatorWorker(_SimulationHost):
     def _connect(self) -> None:
         sock = socket.create_connection(self.coordinator, timeout=self.timeout)
         sock.settimeout(None)  # blocking reads; stop() severs the socket
-        # Same framed-message traffic as the remote protocol: defeat the
-        # Nagle/delayed-ACK stall on small back-to-back frames.
+        # The protocol writes one small framed message at a time and
+        # always flushes; with Nagle on, a frame written while the
+        # previous one is still unacknowledged sits behind the peer's
+        # delayed-ACK timer (~40ms on Linux) — a latency cliff, even on
+        # loopback.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         rfile = sock.makefile("rb")
         wfile = sock.makefile("wb")
@@ -1528,18 +400,32 @@ class CoordinatorWorker(_SimulationHost):
             self.stopped.set()
 
     def _serve_connection(self) -> None:
-        while True:
-            message = _read_frame(self._rfile)
-            if message is None or message["type"] == "bye":
-                return
-            kind = message["type"]
-            if kind == "run":
-                self._handle_run(message)
-            elif kind == "ping":
-                self._send_quietly({"type": "pong"})
-            elif kind == "error":
-                self._log(f"coordinator error: {message.get('message')}")
-            # pong / anything else: ignore
+        try:
+            while True:
+                message = _read_frame(self._rfile)
+                if message is None or message["type"] == "bye":
+                    return
+                kind = message["type"]
+                if kind == "run":
+                    self._handle_run(message)
+                elif kind in ("trace_data", "trace_end", "trace_unavailable"):
+                    try:
+                        self._handle_trace_frame(message)
+                    except ProtocolError as exc:
+                        # Say why, then drop the connection: the
+                        # coordinator requeues whatever we held.
+                        self._send_quietly({"type": "error", "message": str(exc)})
+                        raise
+                elif kind == "ping":
+                    self._send_quietly({"type": "pong"})
+                elif kind == "error":
+                    self._log(f"coordinator error: {message.get('message')}")
+                # pong / anything else: ignore
+        finally:
+            # Parked specs were leased on this connection; the
+            # coordinator requeues them when it drops.
+            self._parked.clear()
+            self._discard_incoming()
 
     def stop(self, send_bye: bool = True) -> None:
         already = self.stopped.is_set()
@@ -1636,6 +522,8 @@ class CoordinatorWorker(_SimulationHost):
             return
         directive = message.get("trace")
         if directive and self.trace_dir is not None:
+            # The submitter asked for trace reuse; point the spec at
+            # this worker's own store (trace paths never cross the wire).
             from dataclasses import replace as _replace
 
             spec = _replace(
@@ -1665,7 +553,31 @@ class CoordinatorWorker(_SimulationHost):
                     "result": hit.to_dict(), "cached": True,
                 })
                 return
+        if (
+            directive
+            and directive.get("stream")
+            and spec.trace_store is not None
+            and spec.trace_mode in ("auto", "replay")
+        ):
+            # The coordinator can read this spec's trace; if our store
+            # does not hold it, park the spec and pull the trace over the
+            # wire once — every later spec of the same committed path
+            # replays from local disk.
+            trace_digest = spec.trace_digest()
+            parked = self._parked.get(trace_digest)
+            if parked is not None:
+                parked.append((run_id, spec, digest))
+                return
+            if not self.trace_store.path(trace_digest).exists():
+                self._parked[trace_digest] = [(run_id, spec, digest)]
+                self._send_quietly({
+                    "type": "trace_want", "id": run_id,
+                    "digest": trace_digest,
+                })
+                return
+        self._execute_run(run_id, spec, digest)
 
+    def _execute_run(self, run_id, spec: RunSpec, digest: str) -> None:
         with self._lock:
             self._inflight += 1
 
@@ -1714,11 +626,198 @@ class CoordinatorWorker(_SimulationHost):
                 callback=deliver, error_callback=failed,
             )
 
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            label = self.worker_id or f"@{self.coordinator[0]}:{self.coordinator[1]}"
-            print(f"[repro-worker {label}] {message}",
-                  file=sys.stderr, flush=True)
+    # -- trace streaming ------------------------------------------------
+
+    def _handle_trace_frame(self, message: Dict) -> None:
+        kind = message["type"]
+        digest = message.get("digest")
+        if not isinstance(digest, str) or digest not in self._parked:
+            raise ProtocolError(f"{kind} for unrequested trace {digest!r}")
+        if kind == "trace_unavailable":
+            # The offer went stale (e.g. the source store was gc'd
+            # between offer and request): run the parked specs without
+            # the trace — they interpret + capture locally instead.
+            self._release_parked(digest)
+            return
+        state = self._incoming.get(digest)
+        if state is None:
+            import hashlib
+
+            path = self.trace_store.path(digest)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(
+                f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
+            )
+            state = self._incoming[digest] = {
+                "tmp": tmp,
+                "handle": open(tmp, "wb"),
+                "hasher": hashlib.sha256(),
+                "bytes": 0,
+            }
+        if kind == "trace_data":
+            import base64
+
+            try:
+                chunk = base64.b64decode(message.get("data") or "", validate=True)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"undecodable trace chunk: {exc}") from None
+            state["handle"].write(chunk)
+            state["hasher"].update(chunk)
+            state["bytes"] += len(chunk)
+            return
+        # trace_end: verify and commit (or fall back to interpreting).
+        state = self._incoming.pop(digest)
+        state["handle"].close()
+        failure = None
+        if state["hasher"].hexdigest() != message.get("sha256"):
+            failure = "checksum mismatch"
+        elif state["bytes"] != message.get("bytes"):
+            failure = (
+                f"length mismatch ({state['bytes']} received, "
+                f"{message.get('bytes')} announced)"
+            )
+        else:
+            failure = self.trace_store.adopt(state["tmp"], digest)
+        if failure is not None:
+            state["tmp"].unlink(missing_ok=True)
+            self._log(
+                f"rejected streamed trace {digest[:12]}: {failure}; "
+                "parked specs will interpret locally"
+            )
+        else:
+            self._log(
+                f"received trace {digest[:12]} "
+                f"({state['bytes']} bytes) into {self.trace_store.root}"
+            )
+            self._note_trace_write()
+        self._release_parked(digest)
+
+    def _release_parked(self, digest: str) -> None:
+        for run_id, spec, spec_digest in self._parked.pop(digest, []):
+            self._execute_run(run_id, spec, spec_digest)
+
+    def _discard_incoming(self) -> None:
+        """Connection teardown: drop half-received stream temp files."""
+        for state in self._incoming.values():
+            try:
+                state["handle"].close()
+            except OSError:
+                pass
+            state["tmp"].unlink(missing_ok=True)
+        self._incoming.clear()
+
+
+def worker_main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point of the ``repro-worker`` console script."""
+    parser = argparse.ArgumentParser(
+        prog="repro-worker",
+        description=(
+            "Simulation worker daemon: registers with a repro-coordinator, "
+            "simulates the RunSpecs it leases and streams RunResults back"
+        ),
+    )
+    parser.add_argument(
+        "--coordinator", required=True, metavar="HOST:PORT",
+        help="the repro-coordinator to register with and serve",
+    )
+    parser.add_argument(
+        "--processes", type=int, default=1, metavar="N",
+        help="concurrent simulations (1 = inline in the connection thread)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="sharded result cache; warm specs are answered from disk",
+    )
+    parser.add_argument(
+        "--trace-dir", default=None, metavar="DIR",
+        help=(
+            "local trace store; specs sent with a trace directive are "
+            "interpreted once and replayed from the committed-path trace"
+        ),
+    )
+    parser.add_argument(
+        "--trace-max-bytes", default=None, metavar="SIZE",
+        help=(
+            "byte budget for --trace-dir (e.g. 512M, 2G): least-recently-"
+            "used traces are evicted whenever a capture or a received "
+            "wire stream pushes the store past it"
+        ),
+    )
+    parser.add_argument(
+        "--token", default=None, metavar="SECRET",
+        help="shared secret for --coordinator (default: $REPRO_TOKEN)",
+    )
+    parser.add_argument(
+        "--name", default=None, metavar="NAME",
+        help="name prefix this worker registers under with the coordinator",
+    )
+    parser.add_argument(
+        "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
+        help=(
+            "on SIGTERM/SIGINT, wait this long for in-flight specs to "
+            "finish and flush before exiting (default 30)"
+        ),
+    )
+    parser.add_argument(
+        "--verbose", action="store_true",
+        help="log one line per served request to stderr",
+    )
+    args = parser.parse_args(argv)
+    trace_max_bytes = None
+    if args.trace_max_bytes is not None:
+        from ..storage import parse_size
+
+        if args.trace_dir is None:
+            parser.error("--trace-max-bytes requires --trace-dir")
+        try:
+            trace_max_bytes = parse_size(args.trace_max_bytes)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
+
+    # Signals set an event instead of raising: the serving threads keep
+    # running while the main thread drains in-flight specs gracefully.
+    stop_signal = threading.Event()
+
+    def _on_signal(signum, frame):  # noqa: ARG001 — signal handler shape
+        stop_signal.set()
+
+    try:
+        signal.signal(signal.SIGTERM, _on_signal)
+        signal.signal(signal.SIGINT, _on_signal)
+    except ValueError:
+        pass  # not the main thread (embedded); rely on KeyboardInterrupt
+
+    try:
+        worker = CoordinatorWorker(
+            args.coordinator, processes=args.processes,
+            cache_dir=args.cache_dir, trace_dir=args.trace_dir,
+            trace_max_bytes=trace_max_bytes, token=args.token,
+            name=args.name,
+        ).start()
+    except (OSError, ProtocolError, _FatalWorkerError) as exc:
+        print(f"repro-worker: cannot register with {args.coordinator}: {exc}",
+              file=sys.stderr, flush=True)
+        return 1
+    print(
+        f"repro-worker registered with {args.coordinator} as "
+        f"{worker.worker_id} (protocol v{PROTOCOL_VERSION}, "
+        f"cache v{CACHE_VERSION}, processes={args.processes})",
+        file=sys.stderr, flush=True,
+    )
+    try:
+        while not stop_signal.wait(0.2):
+            if worker.stopped.is_set():
+                print("repro-worker: lost the coordinator, exiting",
+                      file=sys.stderr, flush=True)
+                return 1
+    except KeyboardInterrupt:
+        pass
+    print("repro-worker: draining before shutdown",
+          file=sys.stderr, flush=True)
+    worker.drain(timeout=args.drain_timeout)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover — `python -m repro.sim.remote`

@@ -361,10 +361,10 @@ class Sweep:
         """Execute the grid, loading memoized points from the cache.
 
         ``executor`` selects the execution backend: a registry name
-        (``"serial"``, ``"process"``, ``"pool"``, ``"remote"`` — the
-        latter reading worker addresses from ``$REPRO_WORKERS``), an
-        :class:`Executor`
-        instance (kept open for reuse — e.g. one
+        (``"serial"``, ``"process"``, ``"pool"``, ``"http"`` — the
+        latter reading the coordinator address from
+        ``$REPRO_COORDINATOR``), an :class:`Executor` instance (kept
+        open for reuse — e.g. one
         :class:`~repro.sim.executors.WorkerPoolExecutor` across many
         sweeps), or ``None`` for the historical default (a throwaway
         process pool, serial when ``processes <= 1``).  ``on_result``
@@ -421,7 +421,7 @@ class Sweep:
                 # if the store is already warm, else interprets and
                 # captures); the followers then replay its trace.  Two
                 # executor batches, so the barrier holds on parallel
-                # and remote backends too.
+                # and distributed backends too.
                 leaders: List[int] = []
                 followers: List[int] = []
                 seen: Dict[str, int] = {}

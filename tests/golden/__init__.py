@@ -2,10 +2,11 @@
 
 ``tests/golden/`` holds checked-in canonical :class:`RunResult` JSON
 fixtures for a small, fixed-seed, representative workload × predictor
-grid.  Every registered executor backend — including ``remote``, driven
-against an in-process worker — is replayed against these fixtures and
-must reproduce them **byte for byte** (wall time, the one
-non-deterministic field, is normalized to ``0.0`` on both sides).
+grid.  Every registered executor backend — including ``http``, driven
+against an in-process coordinator and worker — is replayed against
+these fixtures and must reproduce them **byte for byte** (wall time,
+the one non-deterministic field, is normalized to ``0.0`` on both
+sides).
 
 Regenerate after an *intentional* simulation-semantics change with::
 

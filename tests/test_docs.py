@@ -15,7 +15,7 @@ EXPECTED_PAGES = (
     "adaptive.md",
     "traces.md",
     "analysis.md",
-    "distributed.md",
+    "service.md",
 )
 
 

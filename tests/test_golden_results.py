@@ -2,10 +2,9 @@
 
 Every registered executor backend replays the checked-in canonical grid
 (``tests/golden/``) and must reproduce each fixture **byte for byte**
-after wall-time normalization.  The ``remote`` backend runs against an
-in-process ``WorkerServer`` on localhost and the ``http`` backend
-against an in-process ``Coordinator`` with one registered
-``CoordinatorWorker``, so both wire protocols are under the same
+after wall-time normalization.  The ``http`` backend runs against an
+in-process ``Coordinator`` with one registered ``CoordinatorWorker``, so
+the HTTP API and the worker wire protocol are under the same
 bit-identical contract as the local backends.
 
 If a fixture diff is *intentional* (simulation semantics changed),
@@ -24,7 +23,6 @@ from repro.sim import (
     CoordinatorWorker,
     RunSpec,
     Sweep,
-    WorkerServer,
     create_executor,
 )
 
@@ -43,13 +41,6 @@ from .golden import (
 
 
 @pytest.fixture(scope="module")
-def worker():
-    server = WorkerServer(processes=1).start()
-    yield server
-    server.stop()
-
-
-@pytest.fixture(scope="module")
 def service():
     """A coordinator with one registered worker, for the http backend."""
     coordinator = Coordinator(port=0).start()
@@ -64,12 +55,8 @@ def _manifest():
     return json.loads(MANIFEST_PATH.read_text())
 
 
-def _build(name, worker, service):
-    options = {}
-    if name == "remote":
-        options["workers"] = [worker.address_string]
-    elif name == "http":
-        options["coordinator"] = service.address
+def _build(name, service):
+    options = {"coordinator": service.address} if name == "http" else {}
     return create_executor(name, processes=2, **options)
 
 
@@ -107,10 +94,10 @@ def test_cfd_oracle_cores_reproduce_fixture():
 
 
 @pytest.mark.parametrize("name", sorted(EXECUTORS))
-def test_executor_reproduces_golden_corpus(name, worker, service):
+def test_executor_reproduces_golden_corpus(name, service):
     entries = _manifest()
     specs = [RunSpec.from_dict(entry["spec"]) for entry in entries]
-    executor = _build(name, worker, service)
+    executor = _build(name, service)
     try:
         results = executor.map(specs)
     finally:
@@ -129,18 +116,14 @@ def test_capture_then_replay_reproduces_golden_corpus(name, tmp_path):
     # a first pass interprets + captures each spec's committed path
     # (specs sharing a trace key replay within the pass), a second pass
     # replays everything — and both passes match the fixtures byte for
-    # byte.  The remote backend runs against a worker owning the store.
+    # byte.  The http backend runs against a worker owning the store.
     entries = _manifest()
     specs = [
         replace(RunSpec.from_dict(entry["spec"]), trace_store=str(tmp_path))
         for entry in entries
     ]
     teardown = []
-    if name == "remote":
-        server = WorkerServer(processes=1, trace_dir=str(tmp_path)).start()
-        teardown.append(server.stop)
-        executor = create_executor(name, workers=[server.address_string])
-    elif name == "http":
+    if name == "http":
         coordinator = Coordinator(port=0).start()
         teardown.append(coordinator.stop)
         trace_worker = CoordinatorWorker(
@@ -171,7 +154,7 @@ def test_capture_then_replay_reproduces_golden_corpus(name, tmp_path):
 
 @pytest.mark.parametrize("engine", ["compiled", "vector"])
 @pytest.mark.parametrize("name", sorted(EXECUTORS))
-def test_engine_tiers_reproduce_golden_corpus(name, engine, worker, service):
+def test_engine_tiers_reproduce_golden_corpus(name, engine, service):
     # Execution tiers change speed, never results: the whole corpus,
     # re-run under each engine directive on every backend, must still
     # match the fixtures byte for byte.  Specs a tier cannot take (the
@@ -182,7 +165,7 @@ def test_engine_tiers_reproduce_golden_corpus(name, engine, worker, service):
         replace(RunSpec.from_dict(entry["spec"]), engine=engine)
         for entry in entries
     ]
-    executor = _build(name, worker, service)
+    executor = _build(name, service)
     try:
         results = executor.map(specs)
     finally:
@@ -203,13 +186,13 @@ def test_engine_tiers_reproduce_golden_corpus(name, engine, worker, service):
 )
 @pytest.mark.parametrize("name", sorted(EXECUTORS))
 def test_executor_reproduces_autopilot_fixtures(
-    name, fixture, kwargs, worker, service
+    name, fixture, kwargs, service
 ):
     # The adaptive driver's whole refinement trajectory — allocator
     # choices, midpoint insertions, early stops, the frontier estimate —
     # must be byte-identical on every backend: completion order on
-    # parallel and remote executors must never leak into the report.
-    executor = _build(name, worker, service)
+    # parallel and distributed executors must never leak into the report.
+    executor = _build(name, service)
     try:
         report = autopilot_sweep(kwargs).run(executor=executor)
     finally:
@@ -221,17 +204,18 @@ def test_executor_reproduces_autopilot_fixtures(
     assert report.executor == name
 
 
-def test_remote_matches_serial_on_16_point_grid(worker):
-    # The acceptance grid: 16 points through a localhost repro-worker,
-    # bit-identical to the in-process serial backend.
+def test_http_matches_serial_on_16_point_grid(service):
+    # The acceptance grid: 16 points through a localhost coordinator and
+    # its registered repro-worker, bit-identical to the in-process
+    # serial backend.
     grid = dict(workloads=["pi"], scales=(0.02,), seeds=tuple(range(8)))
     assert len(Sweep(**grid).specs()) == 16
     serial = Sweep(**grid).run(executor="serial")
-    executor = _build("remote", worker, None)
+    executor = _build("http", service)
     try:
-        remote = Sweep(**grid).run(executor=executor)
+        over_http = Sweep(**grid).run(executor=executor)
     finally:
         executor.close()
-    assert remote.to_stats()["executor"] == "remote"
-    for a, b in zip(serial, remote):
+    assert over_http.to_stats()["executor"] == "http"
+    for a, b in zip(serial, over_http):
         assert normalized_json(a) == normalized_json(b)

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.serve import Coordinator, CoordinatorClient, CoordinatorError
-from repro.sim import CoordinatorWorker, HttpExecutor, Sweep, WorkerServer
+from repro.sim import CoordinatorWorker, HttpExecutor, Sweep
 from repro.sim.remote import (
     CACHE_VERSION,
     PROTOCOL_VERSION,
@@ -162,8 +162,8 @@ class TestHttpApi:
         stats = client.stats()
         for key in (
             "jobs_submitted", "specs_received", "simulated", "cache_hits",
-            "worker_cache_hits", "deduped", "requeues", "pending",
-            "active", "workers",
+            "worker_cache_hits", "deduped", "requeues", "trace_streams",
+            "trace_stream_bytes", "pending", "active", "workers",
         ):
             assert isinstance(stats[key], int), key
 
@@ -290,6 +290,34 @@ class TestEndToEnd:
         telemetry = next(iter(executor.telemetry.values()))
         assert telemetry["cache_hits"] == 4
 
+    def test_empty_batch_returns_empty(self):
+        # An empty batch submits no job, so no coordinator is contacted.
+        assert HttpExecutor(coordinator="127.0.0.1:1").map([]) == []
+
+    def test_worker_cache_answers_second_batch(self, tmp_path):
+        # Without a coordinator-side cache, a repeat batch reaches the
+        # worker again, which answers it from its own result cache.
+        coordinator = Coordinator(port=0).start()
+        worker = CoordinatorWorker(
+            coordinator.address, processes=1, cache_dir=str(tmp_path)
+        ).start()
+        assert coordinator.wait_for_workers(1, timeout=10)
+        executor = HttpExecutor(coordinator=coordinator.address)
+        specs = Sweep(**_grid(seeds=(0, 1))).specs()
+        try:
+            first = executor.map(specs)
+            (cold,) = executor.telemetry.values()
+            second = executor.map(specs)
+            (warm,) = executor.telemetry.values()
+        finally:
+            worker.stop()
+            coordinator.stop()
+        assert cold["worker_cache_hits"] == 0
+        assert warm["worker_cache_hits"] == len(specs)
+        assert all(result.cached for result in second)
+        assert [_comparable(a) for a in first] == \
+            [_comparable(b) for b in second]
+
     def test_lease_expiry_reschedules_a_silent_worker(self):
         # A worker that registers, accepts specs, then goes silent must
         # lose its leases; a healthy worker finishes the job.
@@ -358,7 +386,7 @@ class TestEndToEnd:
 
 # ----------------------------------------------------------------------
 # The CLI: pbs-experiments sweep --executor http, and graceful worker
-# shutdown under SIGTERM (both --listen and --coordinator modes).
+# shutdown under SIGTERM.
 # ----------------------------------------------------------------------
 class TestServeCLI:
     def test_sweep_via_coordinator_flag(self, service, tmp_path, capsys):
@@ -423,52 +451,50 @@ def _spawn_worker(extra_args):
 
 class TestGracefulShutdown:
     def test_sigterm_drains_inflight_specs(self):
-        # Satellite regression: a repro-worker that receives SIGTERM
-        # with specs in flight finishes what it is executing, flushes
-        # those results to the client, and exits 0.  Later pipelined
-        # frames are answered with an explicit "draining" error (the
-        # client's cue to reschedule elsewhere) — nothing just vanishes
-        # into a dead socket mid-run.
-        process, banner = _spawn_worker(["--listen", "127.0.0.1:0"])
-        assert "listening on" in banner
-        address = banner.split("listening on ")[1].split()[0]
-        host, _, port = address.rpartition(":")
-        specs = Sweep(**_grid(seeds=range(10))).specs()
-
-        sock = socket.create_connection((host, int(port)), timeout=60)
-        reader = sock.makefile("rb")
+        # A repro-worker that receives SIGTERM with specs in flight
+        # finishes what it is executing, flushes those results, and
+        # exits 0.  Pipelined frames it will not run are answered with
+        # a "draining" error, which the coordinator requeues — so a
+        # second worker completes the grid with nothing lost.
+        coordinator = Coordinator(port=0).start()
+        host, port = coordinator.address
+        process, banner = _spawn_worker(
+            ["--coordinator", f"{host}:{port}", "--name", "cli"]
+        )
+        backup = None
         try:
-            hello = _read_frame(reader)
-            assert hello["type"] == "hello"
-            sock.sendall(encode_frame({
-                "type": "hello", "protocol": PROTOCOL_VERSION,
-                "cache_version": CACHE_VERSION,
-            }))
-            for run_id, spec in enumerate(specs):
-                sock.sendall(encode_frame({
-                    "type": "run", "id": run_id,
-                    "spec": spec.to_dict(), "digest": spec.digest(),
-                }))
-            time.sleep(0.15)  # a couple of specs deep into the batch
+            assert "registered with" in banner
+            assert coordinator.wait_for_workers(1, timeout=10)
+            executor = HttpExecutor(coordinator=coordinator.address)
+            done = [None]
+
+            def run():
+                done[0] = Sweep(**_grid(seeds=range(10))).run(executor=executor)
+
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 60
+            while coordinator.simulated < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)  # a spec or two deep into the batch
             process.send_signal(signal.SIGTERM)
-            replies = []
-            try:
-                while True:
-                    frame = _read_frame(reader)
-                    if frame is None:
-                        break
-                    replies.append(frame)
-            except OSError:
-                pass  # force-severed after the drain completed
+            assert process.wait(timeout=60) == 0
+            assert "draining" in process.stderr.read()
+            backup = CoordinatorWorker(
+                coordinator.address, processes=2, name="backup"
+            ).start()
+            thread.join(timeout=300)
         finally:
-            sock.close()
-        assert process.wait(timeout=60) == 0
-        assert "draining" in process.stderr.read()
-        kinds = [frame["type"] for frame in replies]
-        assert "result" in kinds  # in-flight work was flushed, not lost
-        for frame in replies:
-            if frame["type"] == "error":
-                assert "draining" in frame["message"]
+            process.kill()
+            process.stderr.close()
+            if backup is not None:
+                backup.stop()
+            coordinator.stop()
+        assert done[0] is not None and len(done[0]) == 20
+        serial = Sweep(**_grid(seeds=range(10))).run(executor="serial")
+        assert [_comparable(a) for a in done[0]] == \
+            [_comparable(b) for b in serial]
+        (telemetry,) = executor.telemetry.values()
+        assert telemetry["failures"] == 0
 
     def test_sigterm_drains_coordinator_mode(self):
         coordinator = Coordinator(port=0).start()
@@ -484,13 +510,5 @@ class TestGracefulShutdown:
             assert "draining" in process.stderr.read()
         finally:
             process.kill()
+            process.stderr.close()
             coordinator.stop()
-
-    def test_embedded_drain_is_clean_when_idle(self):
-        # WorkerServer.drain is the machinery behind SIGTERM; an idle
-        # worker drains immediately and stops accepting connections.
-        server = WorkerServer(processes=1).start()
-        address = server.address
-        assert server.drain(timeout=10) is True
-        with pytest.raises(OSError):
-            socket.create_connection(address, timeout=2).close()

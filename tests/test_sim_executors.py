@@ -31,7 +31,7 @@ def _comparable(result):
 
 class TestExecutorRegistry:
     def test_builtin_backends_registered(self):
-        assert executor_names() == ["serial", "process", "pool", "remote", "http"]
+        assert executor_names() == ["serial", "process", "pool", "http"]
 
     def test_factory_resolves_names_and_instances(self):
         assert isinstance(create_executor("serial"), SerialExecutor)

@@ -1,4 +1,4 @@
-"""Property-based serialization tests for the sweep/remote layer.
+"""Property-based serialization tests for the sweep and wire layers.
 
 Three contracts every backend leans on:
 

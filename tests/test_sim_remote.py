@@ -1,6 +1,8 @@
-"""Tests for the distributed executor: wire protocol, worker daemon,
-work-stealing dispatch, and every failure path the ISSUE names —
-worker death mid-grid, protocol version mismatch, corrupt frames."""
+"""Tests for the worker side of distributed sweeps: the wire protocol's
+frame codec, the RunSpec wire encoding, coordinator address parsing,
+and the failure paths a worker can cause behind the coordinator — a
+worker that answers with a broken frame, a spec that fails on every
+attempt, a worker speaking another cache version."""
 
 import json
 import socket
@@ -8,16 +10,19 @@ import threading
 
 import pytest
 
+from repro.serve import Coordinator
+from repro.serve.client import DEFAULT_PORT, parse_coordinator_address
 from repro.sim import (
+    CoordinatorWorker,
+    HttpExecutor,
     ProtocolError,
-    RemoteExecutor,
     RunSpec,
     Sweep,
-    WorkerServer,
     decode_frame,
     encode_frame,
 )
-from repro.sim.remote import PROTOCOL_VERSION, WORKERS_ENV, parse_address
+from repro.sim.cache import CACHE_VERSION
+from repro.sim.remote import PROTOCOL_VERSION, _FatalWorkerError, _read_frame
 
 SCALE = 0.02
 
@@ -29,14 +34,8 @@ def _grid(seeds=(0, 1)):
 def _comparable(result):
     data = result.to_dict()
     data.pop("wall_time")
+    data.pop("cached", None)
     return data
-
-
-@pytest.fixture
-def worker():
-    server = WorkerServer(processes=1).start()
-    yield server
-    server.stop()
 
 
 # ----------------------------------------------------------------------
@@ -76,16 +75,17 @@ class TestFraming:
             decode_frame(b'{"type": "run", "blob": "' + b"x" * 100 + b'"}\n')
 
     def test_parse_address(self):
-        assert parse_address("10.0.0.5:7341") == ("10.0.0.5", 7341)
-        assert parse_address(("host", 9)) == ("host", 9)
-        with pytest.raises(ValueError, match="bad worker address"):
-            parse_address("host:not-a-port")
+        assert parse_coordinator_address("10.0.0.5:7341") == ("10.0.0.5", 7341)
+        assert parse_coordinator_address(("host", 9)) == ("host", 9)
+        assert parse_coordinator_address("host") == ("host", DEFAULT_PORT)
+        with pytest.raises(ValueError, match="bad coordinator address"):
+            parse_coordinator_address("host:not-a-port")
 
     def test_parse_address_forgives_whitespace(self):
         # "a:1, b:2".split(",") leaves " b:2" — must not become a host
         # literally named " b".
-        assert parse_address(" hostB:7340 ") == ("hostB", 7340)
-        assert parse_address((" hostB ", 7340)) == ("hostB", 7340)
+        assert parse_coordinator_address(" hostB:7350 ") == ("hostB", 7350)
+        assert parse_coordinator_address((" hostB ", 7350)) == ("hostB", 7350)
 
 
 class TestRunSpecWireCodec:
@@ -109,259 +109,94 @@ class TestRunSpecWireCodec:
 
 
 # ----------------------------------------------------------------------
-# Happy-path dispatch.
+# Failure paths behind the coordinator.
 # ----------------------------------------------------------------------
-class TestRemoteExecutor:
-    def test_needs_worker_addresses(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            RemoteExecutor()
-
-    def test_workers_from_environment(self, worker, monkeypatch):
-        # Trailing comma and stray spaces around the separator included:
-        # both appear in real shell-quoted lists and must be forgiven.
-        monkeypatch.setenv(WORKERS_ENV, f" {worker.address_string} ,")
-        results = Sweep(**_grid()).run(executor="remote")
-        assert results.to_stats()["executor"] == "remote"
-        assert len(results) == 4 and results.simulated == 4
-
-    def test_empty_batch_returns_empty(self, worker):
-        executor = RemoteExecutor(workers=[worker.address_string])
-        assert executor.map([]) == []
-
-    def test_on_result_and_telemetry(self, worker):
-        executor = RemoteExecutor(workers=[worker.address_string])
-        specs = Sweep(**_grid()).specs()
-        seen = []
-        results = executor.map(
-            specs, on_result=lambda i, spec, result: seen.append(i)
-        )
-        assert sorted(seen) == list(range(len(specs)))
-        assert [r.seed for r in results] == [s.seed for s in specs]
-        stats = executor.telemetry[worker.address_string]
-        assert stats["dispatched"] == stats["completed"] == len(specs)
-        assert executor.dispatched == executor.completed == len(specs)
-
-    def test_worker_cache_answers_second_batch(self, tmp_path):
-        server = WorkerServer(processes=1, cache_dir=str(tmp_path)).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
-            specs = Sweep(**_grid()).specs()
-            first = executor.map(specs)
-            assert executor.telemetry[server.address_string]["cache_hits"] == 0
-            second = executor.map(specs)
-            hits = executor.telemetry[server.address_string]["cache_hits"]
-            assert hits == len(specs)
-            assert all(result.cached for result in second)
-            for a, b in zip(first, second):
-                assert _comparable(a) == _comparable(b)
-        finally:
-            server.stop()
-
-    def test_multiprocess_worker_matches_serial(self):
-        server = WorkerServer(processes=2).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
-            remote = Sweep(**_grid(range(4))).run(executor=executor)
-            serial = Sweep(**_grid(range(4))).run(executor="serial")
-            for a, b in zip(serial, remote):
-                assert _comparable(a) == _comparable(b)
-        finally:
-            server.stop()
+@pytest.fixture(scope="module")
+def service():
+    coordinator = Coordinator(port=0).start()
+    worker = CoordinatorWorker(coordinator.address, processes=1).start()
+    assert coordinator.wait_for_workers(1, timeout=10)
+    yield coordinator
+    worker.stop()
+    coordinator.stop()
 
 
-# ----------------------------------------------------------------------
-# Failure paths.
-# ----------------------------------------------------------------------
 class TestFailurePaths:
-    def test_worker_killed_mid_grid_is_rescheduled(self):
-        # The acceptance scenario: one of two workers dies after its
-        # third request; the sweep still completes the full 16-point
-        # grid with results bit-identical to serial.
-        dying = WorkerServer(processes=1, fail_after=3).start()
-        healthy = WorkerServer(processes=1).start()
-        executor = RemoteExecutor(
-            workers=[dying.address_string, healthy.address_string]
-        )
-        try:
-            grid = _grid(range(8))
-            remote = Sweep(**grid).run(executor=executor)
-            serial = Sweep(**grid).run(executor="serial")
-            assert len(remote) == 16
-            for a, b in zip(serial, remote):
-                assert _comparable(a) == _comparable(b)
-            killed = executor.telemetry[dying.address_string]
-            survivor = executor.telemetry[healthy.address_string]
-            assert killed["completed"] <= 3
-            assert killed["requeued"] >= 1  # in-flight specs were dropped
-            assert survivor["completed"] >= 13
-            assert killed["completed"] + survivor["completed"] == 16
-        finally:
-            dying.stop()
-            healthy.stop()
-
-    def test_all_workers_dead_raises(self):
-        server = WorkerServer(processes=1).start()
-        address = server.address_string
-        server.stop()  # nobody listening any more
-        executor = RemoteExecutor(
-            workers=[address], connect_attempts=2, reconnect_delay=0.01
-        )
-        with pytest.raises(RuntimeError, match="unreachable"):
-            executor.map(Sweep(**_grid()).specs())
-
-    def test_protocol_version_mismatch_is_a_clean_error(self):
-        server = WorkerServer(processes=1, protocol_version=99).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
-            with pytest.raises(RuntimeError, match="protocol version mismatch"):
-                executor.map(Sweep(**_grid()).specs())
-        finally:
-            server.stop()
-
-    def test_cache_version_mismatch_is_a_clean_error(self):
-        server = WorkerServer(processes=1, cache_version=999).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
-            with pytest.raises(RuntimeError, match="cache version mismatch"):
-                executor.map(Sweep(**_grid()).specs())
-        finally:
-            server.stop()
-
-    def test_worker_rejects_mismatched_client_hello(self, worker):
-        # Speak to the daemon directly with a stale protocol number: the
-        # worker must answer with a typed error frame, not garbage.
-        with socket.create_connection(worker.address, timeout=5) as sock:
-            rfile = sock.makefile("rb")
-            hello = decode_frame(rfile.readline())
-            assert hello["type"] == "hello"
-            assert hello["protocol"] == PROTOCOL_VERSION
-            sock.sendall(encode_frame(
-                {"type": "hello", "protocol": 0, "cache_version": 0}
-            ))
-            reply = decode_frame(rfile.readline())
-            assert reply["type"] == "error"
-            assert "handshake rejected" in reply["message"]
-            assert rfile.readline() == b""  # worker hung up
-
-    def test_corrupt_frame_from_client_drops_connection(self, worker):
-        with socket.create_connection(worker.address, timeout=5) as sock:
-            rfile = sock.makefile("rb")
-            decode_frame(rfile.readline())
-            sock.sendall(encode_frame({
-                "type": "hello",
-                "protocol": PROTOCOL_VERSION,
-                "cache_version": _cache_version(),
-            }))
-            sock.sendall(b'{"type": "run", "id": 1, "spec": \n')  # corrupt
-            reply = decode_frame(rfile.readline())
-            assert reply["type"] == "error"
-            assert "corrupt" in reply["message"]
-            assert rfile.readline() == b""  # connection dropped
+    def test_cache_version_mismatch_is_a_clean_error(self, service):
+        # A worker that would compute different spec digests is refused
+        # at registration instead of polluting the fleet's caches.
+        with pytest.raises(_FatalWorkerError, match="registration rejected"):
+            CoordinatorWorker(service.address, cache_version=999).start()
 
     @pytest.mark.parametrize("betrayal", [
-        pytest.param(b'{"type": "result", "id"', id="truncated-bytes"),
         pytest.param(
-            encode_frame({"type": "result", "id": 1}),  # no "result" key
+            lambda run_id: b'{"type": "result", "id"', id="truncated-bytes",
+        ),
+        pytest.param(
+            lambda run_id: encode_frame({"type": "result", "id": run_id}),
             id="well-formed-json-malformed-payload",
         ),
         pytest.param(
-            encode_frame({"type": "result", "id": 1, "result": "not-a-dict"}),
+            lambda run_id: encode_frame(
+                {"type": "result", "id": run_id, "result": "not-a-dict"}
+            ),
             id="result-payload-wrong-type",
         ),
     ])
-    def test_bad_frame_from_worker_retries_elsewhere(self, worker, betrayal):
-        # An "evil" worker completes the handshake, then answers the
-        # first run request with a broken frame and vanishes.  The
-        # client must drop it — via ProtocolError, never a crashed
-        # thread — and finish the batch on the good worker.
-        ready = threading.Event()
-        evil_port = []
+    def test_bad_frame_from_worker_retries_elsewhere(self, betrayal):
+        # An "evil" worker registers first (so it is leased the first
+        # spec), answers that spec with a broken frame and vanishes.
+        # The coordinator must requeue it and finish the job on the
+        # good worker, bit-identical to serial.
+        coordinator = Coordinator(port=0).start()
+        evil = socket.create_connection(coordinator.address, timeout=30)
+        rfile = evil.makefile("rb")
+        evil.sendall(encode_frame({
+            "type": "register", "protocol": PROTOCOL_VERSION,
+            "cache_version": CACHE_VERSION, "processes": 1, "name": "evil",
+        }))
+        assert _read_frame(rfile)["type"] == "registered"
 
-        def evil_server():
-            listener = socket.create_server(("127.0.0.1", 0))
-            evil_port.append(listener.getsockname()[1])
-            ready.set()
-            conn, _ = listener.accept()
-            listener.close()  # one betrayal only: no reconnects
-            rfile = conn.makefile("rb")
-            conn.sendall(encode_frame({
-                "type": "hello", "protocol": PROTOCOL_VERSION,
-                "cache_version": _cache_version(), "processes": 1,
-            }))
-            rfile.readline()  # client hello
-            rfile.readline()  # first run request (id 1)
-            conn.sendall(betrayal)
-            conn.close()
+        def betray():
+            run = _read_frame(rfile)  # the first leased spec
+            evil.sendall(betrayal(run["id"]))
+            evil.shutdown(socket.SHUT_RDWR)
+            rfile.close()
+            evil.close()
 
-        thread = threading.Thread(target=evil_server, daemon=True)
+        thread = threading.Thread(target=betray, daemon=True)
         thread.start()
-        assert ready.wait(timeout=5)
-        executor = RemoteExecutor(
-            workers=[f"127.0.0.1:{evil_port[0]}", worker.address_string],
-            connect_attempts=2, reconnect_attempts=1, reconnect_delay=0.01,
-        )
-        grid = _grid(range(4))
-        remote = Sweep(**grid).run(executor=executor)
-        serial = Sweep(**grid).run(executor="serial")
-        assert len(remote) == 8
-        for a, b in zip(serial, remote):
-            assert _comparable(a) == _comparable(b)
-        assert executor.telemetry[worker.address_string]["completed"] == 8
+        good = CoordinatorWorker(
+            coordinator.address, processes=1, name="good"
+        ).start()
+        try:
+            assert coordinator.wait_for_workers(2, timeout=10)
+            executor = HttpExecutor(coordinator=coordinator.address)
+            over_http = Sweep(**_grid(range(4))).run(executor=executor)
+        finally:
+            good.stop()
+            coordinator.stop()
         thread.join(timeout=5)
+        assert not thread.is_alive()
+        serial = Sweep(**_grid(range(4))).run(executor="serial")
+        assert [_comparable(r) for r in over_http] == \
+            [_comparable(r) for r in serial]
+        assert coordinator.requeues >= 1
+        (telemetry,) = executor.telemetry.values()
+        assert telemetry["failures"] == 0
+        assert telemetry["completed"] == 8
 
-    def test_deterministically_failing_spec_aborts_batch(self, worker):
-        executor = RemoteExecutor(workers=[worker.address_string])
+    def test_deterministically_failing_spec_aborts_batch(self, service):
+        # A spec that fails on every worker is failed back after the
+        # coordinator's max_attempts, carrying the worker's own error.
+        executor = HttpExecutor(coordinator=service.address)
         good = RunSpec(workload="pi", scale=SCALE, seed=0)
-        bad = RunSpec(workload="pi", scale=SCALE, seed=1)
-        bad.workload = "no-such-workload"  # skip registry validation
-        with pytest.raises(RuntimeError, match="failed 3 times"):
+        bad = RunSpec(
+            workload="pi", scale=SCALE, seed=1,
+            predictors=("no-such-predictor",),
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"1/2 specs failed.*after 3 attempts.*no-such-predictor",
+        ):
             executor.map([good, bad])
-
-
-def _cache_version():
-    from repro.sim.cache import CACHE_VERSION
-
-    return CACHE_VERSION
-
-
-class TestRemoteCLI:
-    def test_sweep_via_workers_flag(self, worker, tmp_path, capsys):
-        from repro.experiments import runner
-
-        stats_path = tmp_path / "stats.json"
-        code = runner.main([
-            "sweep", "--workloads", "pi", "--scales", str(SCALE),
-            "--seeds", "0,1", "--modes", "base",
-            "--executor", "remote", "--workers", worker.address_string,
-            "--cache-dir", "", "--progress",
-            "--stats-json", str(stats_path),
-        ])
-        assert code == 0
-        stats = json.loads(stats_path.read_text())
-        assert stats["specs"] == stats["simulated"] == 2
-        assert stats["cache_hits"] == 0
-        assert stats["executor"] == "remote"
-        err = capsys.readouterr().err
-        assert f"[worker {worker.address_string}]" in err  # telemetry line
-
-    def test_workers_flag_requires_remote_executor(self, worker):
-        from repro.experiments import runner
-
-        with pytest.raises(SystemExit, match="--workers"):
-            runner.main([
-                "sweep", "--workloads", "pi", "--scales", str(SCALE),
-                "--seeds", "0", "--modes", "base", "--cache-dir", "",
-                "--executor", "serial", "--workers", worker.address_string,
-            ])
-
-    def test_remote_without_any_workers_is_a_clean_error(self, monkeypatch):
-        from repro.experiments import runner
-
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        with pytest.raises(SystemExit, match=WORKERS_ENV):
-            runner.main([
-                "sweep", "--workloads", "pi", "--scales", str(SCALE),
-                "--seeds", "0", "--modes", "base", "--cache-dir", "",
-                "--executor", "remote",
-            ])

@@ -3,6 +3,7 @@ store, Session capture/replay, Sweep trace planning, and the shared
 sharded-store helper."""
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from repro.core import PBSConfig
 from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
-from repro.sim import RemoteExecutor, RunSpec, Session, Sweep, WorkerServer
+from repro.serve import Coordinator
+from repro.sim import CoordinatorWorker, HttpExecutor, RunSpec, Session, Sweep
 from repro.storage import ShardedStore, canonical_digest
 from repro.trace import (
     TraceFormatError,
@@ -568,7 +570,7 @@ class TestSessionCaptureReplay:
 # The acceptance grid: a predictor-only sweep, >= 4 predictors x 2
 # seeds on one workload.  With a trace store, each (workload, scale,
 # seed, PBS-config) group must be interpreted exactly once and replayed
-# for every other point — on every executor, including remote — while
+# for every other point — on every executor, including http — while
 # staying bit-identical to the no-trace-store path.
 ACCEPTANCE_GRID = dict(
     workloads=["pi"],
@@ -579,6 +581,27 @@ ACCEPTANCE_GRID = dict(
 )
 ACCEPTANCE_GROUPS = 2 * 2   # seeds x modes
 ACCEPTANCE_POINTS = 2 * 2 * 4  # seeds x modes x predictors
+
+
+@contextmanager
+def _service(**worker_options):
+    """An in-process coordinator with one registered single-process
+    worker; yields the ``http`` executor pointed at it."""
+    coordinator = Coordinator(port=0).start()
+    worker = CoordinatorWorker(
+        coordinator.address, processes=1, **worker_options
+    ).start()
+    try:
+        assert coordinator.wait_for_workers(1, timeout=10)
+        yield HttpExecutor(coordinator=coordinator.address)
+    finally:
+        worker.stop()
+        coordinator.stop()
+
+
+def _coordinator_telemetry(result) -> dict:
+    (telemetry,) = result.to_stats()["workers"].values()
+    return telemetry
 
 
 class TestSweepTracePlanning:
@@ -609,32 +632,24 @@ class TestSweepTracePlanning:
         for plain, shared in zip(baseline, warm):
             assert _normalized(plain) == _normalized(shared)
 
-    def test_remote_executor_reuses_worker_local_store(self, tmp_path, baseline):
-        server = WorkerServer(processes=1, trace_dir=str(tmp_path / "worker")).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+    def test_http_executor_reuses_worker_local_store(self, tmp_path, baseline):
+        with _service(trace_dir=str(tmp_path / "worker")) as executor:
             traced = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=tmp_path / "client-unused"
             ).run(executor=executor)
-            self._check(baseline, traced)
-            telemetry = executor.telemetry[server.address_string]
-            assert telemetry["trace_hits"] > 0
-        finally:
-            server.stop()
-        # Nothing was captured on the client side of the wire.
-        assert not list((tmp_path / "client-unused").glob("??/*.trace"))
+        self._check(baseline, traced)
+        assert len(TraceStore(tmp_path / "worker")) == ACCEPTANCE_GROUPS
+        # Nothing was captured on the client side of the wire, and the
+        # store directory was never even created there.
+        assert not (tmp_path / "client-unused").exists()
 
     def test_worker_without_trace_store_degrades_gracefully(
         self, tmp_path, baseline
     ):
-        server = WorkerServer(processes=1).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+        with _service() as executor:
             traced = Sweep(**ACCEPTANCE_GRID, trace_dir=tmp_path).run(
                 executor=executor
             )
-        finally:
-            server.stop()
         stats = traced.to_stats()
         assert stats["trace_captures"] == 0 and stats["trace_hits"] == 0
         for plain, shared in zip(baseline, traced):
@@ -656,8 +671,9 @@ class TestSweepTracePlanning:
 
 
 class TestWireTraceStreaming:
-    """Protocol v2: a coordinator streams traces it holds locally to a
-    cold worker, which verifies, stores and replays them."""
+    """Protocol v2: the coordinator streams traces it can read from the
+    submitter's store to a cold worker, which verifies, stores and
+    replays them."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -677,35 +693,29 @@ class TestWireTraceStreaming:
         self, tmp_path, baseline, warm_client_store
     ):
         # The acceptance criterion: a cold worker (empty --trace-dir)
-        # must serve *replay* specs after one wire stream per trace,
-        # asserted via trace_hits in the worker telemetry.
+        # must serve *replay* specs after one wire stream per trace.
         worker_dir = tmp_path / "worker-traces"
-        server = WorkerServer(processes=1, trace_dir=str(worker_dir)).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+        with _service(trace_dir=str(worker_dir)) as executor:
             streamed = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=warm_client_store
             ).run(executor=executor)
-            telemetry = streamed.to_stats()["workers"][server.address_string]
+            stats = streamed.to_stats()
+            assert stats["trace_hits"] == ACCEPTANCE_POINTS, stats
+            assert stats["trace_captures"] == 0, stats
+            telemetry = _coordinator_telemetry(streamed)
             assert telemetry["trace_streams"] == ACCEPTANCE_GROUPS, telemetry
             assert telemetry["trace_stream_bytes"] > 0
-            assert telemetry["trace_hits"] == ACCEPTANCE_POINTS, telemetry
-            assert telemetry["trace_captures"] == 0, telemetry
             for plain, shared in zip(baseline, streamed):
                 assert _normalized(plain) == _normalized(shared)
             # The streamed traces are digest-verified, manifest-indexed
             # worker property now: a second sweep replays without a
             # single new stream.
-            worker_store = TraceStore(worker_dir)
-            assert len(worker_store) == ACCEPTANCE_GROUPS
+            assert len(TraceStore(worker_dir)) == ACCEPTANCE_GROUPS
             again = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=warm_client_store
             ).run(executor=executor)
-            telemetry = again.to_stats()["workers"][server.address_string]
-            assert telemetry["trace_streams"] == 0, telemetry
-            assert telemetry["trace_hits"] == ACCEPTANCE_POINTS, telemetry
-        finally:
-            server.stop()
+            assert _coordinator_telemetry(again)["trace_streams"] == 0
+            assert again.to_stats()["trace_hits"] == ACCEPTANCE_POINTS
 
     def test_corrupt_stream_is_rejected_and_interpreted(
         self, tmp_path, baseline, warm_client_store, monkeypatch
@@ -714,72 +724,56 @@ class TestWireTraceStreaming:
         # the worker store; the parked specs interpret locally instead.
         import base64
 
-        from repro.sim.remote import _WorkerClient, encode_frame
-
-        def corrupt_stream(self, wfile, digest, path):
-            wfile.write(encode_frame({
+        async def corrupt_stream(self, writer, digest, path):
+            await self._send_frame(writer, {
                 "type": "trace_data", "digest": digest,
                 "data": base64.b64encode(b"junk").decode("ascii"),
-            }))
-            wfile.write(encode_frame({
+            })
+            await self._send_frame(writer, {
                 "type": "trace_end", "digest": digest,
                 "sha256": "0" * 64, "bytes": 4,
-            }))
-            wfile.flush()
-            self.stats["trace_streams"] += 1
+            })
+            return 4
 
-        monkeypatch.setattr(_WorkerClient, "_stream_trace", corrupt_stream)
+        monkeypatch.setattr(Coordinator, "_stream_trace", corrupt_stream)
         worker_dir = tmp_path / "worker-traces"
-        server = WorkerServer(processes=1, trace_dir=str(worker_dir)).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+        with _service(trace_dir=str(worker_dir)) as executor:
             result = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=warm_client_store
             ).run(executor=executor)
-            telemetry = result.to_stats()["workers"][server.address_string]
-            # Streams were attempted, rejected, and the leaders fell
-            # back to interpret + capture on the worker.
-            assert telemetry["trace_streams"] == ACCEPTANCE_GROUPS, telemetry
-            assert telemetry["trace_captures"] == ACCEPTANCE_GROUPS, telemetry
-            for plain, shared in zip(baseline, result):
-                assert _normalized(plain) == _normalized(shared)
-            # No half-received junk in the store: only the worker's own
-            # (valid) captures.
-            for digest in TraceStore(worker_dir).digests():
-                assert TraceStore(worker_dir).open(digest) is not None
-            assert not list(worker_dir.glob("??/.*.tmp"))
-        finally:
-            server.stop()
+        # Streams were attempted, rejected, and the leaders fell back
+        # to interpret + capture on the worker.
+        assert _coordinator_telemetry(result)["trace_streams"] == ACCEPTANCE_GROUPS
+        assert result.to_stats()["trace_captures"] == ACCEPTANCE_GROUPS
+        for plain, shared in zip(baseline, result):
+            assert _normalized(plain) == _normalized(shared)
+        # No half-received junk in the store: only the worker's own
+        # (valid) captures.
+        for digest in TraceStore(worker_dir).digests():
+            assert TraceStore(worker_dir).open(digest) is not None
+        assert not list(worker_dir.glob("??/.*.tmp"))
 
     def test_stale_offer_degrades_to_unavailable(
         self, tmp_path, baseline, warm_client_store, monkeypatch
     ):
-        # The offer/want race: the client offered a trace it can no
-        # longer serve.  The worker must run the spec regardless.
-        from repro.sim.remote import _WorkerClient, encode_frame
-
-        def stale_stream(self, wfile, digest, path):
-            wfile.write(encode_frame({
+        # The offer/want race: the coordinator offered a trace it can
+        # no longer serve.  The worker must run the spec regardless.
+        async def stale_stream(self, writer, digest, path):
+            await self._send_frame(writer, {
                 "type": "trace_unavailable", "digest": digest,
-            }))
-            wfile.flush()
+            })
 
-        monkeypatch.setattr(_WorkerClient, "_stream_trace", stale_stream)
-        server = WorkerServer(
-            processes=1, trace_dir=str(tmp_path / "worker-traces")
-        ).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+        monkeypatch.setattr(Coordinator, "_stream_trace", stale_stream)
+        with _service(trace_dir=str(tmp_path / "worker-traces")) as executor:
             result = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=warm_client_store
             ).run(executor=executor)
-            telemetry = result.to_stats()["workers"][server.address_string]
-            assert telemetry["trace_captures"] == ACCEPTANCE_GROUPS, telemetry
-            assert telemetry["completed"] == ACCEPTANCE_POINTS, telemetry
-            for plain, shared in zip(baseline, result):
-                assert _normalized(plain) == _normalized(shared)
-        finally:
-            server.stop()
+        telemetry = _coordinator_telemetry(result)
+        assert telemetry["trace_streams"] == 0, telemetry
+        assert telemetry["completed"] == ACCEPTANCE_POINTS, telemetry
+        assert result.to_stats()["trace_captures"] == ACCEPTANCE_GROUPS
+        for plain, shared in zip(baseline, result):
+            assert _normalized(plain) == _normalized(shared)
 
     def test_worker_trace_budget_keeps_store_bounded(
         self, tmp_path, baseline, warm_client_store
@@ -787,36 +781,23 @@ class TestWireTraceStreaming:
         # A worker with a 1-byte budget evicts every trace the moment
         # it lands — results stay correct, disk stays bounded.
         worker_dir = tmp_path / "worker-traces"
-        server = WorkerServer(
-            processes=1, trace_dir=str(worker_dir), trace_max_bytes=1,
-        ).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+        with _service(trace_dir=str(worker_dir), trace_max_bytes=1) as executor:
             result = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=warm_client_store
             ).run(executor=executor)
-            for plain, shared in zip(baseline, result):
-                assert _normalized(plain) == _normalized(shared)
-        finally:
-            server.stop()
+        for plain, shared in zip(baseline, result):
+            assert _normalized(plain) == _normalized(shared)
         assert TraceStore(worker_dir).total_bytes() <= 1
 
     def test_cold_client_never_offers(self, tmp_path, baseline):
-        # No client-side store on disk -> no stream offers, and (as
-        # before v2) the worker interprets leaders itself.
-        server = WorkerServer(
-            processes=1, trace_dir=str(tmp_path / "worker-traces")
-        ).start()
-        try:
-            executor = RemoteExecutor(workers=[server.address_string])
+        # No client-side store on disk -> no stream offers, and the
+        # worker interprets leaders itself.
+        with _service(trace_dir=str(tmp_path / "worker-traces")) as executor:
             result = Sweep(
                 **ACCEPTANCE_GRID, trace_dir=tmp_path / "client-never-made"
             ).run(executor=executor)
-            telemetry = result.to_stats()["workers"][server.address_string]
-            assert telemetry["trace_streams"] == 0, telemetry
-            assert telemetry["trace_captures"] == ACCEPTANCE_GROUPS, telemetry
-            assert telemetry["trace_hits"] == (
-                ACCEPTANCE_POINTS - ACCEPTANCE_GROUPS
-            ), telemetry
-        finally:
-            server.stop()
+        stats = result.to_stats()
+        assert _coordinator_telemetry(result)["trace_streams"] == 0
+        assert stats["trace_captures"] == ACCEPTANCE_GROUPS, stats
+        assert stats["trace_hits"] == ACCEPTANCE_POINTS - ACCEPTANCE_GROUPS, stats
+        assert not (tmp_path / "client-never-made").exists()
