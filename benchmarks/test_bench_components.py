@@ -220,6 +220,35 @@ def test_bench_tagescl_prediction(benchmark):
     benchmark(run)
 
 
+def test_bench_tagescl_with_harness(benchmark):
+    """The same 20k-branch stream fed as 1024-row batches through a
+    TAGE-SC-L harness: the batch kernel path every MPKI run takes (the
+    benchmark above times the per-branch reference path)."""
+    from repro.branch import PredictorHarness
+    from repro.functional.trace import EventBatch, TraceEvent
+    from repro.isa import Op, OpClass
+
+    rng = random.Random(3)
+    stream = [(rng.randrange(64) * 2, rng.random() < 0.6) for _ in range(20_000)]
+    events = [
+        TraceEvent(pc, Op.BLT, OpClass.BRANCH, -1, (1, 2), is_cond_branch=True,
+                   taken=taken, target=0, next_pc=0 if taken else pc + 1)
+        for pc, taken in stream
+    ]
+    batches = [
+        EventBatch.from_events(events[start:start + 1024])
+        for start in range(0, len(events), 1024)
+    ]
+
+    def run():
+        harness = PredictorHarness(TageSCL())
+        for batch in batches:
+            harness.consume_batch(batch)
+        return harness.stats.regular_branches
+
+    assert benchmark(run) == len(stream)
+
+
 def test_bench_pbs_transactions(benchmark):
     rng = random.Random(5)
     values = [rng.random() for _ in range(20_000)]

@@ -1,14 +1,23 @@
 """Branch predictor interface.
 
-All predictors are trace-driven: the harness calls :meth:`predict` followed
-immediately by :meth:`update` with the actual outcome, one conditional
-branch at a time, in program order.  Predictors may keep private state
-between the two calls (TAGE stores the provider component, for instance).
+All predictors are trace-driven.  The reference contract is per branch:
+:meth:`predict` followed immediately by :meth:`update` with the actual
+outcome, one conditional branch at a time, in program order, with
+:meth:`insert_history` for directions that only shift history.
+Predictors may keep private state between the two calls (TAGE stores
+the provider component, for instance).
+
+The harness drives predictors through one batch entry point instead,
+:meth:`BranchPredictor.predict_update_batch`: a batch's branch
+operations in order, one call.  The default runs the reference
+per-branch sequence; a predictor may override it with a fused kernel
+that must give the same predictions and leave the same state.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import List, Sequence
 
 
 class BranchPredictor(abc.ABC):
@@ -16,16 +25,6 @@ class BranchPredictor(abc.ABC):
 
     #: Perfect predictors short-circuit the harness (never mispredict).
     perfect = False
-
-    #: Vectorized-update opt-in for the columnar harness path.  A
-    #: predictor whose prediction is a constant independent of pc and
-    #: history *and* whose ``update``/``insert_history`` are no-ops may
-    #: declare that constant here; :meth:`PredictorHarness.consume_batch`
-    #: then tallies its mispredicts arithmetically over the batch columns
-    #: instead of calling ``predict``/``update`` per branch.  Stateful
-    #: (serial) predictors such as the TAGE family leave this ``None``
-    #: and get the allocation-free array walk instead.
-    static_prediction = None
 
     @property
     @abc.abstractmethod
@@ -55,6 +54,31 @@ class BranchPredictor(abc.ABC):
         their history signal (measured: a 4x misprediction inflation on
         bandit's argmax scan under TAGE).  Default: no history, no-op.
         """
+
+    def predict_update_batch(
+        self, pcs: Sequence[int], takens: Sequence[bool], trains: Sequence[bool]
+    ) -> List[bool]:
+        """Run a batch of branch operations in order; one prediction per
+        training op.
+
+        Op ``j`` is a predict-then-update of the branch at ``pcs[j]``
+        with outcome ``takens[j]`` when ``trains[j]`` is true, and an
+        :meth:`insert_history` of that direction otherwise.  This
+        default is the reference sequence; an override must return the
+        same predictions and leave the same state.
+        """
+        predict = self.predict
+        update = self.update
+        insert_history = self.insert_history
+        predictions = []
+        record = predictions.append
+        for pc, taken, train in zip(pcs, takens, trains):
+            if train:
+                record(predict(pc))
+                update(pc, taken)
+            else:
+                insert_history(pc, taken)
+        return predictions
 
     def storage_bytes(self) -> float:
         return self.storage_bits() / 8.0

@@ -115,27 +115,23 @@ class PredictorHarness:
     def consume_batch(self, batch, mispredicted=None) -> None:
         """Classify every conditional-branch row of an :class:`EventBatch`.
 
-        Walks the batch's parallel arrays directly with all hot lookups
-        hoisted out of the loop; only conditional-branch rows are
-        visited (``conds.index(True, i)`` is a C-level scan).  When
-        ``mispredicted`` is a list, the row index of every mispredicted
-        branch is appended to it, in order.
+        One walk over the conditional rows (``conds.index(True, i)`` is
+        a C-level scan) classifies each row and appends the predictor op
+        it implies: a predict-then-update for a predicted branch, a
+        history insert for a PBS hit.  One
+        :meth:`~repro.branch.base.BranchPredictor.predict_update_batch`
+        call then runs the ops in order, and its predictions are
+        tallied.  When ``mispredicted`` is a list, the row index of
+        every mispredicted branch is appended to it, in row order.
         """
         stats = self.stats
         conds = batch.conds
-        n = len(conds)
-        stats.instructions += n
+        stats.instructions += len(conds)
 
-        predictor = self.predictor
-        perfect = predictor.perfect
+        perfect = self.predictor.perfect
         filter_prob = self.filter_probabilistic
         inserts = self.pbs_inserts_history
         oracle = self.oracle_pcs
-        static_prediction = None if perfect else predictor.static_prediction
-        predict = predictor.predict
-        update = predictor.update
-        insert_history = predictor.insert_history
-        record = (mispredicted if mispredicted is not None else []).append
         pcs = batch.pcs
         takens = batch.takens
         prob_modes = batch.prob_modes
@@ -143,10 +139,15 @@ class PredictorHarness:
         PBS_HIT = ProbMode.PBS_HIT
         PREDICTED = ProbMode.PREDICTED
 
+        op_pcs = []
+        op_takens = []
+        op_trains = []
+        trained_rows = []
+        # Filtered probabilistic rows that miss the static prediction.
+        static_misses = []
+
         regular_branches = 0
-        regular_mispredicts = 0
         prob_branches = 0
-        prob_mispredicts = 0
         pbs_hits = 0
 
         i = 0
@@ -156,14 +157,15 @@ class PredictorHarness:
             except ValueError:
                 break
             prob_mode = prob_modes[i]
-            taken = takens[i]
             if prob_mode == PBS_HIT:
                 # PBS supplies the direction at fetch: the predictor is
                 # neither probed nor updated, and no misprediction is
                 # possible.
                 pbs_hits += 1
                 if inserts:
-                    insert_history(pcs[i], taken)
+                    op_pcs.append(pcs[i])
+                    op_takens.append(takens[i])
+                    op_trains.append(False)
             elif oracle and pcs[i] in oracle:
                 # CFD branch-on-queue: the predicate is waiting at fetch.
                 regular_branches += 1
@@ -171,34 +173,38 @@ class PredictorHarness:
                 # Figure 9 experiment: keep probabilistic branches out of
                 # the predictor; charge them a static not-taken prediction.
                 prob_branches += 1
-                if taken:
-                    prob_mispredicts += 1
-                    record(i)
-            elif perfect:
-                if prob_mode == PREDICTED:
-                    prob_branches += 1
-                else:
-                    regular_branches += 1
+                if takens[i]:
+                    static_misses.append(i)
             else:
-                if static_prediction is None:
-                    prediction = predict(pcs[i])
-                    update(pcs[i], taken)
-                else:
-                    # Vectorized-update kernel: the predictor declared a
-                    # constant prediction and a no-op update, so the
-                    # table calls fold away entirely.
-                    prediction = static_prediction
                 if prob_mode == PREDICTED:
                     prob_branches += 1
-                    if prediction != taken:
-                        prob_mispredicts += 1
-                        record(i)
                 else:
                     regular_branches += 1
-                    if prediction != taken:
-                        regular_mispredicts += 1
-                        record(i)
+                if not perfect:
+                    op_pcs.append(pcs[i])
+                    op_takens.append(takens[i])
+                    op_trains.append(True)
+                    trained_rows.append(i)
             i += 1
+
+        predictions = (
+            self.predictor.predict_update_batch(op_pcs, op_takens, op_trains)
+            if op_pcs else []
+        )
+        trained_misses = [
+            row
+            for row, prediction in zip(trained_rows, predictions)
+            if prediction != takens[row]
+        ]
+        regular_mispredicts = 0
+        prob_mispredicts = len(static_misses)
+        for row in trained_misses:
+            if prob_modes[row] == PREDICTED:
+                prob_mispredicts += 1
+            else:
+                regular_mispredicts += 1
+        if mispredicted is not None:
+            mispredicted.extend(sorted(static_misses + trained_misses))
 
         stats.regular_branches += regular_branches
         stats.regular_mispredicts += regular_mispredicts

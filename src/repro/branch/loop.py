@@ -12,18 +12,6 @@ from __future__ import annotations
 from .base import BranchPredictor
 
 
-class _LoopEntry:
-    __slots__ = ("tag", "past_count", "current_count", "confidence", "age", "direction")
-
-    def __init__(self):
-        self.tag = -1
-        self.past_count = 0
-        self.current_count = 0
-        self.confidence = 0
-        self.age = 0
-        self.direction = True  # the "body" direction (usually taken)
-
-
 class LoopPredictor(BranchPredictor):
     """Tagged loop-termination predictor.
 
@@ -46,74 +34,82 @@ class LoopPredictor(BranchPredictor):
         self.tag_bits = tag_bits
         self.count_bits = count_bits
         self._max_count = (1 << count_bits) - 1
-        self.table = [_LoopEntry() for _ in range(entries)]
         self._mask = entries - 1
+        self._tag_shift = entries.bit_length() - 1
         self._tag_mask = (1 << tag_bits) - 1
-        self._last_hit = False
+        self._clear()
+
+    def _clear(self) -> None:
+        # One entry per index, as parallel lists: ``tag`` (-1 = invalid),
+        # the trip counts, a 2-bit ``confidence`` and replacement ``age``,
+        # and the loop body's ``direction`` (usually taken).
+        entries = self.entries
+        self.tag = [-1] * entries
+        self.past_count = [0] * entries
+        self.current_count = [0] * entries
+        self.confidence = [0] * entries
+        self.age = [0] * entries
+        self.direction = [True] * entries
 
     @property
     def name(self) -> str:
         return f"loop-{self.entries}"
 
-    def _entry(self, pc: int) -> "_LoopEntry":
-        return self.table[pc & self._mask]
-
     def _tag(self, pc: int) -> int:
-        return (pc >> (self.entries.bit_length() - 1)) & self._tag_mask
+        return (pc >> self._tag_shift) & self._tag_mask
 
     def hit(self, pc: int) -> bool:
         """Whether this branch has a confident loop entry."""
-        entry = self._entry(pc)
+        index = pc & self._mask
         return (
-            entry.tag == self._tag(pc)
-            and entry.confidence >= self.MAX_CONFIDENCE
-            and entry.past_count > 0
+            self.tag[index] == self._tag(pc)
+            and self.confidence[index] >= self.MAX_CONFIDENCE
+            and self.past_count[index] > 0
         )
 
     def predict(self, pc: int) -> bool:
-        entry = self._entry(pc)
-        if entry.tag != self._tag(pc) or entry.past_count == 0:
-            self._last_hit = False
+        index = pc & self._mask
+        past_count = self.past_count[index]
+        if self.tag[index] != self._tag(pc) or past_count == 0:
             return True
-        self._last_hit = entry.confidence >= self.MAX_CONFIDENCE
         # past_count body iterations precede the exit, so the exit is the
         # iteration at which current_count has already reached past_count.
-        if entry.current_count >= entry.past_count:
-            return not entry.direction  # the exit iteration
-        return entry.direction
+        if self.current_count[index] >= past_count:
+            return not self.direction[index]  # the exit iteration
+        return self.direction[index]
 
     def update(self, pc: int, taken: bool) -> None:
-        entry = self._entry(pc)
+        index = pc & self._mask
         tag = self._tag(pc)
-        if entry.tag != tag:
+        if self.tag[index] != tag:
             # Allocate on a taken branch (candidate loop-closing branch).
             if taken:
-                if entry.age > 0:
-                    entry.age -= 1
+                if self.age[index] > 0:
+                    self.age[index] -= 1
                     return
-                entry.tag = tag
-                entry.past_count = 0
-                entry.current_count = 1
-                entry.confidence = 0
-                entry.age = 3
-                entry.direction = True
+                self.tag[index] = tag
+                self.past_count[index] = 0
+                self.current_count[index] = 1
+                self.confidence[index] = 0
+                self.age[index] = 3
+                self.direction[index] = True
             return
 
-        if taken == entry.direction:
-            entry.current_count += 1
-            if entry.current_count > self._max_count:
+        if taken == self.direction[index]:
+            self.current_count[index] += 1
+            if self.current_count[index] > self._max_count:
                 # Loop too long to track: give the entry up.
-                entry.tag = -1
+                self.tag[index] = -1
         else:
             # The loop exited; compare with the recorded trip count.
-            if entry.past_count == entry.current_count:
-                if entry.confidence < self.MAX_CONFIDENCE:
-                    entry.confidence += 1
+            if self.past_count[index] == self.current_count[index]:
+                if self.confidence[index] < self.MAX_CONFIDENCE:
+                    self.confidence[index] += 1
             else:
-                entry.past_count = entry.current_count
-                entry.confidence = 0
-            entry.current_count = 0
-            entry.age = 3
+                self.past_count[index] = self.current_count[index]
+                self.confidence[index] = 0
+            self.current_count[index] = 0
+            self.age[index] = 3
 
     def storage_bits(self) -> int:
         per_entry = (
@@ -126,4 +122,4 @@ class LoopPredictor(BranchPredictor):
         return self.entries * per_entry
 
     def reset(self) -> None:
-        self.table = [_LoopEntry() for _ in range(self.entries)]
+        self._clear()

@@ -12,7 +12,6 @@ from .base import BranchPredictor, saturating_update
 
 class AlwaysTaken(BranchPredictor):
     name = "always-taken"
-    static_prediction = True
 
     def predict(self, pc: int) -> bool:
         return True
@@ -29,7 +28,6 @@ class AlwaysTaken(BranchPredictor):
 
 class AlwaysNotTaken(BranchPredictor):
     name = "always-not-taken"
-    static_prediction = False
 
     def predict(self, pc: int) -> bool:
         return False

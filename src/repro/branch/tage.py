@@ -26,15 +26,6 @@ from .simple import Bimodal
 DEFAULT_HISTORY_LENGTHS = (2, 4, 8, 16, 32, 64)
 
 
-class _TaggedEntry:
-    __slots__ = ("ctr", "tag", "useful")
-
-    def __init__(self):
-        self.ctr = 0       # signed 3-bit counter in [-4, 3]; taken if >= 0
-        self.tag = 0
-        self.useful = 0    # 2-bit usefulness
-
-
 class Tage(BranchPredictor):
     """The TAGE predictor proper (no loop predictor, no corrector)."""
 
@@ -58,9 +49,19 @@ class Tage(BranchPredictor):
         self._index_bits = table_entries.bit_length() - 1
         self._index_mask = table_entries - 1
         self._tag_mask = (1 << tag_bits) - 1
-        self.tables: List[List[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(table_entries)]
-            for _ in range(self.num_tables)
+        # Tagged tables as parallel int lists, one list per table:
+        # ``ctr`` a signed 3-bit counter in [-4, 3] (taken if >= 0),
+        # ``tag`` the partial tag and ``useful`` a 2-bit usefulness.
+        self.ctr: List[List[int]] = self._zeros()
+        self.tag: List[List[int]] = self._zeros()
+        self.useful: List[List[int]] = self._zeros()
+        # Per-table constants of the index hash.
+        self._pc_shifts = [
+            self._index_bits - table % self._index_bits or 1
+            for table in range(self.num_tables)
+        ]
+        self._length_bits = [
+            length & self._index_mask for length in self.history_lengths
         ]
         self._fold_index = [
             FoldedHistory(length, self._index_bits)
@@ -85,14 +86,16 @@ class Tage(BranchPredictor):
     def name(self) -> str:
         return f"tage-{self.num_tables}x{self.table_entries}"
 
+    def _zeros(self) -> List[List[int]]:
+        return [[0] * self.table_entries for _ in range(self.num_tables)]
+
     # ------------------------------------------------------------------
     def _index(self, pc: int, table: int) -> int:
-        length = self.history_lengths[table]
         return (
             pc
-            ^ (pc >> (self._index_bits - table % self._index_bits or 1))
+            ^ (pc >> self._pc_shifts[table])
             ^ self._fold_index[table].comp
-            ^ (length & self._index_mask)
+            ^ self._length_bits[table]
         ) & self._index_mask
 
     def _tag(self, pc: int, table: int) -> int:
@@ -115,7 +118,7 @@ class Tage(BranchPredictor):
         provider = -1
         alt = -1
         for table in range(self.num_tables - 1, -1, -1):
-            if self.tables[table][indices[table]].tag == tags[table]:
+            if self.tag[table][indices[table]] == tags[table]:
                 if provider < 0:
                     provider = table
                 elif alt < 0:
@@ -124,14 +127,16 @@ class Tage(BranchPredictor):
 
         base_pred = self.base.predict(pc)
         if provider >= 0:
-            entry = self.tables[provider][indices[provider]]
-            provider_pred = entry.ctr >= 0
+            ctr = self.ctr[provider][indices[provider]]
+            provider_pred = ctr >= 0
             alt_pred = (
-                self.tables[alt][indices[alt]].ctr >= 0 if alt >= 0 else base_pred
+                self.ctr[alt][indices[alt]] >= 0 if alt >= 0 else base_pred
             )
             # Newly allocated entries (weak counter, not yet useful) are
             # unreliable; optionally trust the alternate prediction.
-            newly_allocated = entry.useful == 0 and entry.ctr in (-1, 0)
+            newly_allocated = (
+                self.useful[provider][indices[provider]] == 0 and ctr in (-1, 0)
+            )
             if newly_allocated and self.use_alt_on_na >= 8:
                 prediction = alt_pred
             else:
@@ -161,22 +166,26 @@ class Tage(BranchPredictor):
                 start += 1
             allocated = False
             for table in range(start, self.num_tables):
-                entry = self.tables[table][indices[table]]
-                if entry.useful == 0:
-                    entry.tag = tags[table]
-                    entry.ctr = 0 if taken else -1
+                index = indices[table]
+                if self.useful[table][index] == 0:
+                    self.tag[table][index] = tags[table]
+                    self.ctr[table][index] = 0 if taken else -1
                     allocated = True
                     break
             if not allocated:
                 for table in range(start, self.num_tables):
-                    entry = self.tables[table][indices[table]]
-                    if entry.useful > 0:
-                        entry.useful -= 1
+                    useful = self.useful[table]
+                    index = indices[table]
+                    if useful[index] > 0:
+                        useful[index] -= 1
 
         if provider >= 0:
-            entry = self.tables[provider][indices[provider]]
+            index = indices[provider]
+            ctrs = self.ctr[provider]
+            useful = self.useful[provider]
+            ctr = ctrs[index]
             # Track whether trusting the alternate over new entries pays off.
-            newly_allocated = entry.useful == 0 and entry.ctr in (-1, 0)
+            newly_allocated = useful[index] == 0 and ctr in (-1, 0)
             if newly_allocated and provider_pred != alt_pred:
                 if alt_pred == taken:
                     if self.use_alt_on_na < 15:
@@ -185,18 +194,18 @@ class Tage(BranchPredictor):
                     self.use_alt_on_na -= 1
 
             if taken:
-                if entry.ctr < self.CTR_MAX:
-                    entry.ctr += 1
+                if ctr < self.CTR_MAX:
+                    ctrs[index] = ctr + 1
             else:
-                if entry.ctr > self.CTR_MIN:
-                    entry.ctr -= 1
+                if ctr > self.CTR_MIN:
+                    ctrs[index] = ctr - 1
 
             if provider_pred != alt_pred:
                 if provider_pred == taken:
-                    if entry.useful < 3:
-                        entry.useful += 1
-                elif entry.useful > 0:
-                    entry.useful -= 1
+                    if useful[index] < 3:
+                        useful[index] += 1
+                elif useful[index] > 0:
+                    useful[index] -= 1
 
             # Keep the base predictor warm when it served as the alternate.
             if alt < 0:
@@ -208,11 +217,15 @@ class Tage(BranchPredictor):
         self._tick += 1
         if self._tick >= self.useful_reset_period:
             self._tick = 0
-            for table in self.tables:
-                for entry in table:
-                    entry.useful >>= 1
+            self.age_useful()
 
         self._update_history(taken)
+
+    def age_useful(self) -> None:
+        """Halve every usefulness counter (in place: the batch kernel
+        holds references to the per-table lists)."""
+        for useful in self.useful:
+            useful[:] = [u >> 1 for u in useful]
 
     def insert_history(self, pc: int, taken: bool) -> None:
         # Drop any stale prediction context: the tagged-table indices it
@@ -239,11 +252,9 @@ class Tage(BranchPredictor):
 
     def reset(self) -> None:
         self.base.reset()
-        for table in self.tables:
-            for entry in table:
-                entry.ctr = 0
-                entry.tag = 0
-                entry.useful = 0
+        self.ctr = self._zeros()
+        self.tag = self._zeros()
+        self.useful = self._zeros()
         for fold in self._fold_index + self._fold_tag0 + self._fold_tag1:
             fold.reset()
         self._history = 0

@@ -42,7 +42,7 @@ class Tournament(BranchPredictor):
         self.loop = LoopPredictor(entries=loop_entries)
         self.chooser = [2] * chooser_entries
         self._chooser_mask = chooser_entries - 1
-        self._last: tuple = (False, False, False, False)
+        self._last: tuple = (False, False)
 
     @property
     def name(self) -> str:
@@ -51,16 +51,14 @@ class Tournament(BranchPredictor):
     def predict(self, pc: int) -> bool:
         bimodal_pred = self.bimodal.predict(pc)
         global_pred = self.gshare.predict(pc)
-        loop_hit = self.loop.hit(pc)
-        loop_pred = self.loop.predict(pc) if loop_hit else False
-        self._last = (bimodal_pred, global_pred, loop_hit, loop_pred)
-        if loop_hit:
-            return loop_pred
+        self._last = (bimodal_pred, global_pred)
+        if self.loop.hit(pc):
+            return self.loop.predict(pc)
         use_global = self.chooser[pc & self._chooser_mask] >= 2
         return global_pred if use_global else bimodal_pred
 
     def update(self, pc: int, taken: bool) -> None:
-        bimodal_pred, global_pred, _loop_hit, _loop_pred = self._last
+        bimodal_pred, global_pred = self._last
         # Train the chooser only when the components disagree.
         if bimodal_pred != global_pred:
             index = pc & self._chooser_mask

@@ -16,6 +16,7 @@ from repro.branch import (
     TwoLevelLocal,
     saturating_update,
 )
+from repro.branch.folded import FoldBank
 
 
 class TestSaturatingCounter:
@@ -146,6 +147,45 @@ class TestFoldedHistory:
         fold.update(1, 1)
         fold.reset()
         assert fold.comp == 0
+
+
+class TestFoldBank:
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 80), st.integers(1, 12)),
+            min_size=1, max_size=12,
+        ),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_advance_matches_every_fold(self, pairs, seed):
+        bank = FoldBank(pairs)
+        folds = [FoldedHistory(length, width) for length, width in pairs]
+        rng = random.Random(seed)
+        history = 0
+        # Start mid-stream: pack must pick the registers up anywhere.
+        for step in range(2 * 82):
+            bit = rng.getrandbits(1)
+            history = (history << 1) | bit
+            for fold in folds:
+                fold.update(history, bit)
+            if step == 81:
+                comp, window = bank.pack(history, {
+                    (fold.original_length, fold.compressed_length): fold.comp
+                    for fold in folds
+                })
+            elif step > 81:
+                comp, window = bank.advance(comp, window, bit)
+                for fold in folds:
+                    pair = (fold.original_length, fold.compressed_length)
+                    assert bank.field(comp, pair) == fold.comp
+
+    def test_equal_pairs_share_one_field(self):
+        assert FoldBank([(16, 8), (4, 9), (16, 8)]).fields == [(16, 8), (4, 9)]
+
+    def test_rejects_bad_lengths(self):
+        with pytest.raises(ValueError):
+            FoldBank([(0, 4)])
 
 
 class TestLoopPredictor:

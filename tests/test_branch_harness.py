@@ -79,7 +79,6 @@ class TestHarnessCounting:
 class TestPbsBypass:
     def test_pbs_hits_never_touch_predictor(self):
         class Boom(AlwaysTaken):
-            static_prediction = None  # overridden predict: not a constant kernel
 
             def predict(self, pc):
                 raise AssertionError("predictor consulted for a PBS hit")
@@ -108,7 +107,6 @@ class TestFiltering:
         calls = []
 
         class Spy(AlwaysTaken):
-            static_prediction = None  # overridden update: not a constant kernel
 
             def update(self, pc, taken):
                 calls.append(pc)
@@ -167,13 +165,24 @@ class TestMispredictedRows:
         measure(events, AlwaysTaken(), rows, filter_probabilistic=True)
         assert rows == [0]
 
+    def test_filtered_and_predicted_rows_interleave_in_row_order(self):
+        events = [
+            branch_event(10, False),                     # row 0: predicted miss
+            branch_event(20, True, ProbMode.PREDICTED),  # row 1: static miss
+            branch_event(30, False),                     # row 2: predicted miss
+            branch_event(40, True, ProbMode.PREDICTED),  # row 3: static miss
+        ]
+        rows = []
+        stats = measure(events, AlwaysTaken(), rows, filter_probabilistic=True)
+        assert rows == [0, 1, 2, 3]
+        assert (stats.regular_mispredicts, stats.prob_mispredicts) == (2, 2)
+
 
 class TestOraclePcs:
     """Control-flow decoupling's branch-on-queue (the CFD ablation)."""
 
     def test_queue_branches_count_as_regular_and_never_miss(self):
         class Boom(AlwaysTaken):
-            static_prediction = None  # overridden predict: not a constant kernel
 
             def predict(self, pc):
                 assert pc != 10, "predictor consulted for a queue branch"

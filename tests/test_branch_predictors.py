@@ -126,9 +126,10 @@ class TestTageInternals:
         predictor.reset()
         assert predictor._history == 0
         assert all(
-            entry.ctr == 0 and entry.tag == 0 and entry.useful == 0
-            for table in predictor.tables
-            for entry in table
+            value == 0
+            for field in (predictor.ctr, predictor.tag, predictor.useful)
+            for table in field
+            for value in table
         )
 
     def test_lfsr_is_deterministic(self):

@@ -141,7 +141,6 @@ class TestFiltering:
         trained = []
 
         class Spy(AlwaysTaken):
-            static_prediction = None  # overridden update: not a constant kernel
 
             def update(self, pc, taken):
                 trained.append(pc)
