@@ -137,24 +137,6 @@ def test_bench_compiled_executor_with_harness(benchmark):
     assert benchmark(run) > 40_000
 
 
-def test_bench_vector_column_16_lanes(benchmark):
-    """One 16-seed lockstep column of the pi workload (the Sweep's
-    vector stage) — compare against 16 serial interpretations."""
-    import pytest
-
-    pytest.importorskip("numpy")
-    from repro.engines.vector import execute_lanes
-
-    program = get_workload("pi").build(0.25)
-    seeds = list(range(16))
-
-    def run():
-        states, retired = execute_lanes(program, seeds)
-        return sum(retired)
-
-    assert benchmark(run) > 100_000
-
-
 def test_bench_trace_capture(benchmark, tmp_path):
     """Interpret + record the committed path into a TraceStore."""
     from repro.sim import Session

@@ -33,6 +33,7 @@ setup(
     python_requires=">=3.8",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy", "scipy"],
     entry_points={
         "console_scripts": [
             "pbs-experiments = repro.experiments.runner:main",

@@ -1,7 +1,7 @@
 """Single-step lockstep differential testing across execution tiers.
 
 The bit-identity contract says every tier — interpreter, compiled,
-vector, trace replay — commits the same architectural state at every
+trace replay — commits the same architectural state at every
 retired instruction.  End-to-end result comparison can only say *that*
 two tiers disagree; this package says *where*:
 
@@ -20,7 +20,7 @@ two tiers disagree; this package says *where*:
 CLI entry point: ``pbs-experiments diff`` (see ``docs/diffing.md``).
 """
 
-from .generator import GenProgram, PROFILES, build_program, generate
+from .generator import GenProgram, build_program, generate
 from .harness import Divergence, diff_tiers
 from .shrink import shrink
 from .steppers import (
@@ -30,12 +30,10 @@ from .steppers import (
     InterpStepper,
     ReplayStepper,
     Stepper,
-    VectorStepper,
 )
 
 __all__ = [
     "GenProgram",
-    "PROFILES",
     "build_program",
     "generate",
     "Divergence",
@@ -47,5 +45,4 @@ __all__ = [
     "InterpStepper",
     "ReplayStepper",
     "Stepper",
-    "VectorStepper",
 ]

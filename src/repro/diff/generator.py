@@ -6,28 +6,27 @@ deterministic prologue and an output epilogue.  The representation is
 split in two so divergences can be shrunk:
 
 * :func:`generate` rolls a :class:`GenProgram` — a frozen descriptor
-  (seed, profile, loop count, tuple of macro descriptors) — using only
-  the seed for randomness.
+  (seed, loop count, tuple of macro descriptors) — using only the seed
+  for randomness.
 * :func:`build_program` deterministically turns a descriptor into a
   validated :class:`~repro.isa.program.Program`.  The shrinker edits
   descriptors (dropping macros, lowering the loop count) and rebuilds.
 
 Macros keep every tier inside its defined envelope by construction:
-integer results are masked to 20 bits (vector int64 vs interpreter
-bignum), shift amounts to 3 bits, divisors are forced odd-nonzero,
-``FEXP``/``FSIN``/``FCOS`` inputs are clamped, ``FSQRT``/``FLOG`` see
-absolute values, and ``FTOI`` inputs are NaN-stripped and clamped.  NaN
-itself is synthesized at runtime (``inf - inf``) rather than as an
+integer results are masked to 20 bits (non-negative, so ``DIV``,
+``MOD`` and ``SHR`` never see sign-dependent cases), shift amounts to
+3 bits, divisors are forced odd-nonzero, ``FEXP``/``FSIN``/``FCOS``
+inputs are clamped, ``FSQRT``/``FLOG`` see absolute values, and
+``FTOI`` inputs are NaN-stripped and clamped.  NaN itself is
+synthesized at runtime (``inf - inf``) rather than as an
 immediate — the compiled tier renders immediates with ``repr`` — and is
 fed only to ``FMIN``/``FMAX``, whose NaN semantics are part of the
 cross-tier contract.
 
-Two profiles:
-
-* ``"full"`` — everything the ISA has: memory traffic, ``CALL``/``RET``,
-  ``RANDN``, plus all of the vector profile.
-* ``"vector"`` — only ops inside the vector tier's envelope, so the
-  lockstep harness can include the ``vector`` tier.
+Programs use everything the ISA has, memory traffic, ``CALL``/``RET``
+and ``RANDN`` included.  The macro list, its order and the masks stay
+fixed so that every seed keeps generating the same program: the fuzz
+corpus is stable, and a seed quoted in a report reproduces.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ _IREGS = (1, 2, 3, 4, 5, 6)
 #: Float working registers; F8 holds NaN, F9/F10 are scratch.
 _FREGS = (0, 1, 2, 3, 4, 5, 6, 7)
 
-_INT_MASK = 0xFFFFF  # keep integers within int64 products
+_INT_MASK = 0xFFFFF  # 20-bit, non-negative integer results
 _DATA_SIZE = 16
 
 _INT_OPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "shr",
@@ -57,14 +56,13 @@ _FUNARY_OPS = ("fsqrt", "fexp", "flog", "fsin", "fcos", "fabs", "fneg",
 _CMP_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
 _BRANCH_OPS = ("beq", "bne", "blt", "bge", "ble", "bgt")
 
-#: Macro kinds eligible in each profile.
-_VECTOR_KINDS = (
+#: Macro kinds, in the order :func:`generate` draws from (reordering
+#: them changes every seed's program).
+_KINDS = (
     "int", "intimm", "fop", "fopimm", "funary", "ftoi", "itof",
     "select", "fselect", "cmpjt", "branch", "rand", "nanmm", "probjmp",
+    "randn", "mem", "fmem", "call",
 )
-_FULL_KINDS = _VECTOR_KINDS + ("randn", "mem", "fmem", "call")
-
-PROFILES = ("full", "vector")
 
 
 @dataclass(frozen=True)
@@ -72,26 +70,25 @@ class GenProgram:
     """A generated program as a shrinkable descriptor."""
 
     seed: int
-    profile: str
     iters: int
     body: Tuple[Tuple, ...]
     use_sub: bool
 
     @property
     def name(self) -> str:
-        return f"gen-{self.profile}-{self.seed}"
+        # The program name enters the compiled tier's program digest,
+        # so it keeps its ``gen-full-`` prefix: a seed's digest (and its
+        # codegen cache entry) stays the same.
+        return f"gen-full-{self.seed}"
 
 
-def generate(seed: int, profile: str = "full") -> GenProgram:
+def generate(seed: int) -> GenProgram:
     """Roll one random program descriptor from ``seed``."""
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; known: {PROFILES}")
     rng = random.Random(seed)
-    kinds = _FULL_KINDS if profile == "full" else _VECTOR_KINDS
     body = []
     use_sub = False
     for _ in range(rng.randint(6, 20)):
-        kind = rng.choice(kinds)
+        kind = rng.choice(_KINDS)
         if kind == "int":
             body.append((kind, rng.choice(_INT_OPS), rng.choice(_IREGS),
                          rng.choice(_IREGS), rng.choice(_IREGS)))
@@ -147,7 +144,6 @@ def generate(seed: int, profile: str = "full") -> GenProgram:
             use_sub = True
     return GenProgram(
         seed=seed,
-        profile=profile,
         iters=rng.randint(2, 6),
         body=tuple(body),
         use_sub=use_sub,
@@ -156,8 +152,7 @@ def generate(seed: int, profile: str = "full") -> GenProgram:
 
 def build_program(gen: GenProgram) -> Program:
     """Deterministically assemble a descriptor into a Program."""
-    data_size = _DATA_SIZE if gen.profile == "full" else 0
-    b = ProgramBuilder(gen.name, data_size=data_size)
+    b = ProgramBuilder(gen.name, data_size=_DATA_SIZE)
     seed_rng = random.Random(gen.seed ^ 0x5EED)
 
     # Prologue: loop bookkeeping, seeded working registers, runtime NaN.
@@ -215,10 +210,10 @@ def _emit(b: ProgramBuilder, macro: Tuple, fresh) -> None:
             getattr(b, op + "_" if op in ("and", "or") else op)(
                 dst, lhs, rhs
             )
-        # Every integer result is masked to 20 bits: keeps products and
-        # add/sub chains inside int64 for the vector tier (the
-        # interpreter computes in Python bignums) and keeps values
+        # Every integer result is masked to 20 bits: keeps values
         # non-negative so DIV/MOD/SHR never see sign-dependent cases.
+        # The mask is part of every generated program, so changing it
+        # changes the whole fuzz corpus.
         b.and_(dst, dst, _INT_MASK)
     elif kind == "fop" or kind == "fopimm":
         _, op, d, a, src = macro

@@ -164,8 +164,7 @@ def _compare_at_barrier(
 
     # Control flow: everyone must agree on how far they got and whether
     # they are done.  PCs are only comparable between live tiers — a
-    # halted tier's resting PC is an implementation detail (the vector
-    # tier parks one past the HALT).
+    # halted tier's resting PC is an implementation detail.
     for stepper in steppers[1:]:
         if (
             stepper.retired != reference.retired
@@ -309,9 +308,7 @@ def diff_tiers(
 
     The first tier is the reference the others are compared against
     (conventionally ``"interp"``).  Tier names resolve through
-    :data:`~repro.diff.steppers.STEPPERS`; constructing an ineligible
-    tier (e.g. ``"vector"`` on a memory-touching program) raises
-    :class:`~repro.engines.vector.VectorIneligible` — filter upstream.
+    :data:`~repro.diff.steppers.STEPPERS`.
 
     ``predictor`` names a registered branch predictor to ride every
     tier as an attached sink (a fresh

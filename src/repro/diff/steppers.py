@@ -1,10 +1,8 @@
 """Tier stepping adapters: one uniform single-step surface per engine.
 
-Every execution tier exposes a different resume mechanism — the
-interpreter's ``run(budget=)``, the compiled tier's step-variant
-codegen, the vector tier's masked :class:`~repro.engines.vector.
-LaneStepper` — and the trace-replay path has no machine state at all.
-A :class:`Stepper` wraps each behind the same five observations the
+The interpreter and the compiled tier's step-variant codegen resume
+through ``run(budget=)``; the trace-replay path has no machine state at
+all.  A :class:`Stepper` wraps each behind the same five observations the
 lockstep harness compares at every retired-count barrier:
 
 * ``halted`` / ``retired`` / ``pc`` — where execution stands;
@@ -28,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from ..engines.compiled import CompiledExecutor
-from ..engines.vector import LaneStepper
 from ..functional import Executor
 from ..isa.opcodes import Op
 from ..trace.format import pack_event, unpack_events
@@ -152,53 +149,6 @@ class CompiledStepper(_ExecutorStepper):
     executor_class = CompiledExecutor
 
 
-class VectorStepper(Stepper):
-    """One lane of the vector tier's masked interpreter.
-
-    Raises :class:`~repro.engines.vector.VectorIneligible` at
-    construction for programs outside the tier's envelope — callers
-    filter with :func:`~repro.engines.vector.vector_eligible` first.
-    Vector-eligible programs cannot touch memory, so ``memory()`` is
-    the untouched all-zero image.
-    """
-
-    name = "vector"
-
-    def __init__(self, program, seed: int = 0,
-                 max_instructions: int = DIFF_MAX_INSTRUCTIONS):
-        self._stepper = LaneStepper(
-            program, [seed], max_instructions=max_instructions
-        )
-        self._data_size = program.data_size
-
-    def step_to(self, target: int) -> None:
-        self._stepper.step_to(target)
-
-    @property
-    def halted(self) -> bool:
-        return self._stepper.lane_halted(0)
-
-    @property
-    def retired(self) -> int:
-        return self._stepper.lane_retired(0)
-
-    @property
-    def pc(self) -> int:
-        return self._stepper.lane_pc(0)
-
-    def regs(self) -> List:
-        return self._stepper.lane_regs(0)
-
-    def memory(self) -> List:
-        return [0] * self._data_size
-
-    def rng_state(self) -> int:
-        return self._stepper.lane_rng_state(0)
-
-    def outputs(self) -> Dict[int, List]:
-        return self._stepper.lane_outputs(0)
-
-
 class ReplayStepper(Stepper):
     """The trace tier: committed control flow through the wire format.
 
@@ -265,5 +215,5 @@ class ReplayStepper(Stepper):
 #: tier name -> stepper class; the harness and CLI resolve tiers here.
 STEPPERS: Dict[str, Type[Stepper]] = {
     cls.name: cls
-    for cls in (InterpStepper, CompiledStepper, VectorStepper, ReplayStepper)
+    for cls in (InterpStepper, CompiledStepper, ReplayStepper)
 }

@@ -2,15 +2,16 @@
 
 An :class:`~repro.engines.base.Engine` picks the machinery that executes
 one workload program — the same program, the same results, different
-speed/capability trade-offs:
+speed:
 
 * ``"interp"`` — the reference pre-decoded interpreter
-  (:class:`~repro.functional.Executor`); supports everything.
+  (:class:`~repro.functional.Executor`).
 * ``"compiled"`` — translates the decoded program into specialized
   Python (unrolled handlers, locals-bound registers, no per-instruction
-  dispatch), cached by program digest; supports everything.
-* ``"vector"`` — executes N seeds of one Monte-Carlo workload in
-  lockstep on numpy arrays; sink-free, PBS-free, opt-in per workload.
+  dispatch), cached by program digest.
+
+Every tier runs every spec: any workload, with or without PBS, sinks
+and consumed-value recording.
 
 Engines register under :func:`~repro.engines.base.register_engine`,
 mirroring the workload/predictor/executor/analysis registries, and are
@@ -33,11 +34,9 @@ from .base import (
 )
 
 # Importing the tier modules runs their @register_engine decorators.
-from . import compiled, interp, vector  # noqa: E402,F401  (import side effect)
-from .vector import VectorIneligible
+from . import compiled, interp  # noqa: E402,F401  (import side effect)
 
 __all__ = [
-    "VectorIneligible",
     "ENGINES",
     "Engine",
     "create_engine",

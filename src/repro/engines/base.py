@@ -2,11 +2,9 @@
 
 An engine builds *executors*: objects duck-typed like
 :class:`repro.functional.Executor` — ``run(sink=None) -> MachineState``
-plus ``state``/``retired``/``consumed_values`` — for one program.  The
-engine also answers :meth:`Engine.supports` so callers
-(:class:`~repro.sim.session.Session`, :class:`~repro.sim.sweep.Sweep`)
-can fall back to the always-capable ``"interp"`` tier instead of
-failing when a workload or configuration is outside a tier's envelope.
+plus ``state``/``retired``/``consumed_values`` — for one program.
+Every engine runs every program under every attachment (PBS, sinks,
+consumed-value recording); there is no tier to fall back to.
 """
 
 from __future__ import annotations
@@ -29,18 +27,6 @@ class Engine:
     #: True when the engine's most recent run was served from a warm
     #: artifact cache (e.g. compiled code already generated).
     last_cache_hit: bool = False
-
-    def supports(
-        self,
-        workload,
-        *,
-        pbs: bool = False,
-        sink: bool = False,
-        record_consumed: bool = False,
-    ) -> bool:
-        """Can this tier run ``workload`` under the given attachments
-        bit-identically?  Callers fall back to ``"interp"`` on False."""
-        return True
 
     def executor(
         self,

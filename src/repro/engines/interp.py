@@ -2,8 +2,8 @@
 
 This is exactly the execution path every run has always taken —
 :class:`repro.functional.Executor` — wrapped so engine selection is
-uniform.  It supports every workload and every attachment, which is what
-makes it the universal fallback tier.
+uniform.  It is the readable reference the other tiers are checked
+against.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .base import Engine, register_engine
 
 @register_engine("interp")
 class InterpEngine(Engine):
-    """The interpreter as an engine (the universal fallback tier)."""
+    """The interpreter as an engine (the reference tier)."""
 
     def executor(self, program, *, seed=0, pbs=None, record_consumed=False):
         self.last_cache_hit = False

@@ -7,7 +7,7 @@ Subcommands::
     pbs-experiments sweep --workloads pi,dop --seeds 0,1,2,3 --processes 4
     pbs-experiments sweep --trace-store .pbs-traces --split-predictors ...
     pbs-experiments trace ls                   # captured traces
-    pbs-experiments diff --tiers interp,compiled,vector --programs 200
+    pbs-experiments diff --tiers interp,compiled,replay --programs 200
     pbs-experiments list workloads             # registry contents
 
 The pre-subcommand invocation style (``pbs-experiments figure6``) keeps
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "write a machine-readable run summary (specs, simulated, "
             "cache_hits, wall_time, executor, engine_used, "
-            "compiled_hits, vectorized) to PATH; '-' for stdout"
+            "compiled_hits) to PATH; '-' for stdout"
         ),
     )
     sweep_parser.add_argument(
@@ -217,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=engine_names(), default=None,
         help=(
             "execution tier for simulated grid points (default: the "
-            "plain interpreter path); 'vector' additionally runs "
-            "seed-only columns in numpy lockstep; tiers change speed, "
-            "never results"
+            "plain interpreter path); tiers change speed, never results"
         ),
     )
 
@@ -385,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument(
         "--tiers", type=_csv, default=["interp", "compiled"],
         help="comma-separated tiers to co-execute (interp, compiled, "
-             "vector, replay; default: interp,compiled); the first is "
-             "the reference",
+             "replay; default: interp,compiled); the first is the "
+             "reference",
     )
     diff_parser.add_argument(
         "--programs", type=int, default=50, metavar="N",
@@ -916,7 +914,6 @@ def _cmd_diff(args) -> int:
         generate,
         shrink,
     )
-    from ..engines.vector import VectorIneligible, vector_eligible
 
     unknown = [t for t in args.tiers if t not in STEPPERS]
     if unknown:
@@ -937,63 +934,40 @@ def _cmd_diff(args) -> int:
                   f"sink-capable tiers only (interp, compiled)",
                   file=sys.stderr)
             return 2
-    want_vector = "vector" in args.tiers
-    vector_available = True
-    if want_vector:
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            vector_available = False
-
     divergences = []
-    vector_skipped = 0
     checked = 0
 
-    def run_case(program, tiers, seed):
+    def run_case(program, seed):
         nonlocal checked
         checked += 1
         return diff_tiers(
-            program, tiers, seed=seed,
+            program, args.tiers, seed=seed,
             max_instructions=limit, stride=args.stride,
             predictor=args.predictor,
         )
 
     for index in range(args.programs):
         seed = args.seed + index
-        # Alternate profiles when vector is in play so both the full ISA
-        # and the vector envelope get coverage.
-        profile = "vector" if want_vector and index % 2 == 0 else "full"
-        gen = generate(seed, profile)
-        program = build_program(gen)
-        tiers = list(args.tiers)
-        if want_vector and (
-            not vector_available or not vector_eligible(program)
-        ):
-            tiers = [t for t in tiers if t != "vector"]
-            vector_skipped += 1
-        divergence = run_case(program, tiers, seed)
+        gen = generate(seed)
+        divergence = run_case(build_program(gen), seed)
         if divergence is None:
             continue
         entry = {
             "seed": seed,
-            "profile": profile,
             "divergence": divergence.to_dict(),
             "minimized": None,
         }
         if not args.no_shrink:
             def still_diverges(candidate):
-                try:
-                    return diff_tiers(
-                        build_program(candidate), tiers, seed=seed,
-                        max_instructions=limit,
-                        predictor=args.predictor,
-                    ) is not None
-                except VectorIneligible:
-                    return False
+                return diff_tiers(
+                    build_program(candidate), args.tiers, seed=seed,
+                    max_instructions=limit,
+                    predictor=args.predictor,
+                ) is not None
 
             small, attempts = shrink(gen, still_diverges)
             minimized = diff_tiers(
-                build_program(small), tiers, seed=seed,
+                build_program(small), args.tiers, seed=seed,
                 max_instructions=limit,
                 predictor=args.predictor,
             )
@@ -1018,16 +992,10 @@ def _cmd_diff(args) -> int:
 
         for name in names:
             program = get_workload(name).build(args.scale)
-            tiers = list(args.tiers)
-            if want_vector and (
-                not vector_available or not vector_eligible(program)
-            ):
-                tiers = [t for t in tiers if t != "vector"]
-                vector_skipped += 1
-            divergence = run_case(program, tiers, args.seed)
+            divergence = run_case(program, args.seed)
             workload_reports.append({
                 "workload": name,
-                "tiers": tiers,
+                "tiers": list(args.tiers),
                 "divergence": (
                     divergence.to_dict() if divergence is not None else None
                 ),
@@ -1047,8 +1015,6 @@ def _cmd_diff(args) -> int:
         "tiers": list(args.tiers),
         "stride": args.stride,
         "predictor": args.predictor,
-        "vector_available": vector_available if want_vector else None,
-        "vector_skipped": vector_skipped if want_vector else 0,
         "workloads": workload_reports,
         "divergences": divergences,
         "ok": not divergences,
@@ -1056,14 +1022,10 @@ def _cmd_diff(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        skipped = (
-            f", vector skipped on {vector_skipped}" if want_vector else ""
-        )
         verdict = "OK" if report["ok"] else "DIVERGED"
         print(
             f"{verdict}: {checked} lockstep runs over "
-            f"{','.join(args.tiers)} ({len(divergences)} divergence(s)"
-            f"{skipped})"
+            f"{','.join(args.tiers)} ({len(divergences)} divergence(s))"
         )
     return 0 if report["ok"] else 1
 

@@ -51,9 +51,9 @@ def nan_min(a, b):
     NaN propagates: if either operand is NaN the result is the first NaN
     operand.  On ties (including ``-0.0`` vs ``0.0``) the first operand
     wins, matching Python's ``min`` for the non-NaN case, so results are
-    unchanged wherever NaN cannot occur.  This is also what
-    ``numpy.minimum`` computes, which is what lets the vector tier run
-    these ops (see docs/engines.md, "NaN semantics").
+    unchanged wherever NaN cannot occur.  The interpreter and the
+    compiled tier both call it, so they agree bit for bit on NaN
+    operands (see docs/engines.md, "NaN semantics").
     """
     if a != a:
         return a

@@ -72,7 +72,7 @@ from .adaptive import (  # noqa: E402  (imports .sweep, so bound after it)
     register_objective,
 )
 
-# Execution tiers (interp / compiled / vector) re-exported lazily:
+# Execution tiers (interp / compiled) re-exported lazily:
 # repro.engines itself imports this package for the shared Registry
 # helper, so an eager import here would be circular whenever
 # ``repro.engines`` is imported first.  PEP 562 resolves the names on

@@ -118,12 +118,10 @@ class Session:
     def engine(self, name: Optional[str] = None, **options) -> "Session":
         """Select the execution tier (see :mod:`repro.engines`).
 
-        ``name`` is a registered engine (``"interp"``, ``"compiled"``,
-        ``"vector"``); ``options`` go to its constructor (e.g.
-        ``cache_dir=`` for the compiled tier's persistent codegen
-        cache).  If the chosen tier does not support this session's
-        workload/attachments, ``run()`` silently falls back to
-        ``"interp"`` — tiers change speed, never results.  ``None``
+        ``name`` is a registered engine (``"interp"``, ``"compiled"``);
+        ``options`` go to its constructor (e.g. ``cache_dir=`` for the
+        compiled tier's persistent codegen cache).  Every tier runs
+        every session — tiers change speed, never results.  ``None``
         restores the default (the process-wide directive set by the CLI
         ``--engine`` flag, or the direct interpreter path).
         """
@@ -307,11 +305,7 @@ class Session:
             record_consumed = True
         sink = FanOut(consumers) if consumers else None
 
-        tier = self._resolve_engine(
-            workload,
-            sink=sink is not None,
-            record_consumed=record_consumed,
-        )
+        tier = self._resolve_engine()
 
         started = time.perf_counter()
         try:
@@ -371,10 +365,9 @@ class Session:
             result.sink_batches = sink.batches
         return result
 
-    def _resolve_engine(self, workload, *, sink: bool, record_consumed: bool):
+    def _resolve_engine(self):
         """The Engine instance for this run, or ``None`` for the direct
-        interpreter path.  Unsupported tier requests fall back to
-        ``"interp"`` — engine choice may change speed, never results."""
+        interpreter path."""
         from ..engines import create_engine, default_engine
 
         if self._engine_name is not None:
@@ -384,15 +377,7 @@ class Session:
         if directive is None:
             return None
         name, options = directive
-        tier = create_engine(name, **options)
-        if not tier.supports(
-            workload,
-            pbs=self._pbs_config is not None,
-            sink=sink,
-            record_consumed=record_consumed,
-        ):
-            tier = create_engine("interp")
-        return tier
+        return create_engine(name, **options)
 
     def _replay(self, reader) -> RunResult:
         """Rebuild a :class:`RunResult` from a stored trace, feeding the

@@ -18,8 +18,6 @@ count or execution order::
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -168,9 +166,7 @@ class SweepResult:
                  trace_captures: int = 0, trace_hits: int = 0,
                  workers: Optional[Dict] = None,
                  engine_used: Optional[Dict[str, int]] = None,
-                 compiled_hits: int = 0, vectorized: int = 0,
-                 engine_fallbacks: Optional[List[Dict]] = None,
-                 sink_batches: int = 0):
+                 compiled_hits: int = 0, sink_batches: int = 0):
         self.results = results
         self.cache_hits = cache_hits
         self.simulated = simulated
@@ -181,8 +177,6 @@ class SweepResult:
         self.workers = workers
         self.engine_used = engine_used
         self.compiled_hits = compiled_hits
-        self.vectorized = vectorized
-        self.engine_fallbacks = engine_fallbacks or []
         self.sink_batches = sink_batches
 
     def to_stats(self) -> Dict:
@@ -199,22 +193,10 @@ class SweepResult:
         ``engine_used`` maps execution-tier names to how many simulated
         results each produced (``None`` when every run took the legacy
         direct path); ``compiled_hits`` counts runs served from
-        already-generated code; ``vectorized`` counts results produced
-        by lockstep seed columns.
-        ``engine_fallbacks`` summarizes lockstep columns that fell back
-        to per-spec execution — ``{"count", "reasons"}`` where each
-        reason records the workload, the exception, and whether it was
-        a safe ineligibility or a real engine fault (``None`` when no
-        column fell back).
+        already-generated code.
         ``sink_batches`` totals the EventBatches delivered to the
         simulated runs' sink fan-outs.
         """
-        fallbacks = None
-        if self.engine_fallbacks:
-            fallbacks = {
-                "count": len(self.engine_fallbacks),
-                "reasons": [dict(f) for f in self.engine_fallbacks],
-            }
         return {
             "specs": len(self.results),
             "simulated": self.simulated,
@@ -226,8 +208,6 @@ class SweepResult:
             "workers": self.workers,
             "engine_used": self.engine_used,
             "compiled_hits": self.compiled_hits,
-            "vectorized": self.vectorized,
-            "engine_fallbacks": fallbacks,
             "sink_batches": self.sink_batches,
         }
 
@@ -240,8 +220,8 @@ class SweepResult:
     def select(self, **filters) -> List[RunResult]:
         """All results whose attributes match ``filters``
         (e.g. ``workload="pi"``, ``mode="pbs"``, ``seed=3``,
-        ``engine="vector"`` — ``engine=None`` matches the legacy direct
-        path)."""
+        ``engine="compiled"`` — ``engine=None`` matches the legacy
+        direct path)."""
         mode = filters.pop("mode", None)
         engine = filters.pop("engine", _UNFILTERED)
         matches = []
@@ -388,7 +368,6 @@ class Sweep:
             pending.append(index)
 
         total_pending = len(pending)
-        engine_fallbacks: List[Dict] = []
         executor_name = None
         trace_captures = trace_hits = 0
         workers: Optional[Dict] = None
@@ -401,14 +380,6 @@ class Sweep:
         if on_result is not None:
             for index in hits:
                 on_result(specs[index], results[index])
-
-        if pending and self.engine == "vector" and self.trace_dir is None:
-            # Lockstep stage: grid columns differing only by seed run as
-            # one vectorized call; whatever it cannot take (singletons,
-            # ineligible specs, failed columns) stays for the executor.
-            pending = self._run_vector_columns(
-                specs, pending, results, cache, on_result, engine_fallbacks
-            )
 
         if pending:
             if self.trace_dir is not None:
@@ -497,112 +468,5 @@ class Sweep:
             workers=workers,
             engine_used=engine_used or None,
             compiled_hits=compiled_hits,
-            vectorized=engine_used.get("vector", 0),
-            engine_fallbacks=engine_fallbacks,
             sink_batches=sink_batches,
         )
-
-    def _run_vector_columns(
-        self,
-        specs: List[RunSpec],
-        pending: List[int],
-        results: List[Optional[RunResult]],
-        cache: Optional[ResultCache],
-        on_result: Optional[Callable[[RunSpec, RunResult], None]],
-        fallbacks: List[Dict],
-    ) -> List[int]:
-        """Run seed-only columns of pending specs in numpy lockstep.
-
-        Returns the indices the lockstep stage did not take: singleton
-        columns, ineligible specs (PBS mode, predictors, timing,
-        consumed-value recording, non-vectorizable workloads, no
-        numpy), and columns whose lockstep execution failed — those
-        fall back to per-spec execution, where the Session applies the
-        same engine directive with its own interp fallback.  Every
-        fallen-back column is appended to ``fallbacks`` with its
-        reason; a fault that is *not* a declared ineligibility is
-        re-raised instead of masked when ``REPRO_ENGINE_STRICT=1``.
-        """
-        from ..engines import create_engine
-        from .registry import get_workload
-
-        tier = create_engine("vector", **self.engine_options)
-        columns: Dict[str, List[int]] = {}
-        for index in pending:
-            key = dict(specs[index].cache_key())
-            key.pop("seed")
-            columns.setdefault(
-                json.dumps(key, sort_keys=True), []
-            ).append(index)
-
-        remaining: List[int] = []
-        for column in columns.values():
-            spec = specs[column[0]]
-            workload = get_workload(spec.workload)
-            eligible = (
-                len(column) >= 2
-                and spec.mode == "base"
-                and not spec.record_consumed
-                and spec.timing is None
-                and not spec.predictors
-                and tier.supports(workload)
-            )
-            if not eligible:
-                remaining.extend(column)
-                continue
-            try:
-                from ..engines.vector import VectorIneligible, execute_lanes
-
-                program = workload.build(spec.scale)
-                started = time.perf_counter()
-                states, retired = execute_lanes(
-                    program, [specs[index].seed for index in column]
-                )
-                elapsed = (time.perf_counter() - started) / len(column)
-            except (VectorIneligible, ImportError) as exc:
-                # Declared ineligibility (op outside the envelope, numpy
-                # missing): engine choice may change speed, never
-                # outcomes, so the column quietly takes the per-spec
-                # path instead.
-                fallbacks.append({
-                    "workload": spec.workload,
-                    "specs": len(column),
-                    "kind": "ineligible",
-                    "reason": str(exc),
-                })
-                remaining.extend(column)
-                continue
-            except Exception as exc:
-                # Anything else is a real engine fault — the fallback
-                # keeps sweeps alive, but it must never silently mask a
-                # broken tier.  REPRO_ENGINE_STRICT=1 (set in CI's
-                # engine jobs) turns it into a hard failure; otherwise
-                # the reason is surfaced through --stats-json.
-                fallbacks.append({
-                    "workload": spec.workload,
-                    "specs": len(column),
-                    "kind": "fault",
-                    "reason": f"{type(exc).__name__}: {exc}",
-                })
-                if os.environ.get("REPRO_ENGINE_STRICT") == "1":
-                    raise
-                remaining.extend(column)
-                continue
-            for index, state, instructions in zip(column, states, retired):
-                result = RunResult(
-                    workload=spec.workload,
-                    scale=spec.scale,
-                    seed=specs[index].seed,
-                    pbs=False,
-                    outputs=workload.outputs(state),
-                    instructions=instructions,
-                    wall_time=elapsed,
-                )
-                result.engine_used = tier.name
-                results[index] = result
-                if cache is not None:
-                    cache.put(specs[index].digest(), result)
-                if on_result is not None:
-                    on_result(specs[index], result)
-        remaining.sort()
-        return remaining

@@ -46,10 +46,6 @@ class Workload(abc.ABC):
     #: (those are excluded from
     #: :func:`repro.sim.registry.paper_workload_names`).
     paper: Optional[PaperFacts] = PaperFacts(0, 0, 1, "")
-    #: Opt-in to the numpy lockstep tier (:mod:`repro.engines.vector`).
-    #: Declares that the program is memory-, call- and normal-free and
-    #: that its integer state fits in int64.
-    vectorizable: bool = False
 
     @abc.abstractmethod
     def build(self, scale: float = 1.0) -> Program:

@@ -30,7 +30,6 @@ _STEP = 7  # table keys are i * _STEP: sorted, with gaps to miss into
 class BinarySearchWorkload(Workload):
     name = "bsearch"
     description = "binary searches over a sorted in-memory table"
-    vectorizable = False  # memory-resident
     paper = None
 
     def table_size(self, scale: float) -> int:

@@ -37,7 +37,6 @@ TWO_PI = 2.0 * math.pi
 class DopWorkload(Workload):
     name = "dop"
     description = "Digital option pricing (call + put) by Monte Carlo"
-    vectorizable = True
     paper = PaperFacts(
         prob_branches=2,
         total_branches=47,

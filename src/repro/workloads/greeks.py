@@ -40,7 +40,6 @@ ADJUST_DOWN = (SPOT - BUMP) * _DRIFT
 class GreeksWorkload(Workload):
     name = "greeks"
     description = "Monte Carlo Greeks (price/delta/gamma) via bumped spots"
-    vectorizable = True
     paper = PaperFacts(
         prob_branches=3,
         total_branches=50,

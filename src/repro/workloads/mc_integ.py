@@ -27,7 +27,6 @@ TRUE_INTEGRAL = math.sqrt(math.pi) / 2.0 * math.erf(1.0)
 class McIntegWorkload(Workload):
     name = "mc-integ"
     description = "Monte Carlo hit-or-miss integration of exp(-x^2) on [0,1]"
-    vectorizable = True
     paper = PaperFacts(
         prob_branches=1,
         total_branches=39,

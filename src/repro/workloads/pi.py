@@ -23,7 +23,6 @@ DEFAULT_ITERATIONS = 20_000
 class PiWorkload(Workload):
     name = "pi"
     description = "Monte Carlo estimation of pi by quarter-circle sampling"
-    vectorizable = True
     paper = PaperFacts(
         prob_branches=1,
         total_branches=45,

@@ -31,7 +31,6 @@ _VALUE_RANGE = 1024.0
 class PrefixSumWorkload(Workload):
     name = "psum"
     description = "Hillis-Steele inclusive prefix sum over random values"
-    vectorizable = False  # memory-resident, uses CALL/RET
     paper = None
 
     def elements(self, scale: float) -> int:

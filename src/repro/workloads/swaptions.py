@@ -40,7 +40,6 @@ STRIKES = (0.0, 0.5, 1.0)
 class SwaptionsWorkload(Workload):
     name = "swaptions"
     description = "Monte Carlo pricing of three payer swaptions"
-    vectorizable = True
     paper = PaperFacts(
         prob_branches=3,
         total_branches=309,

@@ -6,7 +6,7 @@ differential corpus beyond Monte-Carlo arithmetic.  Each iteration
 draws one uniform, maps it to a byte, and runs it through the classic
 lead/continuation state machine — nested range checks give dense,
 data-dependent branching, the stress case for the compiled tier's
-block dispatch and the vector tier's reconvergence.
+block dispatch.
 
 The ASCII/multibyte split is the probabilistic branch: the drawn byte
 is below 0x80 exactly when the uniform is below 0.5, so a Category-1
@@ -30,7 +30,6 @@ DEFAULT_BYTES = 12_000
 class Utf8Workload(Workload):
     name = "utf8"
     description = "DFA validation of a random byte stream"
-    vectorizable = True
     paper = None
 
     def iterations(self, scale: float) -> int:

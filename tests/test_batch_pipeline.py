@@ -465,7 +465,7 @@ def test_generated_programs_batch_equivalence(seed, predictor):
     tally over it is the same."""
     from repro.diff import build_program, generate
 
-    program = build_program(generate(seed, "full"))
+    program = build_program(generate(seed))
 
     def run(drive):
         collector = _Collector()

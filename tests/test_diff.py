@@ -23,13 +23,11 @@ from repro.diff import (
     GenProgram,
     InterpStepper,
     ReplayStepper,
-    VectorStepper,
     build_program,
     diff_tiers,
     generate,
     shrink,
 )
-from repro.engines.vector import vector_eligible
 from repro.functional.executor import (
     ExecutionError,
     ExecutionLimitExceeded,
@@ -41,15 +39,6 @@ from repro.workloads import workload_names, get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
 
 # ---------------------------------------------------------------------------
 # Generator
@@ -57,11 +46,11 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 class TestGenerator:
     def test_generate_is_deterministic(self):
-        assert generate(7, "full") == generate(7, "full")
-        assert generate(7, "vector") != generate(8, "vector")
+        assert generate(7) == generate(7)
+        assert generate(7) != generate(8)
 
     def test_build_is_deterministic(self):
-        gen = generate(3, "full")
+        gen = generate(3)
         first, second = build_program(gen), build_program(gen)
         assert list(map(repr, first.instructions)) == list(
             map(repr, second.instructions)
@@ -69,28 +58,20 @@ class TestGenerator:
         assert diff_tiers(first, ("interp", "compiled"), seed=3) is None
 
     def test_descriptor_shape(self):
-        gen = generate(5, "vector")
+        gen = generate(5)
         assert isinstance(gen, GenProgram)
-        assert gen.name == "gen-vector-5"
+        assert gen.name == "gen-full-5"
         assert 6 <= len(gen.body) <= 20
         assert 2 <= gen.iters <= 6
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_vector_profile_stays_in_envelope(self, seed):
-        program = build_program(generate(seed, "vector"))
-        assert vector_eligible(program)
-
-    def test_full_profile_eventually_leaves_envelope(self):
-        # Memory / CALL / RANDN macros exist only in the full profile;
-        # over a handful of seeds at least one program must use them.
+    def test_generator_covers_memory_and_call_macros(self):
+        # Memory / CALL / RANDN macros are drawn with the rest: over a
+        # handful of seeds at least one program must use them.
         assert any(
-            not vector_eligible(build_program(generate(seed, "full")))
+            macro[0] in ("mem", "fmem", "call", "randn")
             for seed in range(10)
+            for macro in generate(seed).body
         )
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError):
-            generate(0, "quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -100,32 +81,24 @@ class TestGenerator:
 class TestLockstepAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_interp_compiled_replay_agree(self, seed):
-        program = build_program(generate(seed, "full"))
+        program = build_program(generate(seed))
         assert diff_tiers(
             program, ("interp", "compiled", "replay"), seed=seed
         ) is None
 
-    @needs_numpy
-    @pytest.mark.parametrize("seed", range(6))
-    def test_vector_agrees_on_vector_profile(self, seed):
-        program = build_program(generate(seed, "vector"))
-        assert diff_tiers(
-            program, ("interp", "compiled", "vector"), seed=seed
-        ) is None
-
     def test_coarse_stride_agrees_too(self):
-        program = build_program(generate(1, "full"))
+        program = build_program(generate(1))
         assert diff_tiers(
             program, ("interp", "compiled"), seed=1, stride=64
         ) is None
 
     def test_needs_two_tiers(self):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         with pytest.raises(ValueError):
             diff_tiers(program, ("interp",))
 
     def test_unknown_tier_rejected(self):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         with pytest.raises(ValueError):
             diff_tiers(program, ("interp", "quantum"))
 
@@ -184,7 +157,7 @@ def broken_tiers():
 
 class TestKnownDivergences:
     def test_state_divergence_localized_exactly(self, broken_tiers):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         divergence = diff_tiers(program, ("interp", "broken-reg"), seed=0)
         assert divergence is not None
         assert divergence.kind == "state"
@@ -200,7 +173,7 @@ class TestKnownDivergences:
         assert divergence.summary().startswith(program.name)
 
     def test_coarse_stride_refines_to_step_exact(self, broken_tiers):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         coarse = diff_tiers(
             program, ("interp", "broken-reg"), seed=0, stride=16
         )
@@ -210,14 +183,14 @@ class TestKnownDivergences:
         assert coarse.deltas == exact.deltas
 
     def test_control_divergence_reported(self, broken_tiers):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         divergence = diff_tiers(program, ("interp", "broken-pc"), seed=0)
         assert divergence is not None
         assert divergence.kind == "control"
         assert divergence.pcs["broken-pc"] == divergence.pcs["interp"] + 1
 
     def test_exception_divergence_reported(self, broken_tiers):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         divergence = diff_tiers(program, ("interp", "broken-fault"), seed=0)
         assert divergence is not None
         assert divergence.kind == "exception"
@@ -226,14 +199,14 @@ class TestKnownDivergences:
         assert "exception divergence" in divergence.summary()
 
     def test_divergence_round_trips_to_dict(self, broken_tiers):
-        program = build_program(generate(0, "full"))
+        program = build_program(generate(0))
         divergence = diff_tiers(program, ("interp", "broken-reg"), seed=0)
         payload = json.loads(json.dumps(divergence.to_dict()))
         assert payload["kind"] == "state"
         assert payload["retired"] == _BrokenRegStepper.BREAK_AT
 
     def test_shrinker_minimizes_reproducer(self, broken_tiers):
-        gen = generate(0, "full")
+        gen = generate(0)
 
         def diverges(candidate):
             return diff_tiers(
@@ -267,8 +240,7 @@ class TestLimitParity:
 
     @pytest.mark.parametrize(
         "stepper_class",
-        [InterpStepper, CompiledStepper, ReplayStepper]
-        + ([VectorStepper] if HAVE_NUMPY else []),
+        [InterpStepper, CompiledStepper, ReplayStepper],
     )
     def test_every_tier_trips_at_exact_boundary(self, stepper_class):
         stepper = stepper_class(
@@ -282,13 +254,6 @@ class TestLimitParity:
         tiers = ("interp", "compiled", "replay")
         assert diff_tiers(
             _counting_loop(), tiers, seed=0, max_instructions=self.LIMIT
-        ) is None
-
-    @needs_numpy
-    def test_consistent_limit_fault_includes_vector(self):
-        assert diff_tiers(
-            _counting_loop(), ("interp", "compiled", "vector"), seed=0,
-            max_instructions=self.LIMIT,
         ) is None
 
 
@@ -326,12 +291,6 @@ class TestNaNMinMax:
             _nan_minmax_program(), ("interp", "compiled"), seed=0
         ) is None
 
-    @needs_numpy
-    def test_vector_agrees_on_nan(self):
-        assert diff_tiers(
-            _nan_minmax_program(), ("interp", "compiled", "vector"), seed=0
-        ) is None
-
     def test_nan_outputs_are_nan(self):
         stepper = InterpStepper(_nan_minmax_program(), seed=0)
         stepper.step_to(DIFF_MAX_INSTRUCTIONS)
@@ -350,11 +309,8 @@ class TestCorpusLockstep:
     @pytest.mark.parametrize("name", workload_names())
     def test_workload_lockstep(self, name):
         program = get_workload(name).build(self.SCALE)
-        tiers = ["interp", "compiled", "replay"]
-        if HAVE_NUMPY and vector_eligible(program):
-            tiers.append("vector")
         divergence = diff_tiers(
-            program, tiers, seed=1, max_instructions=2_000_000
+            program, ("interp", "compiled", "replay"), seed=1, max_instructions=2_000_000
         )
         assert divergence is None, divergence.summary()
 
@@ -387,9 +343,10 @@ class TestCli:
         assert report["divergences"] == []
 
     def test_unknown_tier_is_usage_error(self):
-        proc = _run_cli("--tiers", "interp,quantum", "--programs", "1")
-        assert proc.returncode == 2
-        assert "unknown tier" in proc.stderr
+        for tier in ("quantum", "vector"):
+            proc = _run_cli("--tiers", f"interp,{tier}", "--programs", "1")
+            assert proc.returncode == 2
+            assert "unknown tier" in proc.stderr
 
     def test_workload_lockstep_via_cli(self):
         proc = _run_cli(

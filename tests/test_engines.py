@@ -6,10 +6,9 @@ Three suites:
   the workload/predictor/executor/analysis registries, and every
   ``create_*`` entry point rejects unknown options with an error that
   names the valid ones;
-* bit-identity — the compiled and vector tiers reproduce the
-  interpreter exactly (registers, outputs, retired counts, stats),
-  including a hypothesis differential test over random builder
-  programs;
+* bit-identity — the compiled tier reproduces the interpreter exactly
+  (registers, outputs, retired counts, stats), including a hypothesis
+  differential test over random builder programs;
 * plumbing — engine directives thread through Session, Sweep, RunSpec
   serialization and the stats counters.
 """
@@ -38,12 +37,6 @@ from repro.engines.compiled import (
     generate_source,
     program_digest,
 )
-from repro.engines.vector import (
-    VectorEngine,
-    execute_lanes,
-    ineligible_ops,
-    vector_eligible,
-)
 from repro.functional import Executor
 from repro.isa import F, ProgramBuilder, R
 from repro.sim import (
@@ -55,15 +48,6 @@ from repro.sim import (
     get_workload,
     workload_names,
 )
-
-VECTORIZABLE = [
-    name for name in workload_names()
-    if get_workload(name).vectorizable
-]
-SCALAR_ONLY = [
-    name for name in workload_names()
-    if not get_workload(name).vectorizable
-]
 
 
 def interp_state(program, seed=0):
@@ -95,7 +79,7 @@ def assert_states_match(reference, candidate, label):
 # ---------------------------------------------------------------------------
 class TestEngineRegistry:
     def test_builtin_tiers_registered(self):
-        assert set(engine_names()) >= {"interp", "compiled", "vector"}
+        assert set(engine_names()) == {"interp", "compiled"}
         assert list_engines() == engine_names()
 
     def test_get_unknown_engine_names_catalog(self):
@@ -230,76 +214,13 @@ class TestCompiledTier:
 
 
 # ---------------------------------------------------------------------------
-# Vector tier: lockstep columns match N serial runs.
-# ---------------------------------------------------------------------------
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # CI runs the tier without numpy: vector tests
-    HAVE_NUMPY = False  # skip, everything else (incl. fallback) runs.
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-class TestVectorTier:
-    @needs_numpy
-    @pytest.mark.parametrize("name", VECTORIZABLE)
-    def test_column_matches_serial_interp(self, name):
-        program = get_workload(name).build(0.02)
-        assert vector_eligible(program), ineligible_ops(
-            Executor._decode(program.instructions)
-        )
-        seeds = [0, 1, 5, 9]
-        states, retired = execute_lanes(program, seeds)
-        for seed, state, count in zip(seeds, states, retired):
-            reference = interp_state(program, seed=seed)
-            assert_states_match(
-                reference, (state, count), f"vector:{name}:seed{seed}"
-            )
-
-    @pytest.mark.parametrize("name", SCALAR_ONLY)
-    def test_scalar_only_workloads_stay_ineligible(self, name):
-        workload = get_workload(name)
-        assert not VectorEngine().supports(workload)
-
-    @needs_numpy
-    def test_supports_refuses_attachments(self):
-        workload = get_workload("pi")
-        engine = VectorEngine()
-        assert engine.supports(workload)
-        assert not engine.supports(workload, pbs=True)
-        assert not engine.supports(workload, sink=True)
-        assert not engine.supports(workload, record_consumed=True)
-
-    @needs_numpy
-    def test_single_lane_executor_matches_interp(self):
-        program = get_workload("pi").build(0.02)
-        reference = interp_state(program, seed=7)
-        candidate = engine_state("vector", program, seed=7)
-        assert_states_match(reference, candidate, "vector:1lane")
-
-
-# ---------------------------------------------------------------------------
 # Plumbing: Session/Sweep/RunSpec/stat counters.
 # ---------------------------------------------------------------------------
 class TestEngineThreading:
     def test_session_unknown_engine_fails_fast(self):
-        with pytest.raises(KeyError, match="registered engines"):
-            Session("pi").engine("turbo")
-
-    def test_session_falls_back_to_interp(self):
-        # Predictors need a trace sink, which the vector tier refuses;
-        # the Session silently substitutes the interpreter tier.
-        result = (
-            Session("pi").scale(0.02).predictors("bimodal")
-            .engine("vector").run()
-        )
-        assert result.engine_used == "interp"
-        baseline = Session("pi").scale(0.02).predictors("bimodal").run()
-        assert result.outputs == baseline.outputs
-        assert result.predictors["bimodal"].mpki == pytest.approx(
-            baseline.predictors["bimodal"].mpki
-        )
+        for name in ("turbo", "vector"):
+            with pytest.raises(KeyError, match="registered engines"):
+                Session("pi").engine(name)
 
     def test_engine_used_is_transient(self):
         result = Session("pi").scale(0.02).engine("compiled").run()
@@ -320,38 +241,17 @@ class TestEngineThreading:
         assert spec.digest() == plain.digest()  # tiers never split the cache
 
     def test_sweep_unknown_engine_fails_fast(self):
-        with pytest.raises(KeyError, match="registered engines"):
-            Sweep(workloads=["pi"], engine="turbo")
+        for name in ("turbo", "vector"):
+            with pytest.raises(KeyError, match="registered engines"):
+                Sweep(workloads=["pi"], engine=name)
 
-    @needs_numpy
-    def test_sweep_vector_columns_match_interp(self):
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(5),
-                    modes=["base"], predictors=[])
-        vector = Sweep(**grid, engine="vector").run(executor="serial")
-        interp = Sweep(**grid).run(executor="serial")
-        stats = vector.to_stats()
-        assert stats["vectorized"] == 5
-        assert stats["engine_used"] == {"vector": 5}
-        for a, b in zip(vector, interp):
-            assert a.outputs == b.outputs
-            assert a.instructions == b.instructions
-        assert len(vector.select(engine="vector")) == 5
-        assert len(vector.select(engine=None)) == 0
+    def test_cli_rejects_unregistered_engine(self, capsys):
+        from repro.experiments.runner import build_parser
 
-    def test_sweep_vector_falls_back_for_predictor_grids(self):
-        # Default sweeps attach the paper-baseline predictors; those need
-        # sinks, so the lockstep stage declines and every point runs
-        # through the executor path (which itself falls back to interp).
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"])
-        vector = Sweep(**grid, engine="vector").run(executor="serial")
-        interp = Sweep(**grid).run(executor="serial")
-        assert vector.to_stats()["vectorized"] == 0
-        assert vector.to_stats()["engine_used"] == {"interp": 2}
-        for a, b in zip(vector, interp):
-            a_dict, b_dict = a.to_dict(), b.to_dict()
-            a_dict.pop("wall_time"), b_dict.pop("wall_time")
-            assert a_dict == b_dict
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--engine", "vector"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'vector'" in capsys.readouterr().err
 
     def test_sweep_compiled_counts_hits(self):
         grid = dict(workloads=["pi"], scales=[0.02], seeds=range(3),
@@ -360,73 +260,15 @@ class TestEngineThreading:
         stats = result.to_stats()
         assert stats["engine_used"] == {"compiled": 3}
         assert stats["compiled_hits"] >= 2  # first point may compile
-
-    @needs_numpy
-    def test_clean_vector_sweep_reports_no_fallbacks(self):
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        result = Sweep(**grid, engine="vector").run(executor="serial")
-        assert result.engine_fallbacks == []
-        assert result.to_stats()["engine_fallbacks"] is None
-
-    @needs_numpy
-    def test_vector_ineligibility_surfaces_in_stats(self, monkeypatch):
-        from repro.engines.vector import VectorIneligible
-
-        real = execute_lanes
-
-        def decline(program, seeds, **kwargs):
-            if len(seeds) > 1:  # only the sweep's lockstep columns
-                raise VectorIneligible("test decline")
-            return real(program, seeds, **kwargs)
-
-        monkeypatch.setattr("repro.engines.vector.execute_lanes", decline)
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "1")  # must NOT raise
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        result = Sweep(**grid, engine="vector").run(executor="serial")
-        fallbacks = result.to_stats()["engine_fallbacks"]
-        assert fallbacks["count"] == 1
-        assert fallbacks["reasons"][0]["kind"] == "ineligible"
-        assert fallbacks["reasons"][0]["workload"] == "pi"
-        assert "test decline" in fallbacks["reasons"][0]["reason"]
-        # The per-spec path still produced interp-identical results.
-        interp = Sweep(**grid).run(executor="serial")
-        for a, b in zip(result, interp):
-            assert a.outputs == b.outputs
-
-    @needs_numpy
-    def test_vector_fault_is_surfaced_not_swallowed(self, monkeypatch):
-        real = execute_lanes
-
-        def explode(program, seeds, **kwargs):
-            if len(seeds) > 1:
-                raise RuntimeError("broken lane kernel")
-            return real(program, seeds, **kwargs)
-
-        monkeypatch.setattr("repro.engines.vector.execute_lanes", explode)
-        monkeypatch.delenv("REPRO_ENGINE_STRICT", raising=False)
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        result = Sweep(**grid, engine="vector").run(executor="serial")
-        fallbacks = result.to_stats()["engine_fallbacks"]
-        assert fallbacks["count"] == 1
-        assert fallbacks["reasons"][0]["kind"] == "fault"
-        assert "RuntimeError: broken lane kernel" in (
-            fallbacks["reasons"][0]["reason"]
-        )
-
-    @needs_numpy
-    def test_strict_mode_reraises_engine_faults(self, monkeypatch):
-        def explode(program, seeds, **kwargs):
-            raise RuntimeError("broken lane kernel")
-
-        monkeypatch.setattr("repro.engines.vector.execute_lanes", explode)
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "1")
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        with pytest.raises(RuntimeError, match="broken lane kernel"):
-            Sweep(**grid, engine="vector").run(executor="serial")
+        assert len(result.select(engine="compiled")) == 3
+        assert len(result.select(engine=None)) == 0
+        # Every tier runs every spec, so there is no fallback to count:
+        # the stats hold exactly the documented keys.
+        assert set(stats) == {
+            "specs", "simulated", "cache_hits", "wall_time", "executor",
+            "trace_captures", "trace_hits", "workers", "engine_used",
+            "compiled_hits", "sink_batches",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,13 @@ def test_capture_then_replay_reproduces_golden_corpus(name, tmp_path):
     assert all(result.trace_origin == "replay" for result in second)
 
 
-@pytest.mark.parametrize("engine", ["compiled", "vector"])
+@pytest.mark.parametrize("engine", ["compiled"])
 @pytest.mark.parametrize("name", sorted(EXECUTORS))
 def test_engine_tiers_reproduce_golden_corpus(name, engine, service):
     # Execution tiers change speed, never results: the whole corpus,
     # re-run under each engine directive on every backend, must still
-    # match the fixtures byte for byte.  Specs a tier cannot take (the
-    # vector tier refuses PBS/sink work) fall back to the interpreter
-    # inside the Session — the directive itself rides the wire.
+    # match the fixtures byte for byte.  The directive itself rides the
+    # wire, and every tier runs every spec.
     entries = _manifest()
     specs = [
         replace(RunSpec.from_dict(entry["spec"]), engine=engine)
@@ -176,9 +175,8 @@ def test_engine_tiers_reproduce_golden_corpus(name, engine, service):
             f"engine {engine!r} on executor {name!r} diverged "
             f"from {entry['fixture']}"
         )
-    if engine == "compiled":
-        # The tier annotation crosses every wire protocol intact.
-        assert all(r.engine_used == "compiled" for r in results)
+    # The tier annotation crosses every wire protocol intact.
+    assert all(r.engine_used == engine for r in results)
 
 
 @pytest.mark.parametrize(
