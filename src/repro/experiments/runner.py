@@ -25,11 +25,9 @@ import time
 from ..sim import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
-    AdaptiveSweep,
     Sweep,
     engine_names,
     executor_names,
-    objective_names,
     predictor_names,
     set_default_engine,
     workload_names,
@@ -218,98 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution tier for simulated grid points (default: the "
             "plain interpreter path); tiers change speed, never results"
-        ),
-    )
-
-    autopilot_parser = subparsers.add_parser(
-        "autopilot",
-        help=(
-            "adaptive frontier search: spend a simulation budget where "
-            "the objective's decision boundary actually is"
-        ),
-    )
-    autopilot_parser.add_argument(
-        "workload", help="registered workload to search over"
-    )
-    autopilot_parser.add_argument(
-        "--objective", choices=objective_names(), default="pbs-win",
-        help="registered objective the cells are scored on",
-    )
-    autopilot_parser.add_argument(
-        "--objective-option", action="append", default=[],
-        metavar="KEY=VALUE",
-        help=(
-            "objective constructor option (repeatable); VALUE is parsed "
-            "as JSON, falling back to a bare string"
-        ),
-    )
-    autopilot_parser.add_argument(
-        "--scales", type=lambda s: [float(x) for x in _csv(s)],
-        default=None, help="comma-separated coarse-pass scales",
-    )
-    autopilot_parser.add_argument(
-        "--budget", type=int, default=96,
-        help="total simulation budget, in specs (default: 96)",
-    )
-    autopilot_parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="allocator + simulation base seed (default: %(default)s)",
-    )
-    autopilot_parser.add_argument(
-        "--max-pulls", type=int, default=12,
-        help="per-cell sample cap (default: %(default)s)",
-    )
-    autopilot_parser.add_argument(
-        "--processes", type=int, default=1, help="worker processes"
-    )
-    autopilot_parser.add_argument(
-        "--executor", choices=executor_names(), default=None,
-        help=(
-            "execution backend (default: throwaway process pool, "
-            "serial when --processes is 1)"
-        ),
-    )
-    autopilot_parser.add_argument(
-        "--coordinator", type=str, default=None, metavar="HOST:PORT",
-        help="repro-coordinator address for --executor http",
-    )
-    autopilot_parser.add_argument(
-        "--token", type=str, default=None, metavar="SECRET",
-        help="shared secret for --coordinator (default: $REPRO_TOKEN)",
-    )
-    autopilot_parser.add_argument(
-        "--cache-dir", type=str, default="",
-        help=(
-            "on-disk result cache; cache hits still count against the "
-            "budget, so warm and cold caches report identically "
-            "(default: disabled)"
-        ),
-    )
-    autopilot_parser.add_argument(
-        "--engine", choices=engine_names(), default=None,
-        help="execution tier for the underlying simulations",
-    )
-    autopilot_parser.add_argument(
-        "--progress", action="store_true",
-        help="print one line per completed round to stderr",
-    )
-    autopilot_parser.add_argument(
-        "--stats-json", type=str, default=None, metavar="PATH",
-        help=(
-            "write a machine-readable summary (budget_spent, "
-            "refine_rounds, early_stopped, frontier, simulated, "
-            "cache_hits, wall_time, executor) to PATH; '-' for stdout"
-        ),
-    )
-    autopilot_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full RefinementReport as JSON",
-    )
-    autopilot_parser.add_argument(
-        "--require-frontier", action="store_true",
-        help=(
-            "exit with status 4 when the run finishes without locating "
-            "a frontier segment (the objective never flips)"
         ),
     )
 
@@ -624,84 +530,6 @@ def _cmd_sweep(args) -> int:
         f"{results.wall_time:.1f}s]",
         file=sys.stderr,
     )
-    return 0
-
-
-def _parse_objective_options(pairs):
-    options = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(
-                f"--objective-option wants KEY=VALUE, got {pair!r}"
-            )
-        try:
-            options[key.replace("-", "_")] = json.loads(value)
-        except ValueError:
-            options[key.replace("-", "_")] = value
-    return options
-
-
-def _cmd_autopilot(args) -> int:
-    kwargs = {}
-    if args.scales is not None:
-        kwargs["scales"] = args.scales
-    try:
-        autopilot = AdaptiveSweep(
-            args.workload,
-            objective=args.objective,
-            objective_options=_parse_objective_options(args.objective_option),
-            budget=args.budget,
-            seed=args.seed,
-            max_pulls=args.max_pulls,
-            cache_dir=args.cache_dir or None,
-            engine=args.engine,
-            **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(str(exc)) from None
-    on_round = None
-    if args.progress:
-        def on_round(round_report):
-            label = "coarse" if round_report.index == 0 else "refine"
-            print(
-                f"[round {round_report.index}] {label}: "
-                f"{len(round_report.pulls)} pulls, "
-                f"spend {round_report.spend}, "
-                f"+{len(round_report.added_scales)} cells, "
-                f"{len(round_report.decided_scales)} decided",
-                file=sys.stderr,
-            )
-
-    executor, owned = _resolve_executor(args)
-    try:
-        report = autopilot.run(
-            executor=executor, processes=args.processes, on_round=on_round
-        )
-    finally:
-        if owned is not None:
-            owned.close()
-    if args.stats_json:
-        payload = json.dumps(report.stats(), indent=2, sort_keys=True)
-        if args.stats_json == "-":
-            print(payload)
-        else:
-            with open(args.stats_json, "w") as handle:
-                handle.write(payload + "\n")
-    if args.json:
-        print(report.to_json(indent=2))
-    else:
-        print(report.render())
-    print(
-        f"[budget {report.budget_spent}/{report.budget}: "
-        f"{report.simulated} simulated, {report.cache_hits} from cache, "
-        f"{report.refine_rounds} refine rounds, "
-        f"{report.wall_time:.1f}s]",
-        file=sys.stderr,
-    )
-    if args.require_frontier and not report.frontier:
-        print("autopilot: no frontier located", file=sys.stderr)
-        return 4
     return 0
 
 
@@ -1059,8 +887,8 @@ def main(argv=None) -> int:
     artefacts = set(EXPERIMENTS) | {"all"}
     if (
         argv
-        and argv[0] not in {"run", "sweep", "autopilot", "list", "trace",
-                            "analyze", "diff"}
+        and argv[0] not in {"run", "sweep", "list", "trace", "analyze",
+                            "diff"}
         and any(token in artefacts for token in argv)
     ):
         argv.insert(0, "run")
@@ -1074,8 +902,6 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "autopilot":
-        return _cmd_autopilot(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "analyze":

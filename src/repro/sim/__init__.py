@@ -58,19 +58,6 @@ from .registry import (
 from .results import CoreMetrics, PBSMetrics, PredictorMetrics, RunResult
 from .session import DEFAULT_SCALE, DEFAULT_SEED, FanOut, Session
 from .sweep import MODES, RunSpec, Sweep, SweepResult
-from .adaptive import (  # noqa: E402  (imports .sweep, so bound after it)
-    OBJECTIVES,
-    AdaptiveSweep,
-    CellReport,
-    FrontierSegment,
-    Objective,
-    RefinementReport,
-    RoundReport,
-    create_objective,
-    get_objective,
-    objective_names,
-    register_objective,
-)
 
 # Execution tiers (interp / compiled) re-exported lazily:
 # repro.engines itself imports this package for the shared Registry
@@ -153,17 +140,6 @@ __all__ = [
     "RunSpec",
     "Sweep",
     "SweepResult",
-    "OBJECTIVES",
-    "AdaptiveSweep",
-    "CellReport",
-    "FrontierSegment",
-    "Objective",
-    "RefinementReport",
-    "RoundReport",
-    "create_objective",
-    "get_objective",
-    "objective_names",
-    "register_objective",
     "ENGINES",
     "Engine",
     "create_engine",

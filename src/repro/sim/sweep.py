@@ -376,7 +376,7 @@ class Sweep:
         # every counter above exists — so a callback that raises cannot
         # unwind a half-initialized run, and the callback sequence for
         # any given grid prefix is identical on warm and cold caches
-        # (adaptive drivers feed allocator state from this order).
+        # (so progress observers see the same order either way).
         if on_result is not None:
             for index in hits:
                 on_result(specs[index], results[index])

@@ -125,49 +125,3 @@ def cfd_oracle_json() -> str:
 def normalized_json(result) -> str:
     """The byte-exact fixture form: wall time zeroed, 2-space indent."""
     return replace(result, wall_time=0.0).to_json(indent=2) + "\n"
-
-
-#: The adaptive-autopilot fixtures: a whole AdaptiveSweep run each,
-#: pinned as one RefinementReport JSON document.  The bandit case
-#: bisects the average-reward frontier; the pi case the PBS accuracy
-#: tolerance.  Both were chosen so the objective genuinely flips inside
-#: the coarse grid — the frontier estimate is part of the fixture.
-GOLDEN_AUTOPILOTS = (
-    (
-        "autopilot-bandit-reward.json",
-        dict(
-            workload="bandit",
-            objective="pbs-output",
-            objective_options={"key": "average_reward", "threshold": 0.8},
-            scales=(0.01, 0.02, 0.05, 0.1),
-            budget=64,
-            seed=7,
-            max_pulls=16,
-        ),
-    ),
-    (
-        "autopilot-pi-accuracy.json",
-        dict(
-            workload="pi",
-            objective="pbs-accuracy",
-            objective_options={"threshold": 0.002},
-            scales=(0.01, 0.04, 0.16),
-            budget=40,
-            seed=1,
-        ),
-    ),
-)
-
-
-def autopilot_sweep(kwargs):
-    """The AdaptiveSweep for one ``GOLDEN_AUTOPILOTS`` entry."""
-    from repro.sim import AdaptiveSweep
-
-    return AdaptiveSweep(**kwargs)
-
-
-def normalized_report_json(report) -> str:
-    """The byte-exact RefinementReport fixture form.  Wall time and
-    executor telemetry are transient fields that ``to_json`` already
-    excludes, so no normalization step is needed."""
-    return report.to_json(indent=2) + "\n"

@@ -15,15 +15,12 @@ from repro.sim import SerialExecutor
 
 from . import (
     CFD_ORACLE_FIXTURE,
-    GOLDEN_AUTOPILOTS,
     GOLDEN_DIR,
     MANIFEST_PATH,
-    autopilot_sweep,
     cfd_oracle_json,
     fixture_name,
     golden_specs,
     normalized_json,
-    normalized_report_json,
 )
 
 
@@ -44,14 +41,6 @@ def main() -> int:
     print(f"wrote specs.json ({len(manifest)} fixtures)", file=sys.stderr)
     (GOLDEN_DIR / CFD_ORACLE_FIXTURE).write_text(cfd_oracle_json())
     print(f"wrote {CFD_ORACLE_FIXTURE}", file=sys.stderr)
-    for name, kwargs in GOLDEN_AUTOPILOTS:
-        report = autopilot_sweep(kwargs).run(executor="serial")
-        (GOLDEN_DIR / name).write_text(normalized_report_json(report))
-        print(
-            f"wrote {name} (budget {report.budget_spent}/{report.budget}, "
-            f"{len(report.frontier)} frontier segments)",
-            file=sys.stderr,
-        )
     return 0
 
 

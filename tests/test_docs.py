@@ -12,7 +12,6 @@ EXPECTED_PAGES = (
     "index.md",
     "architecture.md",
     "api.md",
-    "adaptive.md",
     "traces.md",
     "analysis.md",
     "service.md",

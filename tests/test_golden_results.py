@@ -28,15 +28,12 @@ from repro.sim import (
 
 from .golden import (
     CFD_ORACLE_FIXTURE,
-    GOLDEN_AUTOPILOTS,
     GOLDEN_DIR,
     MANIFEST_PATH,
-    autopilot_sweep,
     cfd_oracle_json,
     fixture_name,
     golden_specs,
     normalized_json,
-    normalized_report_json,
 )
 
 
@@ -177,29 +174,6 @@ def test_engine_tiers_reproduce_golden_corpus(name, engine, service):
         )
     # The tier annotation crosses every wire protocol intact.
     assert all(r.engine_used == engine for r in results)
-
-
-@pytest.mark.parametrize(
-    "fixture,kwargs", GOLDEN_AUTOPILOTS, ids=[f for f, _ in GOLDEN_AUTOPILOTS]
-)
-@pytest.mark.parametrize("name", sorted(EXECUTORS))
-def test_executor_reproduces_autopilot_fixtures(
-    name, fixture, kwargs, service
-):
-    # The adaptive driver's whole refinement trajectory — allocator
-    # choices, midpoint insertions, early stops, the frontier estimate —
-    # must be byte-identical on every backend: completion order on
-    # parallel and distributed executors must never leak into the report.
-    executor = _build(name, service)
-    try:
-        report = autopilot_sweep(kwargs).run(executor=executor)
-    finally:
-        executor.close()
-    expected = (GOLDEN_DIR / fixture).read_text()
-    assert normalized_report_json(report) == expected, (
-        f"executor {name!r} diverged from {fixture}"
-    )
-    assert report.executor == name
 
 
 def test_http_matches_serial_on_16_point_grid(service):

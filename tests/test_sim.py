@@ -1,7 +1,12 @@
 """Tests for the repro.sim Session/Sweep API and plugin registries."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +195,47 @@ class TestRemovedShims:
         assert not hasattr(common, "timed_matrix")
         assert "mpki_pair" not in common.__all__
         assert "timed_matrix" not in common.__all__
+
+    def test_autopilot_subcommand_is_gone(self, capsys):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["autopilot", "pi"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'autopilot'" in capsys.readouterr().err
+
+
+class TestImportBoundary:
+    def test_sim_runs_without_numpy_or_scipy(self):
+        # repro.sim and the simulations it runs need neither numpy nor
+        # scipy; only the statistics artefacts do.  A fresh interpreter
+        # with both blocked must import the package, list every
+        # registry and run a base and a PBS Session.
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["numpy"] = None
+            sys.modules["scipy"] = None
+            import repro.sim as sim
+            for listing in (sim.workload_names, sim.predictor_names,
+                            sim.executor_names, sim.engine_names):
+                assert listing()
+            base = sim.Session("pi").scale(0.01).run()
+            pbs = sim.Session("pi").scale(0.01).pbs().run()
+            assert not base.pbs and pbs.pbs
+            loaded = sorted(
+                name for name, module in sys.modules.items()
+                if name.split(".")[0] in ("numpy", "scipy")
+                and module is not None
+            )
+            assert not loaded, loaded
+        """)
+        src = str(Path(sim_registry.__file__).resolve().parents[2])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

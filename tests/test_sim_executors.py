@@ -102,6 +102,55 @@ class TestExecutorEquivalence:
         assert all(result.cached for result in seen)
 
 
+class TestSweepCallbackOrder:
+    """``Sweep.run`` cache hits notify first, in spec order, after run
+    state exists — identically warm and cold."""
+
+    GRID = dict(workloads=["pi"], scales=[0.01], seeds=[0, 1, 2],
+                modes=["base"], predictors=[])
+
+    def _run(self, cache_dir, **overrides):
+        order = []
+        grid = dict(self.GRID, cache_dir=cache_dir, **overrides)
+        Sweep(**grid).run(
+            executor="serial",
+            on_result=lambda spec, result: order.append(
+                (spec.seed, bool(result.cached))
+            ),
+        )
+        return order
+
+    def test_warm_and_cold_order_identical(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold = self._run(cache_dir)
+        warm = self._run(cache_dir)
+        assert [seed for seed, _ in cold] == [seed for seed, _ in warm]
+        assert all(not cached for _, cached in cold)
+        assert all(cached for _, cached in warm)
+
+    def test_partially_warm_hits_first_in_spec_order(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        # Prime only the middle seed, then run the full grid.
+        self._run(cache_dir, seeds=[1])
+        order = self._run(cache_dir)
+        assert order == [(1, True), (0, False), (2, False)]
+
+    def test_raising_callback_leaves_no_partial_state(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        self._run(cache_dir)  # warm everything
+
+        def boom(spec, result):
+            raise RuntimeError("observer exploded")
+
+        with pytest.raises(RuntimeError, match="observer exploded"):
+            Sweep(**dict(self.GRID, cache_dir=cache_dir)).run(
+                executor="serial", on_result=boom
+            )
+        # The cache is untouched and a clean run still works.
+        order = self._run(cache_dir)
+        assert all(cached for _, cached in order)
+
+
 class TestWorkerPoolExecutor:
     GRID = dict(workloads=["pi"], scales=(SCALE,), seeds=(0, 1))
 
