@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..sim import Session, get_workload, paper_workload_names
-from ..stats import proportion_interval
 from .common import DEFAULT_SCALE, ExperimentResult
 
 TITLE = "Section VII-D: output accuracy under PBS"
@@ -73,6 +72,8 @@ def run(
 
 def _genetic_row(result, workload, scale, seeds) -> None:
     """Genetic is judged like the paper: success-rate CIs must overlap."""
+    from ..stats import proportion_interval
+
     base_successes = 0
     pbs_successes = 0
     name = workload.name

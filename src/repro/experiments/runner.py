@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--executor", choices=executor_names(), default=None,
         help=(
-            "execution backend (default: throwaway process pool, "
-            "serial when --processes is 1)"
+            "execution backend (default: pool, a local process pool "
+            "closed when the sweep ends; serial when --processes is 1)"
         ),
     )
     sweep_parser.add_argument(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..sim import Session
-from ..stats import FAIL, NUM_TESTS, PASS, WEAK, count_interval, run_battery, summarize
 from .common import DEFAULT_SCALE, ExperimentResult
 
 TITLE = "Table III: randomness battery, original vs PBS value stream"
@@ -29,6 +28,8 @@ DEFAULT_SEEDS = tuple(range(7))
 
 
 def _stream_counts(name, scale, seeds, use_pbs) -> Dict[str, List[int]]:
+    from ..stats import FAIL, PASS, WEAK, run_battery, summarize
+
     counts: Dict[str, List[int]] = {PASS: [], WEAK: [], FAIL: []}
     for seed in seeds:
         session = Session(name, scale=scale, seed=seed).record_consumed()
@@ -46,6 +47,9 @@ def run(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     names: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
+    # The battery loads numpy and scipy: import it only when run.
+    from ..stats import FAIL, NUM_TESTS, PASS, WEAK, count_interval
+
     result = ExperimentResult(
         TITLE,
         columns=[

@@ -6,10 +6,10 @@ One import gives everything a scenario needs:
   interpretation fanned out to any number of predictors, timing cores
   and the PBS engine), returning a structured :class:`RunResult`;
 * :class:`Sweep` — parameter-grid execution over pluggable
-  :class:`Executor` backends (serial, per-call process pool, a
-  persistent :class:`WorkerPoolExecutor`, or the distributed
-  :class:`HttpExecutor` driving a ``repro-coordinator``) with
-  deterministic per-run seeding and an on-disk sharded
+  :class:`Executor` backends (serial, the local process pool
+  :class:`WorkerPoolExecutor` that survives a killed worker, or the
+  distributed :class:`HttpExecutor` driving a ``repro-coordinator``)
+  with deterministic per-run seeding and an on-disk sharded
   :class:`ResultCache`;
 * :func:`register_workload` / :func:`register_predictor` — decorator
   registries through which benchmarks and predictors plug themselves in.
@@ -28,8 +28,8 @@ from .cache import CACHE_VERSION, ResultCache, spec_digest
 from .executors import (
     EXECUTORS,
     Executor,
-    ProcessPoolExecutor,
     SerialExecutor,
+    WorkerDiedError,
     WorkerPoolExecutor,
     create_executor,
     executor_names,
@@ -101,8 +101,8 @@ __all__ = [
     "spec_digest",
     "EXECUTORS",
     "Executor",
-    "ProcessPoolExecutor",
     "SerialExecutor",
+    "WorkerDiedError",
     "WorkerPoolExecutor",
     "create_executor",
     "executor_names",

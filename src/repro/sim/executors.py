@@ -1,18 +1,15 @@
 """Pluggable execution backends for :class:`~repro.sim.sweep.Sweep`.
 
 An :class:`Executor` turns a batch of picklable ``RunSpec`` descriptions
-into :class:`~repro.sim.results.RunResult` objects.  Three strategies
+into :class:`~repro.sim.results.RunResult` objects.  Two strategies
 ship with the package:
 
 * :class:`SerialExecutor` — run every spec in-process, in order;
-* :class:`ProcessPoolExecutor` — a throwaway ``multiprocessing.Pool``
-  per batch (the historical ``Sweep.run(processes=N)`` behaviour);
-* :class:`WorkerPoolExecutor` — a persistent pool that stays alive
-  across batches, dispatches work via ``imap_unordered`` so idle
-  workers steal the next spec, and reports per-spec completion through
-  an optional callback.
+* :class:`WorkerPoolExecutor` — the local process pool and the
+  default: workers that outlive a batch, one spec at a time each, and
+  are replaced when they die.
 
-A fourth, the distributed :class:`~repro.serve.client.HttpExecutor`
+A third, the distributed :class:`~repro.serve.client.HttpExecutor`
 (``"http"``), lives in :mod:`repro.serve.client`: it submits the batch
 to a ``repro-coordinator``, which fans it out to registered
 ``repro-worker`` daemons (:mod:`repro.sim.remote`).
@@ -20,8 +17,9 @@ to a ``repro-coordinator``, which fans it out to registered
 All executors honour the same contract: ``map(specs, on_result=None)``
 returns results **in spec order**, regardless of completion order, and
 ``on_result(index, spec, result)`` fires once per spec as its result
-becomes available.  Because every spec carries its own seed, results
-are bit-identical across executors and worker counts.
+becomes available — in completion order on the parallel backends.
+Because every spec carries its own seed, results are bit-identical
+across executors and worker counts.
 
 Third-party backends plug in through :func:`register_executor`::
 
@@ -36,7 +34,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, Type, Union
+from collections import deque
+from contextlib import closing
+from multiprocessing.connection import wait
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 from .registry import Registry, validate_options
 from .results import RunResult
@@ -44,24 +45,33 @@ from .results import RunResult
 #: ``on_result(index, spec, result)`` — fired once per completed spec.
 ProgressCallback = Callable[[int, object, RunResult], None]
 
+#: Attempts per spec on :class:`WorkerPoolExecutor` (the coordinator's
+#: ``max_attempts`` default).
+MAX_ATTEMPTS = 3
+
+
+class WorkerDiedError(RuntimeError):
+    """A pool worker process died while it ran a spec."""
+
 
 def _execute_spec(spec) -> RunResult:
     """Worker entry point: run one spec (module-level for pickling)."""
     return spec.session().run()
 
 
-def _execute_indexed(item):
-    """``(index, spec) -> (index, result)`` — lets unordered dispatch
-    reassemble results into spec order in the parent process."""
-    index, spec = item
-    return index, _execute_spec(spec)
-
-
-def _pool_context():
-    # Prefer fork: workers inherit the interpreter state (registries,
-    # sys.path) without re-importing __main__, and start instantly.
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+def _worker_main(conn) -> None:
+    """One pool worker: run each spec received on ``conn`` and reply
+    ``(True, result)`` or ``(False, exception)``, until the pipe closes."""
+    while True:
+        try:
+            spec = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, _execute_spec(spec))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
 
 
 class Executor:
@@ -134,11 +144,10 @@ def create_executor(
 ) -> Executor:
     """Resolve a ``Sweep.run`` executor argument to an instance.
 
-    ``None`` selects the historical default — a throwaway process pool
-    that degrades to serial execution when ``processes <= 1`` or the
-    batch has a single spec.  A string is looked up in the registry; an
-    :class:`Executor` instance passes through untouched (the caller
-    keeps ownership and must ``close()`` it).  Extra keyword ``options``
+    ``None`` selects the ``pool`` backend, serial when ``processes <= 1``.
+    A string is looked up in the registry; an :class:`Executor` instance
+    passes through untouched (the caller keeps ownership and must
+    ``close()`` it).  Extra keyword ``options``
     are forwarded to the backend constructor (e.g. ``coordinator=...``
     for the ``http`` backend); options the backend does not accept raise
     ``TypeError`` naming the valid ones.
@@ -146,7 +155,7 @@ def create_executor(
     if isinstance(executor, Executor):
         return executor
     if executor is None:
-        executor = "process"
+        executor = "pool"
     cls = EXECUTORS.get(executor)
     validate_options("executor", executor, cls, options, reserved=("processes",))
     return cls(processes=processes, **options)
@@ -171,65 +180,38 @@ class SerialExecutor(Executor):
         return results
 
 
-@register_executor("process")
-class ProcessPoolExecutor(Executor):
-    """A throwaway ``multiprocessing.Pool`` per batch.
-
-    This is ``Sweep.run(processes=N)``'s historical behaviour,
-    extracted: a pool spawned for the batch and torn down when it
-    completes.  Single-spec batches and ``processes <= 1`` run
-    serially, exactly as before.  Dispatch streams through ``imap`` so
-    ``on_result`` fires (in spec order) as results arrive rather than
-    after the whole batch.
-    """
-
-    def __init__(self, processes: Optional[int] = None):
-        # Only None means "pick for me": 0 and negative values stay
-        # put, landing in the serial path below — the historical
-        # meaning of Sweep.run(processes=0).
-        self.processes = (os.cpu_count() or 1) if processes is None else processes
-
-    def map(self, specs, on_result=None):
-        specs = list(specs)
-        if self.processes <= 1 or len(specs) <= 1:
-            return SerialExecutor().map(specs, on_result)
-        results = []
-        with _pool_context().Pool(min(self.processes, len(specs))) as pool:
-            for index, result in enumerate(pool.imap(_execute_spec, specs)):
-                results.append(result)
-                if on_result is not None:
-                    on_result(index, specs[index], result)
-        return results
+def _stop(process, conn) -> None:
+    conn.close()
+    process.terminate()
+    process.join()
 
 
 @register_executor("pool")
 class WorkerPoolExecutor(Executor):
-    """A persistent worker pool reused across ``map()`` calls.
+    """The local process pool, reused across ``map()`` calls.
 
-    The pool is spawned lazily on first use and stays alive until
-    :meth:`close`, so repeated ``Sweep.run()`` calls skip worker
-    startup.  Specs are dispatched through ``imap_unordered`` with a
-    small chunksize: workers steal the next spec the moment they go
-    idle, which keeps long and short runs balanced, and ``on_result``
-    fires in **completion** order while the returned list stays in spec
-    order.  Telemetry counters (:attr:`batches`, :attr:`dispatched`,
-    :attr:`completed`) accumulate across batches.
+    Up to ``processes`` workers start as work arrives and live until
+    :meth:`close`.  Each owns one pipe and runs one spec at a time, so
+    an idle worker takes the next spec; ``on_result`` fires in
+    **completion** order, results return in spec order.
+    ``processes <= 1`` runs specs in-process.
+
+    A worker that dies without replying (SIGKILL, OOM kill) is replaced
+    and its spec requeued; after :data:`MAX_ATTEMPTS` deaths the spec
+    raises :class:`WorkerDiedError`.  If a spec or ``on_result`` raises,
+    the batch's busy workers are stopped.  Counters (:attr:`batches`,
+    :attr:`dispatched`, :attr:`completed`, :attr:`requeued`) accumulate
+    across batches.
     """
 
-    def __init__(self, processes: Optional[int] = None, chunksize: int = 1):
+    def __init__(self, processes: Optional[int] = None):
         self.processes = (os.cpu_count() or 1) if processes is None else processes
-        self.chunksize = chunksize
-        self._pool = None
+        #: ``(process, conn)`` of each live worker not running a spec.
+        self._idle: List[Tuple] = []
         self.batches = 0
         self.dispatched = 0
         self.completed = 0
-
-    @property
-    def pool(self):
-        """The live pool, spawned on first access."""
-        if self._pool is None:
-            self._pool = _pool_context().Pool(self.processes)
-        return self._pool
+        self.requeued = 0
 
     def map(self, specs, on_result=None):
         specs = list(specs)
@@ -242,36 +224,97 @@ class WorkerPoolExecutor(Executor):
             self.completed += len(results)
             return results
         results: List[Optional[RunResult]] = [None] * len(specs)
-        unordered = self.pool.imap_unordered(
-            _execute_indexed, list(enumerate(specs)),
-            chunksize=self.chunksize,
-        )
-        while True:
-            try:
-                index, result = next(unordered)
-            except StopIteration:
-                break
-            except Exception:
-                # A worker raised: the pool may be wedged, so tear it
-                # down rather than reuse it.  The next map() respawns.
-                # (Parent-side on_result errors propagate below
-                # *without* killing the healthy pool.  A worker killed
-                # outright — OOM, SIGKILL — hangs here instead: a
-                # multiprocessing.Pool limitation, same as the
-                # historical pool.map path.)
-                self.close()
-                raise
-            results[index] = result
-            self.completed += 1
-            if on_result is not None:
-                on_result(index, specs[index], result)
+        deaths = [0] * len(specs)
+        jobs = deque(enumerate(specs))
+        # closing(): an exception below stops this batch's busy workers
+        # now, not whenever its traceback lets the generator go.
+        with closing(self._run(jobs)) as finished:
+            for index, ok, value in finished:
+                if ok:
+                    results[index] = value
+                    self.completed += 1
+                    if on_result is not None:
+                        on_result(index, specs[index], value)
+                    continue
+                if not isinstance(value, WorkerDiedError):
+                    raise value
+                deaths[index] += 1
+                if deaths[index] == MAX_ATTEMPTS:
+                    raise WorkerDiedError(
+                        f"{specs[index]!r} lost its worker on all "
+                        f"{MAX_ATTEMPTS} attempts; last: {value}"
+                    )
+                self.requeued += 1
+                jobs.append((index, specs[index]))
         return results
 
+    def _run(self, jobs: deque, wake=None) -> Iterator[Tuple]:
+        """Run the ``(key, spec)`` jobs queued on ``jobs``, yielding
+        ``(key, True, result)`` or ``(key, False, exception)`` as each
+        finishes; the exception is a :class:`WorkerDiedError` when the
+        spec's worker died.  Jobs may be appended at any time.  Without
+        ``wake`` the run ends once ``jobs`` is empty and no worker is
+        busy; with it (a pipe end) the run waits for more, reading one
+        message per append, and ends on a ``None`` message.  However the
+        run ends, the workers still busy in it are stopped.
+        """
+        busy = {}  # conn -> (process, key)
+        try:
+            while True:
+                while jobs and (self._idle or len(busy) < self.processes):
+                    process, conn = (
+                        self._idle.pop() if self._idle else self._spawn()
+                    )
+                    key, spec = jobs.popleft()
+                    busy[conn] = process, key
+                    try:
+                        conn.send(spec)
+                    except OSError:
+                        pass  # it died idle: its sentinel fires below
+                if not busy and wake is None:
+                    return
+                ready = wait(
+                    [*busy, *(process.sentinel for process, _ in busy.values())]
+                    + ([wake] if wake is not None else [])
+                )
+                for conn, (process, key) in list(busy.items()):
+                    if conn not in ready and process.sentinel not in ready:
+                        continue
+                    del busy[conn]
+                    try:
+                        ok, value = conn.recv()
+                    except (EOFError, OSError):  # it died without replying
+                        _stop(process, conn)
+                        yield key, False, WorkerDiedError(
+                            f"worker process {process.pid} died "
+                            f"(exit code {process.exitcode})"
+                        )
+                        continue
+                    except Exception as exc:  # a reply that fails to unpickle
+                        ok, value = False, exc
+                    self._idle.append((process, conn))
+                    yield key, ok, value
+                if wake in ready and wake.recv() is None:
+                    return
+        finally:
+            for conn, (process, _) in busy.items():
+                _stop(process, conn)
+
+    def _spawn(self):
+        # Prefer fork: workers inherit the interpreter state (registries,
+        # sys.path) without re-importing __main__, and start instantly.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        conn, child = context.Pipe()
+        process = context.Process(target=_worker_main, args=(child,), daemon=True)
+        process.start()
+        child.close()  # the worker holds the only copy, so its death is EOF
+        return process, conn
+
     def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        idle, self._idle = self._idle, []
+        for process, conn in idle:
+            _stop(process, conn)
 
     def __del__(self):
         try:

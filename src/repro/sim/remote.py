@@ -16,7 +16,8 @@ that fans :class:`~repro.sim.sweep.Sweep` grids out across machines:
   line as ``repro-worker --coordinator host:port --processes N
   --cache-dir ...``.  It dials the coordinator, simulates each leased
   spec with the existing Session machinery (inline for ``--processes
-  1``, through a multiprocessing pool otherwise), answers warm requests
+  1``, on a :class:`~repro.sim.executors.WorkerPoolExecutor`
+  otherwise), answers warm requests
   straight from its sharded :class:`~repro.sim.cache.ResultCache`, and
   streams ``result`` frames back as they complete.
 
@@ -81,16 +82,18 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import multiprocessing
 import os
 import signal
 import socket
 import sys
 import threading
 import time
+from collections import deque
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .cache import CACHE_VERSION, ResultCache
-from .executors import _execute_spec, _pool_context
+from .executors import WorkerPoolExecutor, _execute_spec
 from .results import RunResult
 from .sweep import RunSpec
 
@@ -178,7 +181,11 @@ class CoordinatorWorker:
     backoff while the coordinator reschedules whatever it was leasing.
 
     ``processes <= 1`` simulates inline on the connection thread;
-    larger values share one multiprocessing pool.  With ``cache_dir``
+    larger values run specs on a
+    :class:`~repro.sim.executors.WorkerPoolExecutor` of that width,
+    served by its own thread.  A simulation process that dies turns
+    into an ``error`` frame for its run id, so the coordinator's retry
+    policy decides what happens to the spec.  With ``cache_dir``
     set, the worker answers warm specs from its sharded
     :class:`ResultCache` without re-simulating; with ``trace_dir`` set,
     it advertises a local :class:`~repro.trace.TraceStore` and serves
@@ -233,7 +240,11 @@ class CoordinatorWorker:
         #: Set when the worker gives up — stopped, failed, or drained.
         self.stopped = threading.Event()
         self._trace_store = None
-        self._pool = None
+        #: ``processes > 1``: specs queued for the pool, the pipe that
+        #: wakes its thread, and the thread (started by the first spec).
+        self._jobs: deque = deque()
+        self._wake = None
+        self._pool_thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._draining = False
         self._inflight = 0
@@ -250,13 +261,6 @@ class CoordinatorWorker:
         self._heartbeat: Optional[threading.Thread] = None
 
     # -- shared resources -----------------------------------------------
-
-    @property
-    def pool(self):
-        with self._lock:
-            if self._pool is None:
-                self._pool = _pool_context().Pool(self.processes)
-            return self._pool
 
     @property
     def trace_store(self):
@@ -285,13 +289,6 @@ class CoordinatorWorker:
                 f"{summary['evicted']} traces "
                 f"({summary['reclaimed_bytes']} bytes reclaimed)"
             )
-
-    def _close_pool(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
 
     def _log(self, message: str) -> None:
         label = self.worker_id or f"@{self.coordinator[0]}:{self.coordinator[1]}"
@@ -438,7 +435,10 @@ class CoordinatorWorker:
             if thread is not None and thread is not current:
                 thread.join(timeout=5)
         self._thread = self._heartbeat = None
-        self._close_pool()
+        thread, self._pool_thread = self._pool_thread, None
+        if thread is not None:
+            self._wake.send(None)  # ends the pool's run, then closes it
+            thread.join(timeout=5)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Graceful shutdown: announce the drain (the coordinator stops
@@ -620,11 +620,24 @@ class CoordinatorWorker:
                 failed(exc)
                 return
             deliver(result)
-        else:
-            self.pool.apply_async(
-                _execute_spec, (spec,),
-                callback=deliver, error_callback=failed,
-            )
+            return
+        with self._lock:
+            if self._pool_thread is None:
+                wake, self._wake = multiprocessing.Pipe(duplex=False)
+                self._pool_thread = threading.Thread(
+                    target=self._serve_pool, args=(wake,), daemon=True,
+                    name=f"repro-worker-pool@{self.worker_id}",
+                )
+                self._pool_thread.start()
+        self._jobs.append(((deliver, failed), spec))
+        self._wake.send(True)
+
+    def _serve_pool(self, wake) -> None:
+        """The pool thread: run queued specs until ``stop`` sends ``None``.
+        A spec that raises or whose process dies answers ``error``."""
+        with WorkerPoolExecutor(self.processes) as pool:
+            for (deliver, failed), ok, value in pool._run(self._jobs, wake):
+                (deliver if ok else failed)(value)
 
     # -- trace streaming ------------------------------------------------
 

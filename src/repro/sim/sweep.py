@@ -3,8 +3,8 @@
 A sweep expands ``{workload} x {scale} x {seed} x {mode}`` into
 picklable :class:`RunSpec` descriptions, executes them through a
 pluggable :class:`~repro.sim.executors.Executor` backend — serial,
-throwaway process pool, or a persistent worker pool reused across
-calls — and memoizes completed runs in an on-disk sharded
+a local process pool, or a ``repro-coordinator`` — and memoizes
+completed runs in an on-disk sharded
 :class:`~repro.sim.cache.ResultCache`.  Every run carries its own seed
 in its spec, so results are bit-identical regardless of backend, worker
 count or execution order::
@@ -23,10 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cache import ResultCache, spec_digest
-# _execute_spec moved to executors; re-imported so existing references
-# to repro.sim.sweep._execute_spec (and pickles of it) keep resolving.
 from .executors import Executor, create_executor
-from .executors import _execute_spec  # noqa: F401  (backwards compat)
 from .registry import baseline_predictors, workload_names
 from .results import RunResult
 from .session import DEFAULT_SCALE, DEFAULT_SEED, Session
@@ -341,15 +338,17 @@ class Sweep:
         """Execute the grid, loading memoized points from the cache.
 
         ``executor`` selects the execution backend: a registry name
-        (``"serial"``, ``"process"``, ``"pool"``, ``"http"`` — the
-        latter reading the coordinator address from
-        ``$REPRO_COORDINATOR``), an :class:`Executor` instance (kept
-        open for reuse — e.g. one
+        (``"serial"``, ``"pool"``, ``"http"`` — the latter reading the
+        coordinator address from ``$REPRO_COORDINATOR``), an
+        :class:`Executor` instance (kept open for reuse — e.g. one
         :class:`~repro.sim.executors.WorkerPoolExecutor` across many
-        sweeps), or ``None`` for the historical default (a throwaway
-        process pool, serial when ``processes <= 1``).  ``on_result``
-        fires once per grid point — ``on_result(spec, result)`` — as
-        each result becomes available, cache hits first.
+        sweeps), or ``None`` for the default: a ``pool`` of
+        ``processes`` workers (serial when ``processes <= 1``), closed
+        when the run ends.  ``on_result`` fires once per grid point —
+        ``on_result(spec, result)`` — as each result becomes available:
+        cache hits first, in spec order, then fresh results in
+        completion order when ``processes > 1``.  The returned results
+        are always in spec order.
         """
         started = time.perf_counter()
         specs = self.specs()

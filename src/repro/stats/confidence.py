@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as sps
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -53,6 +51,8 @@ def mean_interval(samples: Sequence[float], confidence: float = 0.95) -> Interva
     if n == 1:
         return Interval(mean, mean, mean, confidence)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    from scipy import stats as sps  # deferred: slow to import
+
     half_width = (
         sps.t.ppf(0.5 + confidence / 2.0, n - 1) * math.sqrt(variance / n)
     )
@@ -74,6 +74,8 @@ def proportion_interval(
         raise ValueError(
             f"successes must be within [0, {trials}], got {successes}"
         )
+    from scipy import stats as sps  # deferred: slow to import
+
     z = sps.norm.ppf(0.5 + confidence / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials

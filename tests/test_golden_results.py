@@ -3,8 +3,9 @@
 Every registered executor backend replays the checked-in canonical grid
 (``tests/golden/``) and must reproduce each fixture **byte for byte**
 after wall-time normalization.  The ``http`` backend runs against an
-in-process ``Coordinator`` with one registered ``CoordinatorWorker``, so
-the HTTP API and the worker wire protocol are under the same
+in-process ``Coordinator`` with one registered ``CoordinatorWorker``
+running two simulation processes, so the HTTP API, the worker wire
+protocol and the daemon's process pool are under the same
 bit-identical contract as the local backends.
 
 If a fixture diff is *intentional* (simulation semantics changed),
@@ -39,9 +40,11 @@ from .golden import (
 
 @pytest.fixture(scope="module")
 def service():
-    """A coordinator with one registered worker, for the http backend."""
+    """A coordinator with one registered worker, for the http backend.
+    The worker runs two simulation processes, so the corpus replays
+    through the daemon's process pool."""
     coordinator = Coordinator(port=0).start()
-    worker = CoordinatorWorker(coordinator.address, processes=1).start()
+    worker = CoordinatorWorker(coordinator.address, processes=2).start()
     assert coordinator.wait_for_workers(1, timeout=10)
     yield coordinator
     worker.stop()

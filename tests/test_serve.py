@@ -29,6 +29,8 @@ from repro.sim.remote import (
     encode_frame,
 )
 
+from .watchdog import run_watched
+
 SCALE = 0.02
 TOKEN = "open-sesame"
 
@@ -243,6 +245,58 @@ class TestEndToEnd:
         telemetry = next(iter(executor.telemetry.values()))
         assert telemetry["specs"] == 16
         assert telemetry["failures"] == 0
+
+    def test_worker_survives_a_killed_simulation_process(self):
+        # One worker with two simulation processes; both are SIGKILLed
+        # mid-grid.  The dead slot answers an error frame, the
+        # coordinator requeues the spec, and the sweep completes.  Under
+        # a watchdog: a worker that kept heartbeating a lost spec would
+        # hang the sweep for good.
+        outcome = run_watched("""
+            import json, multiprocessing, os, signal
+            from repro.serve import Coordinator
+            from repro.sim import CoordinatorWorker, HttpExecutor, Sweep
+
+            GRID = dict(workloads=["pi"], scales=(0.02,), seeds=tuple(range(4)))
+            coordinator = Coordinator(port=0).start()
+            worker = CoordinatorWorker(coordinator.address, processes=2).start()
+            assert coordinator.wait_for_workers(1, timeout=10)
+            killed = []
+
+            def kill_simulations(spec, result):
+                if not killed:  # the worker's pool processes: our children
+                    for child in multiprocessing.active_children():
+                        os.kill(child.pid, signal.SIGKILL)
+                        killed.append(child.pid)
+
+            over_http = Sweep(**GRID).run(
+                executor=HttpExecutor(coordinator=coordinator.address),
+                on_result=kill_simulations,
+            )
+            worker.stop()
+            coordinator.stop()
+            serial = Sweep(**GRID).run(executor="serial")
+
+            def comparable(result):
+                data = result.to_dict()
+                data.pop("wall_time")
+                data.pop("cached", None)
+                return data
+
+            print(json.dumps({
+                "killed": len(killed),
+                "requeues": coordinator.requeues,
+                "simulated": coordinator.simulated,
+                "identical": list(map(comparable, over_http))
+                == list(map(comparable, serial)),
+                "left": len(multiprocessing.active_children()),
+            }))
+        """)
+        assert outcome["killed"] == 2
+        assert outcome["requeues"] >= 1
+        assert outcome["simulated"] == 8
+        assert outcome["identical"]
+        assert outcome["left"] == 0  # stop() closed the worker's pool
 
     def test_concurrent_identical_submissions_simulate_once(self, service):
         # Two clients race the same 16-point grid through one

@@ -229,6 +229,26 @@ class TestImportBoundary:
             )
             assert not loaded, loaded
         """)
+        self._run_blocked(script)
+
+    def test_cli_imports_without_numpy_or_scipy(self):
+        # pbs-experiments pays for numpy and scipy only when an artefact
+        # computes statistics: the runner, every experiment module and
+        # repro.stats itself import with both blocked.
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["numpy"] = None
+            sys.modules["scipy"] = None
+            import repro.experiments.runner as runner
+            import repro.stats
+            assert repro.stats.mean_interval and repro.stats.Interval
+            assert runner.main(["list"]) == 0
+            assert runner.main(["run", "table1", "--scale", "0.05"]) == 0
+        """)
+        self._run_blocked(script)
+
+    @staticmethod
+    def _run_blocked(script):
         src = str(Path(sim_registry.__file__).resolve().parents[2])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

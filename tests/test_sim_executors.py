@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments import runner
 from repro.sim import (
-    ProcessPoolExecutor,
     ResultCache,
     RunSpec,
     SerialExecutor,
@@ -17,6 +16,8 @@ from repro.sim import (
     create_executor,
     executor_names,
 )
+
+from .watchdog import run_watched
 
 SCALE = 0.02
 
@@ -31,18 +32,18 @@ def _comparable(result):
 
 class TestExecutorRegistry:
     def test_builtin_backends_registered(self):
-        assert executor_names() == ["serial", "process", "pool", "http"]
+        assert executor_names() == ["serial", "pool", "http"]
 
     def test_factory_resolves_names_and_instances(self):
         assert isinstance(create_executor("serial"), SerialExecutor)
-        assert isinstance(create_executor("process", 2), ProcessPoolExecutor)
+        assert isinstance(create_executor("pool", 2), WorkerPoolExecutor)
         pool = WorkerPoolExecutor(processes=2)
         assert create_executor(pool) is pool
         pool.close()
 
-    def test_default_is_the_historical_process_pool(self):
+    def test_default_is_the_pool(self):
         backend = create_executor(None, processes=3)
-        assert isinstance(backend, ProcessPoolExecutor)
+        assert isinstance(backend, WorkerPoolExecutor)
         assert backend.processes == 3
 
     def test_unknown_name_raises_with_listing(self):
@@ -55,15 +56,15 @@ class TestExecutorRegistry:
     def test_processes_zero_stays_serial(self):
         # Only None means "pick a width"; 0 keeps the historical
         # Sweep.run(processes=0) meaning of serial execution.
-        assert ProcessPoolExecutor(processes=0).processes == 0
         with WorkerPoolExecutor(processes=0) as pool:
+            assert pool.processes == 0
             results = pool.map(
                 Sweep(workloads=["pi"], scales=(SCALE,), seeds=(0,),
                       modes=("base",)).specs()
             )
             assert len(results) == 1
-            assert pool._pool is None  # serial path: no workers spawned
-        assert ProcessPoolExecutor().processes >= 1  # None -> cpu count
+            assert pool._idle == []  # serial path: no workers spawned
+        assert WorkerPoolExecutor().processes >= 1  # None -> cpu count
 
 
 class TestExecutorEquivalence:
@@ -75,11 +76,12 @@ class TestExecutorEquivalence:
         specs = Sweep(**self.GRID).specs()
         assert len(specs) == 16
         serial = Sweep(**self.GRID).run(executor="serial")
-        process = Sweep(**self.GRID).run(processes=4, executor="process")
+        default = Sweep(**self.GRID).run(processes=4)
+        assert default.executor == "pool"
         with WorkerPoolExecutor(processes=4) as pool:
             stolen = Sweep(**self.GRID).run(executor=pool)
-        assert len(serial) == len(process) == len(stolen) == 16
-        for a, b, c in zip(serial, process, stolen):
+        assert len(serial) == len(default) == len(stolen) == 16
+        for a, b, c in zip(serial, default, stolen):
             assert _comparable(a) == _comparable(b) == _comparable(c)
 
     def test_on_result_fires_once_per_spec(self):
@@ -157,16 +159,17 @@ class TestWorkerPoolExecutor:
     def test_pool_reused_across_two_sweep_runs(self):
         with WorkerPoolExecutor(processes=2) as executor:
             first = Sweep(**self.GRID).run(executor=executor)
-            live_pool = executor._pool
-            assert live_pool is not None
+            live = _worker_pids(executor)
+            assert len(live) == 2
             second = Sweep(
                 workloads=["pi"], scales=(SCALE,), seeds=(2, 3),
             ).run(executor=executor)
-            # Same pool object served both batches — no respawn.
-            assert executor._pool is live_pool
+            # Same worker processes served both batches — no respawn.
+            assert _worker_pids(executor) == live
             assert executor.batches == 2
             assert executor.dispatched == executor.completed == 8
-        assert executor._pool is None  # context exit closed it
+            assert executor.requeued == 0
+        assert executor._idle == []  # context exit closed it
         assert len(first) == len(second) == 4
         assert _comparable(first.results[0]) == _comparable(
             Sweep(**self.GRID).run(executor="serial").results[0]
@@ -195,23 +198,119 @@ class TestWorkerPoolExecutor:
             specs = Sweep(**self.GRID).specs()
             with pytest.raises(OSError):
                 executor.map(specs, on_result=explode)
-            assert executor._pool is not None  # pool survived
-            results = executor.map(specs)  # and is still usable
+            # The worker that delivered is idle and alive; only workers
+            # still busy with the failed batch were stopped.
+            assert _worker_pids(executor)
+            results = executor.map(specs)  # and the pool is still usable
             assert len(results) == len(specs)
+            for spec, result in zip(specs, results):
+                assert (result.seed, result.pbs) == (spec.seed, spec.mode == "pbs")
 
     def test_worker_exception_tears_down_pool(self):
         executor = WorkerPoolExecutor(processes=2)
         bad = [
-            RunSpec(workload="pi", scale=SCALE, seed=0),
+            RunSpec(workload="pi", scale=0.5, seed=0),  # still running...
             RunSpec(workload="no-such-workload", scale=SCALE, seed=1),
         ]
         with pytest.raises(KeyError):
             executor.map(bad)
-        assert executor._pool is None  # not reused after a failure
-        # ... and the executor recovers by respawning on the next map().
-        good = executor.map([RunSpec(workload="pi", scale=SCALE, seed=0)])
-        assert len(good) == 1
+        # ... when the other spec raised: its worker was stopped, so no
+        # stale reply can leak into the next map().  The worker that
+        # raised is healthy and stays.
+        assert len(_worker_pids(executor)) == 1
+        good = executor.map([RunSpec(workload="pi", scale=SCALE, seed=3)])
+        assert [r.seed for r in good] == [3]
         executor.close()
+
+
+class TestPoolSurvivesKilledWorkers:
+    """A worker killed outright (SIGKILL, OOM kill) never hangs the pool.
+    Each scenario runs under a watchdog, so a hang fails the test."""
+
+    def test_sigkilled_worker_mid_grid_completes_bit_identically(self):
+        outcome = run_watched("""
+            import multiprocessing, json, os, signal
+            from repro.sim import Sweep, WorkerPoolExecutor
+
+            GRID = dict(workloads=["pi"], scales=(0.02,), seeds=tuple(range(8)))
+            killed = []
+
+            def kill_workers(spec, result):
+                # On the first result: one worker has just gone idle and
+                # the other is mid-spec.  SIGKILL both.
+                if not killed:
+                    for child in multiprocessing.active_children():
+                        os.kill(child.pid, signal.SIGKILL)
+                        killed.append(child.pid)
+
+            with WorkerPoolExecutor(processes=2) as pool:
+                pooled = Sweep(**GRID).run(executor=pool, on_result=kill_workers)
+                requeued = pool.requeued
+            serial = Sweep(**GRID).run(executor="serial")
+
+            def comparable(result):
+                data = result.to_dict()
+                data.pop("wall_time")
+                data.pop("cached", None)
+                return data
+
+            print(json.dumps({
+                "killed": len(killed),
+                "requeued": requeued,
+                "identical": list(map(comparable, pooled))
+                == list(map(comparable, serial)),
+                "left": len(multiprocessing.active_children()),
+            }))
+        """)
+        assert outcome["killed"] == 2
+        assert outcome["requeued"] >= 1
+        assert outcome["identical"]
+        assert outcome["left"] == 0  # close() reaped the replacements
+
+    def test_spec_that_kills_every_worker_raises_after_three_attempts(self):
+        outcome = run_watched("""
+            import json, os, signal
+            from repro.sim import RunSpec, WorkerPoolExecutor, executors
+
+            execute_spec = executors._execute_spec
+
+            def fatal(spec):
+                if spec.seed == 13:  # this spec kills whichever worker runs it
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return execute_spec(spec)
+
+            executors._execute_spec = fatal  # before any worker forks
+            pool = WorkerPoolExecutor(processes=2)
+            specs = [RunSpec(workload="pi", scale=0.02, seed=seed)
+                     for seed in (0, 13, 1)]
+            try:
+                pool.map(specs)
+                error = None
+            except Exception as exc:
+                error = exc
+            executors._execute_spec = execute_spec
+            after = pool.map([RunSpec(workload="pi", scale=0.02, seed=2)])
+            requeued = pool.requeued
+            pool.close()
+
+            from repro.sim import WorkerDiedError
+
+            print(json.dumps({
+                "typed": isinstance(error, WorkerDiedError),
+                "message": str(error),
+                "requeued": requeued,
+                "after": [result.seed for result in after],
+            }))
+        """)
+        assert outcome["typed"], outcome["message"]
+        assert "all 3 attempts" in outcome["message"]
+        assert outcome["requeued"] == 2  # attempts 2 and 3
+        assert outcome["after"] == [2]  # the executor still works
+
+
+def _worker_pids(executor):
+    """Pids of the pool's live idle workers (all of them between maps)."""
+    return {process.pid for process, _ in executor._idle if process.is_alive()}
 
 
 def _result(seed=1):
@@ -326,7 +425,7 @@ class TestStatsJsonCLI:
         first_stats = tmp_path / "first.json"
         second_stats = tmp_path / "second.json"
         assert runner.main(
-            base + ["--executor", "pool", "--processes", "2",
+            base + ["--processes", "2",
                     "--stats-json", str(first_stats)]
         ) == 0
         assert runner.main(base + ["--stats-json", str(second_stats)]) == 0

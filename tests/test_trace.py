@@ -616,7 +616,7 @@ class TestSweepTracePlanning:
         for plain, shared in zip(baseline, traced):
             assert _normalized(plain) == _normalized(shared)
 
-    @pytest.mark.parametrize("name", ["serial", "process", "pool"])
+    @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_local_executors_interpret_once_per_group(
         self, tmp_path, baseline, name
     ):
