@@ -25,12 +25,10 @@ from .base import (
     ENGINES,
     Engine,
     create_engine,
-    default_engine,
     engine_names,
     get_engine,
     list_engines,
     register_engine,
-    set_default_engine,
 )
 
 # Importing the tier modules runs their @register_engine decorators.
@@ -40,10 +38,8 @@ __all__ = [
     "ENGINES",
     "Engine",
     "create_engine",
-    "default_engine",
     "engine_names",
     "get_engine",
     "list_engines",
     "register_engine",
-    "set_default_engine",
 ]

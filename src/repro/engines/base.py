@@ -9,7 +9,7 @@ consumed-value recording); there is no tier to fall back to.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import List, Type, Union
 
 from ..sim.registry import Registry, validate_options
 
@@ -87,28 +87,3 @@ def create_engine(engine: Union[str, Engine], **options) -> Engine:
     cls = ENGINES.get(engine)
     validate_options("engine", engine, cls, options)
     return cls(**options)
-
-
-#: Process-wide default engine directive, set by the CLI's ``run
-#: --engine`` so experiment modules pick up the tier without every
-#: artefact function growing an ``engine`` parameter.
-_DEFAULT: Optional[Tuple[str, Dict]] = None
-
-
-def set_default_engine(name: Optional[str], **options) -> None:
-    """Set (or clear, with ``None``) the process-wide default engine.
-
-    Sessions without an explicit ``.engine(...)`` call use the default;
-    ``None`` restores the direct interpreter path.
-    """
-    global _DEFAULT
-    if name is None:
-        _DEFAULT = None
-    else:
-        get_engine(name)  # fail fast on unknown names
-        _DEFAULT = (name, dict(options))
-
-
-def default_engine() -> Optional[Tuple[str, Dict]]:
-    """The process-wide ``(name, options)`` default, or ``None``."""
-    return _DEFAULT

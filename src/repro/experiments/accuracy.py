@@ -9,10 +9,11 @@ output image; zero reward/regret error for Bandit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import List, Optional, Sequence, Tuple
 
-from ..sim import Session, get_workload, paper_workload_names
-from .common import DEFAULT_SCALE, ExperimentResult
+from ..sim import RunSpec, get_workload, paper_workload_names
+from .common import DEFAULT_SCALE, ExperimentResult, Names, Runs, simulate
 
 TITLE = "Section VII-D: output accuracy under PBS"
 PAPER_CLAIM = (
@@ -24,35 +25,56 @@ PAPER_CLAIM = (
 DEFAULT_SEEDS = tuple(range(8))
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    names: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
+def _seed_specs(name: str, scale: float, seed: int) -> Tuple[RunSpec, ...]:
+    """The baseline run of one seed, its PBS candidate and — except for
+    genetic, which is judged by success rate alone — the noise-floor run
+    with an unrelated seed."""
+    if name == "genetic":
+        # Genetic needs enough generations for success to be possible
+        # at all; its metric is a rate, judged by CI overlap.
+        scale = max(scale, 1.0)
+    baseline = RunSpec(name, scale=scale, seed=seed)
+    pair = (baseline, replace(baseline, mode="pbs"))
+    if name == "genetic":
+        return pair
+    return pair + (replace(baseline, seed=seed + 7919),)
+
+
+def specs(scale: float, seed: Optional[int] = None, names: Names = None,
+          seeds: Sequence[int] = DEFAULT_SEEDS) -> List[RunSpec]:
+    return [
+        spec
+        for name in names or paper_workload_names()
+        for each in seeds
+        for spec in _seed_specs(name, scale, each)
+    ]
+
+
+def reduce(runs: Runs, scale: float, seed: Optional[int] = None,
+           names: Names = None, seeds: Sequence[int] = DEFAULT_SEEDS) -> ExperimentResult:
     result = ExperimentResult(
         TITLE,
         columns=["benchmark", "metric", "mean_error", "max_error", "verdict"],
         paper_claim=PAPER_CLAIM,
     )
     for name in names or paper_workload_names():
-        workload = get_workload(name)
+        outputs = [
+            [runs[spec].outputs for spec in _seed_specs(name, scale, each)]
+            for each in seeds
+        ]
         if name == "genetic":
-            # Genetic needs enough generations for success to be possible
-            # at all; its metric is a rate, judged by CI overlap.
-            _genetic_row(result, workload, max(scale, 1.0), seeds)
+            _genetic_row(result, outputs)
             continue
+        workload = get_workload(name)
         errors = []
         noise_floor = []
-        for seed in seeds:
-            baseline = Session(name, scale=scale, seed=seed).run().outputs
-            candidate = Session(name, scale=scale, seed=seed).pbs().run().outputs
+        for baseline, candidate, other in outputs:
             errors.append(workload.accuracy_error(baseline, candidate))
             # The inherent Monte Carlo variation at this scale: the same
             # benchmark run with an unrelated seed.  PBS reorders the
             # random stream, so its deviation is acceptable when it is
             # comparable to this seed-to-seed noise (the paper's
             # "falls within acceptable bounds").
-            other = Session(name, scale=scale, seed=seed + 7919).run().outputs
             noise_floor.append(workload.accuracy_error(baseline, other))
         mean_error = sum(errors) / len(errors)
         mean_noise = sum(noise_floor) / len(noise_floor)
@@ -70,22 +92,14 @@ def run(
     return result
 
 
-def _genetic_row(result, workload, scale, seeds) -> None:
+def _genetic_row(result, pairs) -> None:
     """Genetic is judged like the paper: success-rate CIs must overlap."""
     from ..stats import proportion_interval
 
-    base_successes = 0
-    pbs_successes = 0
-    name = workload.name
-    for seed in seeds:
-        base_successes += int(
-            Session(name, scale=scale, seed=seed).run().outputs["success"]
-        )
-        pbs_successes += int(
-            Session(name, scale=scale, seed=seed).pbs().run().outputs["success"]
-        )
-    base_interval = proportion_interval(base_successes, len(seeds))
-    pbs_interval = proportion_interval(pbs_successes, len(seeds))
+    base_successes = sum(int(base["success"]) for base, _ in pairs)
+    pbs_successes = sum(int(pbs["success"]) for _, pbs in pairs)
+    base_interval = proportion_interval(base_successes, len(pairs))
+    pbs_interval = proportion_interval(pbs_successes, len(pairs))
     overlap = base_interval.overlaps(pbs_interval)
     result.add_row(
         benchmark="genetic",
@@ -99,5 +113,7 @@ def _genetic_row(result, workload, scale, seeds) -> None:
     )
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def run(scale: float = DEFAULT_SCALE, seeds: Sequence[int] = DEFAULT_SEEDS,
+        names: Names = None) -> ExperimentResult:
+    options = dict(names=names, seeds=seeds)
+    return reduce(simulate(specs(scale, **options)), scale, **options)

@@ -1,25 +1,72 @@
 """Shared infrastructure for the paper's experiments.
 
-Every experiment module exposes ``run(scale=..., seed=..., ...) ->
-ExperimentResult`` returning a renderable table, plus module-level
-constants naming the paper artefact it reproduces.  Simulation itself
-goes through :mod:`repro.sim` — a :class:`~repro.sim.Session` interprets
-each benchmark once and fans the trace out to all consumers; the
-experiments are thin, declarative sweeps over it.
+An artefact module declares its simulations as data and its table as a
+function of their results:
+
+* ``specs(scale, seed, names) -> list[RunSpec]`` — every simulation the
+  artefact needs, one :class:`~repro.sim.RunSpec` each;
+* ``reduce(runs, scale, seed, names)`` — builds the artefact's
+  :class:`ExperimentResult` (a list of them for the ablations) from
+  ``runs``, a :class:`Runs` lookup that maps each of those specs to its
+  :class:`~repro.sim.RunResult`;
+* ``run(...)`` — the standalone entry point, ``reduce(simulate(specs(
+  ...)), ...)``, plus module-level constants naming the paper artefact.
+
+An artefact with a fixed seed set (figure9, table3, accuracy) ignores
+``seed``; one with a fixed benchmark set (the ablations) ignores
+``names``.  ``pbs-experiments run`` collects the specs of every
+selected artefact, runs each distinct spec once through
+:func:`~repro.sim.run_specs` — so the result cache, the process pool
+and ``--engine`` reach every artefact — and then reduces each one.
+Only simulations of transformed programs, which are not registered
+workloads, run outside the specs (table1's variant check and the
+technique ablation's predication and CFD cores).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..sim import DEFAULT_SCALE, DEFAULT_SEED
+from ..sim import DEFAULT_SCALE, DEFAULT_SEED, RunResult, RunSpec, SweepResult, run_specs
 
 __all__ = [
     "DEFAULT_SCALE",
     "DEFAULT_SEED",
     "ExperimentResult",
+    "Names",
+    "Runs",
     "geometric_mean",
+    "simulate",
 ]
+
+#: An artefact's benchmark subset (``None``: its own default set).
+Names = Optional[Sequence[str]]
+
+
+class Runs:
+    """Results looked up by spec: ``runs[spec]`` matches on
+    :meth:`~repro.sim.RunSpec.digest`, which leaves the engine out.
+    ``sweep`` holds the run's cache and executor statistics."""
+
+    def __init__(self, results: Dict[str, RunResult], sweep: SweepResult):
+        self.results = results
+        self.sweep = sweep
+
+    def __getitem__(self, spec: RunSpec) -> RunResult:
+        return self.results[spec.digest()]
+
+
+def simulate(specs: Iterable[RunSpec], *, processes: int = 1,
+             cache_dir: Optional[str] = None) -> Runs:
+    """Run every distinct spec once, in one :func:`~repro.sim.run_specs`
+    call; duplicates (equal digests) share one result."""
+    unique: Dict[str, RunSpec] = {}
+    for spec in specs:
+        unique.setdefault(spec.digest(), spec)
+    sweep = run_specs(
+        list(unique.values()), processes=processes, cache_dir=cache_dir
+    )
+    return Runs(dict(zip(unique, sweep.results)), sweep)
 
 
 # ----------------------------------------------------------------------

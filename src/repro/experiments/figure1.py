@@ -8,10 +8,10 @@ TAGE-SC-L predictor.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
-from ..sim import Sweep, paper_workload_names
-from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult
+from ..sim import RunSpec, paper_workload_names
+from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult, Names, Runs, simulate
 
 TITLE = "Figure 1: probabilistic vs regular branch breakdown"
 PAPER_CLAIM = (
@@ -21,14 +21,19 @@ PAPER_CLAIM = (
     "19%/23% of misses)"
 )
 
+PREDICTORS = ("tournament", "tage-sc-l")
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seed: int = DEFAULT_SEED,
-    names: Optional[Sequence[str]] = None,
-    processes: int = 1,
-    cache_dir: Optional[str] = None,
-) -> ExperimentResult:
+
+def _spec(name: str, scale: float, seed: int) -> RunSpec:
+    return RunSpec(name, scale=scale, seed=seed, predictors=PREDICTORS)
+
+
+def specs(scale: float, seed: int = DEFAULT_SEED, names: Names = None) -> List[RunSpec]:
+    return [_spec(name, scale, seed) for name in names or paper_workload_names()]
+
+
+def reduce(runs: Runs, scale: float, seed: int = DEFAULT_SEED,
+           names: Names = None) -> ExperimentResult:
     result = ExperimentResult(
         TITLE,
         columns=[
@@ -39,17 +44,10 @@ def run(
         ],
         paper_claim=PAPER_CLAIM,
     )
-    names = list(names or paper_workload_names())
-    runs = Sweep(
-        workloads=names,
-        scales=(scale,),
-        seeds=(seed,),
-        modes=("base",),
-        cache_dir=cache_dir,
-    ).run(processes=processes)
-    for name in names:
-        stats = runs.get(workload=name).predictor("tournament")
-        tagescl = runs.get(workload=name).predictor("tage-sc-l")
+    for name in names or paper_workload_names():
+        run = runs[_spec(name, scale, seed)]
+        stats = run.predictor("tournament")
+        tagescl = run.predictor("tage-sc-l")
         total_branches = stats.regular_branches + stats.prob_branches
         branch_share = 100.0 * stats.prob_branches / total_branches
 
@@ -73,5 +71,6 @@ def run(
     return result
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
+        names: Names = None) -> ExperimentResult:
+    return reduce(simulate(specs(scale, seed, names)), scale, seed, names)

@@ -8,10 +8,10 @@ share of probabilistic misses and the bigger PBS's relative win.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
-from ..sim import Sweep, paper_workload_names
-from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult
+from ..sim import MODES, RunSpec, paper_workload_names
+from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult, Names, Runs, simulate
 
 TITLE = "Figure 6: MPKI reduction through PBS"
 PAPER_CLAIM = (
@@ -19,14 +19,23 @@ PAPER_CLAIM = (
     "44.8% avg with TAGE-SC-L"
 )
 
+PREDICTORS = ("tournament", "tage-sc-l")
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seed: int = DEFAULT_SEED,
-    names: Optional[Sequence[str]] = None,
-    processes: int = 1,
-    cache_dir: Optional[str] = None,
-) -> ExperimentResult:
+
+def _spec(name: str, scale: float, seed: int, mode: str) -> RunSpec:
+    return RunSpec(name, scale=scale, seed=seed, mode=mode, predictors=PREDICTORS)
+
+
+def specs(scale: float, seed: int = DEFAULT_SEED, names: Names = None) -> List[RunSpec]:
+    return [
+        _spec(name, scale, seed, mode)
+        for name in names or paper_workload_names()
+        for mode in MODES
+    ]
+
+
+def reduce(runs: Runs, scale: float, seed: int = DEFAULT_SEED,
+           names: Names = None) -> ExperimentResult:
     result = ExperimentResult(
         TITLE,
         columns=[
@@ -40,17 +49,10 @@ def run(
         ],
         paper_claim=PAPER_CLAIM,
     )
-    names = list(names or paper_workload_names())
-    runs = Sweep(
-        workloads=names,
-        scales=(scale,),
-        seeds=(seed,),
-        cache_dir=cache_dir,
-    ).run(processes=processes)
     reductions = {"tournament": [], "tage-sc-l": []}
-    for name in names:
-        base_run = runs.get(workload=name, mode="base")
-        pbs_run = runs.get(workload=name, mode="pbs")
+    for name in names or paper_workload_names():
+        base_run = runs[_spec(name, scale, seed, "base")]
+        pbs_run = runs[_spec(name, scale, seed, "pbs")]
         row = {"benchmark": name}
         for pname, column in (
             ("tournament", "tournament"),
@@ -77,5 +79,6 @@ def run(
     return result
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
+        names: Names = None) -> ExperimentResult:
+    return reduce(simulate(specs(scale, seed, names)), scale, seed, names)

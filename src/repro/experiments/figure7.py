@@ -8,15 +8,18 @@ TAGE-SC-L *without* it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..pipeline import CoreConfig, four_wide
-from ..sim import Sweep, paper_workload_names
+from ..sim import RunSpec, Sweep, paper_workload_names
 from .common import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
     ExperimentResult,
+    Names,
+    Runs,
     geometric_mean,
+    simulate,
 )
 
 TITLE = "Figure 7: normalized IPC, 4-wide out-of-order core"
@@ -28,35 +31,35 @@ PAPER_CLAIM = (
 CONFIG_KEYS = ("tournament", "tage-sc-l", "tournament+pbs", "tage-sc-l+pbs")
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seed: int = DEFAULT_SEED,
-    names: Optional[Sequence[str]] = None,
-    core_config_factory: Callable[[], CoreConfig] = four_wide,
-    title: str = TITLE,
-    paper_claim: str = PAPER_CLAIM,
-    processes: int = 1,
-    cache_dir: Optional[str] = None,
+def ipc_specs(
+    core: Callable[[], CoreConfig], scale: float, seed: int, names: Names
+) -> List[RunSpec]:
+    """Both predictors inside a ``core()`` timing core, base and PBS."""
+    return Sweep(
+        workloads=names or paper_workload_names(),
+        scales=(scale,),
+        seeds=(seed,),
+        predictors=("tournament", "tage-sc-l"),
+        timing=core,
+    ).specs()
+
+
+def ipc_table(
+    runs: Runs, grid: Sequence[RunSpec], title: str, paper_claim: str
 ) -> ExperimentResult:
+    """The normalized-IPC table over :func:`ipc_specs` results."""
     result = ExperimentResult(
         title,
         columns=["benchmark"] + [f"ipc_{key}" for key in CONFIG_KEYS]
         + ["norm_tage-sc-l", "norm_tournament+pbs", "norm_tage-sc-l+pbs"],
         paper_claim=paper_claim,
     )
-    names = list(names or paper_workload_names())
-    runs = Sweep(
-        workloads=names,
-        scales=(scale,),
-        seeds=(seed,),
-        timing=core_config_factory,
-        cache_dir=cache_dir,
-    ).run(processes=processes)
+    by_point = {(spec.workload, spec.mode): runs[spec] for spec in grid}
     normalized = {key: [] for key in CONFIG_KEYS}
-    for name in names:
+    for name in dict.fromkeys(spec.workload for spec in grid):
         ipcs = {}
         for mode, suffix in (("base", ""), ("pbs", "+pbs")):
-            run_result = runs.get(workload=name, mode=mode)
+            run_result = by_point[name, mode]
             for pname in ("tournament", "tage-sc-l"):
                 ipcs[pname + suffix] = run_result.core(pname).ipc
         baseline_ipc = ipcs["tournament"]
@@ -82,5 +85,15 @@ def run(
     return result
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def specs(scale: float, seed: int = DEFAULT_SEED, names: Names = None) -> List[RunSpec]:
+    return ipc_specs(four_wide, scale, seed, names)
+
+
+def reduce(runs: Runs, scale: float, seed: int = DEFAULT_SEED,
+           names: Names = None) -> ExperimentResult:
+    return ipc_table(runs, specs(scale, seed, names), TITLE, PAPER_CLAIM)
+
+
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
+        names: Names = None) -> ExperimentResult:
+    return reduce(simulate(specs(scale, seed, names)), scale, seed, names)

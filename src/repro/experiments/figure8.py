@@ -7,10 +7,11 @@ and 10.8% (up to 19%) over TAGE-SC-L.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List
 
 from ..pipeline import eight_wide
-from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult
+from ..sim import RunSpec
+from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult, Names, Runs, simulate
 from . import figure7
 
 TITLE = "Figure 8: normalized IPC, 8-wide out-of-order core"
@@ -20,24 +21,15 @@ PAPER_CLAIM = (
 )
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seed: int = DEFAULT_SEED,
-    names: Optional[Sequence[str]] = None,
-    processes: int = 1,
-    cache_dir: Optional[str] = None,
-) -> ExperimentResult:
-    return figure7.run(
-        scale=scale,
-        seed=seed,
-        names=names,
-        core_config_factory=eight_wide,
-        title=TITLE,
-        paper_claim=PAPER_CLAIM,
-        processes=processes,
-        cache_dir=cache_dir,
-    )
+def specs(scale: float, seed: int = DEFAULT_SEED, names: Names = None) -> List[RunSpec]:
+    return figure7.ipc_specs(eight_wide, scale, seed, names)
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def reduce(runs: Runs, scale: float, seed: int = DEFAULT_SEED,
+           names: Names = None) -> ExperimentResult:
+    return figure7.ipc_table(runs, specs(scale, seed, names), TITLE, PAPER_CLAIM)
+
+
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
+        names: Names = None) -> ExperimentResult:
+    return reduce(simulate(specs(scale, seed, names)), scale, seed, names)

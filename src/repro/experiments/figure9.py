@@ -10,10 +10,11 @@ larger TAGE-SC-L.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim import Session, paper_workload_names
-from .common import DEFAULT_SCALE, ExperimentResult
+from ..sim import RunSpec, paper_workload_names
+from .common import DEFAULT_SCALE, ExperimentResult, Names, Runs, simulate
 
 TITLE = "Figure 9: regular-branch MPKI increase from prob-branch interference"
 PAPER_CLAIM = (
@@ -31,48 +32,62 @@ DEFAULT_SEEDS = tuple(range(7))
 MIN_BASE_MISSES = 25
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    names: Optional[Sequence[str]] = None,
-    include_tagescl: bool = True,
-) -> ExperimentResult:
-    columns = ["benchmark", "tournament_increase_%"]
-    if include_tagescl:
-        columns.append("tagescl_increase_%")
-    result = ExperimentResult(TITLE, columns=columns, paper_claim=PAPER_CLAIM)
+#: Column prefix -> registered predictor.
+PREDICTORS = {"tournament": "tournament", "tagescl": "tage-sc-l"}
 
-    predictors = {"tournament": "tournament"}
-    if include_tagescl:
-        predictors["tagescl"] = "tage-sc-l"
 
+def _predictors(include_tagescl: bool) -> Dict[str, str]:
+    return PREDICTORS if include_tagescl else {"tournament": "tournament"}
+
+
+def _pair(name: str, scale: float, seed: int,
+          include_tagescl: bool) -> Tuple[RunSpec, RunSpec]:
+    """The shared run of one (benchmark, seed) and its twin whose
+    harnesses filter probabilistic branches out; both interpret the
+    same committed path."""
+    predictors = tuple(_predictors(include_tagescl).values())
+    shared = RunSpec(name, scale=scale, seed=seed, predictors=predictors)
+    return shared, replace(shared, harness_options={"filter_probabilistic": True})
+
+
+def specs(scale: float, seed: Optional[int] = None, names: Names = None,
+          seeds: Sequence[int] = DEFAULT_SEEDS,
+          include_tagescl: bool = True) -> List[RunSpec]:
+    return [
+        spec
+        for name in names or paper_workload_names()
+        for each in seeds
+        for spec in _pair(name, scale, each, include_tagescl)
+    ]
+
+
+def reduce(runs: Runs, scale: float, seed: Optional[int] = None,
+           names: Names = None, seeds: Sequence[int] = DEFAULT_SEEDS,
+           include_tagescl: bool = True) -> ExperimentResult:
+    predictors = _predictors(include_tagescl)
+    result = ExperimentResult(
+        TITLE,
+        columns=["benchmark"] + [f"{column}_increase_%" for column in predictors],
+        paper_claim=PAPER_CLAIM,
+    )
     for name in names or paper_workload_names():
-        increases = {pname: [] for pname in predictors}
-        for seed in seeds:
-            # One interpretation feeds all four harnesses: the shared and
-            # the probabilistic-filtered variant of each predictor.
-            session = Session(name, scale=scale, seed=seed)
-            for pname, registry_name in predictors.items():
-                session.predictor(registry_name, label=pname)
-                session.predictor(
-                    registry_name,
-                    label=f"{pname}:filtered",
-                    filter_probabilistic=True,
-                )
-            run = session.run()
-            for pname in predictors:
-                filtered = run.predictor(f"{pname}:filtered")
-                base = filtered.regular_mpki
-                polluted = run.predictor(pname).regular_mpki
-                if filtered.regular_mispredicts >= MIN_BASE_MISSES:
-                    increases[pname].append(100.0 * (polluted - base) / base)
+        increases = {column: [] for column in predictors}
+        for each in seeds:
+            shared, filtered = (
+                runs[spec] for spec in _pair(name, scale, each, include_tagescl)
+            )
+            for column, predictor in predictors.items():
+                base_metrics = filtered.predictor(predictor)
+                base = base_metrics.regular_mpki
+                polluted = shared.predictor(predictor).regular_mpki
+                if base_metrics.regular_mispredicts >= MIN_BASE_MISSES:
+                    increases[column].append(100.0 * (polluted - base) / base)
                 else:
-                    increases[pname].append(0.0)
-        row = {"benchmark": name}
-        row["tournament_increase_%"] = max(increases["tournament"])
-        if include_tagescl:
-            row["tagescl_increase_%"] = max(increases["tagescl"])
-        result.add_row(**row)
+                    increases[column].append(0.0)
+        result.add_row(benchmark=name, **{
+            f"{column}_increase_%": max(values)
+            for column, values in increases.items()
+        })
 
     result.add_note(
         "maximum increase across seeds, as in the paper; negative values "
@@ -82,5 +97,7 @@ def run(
     return result
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def run(scale: float = DEFAULT_SCALE, seeds: Sequence[int] = DEFAULT_SEEDS,
+        names: Names = None, include_tagescl: bool = True) -> ExperimentResult:
+    options = dict(names=names, seeds=seeds, include_tagescl=include_tagescl)
+    return reduce(simulate(specs(scale, **options)), scale, **options)

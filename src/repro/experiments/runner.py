@@ -9,18 +9,15 @@ Subcommands::
     pbs-experiments trace ls                   # captured traces
     pbs-experiments diff --tiers interp,compiled,replay --programs 200
     pbs-experiments list workloads             # registry contents
-
-The pre-subcommand invocation style (``pbs-experiments figure6``) keeps
-working: a bare artefact name is rewritten to ``run <artefact>``.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
+from dataclasses import replace
 
 from ..sim import (
     DEFAULT_SCALE,
@@ -29,7 +26,6 @@ from ..sim import (
     engine_names,
     executor_names,
     predictor_names,
-    set_default_engine,
     workload_names,
 )
 from . import (
@@ -45,6 +41,7 @@ from . import (
     table2,
     table3,
 )
+from .common import simulate
 
 EXPERIMENTS = {
     "figure1": figure1,
@@ -75,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser(
-        "run", help="regenerate one artefact (or 'all')"
+        "run",
+        help="regenerate one artefact (or 'all'), simulating the specs of "
+             "every selected artefact as one sweep",
     )
     run_parser.add_argument(
         "experiment",
@@ -92,19 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help="base random seed (where the experiment takes one)",
+        help=(
+            "base random seed (figure9, table3 and accuracy use their "
+            "own fixed seed sets)"
+        ),
     )
     run_parser.add_argument(
         "--names",
         type=str,
         default=None,
-        help="comma-separated benchmark subset (where supported)",
+        help=(
+            "comma-separated benchmark subset (the ablations keep their "
+            "own benchmarks)"
+        ),
     )
     run_parser.add_argument(
         "--processes",
         type=int,
         default=1,
-        help="worker processes for sweep-based experiments",
+        help=(
+            "worker processes for the simulations of every selected "
+            "artefact (a local process pool when above 1)"
+        ),
     )
     run_parser.add_argument(
         "--cache-dir",
@@ -125,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--engine", choices=engine_names(), default=None,
         help=(
-            "execution tier for every simulation in the experiment "
-            "(default: the plain interpreter path); tiers change speed, "
-            "never results"
+            "execution tier for every simulation of the selected "
+            "artefacts (default: interp); tiers change speed, never "
+            "results"
         ),
     )
 
@@ -214,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--engine", choices=engine_names(), default=None,
         help=(
-            "execution tier for simulated grid points (default: the "
-            "plain interpreter path); tiers change speed, never results"
+            "execution tier for simulated grid points (default: "
+            "interp); tiers change speed, never results"
         ),
     )
 
@@ -367,39 +375,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invoke(module, key, args):
-    """Call ``module.run`` with exactly the arguments it accepts."""
-    run = getattr(module, "run")
-    parameters = inspect.signature(run).parameters
-    kwargs = {}
-    if "scale" in parameters:
-        kwargs["scale"] = args.scale
-    if "seed" in parameters:
-        kwargs["seed"] = args.seed
-    names = _csv(args.names) if args.names else None
-    if names and "names" in parameters:
-        kwargs["names"] = names
-    if "processes" in parameters:
-        kwargs["processes"] = args.processes
-    if "cache_dir" in parameters:
-        kwargs["cache_dir"] = args.cache_dir
-    outcome = run(**kwargs)
-    return outcome if isinstance(outcome, list) else [outcome]
-
-
 def _cmd_run(args) -> int:
-    if args.engine:
-        # Experiments build their own Sessions/Sweeps; the process-wide
-        # default engine reaches all of them (workers re-resolve it from
-        # the specs they receive, so distributed backends stay unaffected).
-        set_default_engine(args.engine)
     selected = (
         list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    )
+    names = _csv(args.names) if args.names else None
+    # Every artefact's specs run as one sweep: a spec two artefacts share
+    # is simulated once, and the cache, pool and tier reach all of them.
+    specs = [
+        spec
+        for key in selected
+        for spec in EXPERIMENTS[key].specs(args.scale, args.seed, names)
+    ]
+    if args.engine:
+        specs = [replace(spec, engine=args.engine) for spec in specs]
+    runs = simulate(specs, processes=args.processes, cache_dir=args.cache_dir)
+    sweep = runs.sweep
+    print(
+        f"[{len(specs)} specs, {len(sweep)} distinct: {sweep.simulated} "
+        f"simulated, {sweep.cache_hits} from cache, {sweep.wall_time:.1f}s]",
+        file=sys.stderr,
     )
     collected = []
     for key in selected:
         started = time.time()
-        results = _invoke(EXPERIMENTS[key], key, args)
+        outcome = EXPERIMENTS[key].reduce(runs, args.scale, args.seed, names)
+        results = outcome if isinstance(outcome, list) else [outcome]
         elapsed = time.time() - started
         if args.json:
             collected.extend(
@@ -412,7 +413,7 @@ def _cmd_run(args) -> int:
                 if args.chart and key in charts.FIGURE_COLUMNS:
                     print(charts.chart_for(result, charts.FIGURE_COLUMNS[key]))
                     print()
-        print(f"[{key} done in {elapsed:.1f}s]", file=sys.stderr)
+        print(f"[{key} reduced in {elapsed:.1f}s]", file=sys.stderr)
     if args.json:
         print(json.dumps(collected, indent=2))
     return 0
@@ -880,18 +881,6 @@ def _cmd_list(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Legacy invocation style: `pbs-experiments figure6 [...]` — also
-    # with options before the artefact (`--scale 0.05 figure6`), which
-    # the old single-parser CLI accepted.
-    artefacts = set(EXPERIMENTS) | {"all"}
-    if (
-        argv
-        and argv[0] not in {"run", "sweep", "list", "trace", "analyze",
-                            "diff"}
-        and any(token in artefacts for token in argv)
-    ):
-        argv.insert(0, "run")
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "stats_json", None) == "-" and getattr(args, "json", False):

@@ -8,8 +8,10 @@ larger — the probabilistic branch counts are the part that must match).
 
 from __future__ import annotations
 
-from ..sim import Session, get_workload, paper_workload_names
-from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult
+from typing import List
+
+from ..sim import RunSpec, get_workload, paper_workload_names
+from .common import DEFAULT_SCALE, DEFAULT_SEED, ExperimentResult, Names, Runs, simulate
 
 TITLE = "Table II: benchmarks and their characteristics"
 PAPER_CLAIM = (
@@ -18,7 +20,15 @@ PAPER_CLAIM = (
 )
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def specs(scale: float, seed: int = DEFAULT_SEED, names: Names = None) -> List[RunSpec]:
+    return [
+        RunSpec(name, scale=scale, seed=seed)
+        for name in names or paper_workload_names()
+    ]
+
+
+def reduce(runs: Runs, scale: float, seed: int = DEFAULT_SEED,
+           names: Names = None) -> ExperimentResult:
     result = ExperimentResult(
         TITLE,
         columns=[
@@ -31,9 +41,9 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
         ],
         paper_claim=PAPER_CLAIM,
     )
-    for workload in map(get_workload, paper_workload_names()):
+    for spec in specs(scale, seed, names):
+        workload = get_workload(spec.workload)
         summary = workload.static_summary()
-        run_result = Session(workload.name, scale=scale, seed=seed).run()
         result.add_row(
             **{
                 "benchmark": workload.name,
@@ -46,7 +56,7 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
                     f"{workload.paper.total_branches}"
                 ),
                 "category": workload.paper.category,
-                "instructions (ours)": run_result.instructions,
+                "instructions (ours)": runs[spec].instructions,
                 "instructions (paper)": workload.paper.simulated_instructions,
             }
         )
@@ -57,5 +67,6 @@ def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED) -> ExperimentRes
     return result
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def run(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
+        names: Names = None) -> ExperimentResult:
+    return reduce(simulate(specs(scale, seed, names)), scale, seed, names)

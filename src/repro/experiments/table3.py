@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..sim import Session
-from .common import DEFAULT_SCALE, ExperimentResult
+from ..sim import MODES, RunSpec
+from .common import DEFAULT_SCALE, ExperimentResult, Names, Runs, simulate
 
 TITLE = "Table III: randomness battery, original vs PBS value stream"
 PAPER_CLAIM = (
@@ -27,26 +27,37 @@ BENCHMARKS = ("swaptions", "genetic", "photon", "mc-integ", "pi", "bandit")
 DEFAULT_SEEDS = tuple(range(7))
 
 
-def _stream_counts(name, scale, seeds, use_pbs) -> Dict[str, List[int]]:
+def _stream(name: str, scale: float, seeds: Sequence[int], mode: str) -> List[RunSpec]:
+    """One value stream per seed, recorded in consumption order."""
+    return [
+        RunSpec(name, scale=scale, seed=seed, mode=mode, record_consumed=True)
+        for seed in seeds
+    ]
+
+
+def _stream_counts(runs: Runs, stream: Sequence[RunSpec]) -> Dict[str, List[int]]:
     from ..stats import FAIL, PASS, WEAK, run_battery, summarize
 
     counts: Dict[str, List[int]] = {PASS: [], WEAK: [], FAIL: []}
-    for seed in seeds:
-        session = Session(name, scale=scale, seed=seed).record_consumed()
-        if use_pbs:
-            session.pbs()
-        run = session.run()
-        summary = summarize(run_battery(run.consumed_values))
+    for spec in stream:
+        summary = summarize(run_battery(runs[spec].consumed_values))
         for key in counts:
             counts[key].append(summary[key])
     return counts
 
 
-def run(
-    scale: float = DEFAULT_SCALE,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    names: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
+def specs(scale: float, seed: Optional[int] = None, names: Names = None,
+          seeds: Sequence[int] = DEFAULT_SEEDS) -> List[RunSpec]:
+    return [
+        spec
+        for name in names or BENCHMARKS
+        for mode in MODES
+        for spec in _stream(name, scale, seeds, mode)
+    ]
+
+
+def reduce(runs: Runs, scale: float, seed: Optional[int] = None,
+           names: Names = None, seeds: Sequence[int] = DEFAULT_SEEDS) -> ExperimentResult:
     # The battery loads numpy and scipy: import it only when run.
     from ..stats import FAIL, NUM_TESTS, PASS, WEAK, count_interval
 
@@ -61,8 +72,8 @@ def run(
         paper_claim=PAPER_CLAIM,
     )
     for name in names or BENCHMARKS:
-        original = _stream_counts(name, scale, seeds, use_pbs=False)
-        with_pbs = _stream_counts(name, scale, seeds, use_pbs=True)
+        original = _stream_counts(runs, _stream(name, scale, seeds, "base"))
+        with_pbs = _stream_counts(runs, _stream(name, scale, seeds, "pbs"))
         row = {"benchmark": name}
         all_overlap = True
         for key, label in ((PASS, "PASS"), (WEAK, "WEAK"), (FAIL, "FAIL")):
@@ -85,5 +96,7 @@ def run(
     return result
 
 
-def main(scale: float = DEFAULT_SCALE) -> None:
-    print(run(scale=scale).render())
+def run(scale: float = DEFAULT_SCALE, seeds: Sequence[int] = DEFAULT_SEEDS,
+        names: Names = None) -> ExperimentResult:
+    options = dict(names=names, seeds=seeds)
+    return reduce(simulate(specs(scale, **options)), scale, **options)

@@ -10,7 +10,8 @@ One import gives everything a scenario needs:
   :class:`WorkerPoolExecutor` that survives a killed worker, or the
   distributed :class:`HttpExecutor` driving a ``repro-coordinator``)
   with deterministic per-run seeding and an on-disk sharded
-  :class:`ResultCache`;
+  :class:`ResultCache`; :func:`run_specs` runs any :class:`RunSpec`
+  list the same way;
 * :func:`register_workload` / :func:`register_predictor` — decorator
   registries through which benchmarks and predictors plug themselves in.
 
@@ -57,7 +58,7 @@ from .registry import (
 )
 from .results import CoreMetrics, PBSMetrics, PredictorMetrics, RunResult
 from .session import DEFAULT_SCALE, DEFAULT_SEED, FanOut, Session
-from .sweep import MODES, RunSpec, Sweep, SweepResult
+from .sweep import MODES, RunSpec, Sweep, SweepResult, run_specs
 
 # Execution tiers (interp / compiled) re-exported lazily:
 # repro.engines itself imports this package for the shared Registry
@@ -70,11 +71,9 @@ _ENGINE_EXPORTS = (
     "ENGINES",
     "Engine",
     "create_engine",
-    "default_engine",
     "engine_names",
     "get_engine",
     "register_engine",
-    "set_default_engine",
 )
 
 
@@ -140,12 +139,11 @@ __all__ = [
     "RunSpec",
     "Sweep",
     "SweepResult",
+    "run_specs",
     "ENGINES",
     "Engine",
     "create_engine",
-    "default_engine",
     "engine_names",
     "get_engine",
     "register_engine",
-    "set_default_engine",
 ]

@@ -150,7 +150,8 @@ class RunResult:
     #: survives pickling to the parent process, never serialized.
     trace_origin: Optional[str] = None
     #: Name of the execution tier that produced this result
-    #: (:mod:`repro.engines`), ``None`` on the legacy direct path.
+    #: (:mod:`repro.engines`), ``None`` when no tier ran (a cache hit
+    #: or a trace replay).
     #: Transient like ``cached``/``trace_origin`` — results stay
     #: byte-identical across tiers, so the tier is never serialized.
     engine_used: Optional[str] = None

@@ -98,7 +98,7 @@ class Session:
         self._extra_sinks: List[Callable] = []
         self._trace_store = None
         self._trace_mode = "auto"
-        self._engine_name = None         # execution tier (None = default)
+        self._engine_name = "interp"     # execution tier
         self._engine_options: Dict = {}
         # Live objects from the most recent run().
         self.harnesses: Dict[str, object] = {}
@@ -115,20 +115,18 @@ class Session:
         self._seed = seed
         return self
 
-    def engine(self, name: Optional[str] = None, **options) -> "Session":
+    def engine(self, name: str = "interp", **options) -> "Session":
         """Select the execution tier (see :mod:`repro.engines`).
 
-        ``name`` is a registered engine (``"interp"``, ``"compiled"``);
-        ``options`` go to its constructor (e.g. ``cache_dir=`` for the
-        compiled tier's persistent codegen cache).  Every tier runs
-        every session — tiers change speed, never results.  ``None``
-        restores the default (the process-wide directive set by the CLI
-        ``--engine`` flag, or the direct interpreter path).
+        ``name`` is a registered engine (``"interp"``, the default, or
+        ``"compiled"``); ``options`` go to its constructor (e.g.
+        ``cache_dir=`` for the compiled tier's persistent codegen
+        cache).  Every tier runs every session — tiers change speed,
+        never results.
         """
-        if name is not None:
-            from ..engines import get_engine
+        from ..engines import get_engine
 
-            get_engine(name)  # fail fast on unknown names
+        get_engine(name)  # fail fast on unknown names
         self._engine_name = name
         self._engine_options = dict(options)
         return self
@@ -263,6 +261,7 @@ class Session:
 
     def run(self) -> RunResult:
         from ..core import PBSEngine
+        from ..engines import create_engine
 
         store = self._trace_store
         if store is not None:
@@ -305,7 +304,7 @@ class Session:
             record_consumed = True
         sink = FanOut(consumers) if consumers else None
 
-        tier = self._resolve_engine()
+        tier = create_engine(self._engine_name, **self._engine_options)
 
         started = time.perf_counter()
         try:
@@ -358,26 +357,11 @@ class Session:
         )
         if capture is not None:
             result.trace_origin = "capture"
-        if tier is not None:
-            result.engine_used = tier.name
-            result.compiled_hit = tier.last_cache_hit
+        result.engine_used = tier.name
+        result.compiled_hit = tier.last_cache_hit
         if sink is not None:
             result.sink_batches = sink.batches
         return result
-
-    def _resolve_engine(self):
-        """The Engine instance for this run, or ``None`` for the direct
-        interpreter path."""
-        from ..engines import create_engine, default_engine
-
-        if self._engine_name is not None:
-            directive = (self._engine_name, self._engine_options)
-        else:
-            directive = default_engine()
-        if directive is None:
-            return None
-        name, options = directive
-        return create_engine(name, **options)
 
     def _replay(self, reader) -> RunResult:
         """Rebuild a :class:`RunResult` from a stored trace, feeding the

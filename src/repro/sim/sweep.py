@@ -1,7 +1,8 @@
 """The :class:`Sweep` driver: parameter grids over :class:`Session` runs.
 
 A sweep expands ``{workload} x {scale} x {seed} x {mode}`` into
-picklable :class:`RunSpec` descriptions, executes them through a
+picklable :class:`RunSpec` descriptions; :func:`run_specs` executes
+those (or any other spec list, such as a paper artefact's) through a
 pluggable :class:`~repro.sim.executors.Executor` backend — serial,
 a local process pool, or a ``repro-coordinator`` — and memoizes
 completed runs in an on-disk sharded
@@ -149,11 +150,6 @@ class RunSpec:
         return session
 
 
-#: Sentinel so ``select(engine=None)`` can filter for the legacy direct
-#: path explicitly.
-_UNFILTERED = object()
-
-
 class SweepResult:
     """Ordered run results with grid-coordinate lookup."""
 
@@ -188,9 +184,10 @@ class SweepResult:
         ``workers`` carries per-worker telemetry summed across the
         sweep's executor batches (``None`` for local backends).
         ``engine_used`` maps execution-tier names to how many simulated
-        results each produced (``None`` when every run took the legacy
-        direct path); ``compiled_hits`` counts runs served from
-        already-generated code.
+        results each produced (``None`` when no run executed a tier:
+        every result came from the cache or a trace replay);
+        ``compiled_hits`` counts runs served from already-generated
+        code.
         ``sink_batches`` totals the EventBatches delivered to the
         simulated runs' sink fan-outs.
         """
@@ -217,15 +214,14 @@ class SweepResult:
     def select(self, **filters) -> List[RunResult]:
         """All results whose attributes match ``filters``
         (e.g. ``workload="pi"``, ``mode="pbs"``, ``seed=3``,
-        ``engine="compiled"`` — ``engine=None`` matches the legacy
-        direct path)."""
+        ``engine="compiled"``)."""
         mode = filters.pop("mode", None)
-        engine = filters.pop("engine", _UNFILTERED)
+        engine = filters.pop("engine", None)
         matches = []
         for result in self.results:
             if mode is not None and result.pbs != (mode == "pbs"):
                 continue
-            if engine is not _UNFILTERED and result.engine_used != engine:
+            if engine is not None and result.engine_used != engine:
                 continue
             if all(getattr(result, key) == value
                    for key, value in filters.items()):
@@ -335,137 +331,157 @@ class Sweep:
         executor: Union[str, Executor, None] = None,
         on_result: Optional[Callable[[RunSpec, RunResult], None]] = None,
     ) -> SweepResult:
-        """Execute the grid, loading memoized points from the cache.
-
-        ``executor`` selects the execution backend: a registry name
-        (``"serial"``, ``"pool"``, ``"http"`` — the latter reading the
-        coordinator address from ``$REPRO_COORDINATOR``), an
-        :class:`Executor` instance (kept open for reuse — e.g. one
-        :class:`~repro.sim.executors.WorkerPoolExecutor` across many
-        sweeps), or ``None`` for the default: a ``pool`` of
-        ``processes`` workers (serial when ``processes <= 1``), closed
-        when the run ends.  ``on_result`` fires once per grid point —
-        ``on_result(spec, result)`` — as each result becomes available:
-        cache hits first, in spec order, then fresh results in
-        completion order when ``processes > 1``.  The returned results
-        are always in spec order.
-        """
-        started = time.perf_counter()
-        specs = self.specs()
-        cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        results: List[Optional[RunResult]] = [None] * len(specs)
-
-        pending: List[int] = []
-        hits: List[int] = []
-        for index, spec in enumerate(specs):
-            if cache is not None:
-                hit = cache.get(spec.digest())
-                if hit is not None:
-                    results[index] = hit
-                    hits.append(index)
-                    continue
-            pending.append(index)
-
-        total_pending = len(pending)
-        executor_name = None
-        trace_captures = trace_hits = 0
-        workers: Optional[Dict] = None
-
-        # Cache hits notify first, in spec order, and only now — after
-        # every counter above exists — so a callback that raises cannot
-        # unwind a half-initialized run, and the callback sequence for
-        # any given grid prefix is identical on warm and cold caches
-        # (so progress observers see the same order either way).
-        if on_result is not None:
-            for index in hits:
-                on_result(specs[index], results[index])
-
-        if pending:
-            if self.trace_dir is not None:
-                for index in pending:
-                    specs[index] = replace(
-                        specs[index], trace_store=self.trace_dir
-                    )
-                # Interpret once per trace group, replay everywhere:
-                # one leader per distinct trace key runs first (replays
-                # if the store is already warm, else interprets and
-                # captures); the followers then replay its trace.  Two
-                # executor batches, so the barrier holds on parallel
-                # and distributed backends too.
-                leaders: List[int] = []
-                followers: List[int] = []
-                seen: Dict[str, int] = {}
-                for index in pending:
-                    key = specs[index].trace_digest()
-                    if key in seen:
-                        followers.append(index)
-                    else:
-                        seen[key] = index
-                        leaders.append(index)
-                batches = [leaders, followers]
-            else:
-                batches = [pending]
-
-            def completed(batch_index, spec, result):
-                if cache is not None:
-                    cache.put(spec.digest(), result)
-                if on_result is not None:
-                    on_result(spec, result)
-
-            backend = create_executor(executor, processes)
-            executor_name = backend.name
-            try:
-                for batch in batches:
-                    if not batch:
-                        continue
-                    todo = [specs[index] for index in batch]
-                    fresh = backend.map(todo, on_result=completed)
-                    if len(fresh) != len(todo):
-                        raise RuntimeError(
-                            f"executor {backend.name!r} returned {len(fresh)} "
-                            f"results for {len(todo)} specs"
-                        )
-                    for index, result in zip(batch, fresh):
-                        results[index] = result
-                    # Per-worker counters reset every map() call; sum
-                    # them across the leader/follower batches so the
-                    # stats reflect the whole sweep.
-                    telemetry = getattr(backend, "telemetry", None)
-                    if telemetry:
-                        workers = workers or {}
-                        for address, counters in telemetry.items():
-                            slot = workers.setdefault(address, {})
-                            for key, value in counters.items():
-                                slot[key] = slot.get(key, 0) + value
-            finally:
-                if not isinstance(executor, Executor):
-                    backend.close()  # throwaway backend owned by this call
-            for index in pending:
-                origin = getattr(results[index], "trace_origin", None)
-                if origin == "capture":
-                    trace_captures += 1
-                elif origin == "replay":
-                    trace_hits += 1
-
-        engine_used: Dict[str, int] = {}
-        compiled_hits = 0
-        sink_batches = 0
-        for result in results:
-            tier_name = getattr(result, "engine_used", None)
-            if tier_name:
-                engine_used[tier_name] = engine_used.get(tier_name, 0) + 1
-            if getattr(result, "compiled_hit", False):
-                compiled_hits += 1
-            sink_batches += getattr(result, "sink_batches", 0)
-
-        return SweepResult(
-            results, cache_hits=len(specs) - total_pending,
-            simulated=total_pending,
-            wall_time=time.perf_counter() - started,
-            executor=executor_name,
-            trace_captures=trace_captures, trace_hits=trace_hits,
-            workers=workers,
-            engine_used=engine_used or None,
-            compiled_hits=compiled_hits,
-            sink_batches=sink_batches,
+        """Execute the grid through :func:`run_specs`, with this sweep's
+        cache and trace directories."""
+        return run_specs(
+            self.specs(), processes=processes, executor=executor,
+            on_result=on_result, cache_dir=self.cache_dir,
+            trace_dir=self.trace_dir,
         )
+
+
+def run_specs(
+    specs: Sequence[RunSpec],
+    *,
+    processes: int = 1,
+    executor: Union[str, Executor, None] = None,
+    on_result: Optional[Callable[[RunSpec, RunResult], None]] = None,
+    cache_dir: Optional[str] = None,
+    trace_dir: Optional[str] = None,
+) -> SweepResult:
+    """Execute ``specs``, loading memoized points from the cache.
+
+    ``executor`` selects the execution backend: a registry name
+    (``"serial"``, ``"pool"``, ``"http"`` — the latter reading the
+    coordinator address from ``$REPRO_COORDINATOR``), an
+    :class:`Executor` instance (kept open for reuse — e.g. one
+    :class:`~repro.sim.executors.WorkerPoolExecutor` across many
+    sweeps), or ``None`` for the default: a ``pool`` of ``processes``
+    workers (serial when ``processes <= 1``), closed when the run ends.
+    ``cache_dir`` names an on-disk :class:`ResultCache`; ``trace_dir``
+    a trace store that interprets each trace group once and replays it
+    for the rest.  ``on_result`` fires once per spec —
+    ``on_result(spec, result)`` — as each result becomes available:
+    cache hits first, in spec order, then fresh results in completion
+    order when ``processes > 1``.  The returned results are always in
+    spec order.
+    """
+    started = time.perf_counter()
+    specs = list(specs)
+    cache = ResultCache(cache_dir) if cache_dir else None
+    results: List[Optional[RunResult]] = [None] * len(specs)
+
+    pending: List[int] = []
+    hits: List[int] = []
+    for index, spec in enumerate(specs):
+        if cache is not None:
+            hit = cache.get(spec.digest())
+            if hit is not None:
+                results[index] = hit
+                hits.append(index)
+                continue
+        pending.append(index)
+
+    total_pending = len(pending)
+    executor_name = None
+    trace_captures = trace_hits = 0
+    workers: Optional[Dict] = None
+
+    # Cache hits notify first, in spec order, and only now — after
+    # every counter above exists — so a callback that raises cannot
+    # unwind a half-initialized run, and the callback sequence for
+    # any given grid prefix is identical on warm and cold caches
+    # (so progress observers see the same order either way).
+    if on_result is not None:
+        for index in hits:
+            on_result(specs[index], results[index])
+
+    if pending:
+        if trace_dir is not None:
+            for index in pending:
+                specs[index] = replace(
+                    specs[index], trace_store=str(trace_dir)
+                )
+            # Interpret once per trace group, replay everywhere:
+            # one leader per distinct trace key runs first (replays
+            # if the store is already warm, else interprets and
+            # captures); the followers then replay its trace.  Two
+            # executor batches, so the barrier holds on parallel
+            # and distributed backends too.
+            leaders: List[int] = []
+            followers: List[int] = []
+            seen: Dict[str, int] = {}
+            for index in pending:
+                key = specs[index].trace_digest()
+                if key in seen:
+                    followers.append(index)
+                else:
+                    seen[key] = index
+                    leaders.append(index)
+            batches = [leaders, followers]
+        else:
+            batches = [pending]
+
+        def completed(batch_index, spec, result):
+            if cache is not None:
+                cache.put(spec.digest(), result)
+            if on_result is not None:
+                on_result(spec, result)
+
+        backend = create_executor(executor, processes)
+        executor_name = backend.name
+        try:
+            for batch in batches:
+                if not batch:
+                    continue
+                todo = [specs[index] for index in batch]
+                fresh = backend.map(todo, on_result=completed)
+                if len(fresh) != len(todo):
+                    raise RuntimeError(
+                        f"executor {backend.name!r} returned {len(fresh)} "
+                        f"results for {len(todo)} specs"
+                    )
+                for index, result in zip(batch, fresh):
+                    results[index] = result
+                # Per-worker counters reset every map() call; sum
+                # them across the leader/follower batches so the
+                # stats reflect the whole sweep.
+                telemetry = getattr(backend, "telemetry", None)
+                if telemetry:
+                    workers = workers or {}
+                    for address, counters in telemetry.items():
+                        slot = workers.setdefault(address, {})
+                        for key, value in counters.items():
+                            slot[key] = slot.get(key, 0) + value
+        finally:
+            if not isinstance(executor, Executor):
+                backend.close()  # throwaway backend owned by this call
+        for index in pending:
+            origin = getattr(results[index], "trace_origin", None)
+            if origin == "capture":
+                trace_captures += 1
+            elif origin == "replay":
+                trace_hits += 1
+
+    engine_used: Dict[str, int] = {}
+    compiled_hits = 0
+    sink_batches = 0
+    for result in results:
+        tier_name = getattr(result, "engine_used", None)
+        if tier_name:
+            engine_used[tier_name] = engine_used.get(tier_name, 0) + 1
+        if getattr(result, "compiled_hit", False):
+            compiled_hits += 1
+        sink_batches += getattr(result, "sink_batches", 0)
+
+    return SweepResult(
+        results, cache_hits=len(specs) - total_pending,
+        simulated=total_pending,
+        wall_time=time.perf_counter() - started,
+        executor=executor_name,
+        trace_captures=trace_captures, trace_hits=trace_hits,
+        workers=workers,
+        engine_used=engine_used or None,
+        compiled_hits=compiled_hits,
+        sink_batches=sink_batches,
+    )

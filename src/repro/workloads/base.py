@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core import PBSConfig, PBSEngine
-from ..functional import Executor
 from ..isa import Program
 
 
@@ -75,22 +74,19 @@ class Workload(abc.ABC):
         pbs: Optional[PBSEngine] = None,
         sink=None,
         record_consumed: bool = False,
-        engine=None,
+        engine="interp",
     ) -> "WorkloadRun":
         """Execute the workload and package the results.
 
-        ``engine`` is an :class:`repro.engines.Engine` instance choosing
-        the execution tier; ``None`` keeps the direct interpreter path.
+        ``engine`` is an :class:`repro.engines.Engine` instance or a
+        registered engine name choosing the execution tier.
         """
+        from ..engines import create_engine
+
         program = self.build(scale)
-        if engine is not None:
-            executor = engine.executor(
-                program, seed=seed, pbs=pbs, record_consumed=record_consumed
-            )
-        else:
-            executor = Executor(
-                program, seed=seed, pbs=pbs, record_consumed=record_consumed
-            )
+        executor = create_engine(engine).executor(
+            program, seed=seed, pbs=pbs, record_consumed=record_consumed
+        )
         state = executor.run(sink=sink)
         return WorkloadRun(
             workload=self,

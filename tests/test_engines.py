@@ -21,12 +21,10 @@ from repro.engines import (
     ENGINES,
     Engine,
     create_engine,
-    default_engine,
     engine_names,
     get_engine,
     list_engines,
     register_engine,
-    set_default_engine,
 )
 from repro.engines.compiled import (
     _MEMO,
@@ -138,18 +136,6 @@ class TestOptionValidation:
         assert "bogus_option" in str(excinfo.value)
         assert name in str(excinfo.value)
 
-    def test_default_engine_round_trip(self):
-        assert default_engine() is None
-        try:
-            set_default_engine("compiled")
-            assert default_engine() == ("compiled", {})
-        finally:
-            set_default_engine(None)
-        assert default_engine() is None
-
-    def test_default_engine_unknown_name(self):
-        with pytest.raises(KeyError, match="registered engines"):
-            set_default_engine("turbo")
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +208,13 @@ class TestEngineThreading:
             with pytest.raises(KeyError, match="registered engines"):
                 Session("pi").engine(name)
 
+    def test_session_defaults_to_the_interp_tier(self):
+        result = Session("pi").scale(0.02).run()
+        assert result.engine_used == "interp"
+        stats = Sweep(workloads=["pi"], scales=[0.02], modes=["base"],
+                      predictors=()).run(executor="serial").to_stats()
+        assert stats["engine_used"] == {"interp": 1}
+
     def test_engine_used_is_transient(self):
         result = Session("pi").scale(0.02).engine("compiled").run()
         data = result.to_dict()
@@ -261,7 +254,7 @@ class TestEngineThreading:
         assert stats["engine_used"] == {"compiled": 3}
         assert stats["compiled_hits"] >= 2  # first point may compile
         assert len(result.select(engine="compiled")) == 3
-        assert len(result.select(engine=None)) == 0
+        assert len(result.select(engine="interp")) == 0
         # Every tier runs every spec, so there is no fallback to count:
         # the stats hold exactly the documented keys.
         assert set(stats) == {

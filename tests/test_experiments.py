@@ -5,7 +5,7 @@ acceptance criteria in DESIGN.md — using reduced workload scales so the
 whole file runs in tens of seconds.
 """
 
-import pytest
+import json
 
 from repro.experiments import (
     ablations,
@@ -13,11 +13,14 @@ from repro.experiments import (
     figure1,
     figure6,
     figure7,
+    figure8,
     figure9,
     table1,
     table2,
     table3,
 )
+from repro.experiments import runner
+from repro.sim import executors
 
 SCALE = 0.1
 FAST_NAMES = ["pi", "dop"]
@@ -149,3 +152,61 @@ class TestAblations:
         result = ablations.history_insertion(scale=SCALE, names=["bandit"])
         row = result.rows[0]
         assert row["pbs_mpki_with_insert"] <= row["pbs_mpki_without_insert"] * 1.2
+
+
+class TestRunCommand:
+    """``pbs-experiments run`` executes every artefact's specs as one
+    sweep; its output must not depend on the cache or the executor."""
+
+    SCALE = 0.02
+    NAMES = ["pi", "dop"]
+
+    def _run_all(self, capsys, monkeypatch, cache_dir, *extra):
+        calls = []
+        execute = executors._execute_spec
+
+        def counting(spec):
+            calls.append(spec)
+            return execute(spec)
+
+        monkeypatch.setattr(executors, "_execute_spec", counting)
+        argv = ["run", "all", "--scale", str(self.SCALE),
+                "--names", ",".join(self.NAMES), "--json",
+                "--cache-dir", str(cache_dir), *extra]
+        assert runner.main(argv) == 0
+        return capsys.readouterr().out, len(calls)
+
+    def _standalone(self):
+        """Every artefact's own ``run(...)``, in the runner's order."""
+        scale, names = self.SCALE, self.NAMES
+        outcomes = {
+            "figure1": figure1.run(scale=scale, names=names),
+            "table1": table1.run(names=names),
+            "table2": table2.run(scale=scale, names=names),
+            "figure6": figure6.run(scale=scale, names=names),
+            "figure7": figure7.run(scale=scale, names=names),
+            "figure8": figure8.run(scale=scale, names=names),
+            "figure9": figure9.run(scale=scale, names=names),
+            "table3": table3.run(scale=scale, names=names),
+            "accuracy": accuracy.run(scale=scale, names=names),
+            "ablations": ablations.run(scale=scale),
+        }
+        assert list(outcomes) == list(runner.EXPERIMENTS)
+        return [
+            {"experiment": key, **result.to_dict()}
+            for key, outcome in outcomes.items()
+            for result in (outcome if isinstance(outcome, list) else [outcome])
+        ]
+
+    def test_cold_warm_and_pooled_runs_print_the_same_tables(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        cold, cold_calls = self._run_all(capsys, monkeypatch, tmp_path / "a")
+        warm, warm_calls = self._run_all(capsys, monkeypatch, tmp_path / "a")
+        pooled, _ = self._run_all(
+            capsys, monkeypatch, tmp_path / "b", "--processes", "2"
+        )
+        assert cold_calls > 0
+        assert warm_calls == 0  # every spec came from the cache
+        assert cold == warm == pooled
+        assert cold == json.dumps(self._standalone(), indent=2) + "\n"
