@@ -67,7 +67,10 @@ def test_bench_functional_executor(benchmark):
 # column extends from the compiled tier, consume_batch on the sinks)
 # took test_bench_executor_with_sink from 61.7ms to ~19ms mean (3.3x)
 # and test_bench_compiled_executor_with_sink from 34.3ms to ~5.6ms
-# (6.1x).
+# (6.1x).  The compiled tier's later row-key logging, which cut its
+# generated source to a quarter so a fresh process can afford the
+# codegen, reads ~16ms there on a 2-vCPU VM where the column-extend
+# code read ~10.6ms.
 def test_bench_executor_with_sink(benchmark):
     program = build_alu_loop(8_000)
 

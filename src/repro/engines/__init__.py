@@ -6,9 +6,10 @@ speed:
 
 * ``"interp"`` — the reference pre-decoded interpreter
   (:class:`~repro.functional.Executor`).
-* ``"compiled"`` — translates the decoded program into specialized
-  Python (unrolled handlers, locals-bound registers, no per-instruction
-  dispatch), cached by program digest.
+* ``"compiled"`` — the default (:data:`~repro.engines.base.DEFAULT_ENGINE`):
+  translates the decoded program into specialized Python (unrolled
+  handlers, locals-bound registers, no per-instruction dispatch),
+  cached by program digest.
 
 Every tier runs every spec: any workload, with or without PBS, sinks
 and consumed-value recording.
@@ -22,6 +23,7 @@ may never change a result.
 """
 
 from .base import (
+    DEFAULT_ENGINE,
     ENGINES,
     Engine,
     create_engine,
@@ -35,6 +37,7 @@ from .base import (
 from . import compiled, interp  # noqa: E402,F401  (import side effect)
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "ENGINES",
     "Engine",
     "create_engine",

@@ -41,6 +41,10 @@ class Engine:
         raise NotImplementedError
 
 
+#: The tier a run without an engine directive uses.  The interpreter
+#: stays the readable reference every tier is checked against.
+DEFAULT_ENGINE = "compiled"
+
 #: name -> Engine subclass (see :func:`register_engine`).
 ENGINES = Registry("engine", catalog="registered engines")
 
@@ -75,15 +79,18 @@ def list_engines() -> List[str]:
     return engine_names()
 
 
-def create_engine(engine: Union[str, Engine], **options) -> Engine:
+def create_engine(engine: Union[str, Engine, None], **options) -> Engine:
     """Resolve an engine argument to an instance.
 
-    A string is looked up in the registry; an :class:`Engine` instance
-    passes through untouched.  Options the engine does not accept raise
+    A string is looked up in the registry, ``None`` names
+    :data:`DEFAULT_ENGINE`; an :class:`Engine` instance passes through
+    untouched.  Options the engine does not accept raise
     ``TypeError`` naming the valid ones.
     """
     if isinstance(engine, Engine):
         return engine
+    if engine is None:
+        engine = DEFAULT_ENGINE
     cls = ENGINES.get(engine)
     validate_options("engine", engine, cls, options)
     return cls(**options)

@@ -13,19 +13,27 @@ program:
 * control flow becomes a ``while True`` dispatch over basic-block
   labels: fall-through is sequential execution, jumps set the label and
   ``continue``;
-* instruction retirement is counted per basic block on the sink-free
-  fast path (blocks are straight-line, so the block-granular budget
-  check raises the same ``ExecutionLimitExceeded`` — same message, same
-  ``retired`` — as the interpreter's per-instruction check);
-* with a sink attached, the columnar variant emits events as
-  :class:`EventBatch` column extends: runs of never-raising instructions
-  cost one constant-tuple ``extend`` per column instead of one append
-  per instruction.
+* instruction retirement is counted per basic block, and the budget is
+  checked only where a loop can close (see :func:`_budget_checks`):
+  code that could cross it before the next check is not entered.  The
+  generated code stops there, and :meth:`CompiledExecutor.run` hands
+  the exact remainder to the interpreter, which raises
+  ``ExecutionLimitExceeded`` (or pauses at a step budget) at its own
+  count;
+* with a sink attached, the generated code logs one integer *row key*
+  per retired instruction — its pc, or for a conditional branch a key
+  that also encodes the direction and PBS mode — and, on the side, the
+  two fields no key can carry (load/store addresses, ``RET`` targets).
+  A stretch of instructions costs one ``_xk(range(first_pc, end_pc))``;
+  :func:`_row_writers` turns the keys into :class:`EventBatch` columns
+  through a table of prebuilt rows when it delivers a batch.
 
 The generated function runs against the same ``MachineState``, drand48
 stream, PBS engine and trace-event protocol as the interpreter, so its
-results are **bit-identical** — the differential property test in
-``tests/test_engines.py`` and the golden corpus hold it to that.
+results are **bit-identical** — the differential tests in
+``tests/test_engines.py`` and the golden corpus hold it to that,
+including the state a run leaves behind when it faults or exceeds its
+budget.
 
 Generated code is memoized in-process by program digest and execution
 variant, and optionally persisted as ``.py`` entries in a
@@ -36,11 +44,13 @@ engine is built with ``cache_dir=``.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import compress, count
+from operator import itemgetter as pick
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..functional.executor import (
     ExecutionError,
-    ExecutionLimitExceeded,
     Executor,
     ProbGroup,
     nan_max,
@@ -56,16 +66,18 @@ from .base import Engine, register_engine
 #: entries stop matching and are regenerated instead of misbehaving.
 #: v2: NaN-propagating MIN/MAX/FMIN/FMAX, halted flag, step variant.
 #: v3: columnar sink variant (EventBatch extends per basic block).
-CODEGEN_VERSION = 3
+#: v4: budget checks at loop headers with a hand-off to the
+#: interpreter, event rows from row keys.
+CODEGEN_VERSION = 4
 
 #: Sink modes for the generated-code variant key.  The values are part
 #: of persisted codegen keys, so they never change.
-SINK_NONE = 0      # no events: block-granular retire counting
-SINK_BATCH = 2     # columnar: EventBatch extends, sink.consume_batch
+SINK_NONE = 0      # no events
+SINK_BATCH = 2     # columnar: EventBatch rows, sink.consume_batch
 
 #: Batch-mode flush threshold: the generated code delivers the pending
-#: EventBatch at the next block entry once it holds this many events
-#: (and unconditionally at pause/HALT/fault, in the ``finally``).
+#: rows at the first control transfer after this many are logged (and
+#: unconditionally at pause/HALT/fault, in the ``finally``).
 BATCH_FLUSH = 1024
 
 _CMP_SYMBOL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
@@ -88,24 +100,22 @@ _BRANCH_SYMBOL = {
     Op.BNE: "!=", Op.BLE: "<=", Op.BGT: ">",
 }
 _TRANSCENDENTAL = {
-    Op.FEXP: "_exp", Op.FLOG: "_log", Op.FSIN: "_sin", Op.FCOS: "_cos",
+    Op.FEXP: "_fexp", Op.FLOG: "_flog", Op.FSIN: "_fsin", Op.FCOS: "_fcos",
 }
+_UNARY = {Op.FABS: "_abs({})", Op.FNEG: "-({})", Op.FSQRT: "{} ** 0.5",
+          Op.ITOF: "_float({})", Op.FTOI: "_int({})",
+          Op.FFLOOR: "_float(_int({} // 1))"}
 
-#: Ops whose generated computation can never raise — no explicit fault
-#: path and no Python-level error (no division, no shift-count or
-#: float/int conversion errors, no math-domain functions).  Their trace
-#: events are fully static, so the batch variant may execute a run of
-#: them straight-line and emit all their event columns as one constant
-#: extend per column, preserving the exact fault/event ordering of
-#: instruction-by-instruction emission.
-_NEVER_RAISES = {
-    Op.ADD, Op.FADD, Op.SUB, Op.FSUB, Op.MUL, Op.FMUL,
-    Op.AND, Op.OR, Op.XOR,
-    Op.SLT, Op.SLE, Op.SEQ, Op.SNE, Op.FLT, Op.FLE, Op.FEQ, Op.FNE,
-    Op.MOV, Op.FMOV, Op.RAND, Op.RANDN,
-    Op.MIN, Op.MAX, Op.FMIN, Op.FMAX,
-    Op.SELECT, Op.FSELECT, Op.CMP, Op.PROB_CMP,
-    Op.FABS, Op.FNEG, Op.OUT, Op.NOP,
+#: Ops whose generated Python can raise without an explicit fault test:
+#: division, shift-count, math-domain and float/int conversion errors,
+#: or a non-integer memory address.  ``retired`` and the event rows are
+#: brought up to date before each one, so such a raise leaves exactly
+#: the interpreter's state.  Every other op either never raises or
+#: raises only through an explicit fault branch, which catches up first.
+_RAISES_IN_PYTHON = {
+    Op.DIV, Op.MOD, Op.FDIV, Op.SHL, Op.SHR, Op.FSQRT,
+    Op.FEXP, Op.FLOG, Op.FSIN, Op.FCOS, Op.ITOF, Op.FTOI, Op.FFLOOR,
+    Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE,
 }
 
 
@@ -132,6 +142,44 @@ def _block_leaders(decoded: List[tuple]) -> List[int]:
     return sorted(leaders)
 
 
+def _budget_checks(decoded: List[tuple], leaders: List[int],
+                   ends: List[int]) -> Dict[int, int]:
+    """The blocks that check the instruction budget, each with the most
+    instructions that can retire from its entry before control reaches
+    the next such block (or leaves the program).
+
+    The checking blocks are the entry, every target of a backward jump
+    and every return site.  Every cycle of the control-flow graph
+    passes through one of them: a cycle needs a backward edge, and only
+    static jumps and ``RET`` (whose targets are return sites) can go
+    backward.  So the other blocks, reached only by forward edges from
+    the last check, form a DAG, and its longest paths bound how far
+    execution can run unchecked.
+    """
+    checks = {0}
+    for pc, d in enumerate(decoded):
+        if d[0] is Op.CALL:
+            checks.add(pc + 1)
+        elif _is_terminator(d) and isinstance(d[8], int) and d[8] <= pc:
+            checks.add(d[8])
+    reach: Dict[int, int] = {}
+    for start, end in reversed(list(zip(leaders, ends))):
+        last = decoded[end - 1]
+        op, target = last[0], last[8]
+        if op is Op.RET or op is Op.HALT:
+            successors = []
+        elif op is Op.JMP or op is Op.CALL:
+            successors = [target]
+        elif _is_terminator(last):
+            successors = [target, end]
+        else:
+            successors = [end]
+        reach[start] = end - start + max(
+            (reach[s] for s in successors if s in reach and s not in checks),
+            default=0)
+    return {start: reach[start] for start in leaders if start in checks}
+
+
 def program_digest(program, decoded: Optional[List[tuple]] = None) -> str:
     """Content digest of a program's decoded form.
 
@@ -152,21 +200,289 @@ def program_digest(program, decoded: Optional[List[tuple]] = None) -> str:
     })
 
 
-class _Emitter:
-    """Accumulates indented source lines."""
+def _operand(flag, value) -> str:
+    return f"r{value}" if flag else repr(value)
 
-    def __init__(self):
+
+class _Codegen:
+    """Accumulates the loop body of one execution variant, block by
+    block.
+
+    Within a block two cursors keep a mid-block raise exact:
+    ``retired_to`` is the first pc not yet counted in ``retired``, and
+    ``rows_to`` the first pc whose row key is not yet logged (batch
+    variant only).  Both catch up at block end, before every op in
+    :data:`_RAISES_IN_PYTHON`, and in every explicit fault branch.
+    Row keys are described at :func:`_row_table`.
+    """
+
+    def __init__(self, decoded, *, sink, pbs, record_consumed,
+                 swap_candidates):
+        self.decoded = decoded
+        self.n = len(decoded)
+        self.sink = sink
+        self.pbs = pbs
+        self.record_consumed = record_consumed
+        self.swap_candidates = sorted(swap_candidates)
         self.lines: List[str] = []
+        self.retired_to = self.rows_to = 0
+        self.pending = False  # a PROB_CMP group is open at this point
 
     def put(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
 
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
+    def static_rows(self, pc: int) -> List[str]:
+        """Log the pending row keys ``rows_to..pc-1``: all of them are
+        static, a load, store or ``RET`` included, whose dynamic field
+        was logged on the side when it executed."""
+        first = self.rows_to
+        if not self.sink or pc <= first:
+            return []
+        if pc - first == 1:
+            return [f"_ak({first})"]
+        return [f"_xk(range({first}, {pc}))"]
 
+    def catch_up(self, pc: int) -> List[str]:
+        """Count instructions ``..pc-1`` and log their rows."""
+        lines = self.static_rows(pc)
+        if pc > self.retired_to:
+            lines.insert(0, f"retired += {pc - self.retired_to}")
+        return lines
 
-def _operand(flag, value) -> str:
-    return f"r{value}" if flag else repr(value)
+    def sync(self, depth: int, pc: int) -> None:
+        """:meth:`catch_up` on the straight-line path."""
+        for line in self.catch_up(pc):
+            self.put(depth, line)
+        self.retired_to = max(self.retired_to, pc)
+        self.rows_to = max(self.rows_to, pc)
+
+    def row(self, depth: int, pc: int, key: str) -> None:
+        """Pending static rows, then the row of the control transfer at
+        ``pc`` under the key expression ``key``.  ``_tk`` also delivers
+        the batch once it is full: every cycle of the control-flow graph
+        passes through a control transfer, so a batch never outgrows
+        :data:`BATCH_FLUSH` by more than one straight-line path."""
+        for line in self.static_rows(pc):
+            self.put(depth, line)
+        self.put(depth, f"_tk({key})")
+        self.rows_to = pc + 1
+
+    def fault(self, depth: int, pc: int, test: str, error: str) -> None:
+        """``if test: raise error``, catching up first (the cursors
+        stay: this is a side exit)."""
+        lines = self.catch_up(pc)
+        if not lines:
+            self.put(depth, f"if {test}: raise {error}")
+            return
+        self.put(depth, f"if {test}:")
+        for line in lines + [f"raise {error}"]:
+            self.put(depth + 1, line)
+
+    def pending_check(self, depth: int, pc: int) -> None:
+        """A PROB_JMP's fault when no PROB_CMP group is open — omitted
+        after a PROB_CMP earlier in the same block, which opened one."""
+        if not self.pending:
+            self.fault(depth, pc, "_pend is None",
+                       f'_XE(_N + "@{pc}: PROB_JMP without PROB_CMP")')
+
+    def goto(self, depth: int, target: int) -> None:
+        """Transfer control to a static target (already retired)."""
+        self.fall(depth, target)
+        if 0 <= target < self.n:
+            self.put(depth, "continue")
+
+    def fall(self, depth: int, target: int) -> None:
+        """Fall through to the next block (already retired)."""
+        if 0 <= target < self.n:
+            self.put(depth, f"_L = {target}")
+        else:
+            self.put(depth, f'raise _XE(_N + ": PC {target} out of range")')
+
+    def block(self, start: int, end: int, budget: Optional[int]) -> None:
+        """One block; ``budget`` is the most instructions that can
+        retire from its entry to the next budget check, or ``None`` when
+        it needs no check of its own."""
+        put = self.put
+        put(3, f"if _L == {start}:")
+        if budget is not None:
+            # Control that could cross the stop before the next check
+            # is left to the interpreter.
+            put(4, f"if retired + {budget} > _stop: break")
+        self.retired_to = self.rows_to = start
+        self.pending = False
+        for pc in range(start, end):
+            self.instruction(4, pc, self.decoded[pc])
+        if not _is_terminator(self.decoded[end - 1]):
+            # Fall through into the next leader (a jump target) — or
+            # off the end of the program.
+            self.sync(4, end)
+            self.fall(4, end)
+
+    def instruction(self, depth: int, pc: int, d: tuple) -> None:
+        (op, dest, s0r, s0, s1r, s1, s2r, s2,
+         target, offset, cmp_op, trace_srcs) = d
+        put = self.put
+        A = _operand(s0r, s0)
+        B = _operand(s1r, s1)
+        C = _operand(s2r, s2)
+        D = f"r{dest}"
+        if op in _RAISES_IN_PYTHON:
+            self.sync(depth, pc)
+
+        if op in _BINARY_OPS:
+            put(depth, f"{D} = {A} {_BINARY_OPS[op]} {B}")
+        elif op in _COMPARE_OPS:
+            put(depth, f"{D} = 1 if {A} {_COMPARE_OPS[op]} {B} else 0")
+        elif op is Op.MOV or op is Op.FMOV:
+            put(depth, f"{D} = {A}")
+        elif op is Op.RAND:
+            put(depth, f"{D} = rng_uniform()")
+        elif op is Op.RANDN:
+            put(depth, f"{D} = rng_normal()")
+        elif op is Op.MIN or op is Op.FMIN:
+            put(depth, f"{D} = _min({A}, {B})")
+        elif op is Op.MAX or op is Op.FMAX:
+            put(depth, f"{D} = _max({A}, {B})")
+        elif op is Op.SELECT or op is Op.FSELECT:
+            put(depth, f"{D} = {B} if {A} else {C}")
+        elif op in _UNARY:
+            put(depth, f"{D} = {_UNARY[op].format(A)}")
+        elif op in _TRANSCENDENTAL:
+            put(depth, f"{D} = {_TRANSCENDENTAL[op]}({A})")
+        elif op is Op.DIV or op is Op.MOD:
+            kind = "div" if op is Op.DIV else "mod"
+            put(depth, f"_a = {A}; _b = {B}")
+            if s1r or not s1:  # a nonzero literal divisor cannot fault
+                self.fault(depth, pc, "_b == 0",
+                           f'_XE(_N + "@{pc}: integer {kind} by 0")')
+            put(depth, "_q = _abs(_a) // _abs(_b)")
+            if op is Op.DIV:
+                put(depth, f"{D} = -_q if (_a < 0) != (_b < 0) else _q")
+            else:
+                put(depth, "_q = -_q if (_a < 0) != (_b < 0) else _q")
+                put(depth, f"{D} = _a - _q * _b")
+        elif op is Op.CMP:
+            put(depth,
+                f"r{COND_REG_NUM} = 1 if {A} {_CMP_SYMBOL[cmp_op]} {B} else 0")
+        elif op in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE):
+            load = op is Op.LOAD or op is Op.FLOAD
+            put(depth, f"_a = r{s0 if load else s1} + {offset}")
+            self.fault(depth, pc, "not 0 <= _a < n_memory",
+                       f"{'_LF' if load else '_SF'}({pc}, _a)")
+            put(depth, f"{D} = memory[_a]" if load else f"memory[_a] = {A}")
+            if self.sink:
+                put(depth, "_aa(_a)")  # its row key is the static pc
+        elif op is Op.OUT:
+            put(depth, f"emit_output({offset}, {A})")
+        elif op is Op.NOP:
+            pass
+        elif op is Op.PROB_CMP:
+            put(depth, f"_v = r{s0}; _k = {B}")
+            put(depth, f"_c = _v {_CMP_SYMBOL[cmp_op]} _k")
+            put(depth, f"r{COND_REG_NUM} = 1 if _c else 0")
+            put(depth, f"_pend = ({cmp_op!r}, _c, _k, [{s0}], [_v])")
+            self.pending = True
+        elif op is Op.PROB_JMP and target is None:
+            # Intermediate PROB_JMP: registers an extra swap value,
+            # does not jump.
+            self.pending_check(depth, pc)
+            if dest != -1:
+                put(depth, f"_pend[3].append({dest}); _pend[4].append({D})")
+        elif op is Op.PROB_JMP:
+            self.prob_jmp(depth, pc, dest, target)
+        elif op in _BRANCH_SYMBOL or op is Op.JT or op is Op.JF:
+            if op is Op.JT:
+                put(depth, f"_t = _bool(r{COND_REG_NUM})")
+            elif op is Op.JF:
+                put(depth, f"_t = not r{COND_REG_NUM}")
+            else:
+                put(depth, f"_t = {A} {_BRANCH_SYMBOL[op]} {B}")
+            if self.pbs:
+                put(depth, f"pbs_observe({pc}, _t, {target})")
+            self.branch(depth, pc, target, pc)
+        elif op is Op.JMP or op is Op.CALL:
+            if op is Op.CALL:
+                put(depth, f"call_stack.append({pc + 1})")
+                if self.pbs:
+                    put(depth, f"pbs_observe_call({pc})")
+            elif self.pbs:
+                put(depth, f"pbs_observe({pc}, True, {target})")
+            if self.sink:
+                self.row(depth, pc, str(pc))
+            self.sync(depth, pc + 1)
+            self.goto(depth, target)
+        elif op is Op.RET:
+            self.fault(depth, pc, "not call_stack",
+                       f'_XE(_N + "@{pc}: RET on empty stack")')
+            put(depth, "_L = call_stack.pop()")
+            if self.pbs:
+                put(depth, f"pbs_observe_return({pc})")
+            if self.sink:
+                put(depth, "_ar(_L)")
+                self.row(depth, pc, str(pc))
+            self.sync(depth, pc + 1)
+            put(depth, f"if 0 <= _L < {self.n}:")
+            put(depth + 1, "continue")
+            put(depth, 'raise _XE(f"{_N}: PC {_L} out of range")')
+        elif op is Op.HALT:
+            self.sync(depth, pc + 1)
+            put(depth, "self._halted = True")
+            put(depth, f"_L = {pc}")
+            put(depth, "break")
+        else:  # pragma: no cover - all opcodes handled above
+            raise ExecutionError(f"@{pc}: codegen cannot handle {op.name}")
+
+    def branch(self, depth: int, pc: int, target: int, key: int) -> None:
+        """The row, retirement and transfer of a conditional branch
+        whose direction is in ``_t``; ``key`` is its not-taken row key
+        (a literal, or ``_pk`` for a PBS-handled PROB_JMP)."""
+        if self.sink:
+            taken = key + self.n if isinstance(key, int) else f"{key} + {self.n}"
+            self.row(depth, pc, f"{taken} if _t else {key}")
+        self.sync(depth, pc + 1)
+        self.put(depth, "if _t:")
+        self.goto(depth + 1, target)
+        self.fall(depth, pc + 1)
+
+    def prob_jmp(self, depth: int, pc: int, dest: int, target: int) -> None:
+        """The jumping PROB_JMP: hand the group to the PBS engine."""
+        put = self.put
+        self.pending_check(depth, pc)
+        put(depth, "_gr = _pend[3]; _gv = _pend[4]")
+        if dest != -1:
+            put(depth, f"_gr.append({dest}); _gv.append(r{dest})")
+        if self.pbs:
+            put(depth, f"_dec = pbs_transact(_PG({pc}, _pend[0], "
+                       "_pend[1], _pend[2], _gr, _gv))")
+            put(depth, "_t = _dec.taken")
+            put(depth, 'if _dec.mode == "hit":')
+            if self.sink:
+                put(depth + 1, f"_pk = {pc + 2 * self.n}")
+            put(depth + 1, "_sv = _dec.swap_values")
+            put(depth + 1, "for _rn, _ov in _zip(_gr, _sv):")
+            chain = "if"
+            for candidate in self.swap_candidates:
+                put(depth + 2, f"{chain} _rn == {candidate}:")
+                put(depth + 3, f"r{candidate} = _ov")
+                chain = "elif"
+            put(depth + 1, f"r{COND_REG_NUM} = 1 if _t else 0")
+            if self.record_consumed:
+                put(depth + 1, "consumed_values.append(_sv[0])")
+            put(depth, "else:")
+            if self.sink:
+                put(depth + 1, f"_pk = {pc}")
+            if self.record_consumed:
+                put(depth + 1, "consumed_values.append(_gv[0])")
+            elif not self.sink:
+                put(depth + 1, "pass")
+            key = "_pk"
+        else:
+            put(depth, "_t = _pend[1]")
+            if self.record_consumed:
+                put(depth, "consumed_values.append(_gv[0])")
+            key = pc
+        put(depth, "_pend = None")
+        self.branch(depth, pc, target, key)
 
 
 def generate_source(
@@ -181,21 +497,22 @@ def generate_source(
     """The specialized ``_compiled_run(self, sink)`` source for one
     program under one execution variant.
 
+    The function resumes from the executor's ``_pc`` / ``retired`` /
+    ``_pending_cmp`` and writes them back on every exit.  Code that
+    could take ``retired`` past the executor's ``_step_stop`` before
+    the next budget check is not entered: the function returns there
+    (see :meth:`CompiledExecutor.run` for the hand-off).
+
     ``sink`` is :data:`SINK_NONE` or :data:`SINK_BATCH`.  The batch
-    variant fills an :class:`~repro.functional.trace.EventBatch`: runs
-    of never-raising instructions become one constant-tuple ``extend``
-    per column, dynamic instructions append their twelve fields
-    individually, and the batch is handed to ``sink.consume_batch`` at
-    block boundaries (once it holds :data:`BATCH_FLUSH` events) and on
+    variant logs row keys through :func:`_row_writers`, which hands
+    ``sink.consume_batch`` an :class:`~repro.functional.trace.EventBatch`
+    at the first control transfer after :data:`BATCH_FLUSH` rows and on
     every exit.
 
     ``step=True`` generates the resumable single-step variant used by
-    the :mod:`repro.diff` lockstep harness: every PC becomes its own
-    basic block whose entry checks the executor's ``_step_stop`` budget,
-    and the resume label / pending PROB group / retired count live on
-    the executor (``self._pc`` / ``self._pending_cmp`` /
-    ``self.retired``) so a later call continues exactly where this one
-    paused — the same contract as ``Executor.run(budget=...)``.
+    the :mod:`repro.diff` lockstep harness and budgeted runs: every PC
+    becomes its own basic block, so execution can stop, and later
+    resume, at any instruction.
     """
     sink = int(sink)
     n = len(decoded)
@@ -222,451 +539,10 @@ def generate_source(
         reg_numbers.add(COND_REG_NUM)
     regs_sorted = sorted(reg_numbers)
 
-    # The loop body is generated first (into its own emitter) so that
-    # the batch variant can collect the per-run constant column tuples
-    # it discovers along the way; those become prologue assignments.
-    out = _Emitter()
-    put = out.put
-    body = _Emitter()
-    bput = body.put
-    consts: List[str] = []
-    shared_lens: Set[int] = set()
-    run_counter = [0]
-
-    def limit_check(depth: int) -> None:
-        bput(depth, "if retired >= limit:")
-        bput(depth + 1,
-             'raise _XL(f"{_N}: exceeded {limit} instructions")')
-
-    def fault(depth: int, j: int, message: str) -> None:
-        """Raise ExecutionError mid-block; ``j`` completed instructions
-        retire first on the block-counted fast path."""
-        if not sink and j:
-            bput(depth, f"retired += {j}")
-        bput(depth, f"raise _XE({message})")
-
-    def emit_event(depth: int, pc: int, d: tuple, *, next_pc,
-                   cond: bool = False, taken: str = "False",
-                   target="None", addr: str = "None", store: bool = False,
-                   prob: str = "0",
-                   dest: Optional[int] = None,
-                   srcs: Optional[tuple] = None) -> None:
-        if not sink:
-            return
-        dest_code = d[1] if dest is None else dest
-        srcs_code = repr(d[11] if srcs is None else srcs)
-        bput(depth,
-             f"_apc({pc}); _aop(_OPS[{pc}]); _acl(_CLS[{pc}]); "
-             f"_ade({dest_code}); _asr({srcs_code})")
-        bput(depth,
-             f"_aco({cond}); _atk({taken}); _atg({target}); "
-             f"_anx({next_pc})")
-        bput(depth, f"_aad({addr}); _ast({store}); _apm({prob})")
-
-    def retire(depth: int, count: int) -> None:
-        bput(depth, f"retired += {1 if sink else count}")
-
-    def goto(depth: int, j: int, target: int) -> None:
-        """Transfer control to a static target (already retired)."""
-        if 0 <= target < n:
-            bput(depth, f"_L = {target}")
-            bput(depth, "continue")
-        else:
-            bput(depth, f'raise _XE(_N + ": PC {0} out of range")'.format(target))
-
-    def fall_to(depth: int, j: int, target: int) -> None:
-        """Fall through to the next block (already retired)."""
-        if 0 <= target < n:
-            bput(depth, f"_L = {target}")
-        else:
-            bput(depth, f'raise _XE(_N + ": PC {0} out of range")'.format(target))
-
-    def compute_lines(pc: int, d: tuple) -> List[str]:
-        """Computation-only source for one never-raising op."""
-        (op, dest, s0r, s0, s1r, s1, s2r, s2,
-         target, offset, cmp_op, trace_srcs) = d
-        A = _operand(s0r, s0)
-        B = _operand(s1r, s1)
-        C = _operand(s2r, s2)
-        D = f"r{dest}"
-        if op in _BINARY_OPS:
-            return [f"{D} = {A} {_BINARY_OPS[op]} {B}"]
-        if op in _COMPARE_OPS:
-            return [f"{D} = 1 if {A} {_COMPARE_OPS[op]} {B} else 0"]
-        if op is Op.MOV or op is Op.FMOV:
-            return [f"{D} = {A}"]
-        if op is Op.RAND:
-            return [f"{D} = rng_uniform()"]
-        if op is Op.RANDN:
-            return [f"{D} = rng_normal()"]
-        if op is Op.MIN or op is Op.FMIN:
-            return [f"{D} = _min({A}, {B})"]
-        if op is Op.MAX or op is Op.FMAX:
-            return [f"{D} = _max({A}, {B})"]
-        if op is Op.SELECT or op is Op.FSELECT:
-            return [f"{D} = {B} if {A} else {C}"]
-        if op is Op.CMP:
-            return [
-                f"r{COND_REG_NUM} = 1 if {A} {_CMP_SYMBOL[cmp_op]} {B} else 0"
-            ]
-        if op is Op.PROB_CMP:
-            return [
-                f"_v = r{s0}",
-                f"_k = {B}",
-                f"_c = _v {_CMP_SYMBOL[cmp_op]} _k",
-                f"r{COND_REG_NUM} = 1 if _c else 0",
-                f"_pend = ({cmp_op!r}, _c, _k, [{s0}], [_v])",
-            ]
-        if op is Op.FABS:
-            return [f"{D} = _abs({A})"]
-        if op is Op.FNEG:
-            return [f"{D} = -({A})"]
-        if op is Op.OUT:
-            return [f"emit_output({offset}, {A})"]
-        if op is Op.NOP:
-            return []
-        raise AssertionError(f"{op.name} is not a run op")
-
-    def emit_run(depth: int, pcs: List[int]) -> None:
-        """A maximal run of never-raising ops (batch variant): execute
-        straight-line, then emit one constant extend per event column.
-
-        Near the instruction limit the run falls back to per-instruction
-        retirement, so the events delivered and the
-        ``ExecutionLimitExceeded`` raise land at the exact retired count
-        the interpreter produces (the fallback always raises: the
-        remaining budget cannot cover the whole run).
-        """
-        L = len(pcs)
-        i = run_counter[0]
-        run_counter[0] += 1
-        shared_lens.add(L)
-        consts.append(f"_R{i}a = ({', '.join(str(p) for p in pcs)},)")
-        consts.append(f"_R{i}b = ({', '.join(f'_OPS[{p}]' for p in pcs)},)")
-        consts.append(f"_R{i}c = ({', '.join(f'_CLS[{p}]' for p in pcs)},)")
-        consts.append(
-            f"_R{i}d = ({', '.join(str(decoded[p][1]) for p in pcs)},)")
-        consts.append(
-            f"_R{i}e = ({', '.join(repr(decoded[p][11]) for p in pcs)},)")
-        consts.append(f"_R{i}f = ({', '.join(str(p + 1) for p in pcs)},)")
-        bput(depth, f"if retired + {L} > limit:")
-        for p in pcs:
-            limit_check(depth + 1)
-            for line in compute_lines(p, decoded[p]):
-                bput(depth + 1, line)
-            emit_event(depth + 1, p, decoded[p], next_pc=p + 1)
-            bput(depth + 1, "retired += 1")
-        limit_check(depth + 1)
-        for p in pcs:
-            for line in compute_lines(p, decoded[p]):
-                bput(depth, line)
-        bput(depth, f"_xpc(_R{i}a); _xop(_R{i}b); _xcl(_R{i}c)")
-        bput(depth, f"_xde(_R{i}d); _xsr(_R{i}e); _xnx(_R{i}f)")
-        bput(depth, f"_xco(_F{L}); _xtk(_F{L}); _xtg(_O{L})")
-        bput(depth, f"_xad(_O{L}); _xst(_F{L}); _xpm(_Z{L})")
-        bput(depth, f"retired += {L}")
-
-    for block_index, start in enumerate(leaders):
-        end = leaders[block_index + 1] if block_index + 1 < len(leaders) else n
-        block = list(range(start, end))
-        K = len(block)
-        bput(3, f"if _L == {start}:")
-        depth = 4
-        if sink:
-            # Deliver the pending columns once they pass the threshold;
-            # flush position never changes event order.
-            bput(depth, f"if _len(_bpcs) >= {BATCH_FLUSH}:")
-            bput(depth + 1, "_consume(_bt)")
-            bput(depth + 1, "_bt.clear()")
-        if step:
-            # Budget barrier: raise the limit at the interpreter's exact
-            # retired count, or pause resumably when only the per-call
-            # step budget is spent.
-            bput(depth, "if retired >= _stop:")
-            bput(depth + 1, "if retired >= limit:")
-            bput(depth + 2,
-                 'raise _XL(f"{_N}: exceeded {limit} instructions")')
-            bput(depth + 1, "break")
-        elif not sink:
-            # Block-granular budget: blocks are straight-line, so this
-            # raises iff the interpreter's per-instruction check would
-            # somewhere inside the block — with identical retired/message.
-            bput(depth, f"if retired + {K} > limit:")
-            bput(depth + 1, "retired = limit")
-            bput(depth + 1,
-                 'raise _XL(f"{_N}: exceeded {limit} instructions")')
-
-        j = 0
-        while j < K:
-            pc = block[j]
-            d = decoded[pc]
-            if sink and not step:
-                run_len = 0
-                while (j + run_len < K
-                       and decoded[block[j + run_len]][0] in _NEVER_RAISES):
-                    run_len += 1
-                if run_len >= 2:
-                    run_pcs = block[j:j + run_len]
-                    emit_run(depth, run_pcs)
-                    if j + run_len == K and not _is_terminator(
-                            decoded[run_pcs[-1]]):
-                        fall_to(depth, j + run_len - 1, run_pcs[-1] + 1)
-                    j += run_len
-                    continue
-            (op, dest, s0r, s0, s1r, s1, s2r, s2,
-             target, offset, cmp_op, trace_srcs) = d
-            A = _operand(s0r, s0)
-            B = _operand(s1r, s1)
-            C = _operand(s2r, s2)
-            D = f"r{dest}"
-            last = j == K - 1
-            if sink and not step:
-                limit_check(depth)
-
-            if op in _BINARY_OPS:
-                bput(depth, f"{D} = {A} {_BINARY_OPS[op]} {B}")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op in _COMPARE_OPS:
-                bput(depth, f"{D} = 1 if {A} {_COMPARE_OPS[op]} {B} else 0")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.MOV or op is Op.FMOV:
-                bput(depth, f"{D} = {A}")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.RAND:
-                bput(depth, f"{D} = rng_uniform()")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.RANDN:
-                bput(depth, f"{D} = rng_normal()")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.MIN or op is Op.FMIN:
-                bput(depth, f"{D} = _min({A}, {B})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.MAX or op is Op.FMAX:
-                bput(depth, f"{D} = _max({A}, {B})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.SELECT or op is Op.FSELECT:
-                bput(depth, f"{D} = {B} if {A} else {C}")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.DIV or op is Op.MOD:
-                kind = "div" if op is Op.DIV else "mod"
-                bput(depth, f"_a = {A}; _b = {B}")
-                bput(depth, "if _b == 0:")
-                fault(depth + 1, j,
-                      f'_N + "@{pc}: integer {kind} by 0"')
-                bput(depth, "_q = _abs(_a) // _abs(_b)")
-                if op is Op.DIV:
-                    bput(depth, f"{D} = -_q if (_a < 0) != (_b < 0) else _q")
-                else:
-                    bput(depth, "_q = -_q if (_a < 0) != (_b < 0) else _q")
-                    bput(depth, f"{D} = _a - _q * _b")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.FSQRT:
-                bput(depth, f"{D} = {A} ** 0.5")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op in _TRANSCENDENTAL:
-                bput(depth, f"{D} = {'_f' + _TRANSCENDENTAL[op][1:]}({A})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.FABS:
-                bput(depth, f"{D} = _abs({A})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.FNEG:
-                bput(depth, f"{D} = -({A})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.ITOF:
-                bput(depth, f"{D} = _float({A})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.FTOI:
-                bput(depth, f"{D} = _int({A})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.FFLOOR:
-                bput(depth, f"{D} = _float(_int({A} // 1))")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.CMP:
-                bput(depth,
-                     f"r{COND_REG_NUM} = 1 if {A} {_CMP_SYMBOL[cmp_op]} {B} else 0")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.LOAD or op is Op.FLOAD:
-                bput(depth, f"_a = r{s0} + {offset}")
-                bput(depth, "if not 0 <= _a < n_memory:")
-                fault(depth + 1, j,
-                      f'_N + "@{pc}: load from " + str(_a) + " out of range"')
-                bput(depth, f"{D} = memory[_a]")
-                emit_event(depth, pc, d, next_pc=pc + 1, addr="_a")
-                sink and bput(depth, "retired += 1")
-            elif op is Op.STORE or op is Op.FSTORE:
-                bput(depth, f"_a = r{s1} + {offset}")
-                bput(depth, "if not 0 <= _a < n_memory:")
-                fault(depth + 1, j,
-                      f'_N + "@{pc}: store to " + str(_a) + " out of range"')
-                bput(depth, f"memory[_a] = {A}")
-                emit_event(depth, pc, d, next_pc=pc + 1, addr="_a",
-                           store=True)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.OUT:
-                bput(depth, f"emit_output({offset}, {A})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.NOP:
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.PROB_CMP:
-                bput(depth, f"_v = r{s0}")
-                bput(depth, f"_k = {B}")
-                bput(depth, f"_c = _v {_CMP_SYMBOL[cmp_op]} _k")
-                bput(depth, f"r{COND_REG_NUM} = 1 if _c else 0")
-                bput(depth, f"_pend = ({cmp_op!r}, _c, _k, [{s0}], [_v])")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.PROB_JMP and target is None:
-                # Intermediate PROB_JMP: registers an extra swap value,
-                # does not jump.
-                bput(depth, "if _pend is None:")
-                fault(depth + 1, j,
-                      f'_N + "@{pc}: PROB_JMP without PROB_CMP"')
-                if dest != -1:
-                    bput(depth, f"_pend[3].append({dest})")
-                    bput(depth, f"_pend[4].append(r{dest})")
-                emit_event(depth, pc, d, next_pc=pc + 1)
-                sink and bput(depth, "retired += 1")
-            elif op is Op.PROB_JMP:
-                assert last, "jumping PROB_JMP must terminate its block"
-                bput(depth, "if _pend is None:")
-                fault(depth + 1, j,
-                      f'_N + "@{pc}: PROB_JMP without PROB_CMP"')
-                bput(depth, "_gr = _pend[3]; _gv = _pend[4]")
-                if dest != -1:
-                    bput(depth, f"_gr.append({dest})")
-                    bput(depth, f"_gv.append(r{dest})")
-                if pbs:
-                    bput(depth, f"_dec = pbs_transact(_PG({pc}, _pend[0], "
-                                "_pend[1], _pend[2], _gr, _gv))")
-                    bput(depth, "_t = _dec.taken")
-                    bput(depth, 'if _dec.mode == "hit":')
-                    if sink:
-                        bput(depth + 1, "_pm = 2")
-                    bput(depth + 1, "_sv = _dec.swap_values")
-                    bput(depth + 1, "for _rn, _ov in _zip(_gr, _sv):")
-                    chain = "if"
-                    for candidate in sorted(swap_candidates):
-                        bput(depth + 2, f"{chain} _rn == {candidate}:")
-                        bput(depth + 3, f"r{candidate} = _ov")
-                        chain = "elif"
-                    bput(depth + 1, f"r{COND_REG_NUM} = 1 if _t else 0")
-                    if record_consumed:
-                        bput(depth + 1, "consumed_values.append(_sv[0])")
-                    bput(depth, "else:")
-                    if sink:
-                        bput(depth + 1, "_pm = 1")
-                    if record_consumed:
-                        bput(depth + 1, "consumed_values.append(_gv[0])")
-                    elif not sink:
-                        bput(depth + 1, "pass")
-                else:
-                    bput(depth, "_t = _pend[1]")
-                    if sink:
-                        bput(depth, "_pm = 1")
-                    if record_consumed:
-                        bput(depth, "consumed_values.append(_gv[0])")
-                emit_event(
-                    depth, pc, d,
-                    cond=True, taken="_t", target=target,
-                    next_pc=f"{target} if _t else {pc + 1}", prob="_pm",
-                )
-                retire(depth, K)
-                bput(depth, "_pend = None")
-                bput(depth, "if _t:")
-                goto(depth + 1, j, target)
-                fall_to(depth, j, pc + 1)
-            elif op in _BRANCH_SYMBOL or op is Op.JT or op is Op.JF:
-                assert last, "branch must terminate its block"
-                if op is Op.JT:
-                    bput(depth, f"_t = _bool(r{COND_REG_NUM})")
-                elif op is Op.JF:
-                    bput(depth, f"_t = not r{COND_REG_NUM}")
-                else:
-                    bput(depth, f"_t = {A} {_BRANCH_SYMBOL[op]} {B}")
-                if pbs:
-                    bput(depth, f"pbs_observe({pc}, _t, {target})")
-                emit_event(
-                    depth, pc, d,
-                    cond=True, taken="_t", target=target,
-                    next_pc=f"{target} if _t else {pc + 1}",
-                )
-                retire(depth, K)
-                bput(depth, "if _t:")
-                goto(depth + 1, j, target)
-                fall_to(depth, j, pc + 1)
-            elif op is Op.JMP:
-                assert last
-                if pbs:
-                    bput(depth, f"pbs_observe({pc}, True, {target})")
-                emit_event(depth, pc, d, target=target, next_pc=target)
-                retire(depth, K)
-                goto(depth, j, target)
-            elif op is Op.CALL:
-                assert last
-                bput(depth, f"call_stack.append({pc + 1})")
-                if pbs:
-                    bput(depth, f"pbs_observe_call({pc})")
-                emit_event(depth, pc, d, target=target, next_pc=target)
-                retire(depth, K)
-                goto(depth, j, target)
-            elif op is Op.RET:
-                assert last
-                bput(depth, "if not call_stack:")
-                fault(depth + 1, j, f'_N + "@{pc}: RET on empty stack"')
-                bput(depth, "_L = call_stack.pop()")
-                if pbs:
-                    bput(depth, f"pbs_observe_return({pc})")
-                emit_event(depth, pc, d, target="_L", next_pc="_L")
-                retire(depth, K)
-                bput(depth, f"if 0 <= _L < {n}:")
-                bput(depth + 1, "continue")
-                bput(depth, 'raise _XE(f"{_N}: PC {_L} out of range")')
-            elif op is Op.HALT:
-                assert last
-                retire(depth, K)
-                bput(depth, "self._halted = True")
-                # HALT retires before its event — the interpreter's one
-                # ordering exception.
-                emit_event(depth, pc, d, next_pc=pc + 1, dest=-1, srcs=())
-                bput(depth, "break")
-            else:  # pragma: no cover - all opcodes handled above
-                raise ExecutionError(
-                    f"{program.name}@{pc}: codegen cannot handle {op.name}"
-                )
-
-            if last and not _is_terminator(d):
-                # Fall through into the next leader (a jump target) —
-                # or off the end of the program.
-                if not sink:
-                    bput(depth, f"retired += {K}")
-                fall_to(depth, j, pc + 1)
-            j += 1
-
-    # Shared all-constant columns, one set per distinct run length.
-    for L in sorted(shared_lens):
-        consts.append(f"_F{L} = (False,) * {L}")
-        consts.append(f"_O{L} = (None,) * {L}")
-        consts.append(f"_Z{L} = (0,) * {L}")
-
+    gen = _Codegen(decoded, sink=sink, pbs=pbs,
+                   record_consumed=record_consumed,
+                   swap_candidates=swap_candidates)
+    put = gen.put
     put(0, "def _compiled_run(self, sink):")
     put(1, "state = self.state")
     put(1, "regs = state.regs")
@@ -674,10 +550,8 @@ def generate_source(
     put(1, "n_memory = len(memory)")
     put(1, "call_stack = state.call_stack")
     put(1, "emit_output = state.emit_output")
-    put(1, "rng = self.rng")
-    put(1, "rng_uniform = rng.uniform")
-    put(1, "rng_normal = rng.normal")
-    put(1, "limit = self.max_instructions")
+    put(1, "rng_uniform = self.rng.uniform")
+    put(1, "rng_normal = self.rng.normal")
     put(1, "consumed_values = self.consumed_values")
     put(1, "_abs = abs; _min = _nan_min; _max = _nan_max")
     put(1, "_float = float; _int = int; _bool = bool; _zip = zip")
@@ -688,55 +562,131 @@ def generate_source(
         put(1, "pbs_observe_call = pbs.observe_call")
         put(1, "pbs_observe_return = pbs.observe_return")
         put(1, "pbs_transact = pbs.transact")
-    if sink:
-        put(1, "_bt = _B()")
-        put(1, "_bpcs = _bt.pcs")
-        put(1, "_apc = _bpcs.append; _xpc = _bpcs.extend")
-        put(1, "_aop = _bt.ops.append; _xop = _bt.ops.extend")
-        put(1, "_acl = _bt.classes.append; _xcl = _bt.classes.extend")
-        put(1, "_ade = _bt.dests.append; _xde = _bt.dests.extend")
-        put(1, "_asr = _bt.srcs.append; _xsr = _bt.srcs.extend")
-        put(1, "_aco = _bt.conds.append; _xco = _bt.conds.extend")
-        put(1, "_atk = _bt.takens.append; _xtk = _bt.takens.extend")
-        put(1, "_atg = _bt.targets.append; _xtg = _bt.targets.extend")
-        put(1, "_anx = _bt.next_pcs.append; _xnx = _bt.next_pcs.extend")
-        put(1, "_aad = _bt.addrs.append; _xad = _bt.addrs.extend")
-        put(1, "_ast = _bt.stores.append; _xst = _bt.stores.extend")
-        put(1, "_apm = _bt.prob_modes.append; _xpm = _bt.prob_modes.extend")
-        put(1, "_consume = sink.consume_batch")
-        put(1, "_len = len")
     for number in regs_sorted:
         put(1, f"r{number} = regs[{number}]")
-    for line in consts:
-        put(1, line)
-    if step:
-        put(1, "_pend = self._pending_cmp")
-        put(1, "_L = self._pc")
-        put(1, "retired = self.retired")
-        put(1, "_stop = self._step_stop")
-    else:
-        put(1, "_pend = None")
-        put(1, "_L = 0")
-        put(1, "retired = 0")
+    put(1, "_L = self._pc")
+    put(1, "_pend = self._pending_cmp")
+    put(1, "retired = self.retired")
+    put(1, "_stop = self._step_stop")
+    if sink:
+        put(1, "_xk, _ak, _tk, _aa, _ar, _flush = _W(sink)")
     put(1, "try:")
     put(2, "while True:")
-    out.lines.extend(body.lines)
+    ends = leaders[1:] + [n]
+    budgets = (dict.fromkeys(leaders, 1) if step
+               else _budget_checks(decoded, leaders, ends))
+    for start, end in zip(leaders, ends):
+        gen.block(start, end, budgets.get(start))
     put(1, "finally:")
     for number in regs_sorted:
         put(2, f"regs[{number}] = r{number}")
     put(2, "self.retired = retired")
-    if step:
-        put(2, "self._pc = _L")
-        put(2, "self._pending_cmp = _pend")
+    put(2, "self._pc = _L")
+    put(2, "self._pending_cmp = _pend")
     if sink:
         # Deliver the buffered tail on every exit — pause, HALT, limit
         # or fault — so the sink has observed every retired instruction
         # by the time control returns.
-        put(2, "if _bpcs:")
-        put(3, "_consume(_bt)")
-        put(3, "_bt.clear()")
+        put(2, "_flush()")
     put(1, "return state")
-    return out.source()
+    return "\n".join(gen.lines) + "\n"
+
+
+def _memory_fault(name: str, where: str, pc: int, addr) -> ExecutionError:
+    """The interpreter's error for a load or store at ``pc`` whose
+    address ``addr`` is out of range."""
+    return ExecutionError(f"{name}@{pc}: {where} {addr} out of range")
+
+
+def _row_table(decoded: List[tuple]) -> tuple:
+    """The prebuilt event rows of the batch variant, indexed by row key.
+
+    The key of a retired instruction is ``pc + n * v`` for a program of
+    ``n`` instructions.  ``v`` is 0 except for a conditional branch,
+    where bit 0 is the direction and, for a PBS-handled PROB_JMP, bit 1
+    a PBS hit.  So every field of a row follows from its key but two,
+    which the generated code logs on the side: a load or store's
+    address and a ``RET``'s target (its next pc too).  Each entry is the
+    row's twelve :class:`EventBatch` fields, then whether it takes an
+    address and whether it takes a return target.  ``HALT``'s row
+    carries no destination or sources, as in the interpreter.
+    """
+    table: List[tuple] = []
+    for v in range(4):
+        taken, hit = bool(v & 1), bool(v & 2)
+        for pc, d in enumerate(decoded):
+            op, target = d[0], d[8]
+            cond = op in _COND_BRANCH or (op is Op.PROB_JMP and target is not None)
+            if v and not cond:
+                table.append(table[pc])  # a key no row takes
+                continue
+            if cond:
+                next_pc = target if taken else pc + 1
+            elif op is Op.JMP or op is Op.CALL:
+                next_pc = target
+            else:
+                next_pc = pc + 1
+            halt = op is Op.HALT
+            table.append((
+                pc, op, OP_CLASS[op],
+                -1 if halt else d[1], () if halt else d[11],
+                cond, cond and taken, target, next_pc, None,
+                op is Op.STORE or op is Op.FSTORE,
+                (2 if hit else 1) if cond and op is Op.PROB_JMP else 0,
+                op in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE),
+                op is Op.RET,
+            ))
+    return tuple(table)
+
+
+def _row_writers(table: tuple, sink):
+    """The batch variant's row log, for one call of the generated
+    function.
+
+    Returns ``(xk, ak, tk, aa, ar, flush)``: ``xk``/``ak`` extend/append
+    the row-key log, ``tk`` appends a control transfer's key and
+    flushes once :data:`BATCH_FLUSH` rows are logged, ``aa`` logs a load
+    or store address and ``ar`` a ``RET`` target, in row order.
+    ``flush()`` delivers the logged rows to ``sink`` as one
+    :class:`EventBatch` built from ``table`` (see :func:`_row_table`).
+    """
+    keys: List[int] = []
+    addrs: List[int] = []
+    returns: List[int] = []
+    consume = sink.consume_batch
+    log = keys.append
+
+    def flush():
+        if keys:
+            # Cleared even if the sink raises, so the generated code's
+            # tail flush never re-delivers these rows.
+            try:
+                rows = pick(*keys)(table) if len(keys) > 1 else [table[keys[0]]]
+                batch = EventBatch()
+                columns = zip(*rows)  # one column alive at a time
+                for name, column in zip(EventBatch.__slots__, columns):
+                    setattr(batch, name, list(column))
+                takes_addr, takes_return = columns
+                if addrs:
+                    column = batch.addrs
+                    for i, addr in zip(compress(count(), takes_addr), addrs):
+                        column[i] = addr
+                if returns:
+                    for i, target in zip(compress(count(), takes_return),
+                                         returns):
+                        batch.targets[i] = batch.next_pcs[i] = target
+                consume(batch)
+            finally:
+                keys.clear()
+                addrs.clear()
+                returns.clear()
+
+    def transfer(key, size=keys.__len__):
+        log(key)
+        if size() >= BATCH_FLUSH:
+            flush()
+
+    return keys.extend, log, transfer, addrs.append, returns.append, flush
 
 
 class CodegenStore(ShardedStore):
@@ -752,17 +702,19 @@ class CodegenStore(ShardedStore):
 #: (:data:`SINK_NONE` / :data:`SINK_BATCH`).
 _MEMO: Dict[Tuple[str, Tuple[int, bool, bool, bool]], object] = {}
 
+#: program digest -> :func:`_row_table`, shared by its batch variants.
+_TABLES: Dict[str, tuple] = {}
 
-def _bind(source: str, program, decoded: List[tuple]):
-    """Compile generated source and bind its support globals."""
+
+def _bind(source: str, program, table: Optional[tuple]):
+    """Compile generated source and bind its support globals; a batch
+    variant gets the program's :func:`_row_table`."""
     namespace = {
         "_XE": ExecutionError,
-        "_XL": ExecutionLimitExceeded,
-        "_B": EventBatch,
+        "_LF": partial(_memory_fault, program.name, "load from"),
+        "_SF": partial(_memory_fault, program.name, "store to"),
         "_PG": ProbGroup,
         "_N": program.name,
-        "_OPS": tuple(d[0] for d in decoded),
-        "_CLS": tuple(OP_CLASS[d[0]] for d in decoded),
         "_exp": math.exp,
         "_log": math.log,
         "_sin": math.sin,
@@ -770,6 +722,8 @@ def _bind(source: str, program, decoded: List[tuple]):
         "_nan_min": nan_min,
         "_nan_max": nan_max,
     }
+    if table is not None:
+        namespace["_W"] = partial(_row_writers, table)
     exec(compile(source, f"<compiled {program.name}>", "exec"), namespace)
     return namespace["_compiled_run"]
 
@@ -821,26 +775,14 @@ def compiled_function(
                 "variant": list(variant),
                 "codegen_version": CODEGEN_VERSION,
             })
-    function = _bind(source, program, decoded)
+    table = None
+    if variant[0]:
+        table = _TABLES.get(digest)
+        if table is None:
+            table = _TABLES[digest] = _row_table(decoded)
+    function = _bind(source, program, table)
     _MEMO[key] = function
     return function, hit
-
-
-class _ClearOnRaise:
-    """Empties the pending batch when the sink raises, so the generated
-    code's tail flush never re-delivers rows the sink already saw."""
-
-    __slots__ = ("_consume",)
-
-    def __init__(self, sink):
-        self._consume = sink.consume_batch
-
-    def consume_batch(self, batch) -> None:
-        try:
-            self._consume(batch)
-        except BaseException:
-            batch.clear()
-            raise
 
 
 class CompiledExecutor(Executor):
@@ -856,9 +798,9 @@ class CompiledExecutor(Executor):
     def run(self, sink=None, budget=None):
         # The execution variant (events? PBS? consumed-value
         # recording?) is only known here, so compilation is lazy per
-        # run.  A budget — or any earlier partial progress —
-        # routes to the resumable step variant; a fresh unbounded run
-        # keeps the fast block-dispatch code.
+        # run.  A budget — or any earlier partial progress — routes to
+        # the resumable step variant; a fresh unbounded run keeps the
+        # fast block-dispatch code.
         if self._halted:
             return self.state
         step = budget is not None or self._pc != 0 or self.retired != 0
@@ -872,14 +814,18 @@ class CompiledExecutor(Executor):
         )
         if self._engine is not None:
             self._engine.last_cache_hit = cache_hit
-        if step:
-            limit = self.max_instructions
-            self._step_stop = (
-                limit if budget is None else min(limit, self.retired + budget)
-            )
-        if sink is not None:
-            sink = _ClearOnRaise(as_batch_sink(sink))
-        return function(self, sink)
+        limit = self.max_instructions
+        stop = limit if budget is None else min(limit, self.retired + budget)
+        self._step_stop = stop
+        sink = as_batch_sink(sink)
+        function(self, sink)
+        if self._halted or self.retired == stop < limit:
+            return self.state
+        # The next block could not retire whole within the stop.  The
+        # interpreter resumes from the written-back state and finishes
+        # the remainder exactly: it raises ExecutionLimitExceeded at its
+        # own count, or faults, halts or pauses first.
+        return Executor.run(self, sink, stop - self.retired)
 
 
 @register_engine("compiled")
@@ -887,7 +833,7 @@ class CompiledEngine(Engine):
     """Tier 1: specialized generated Python, cached by program digest.
 
     Supports every workload and attachment (the generated code speaks
-    the full sink/PBS/consumed-values protocol).
+    the full sink/PBS/consumed-value protocol).
     ``cache_dir=`` adds a persistent :class:`CodegenStore` under the
     in-process memo, so cold processes skip code generation for
     already-seen programs.

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=engine_names(), default=None,
         help=(
             "execution tier for every simulation of the selected "
-            "artefacts (default: interp); tiers change speed, never "
+            "artefacts (default: compiled); tiers change speed, never "
             "results"
         ),
     )
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=engine_names(), default=None,
         help=(
             "execution tier for simulated grid points (default: "
-            "interp); tiers change speed, never results"
+            "compiled); tiers change speed, never results"
         ),
     )
 

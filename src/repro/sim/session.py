@@ -98,7 +98,7 @@ class Session:
         self._extra_sinks: List[Callable] = []
         self._trace_store = None
         self._trace_mode = "auto"
-        self._engine_name = "interp"     # execution tier
+        self._engine_name = None         # execution tier; None: the default
         self._engine_options: Dict = {}
         # Live objects from the most recent run().
         self.harnesses: Dict[str, object] = {}
@@ -115,11 +115,12 @@ class Session:
         self._seed = seed
         return self
 
-    def engine(self, name: str = "interp", **options) -> "Session":
+    def engine(self, name: str, **options) -> "Session":
         """Select the execution tier (see :mod:`repro.engines`).
 
-        ``name`` is a registered engine (``"interp"``, the default, or
-        ``"compiled"``); ``options`` go to its constructor (e.g.
+        ``name`` is a registered engine (``"compiled"``, the default for
+        a Session that never calls this, or the reference ``"interp"``);
+        ``options`` go to its constructor (e.g.
         ``cache_dir=`` for the compiled tier's persistent codegen
         cache).  Every tier runs every session — tiers change speed,
         never results.

@@ -74,12 +74,13 @@ class Workload(abc.ABC):
         pbs: Optional[PBSEngine] = None,
         sink=None,
         record_consumed: bool = False,
-        engine="interp",
+        engine=None,
     ) -> "WorkloadRun":
         """Execute the workload and package the results.
 
         ``engine`` is an :class:`repro.engines.Engine` instance or a
-        registered engine name choosing the execution tier.
+        registered engine name choosing the execution tier; ``None``
+        runs the default tier (:data:`repro.engines.DEFAULT_ENGINE`).
         """
         from ..engines import create_engine
 

@@ -28,14 +28,16 @@ from repro.engines import (
 )
 from repro.engines.compiled import (
     _MEMO,
+    BATCH_FLUSH,
     SINK_BATCH,
     SINK_NONE,
     CompiledEngine,
+    CompiledExecutor,
     compiled_function,
     generate_source,
     program_digest,
 )
-from repro.functional import Executor
+from repro.functional import EventBatch, Executor
 from repro.isa import F, ProgramBuilder, R
 from repro.sim import (
     EXECUTORS,
@@ -200,6 +202,148 @@ class TestCompiledTier:
 
 
 # ---------------------------------------------------------------------------
+# Limit parity: a straight (unbudgeted) compiled run that runs out of
+# instructions, or faults, leaves exactly the interpreter's state.
+# ---------------------------------------------------------------------------
+class _Columns:
+    """A sink keeping a copy of every event column it is handed, and
+    the size of the largest batch."""
+
+    def __init__(self):
+        self.columns = None
+        self.largest = 0
+
+    def consume_batch(self, batch):
+        self.largest = max(self.largest, len(batch))
+        rows = [list(getattr(batch, name)) for name in EventBatch.__slots__]
+        if self.columns is None:
+            self.columns = rows
+        else:
+            for column, new in zip(self.columns, rows):
+                column.extend(new)
+
+
+def _faulting_program(kind):
+    """A loop that faults mid-block in a later iteration, or a ``RET``
+    on an empty call stack after it."""
+    b = ProgramBuilder(f"faults-{kind}", data_size=8)
+    b.li(R(1), 0)
+    b.fli(F(1), 2.0)
+    b.li(R(2), 3)
+    b.fli(F(4), 2.0)
+    b.label("loop")
+    b.add(R(1), R(1), 3)
+    b.rand(F(2))
+    b.fadd(F(1), F(1), F(2))
+    if kind == "load":
+        b.load(R(3), R(1), 0)              # address 9 is out of range
+    elif kind == "div":
+        b.div(R(3), R(1), R(2))            # an explicit fault branch
+    elif kind == "fdiv":
+        b.fdiv(F(3), F(1), F(4))           # a Python-level ZeroDivisionError
+    b.sub(R(2), R(2), 1)
+    b.fmul(F(4), F(4), 0.0)
+    b.out(R(1))
+    b.blt(R(1), 100 if kind != "ret" else 6, "loop")
+    if kind == "ret":
+        b.add(R(3), R(1), 1)
+        b.ret()                            # the call stack is empty
+    b.halt()
+    return b.build()
+
+
+def _spinning_program():
+    """A loop closed by a ``CALL`` and a ``JMP`` alone, with no
+    conditional branch: only the limit stops it."""
+    b = ProgramBuilder("spins")
+    b.li(R(1), 0)
+    b.label("loop")
+    b.call("sub")
+    b.jmp("loop")
+    b.halt()
+    b.label("sub")
+    b.add(R(1), R(1), 1)
+    b.ret()
+    return b.build()
+
+
+def _limit_parity_cases():
+    """``(program, limits)``: every limit up to a whole run for small
+    programs, the first 120 and the last few around HALT (or the fault)
+    for larger ones, and no limit at all; then a loop only the limit
+    ends, long enough to fill several batches."""
+    from repro.diff import build_program, generate
+
+    programs = [get_workload(name).build(0.01)
+                for name in ("bsearch", "dop", "swaptions")]
+    programs += [build_program(generate(seed)) for seed in (0, 1, 3)]
+    programs += [_faulting_program(kind) for kind in ("load", "div", "fdiv", "ret")]
+    for program in programs:
+        reference = Executor(program, seed=5)
+        try:
+            reference.run()
+        except Exception:
+            pass
+        total = reference.retired
+        limits = set(range(min(total, 120) + 2))
+        limits |= set(range(max(total - 4, 0), total + 2))
+        limits.add(50_000_000)  # a run the limit never stops
+        yield program, sorted(limits)
+    yield _spinning_program(), list(range(40)) + [3000]
+
+
+def _limit_outcome(executor, sink):
+    try:
+        executor.run(sink=sink)
+        error = None
+    except Exception as exc:  # the exact exception is part of the state
+        error = (type(exc).__name__, str(exc))
+    state = executor.state
+    return {
+        "error": error,
+        "retired": executor.retired,
+        "events": None if sink is None else sink.columns,
+        # The interpreter's batches hold 1024 rows; the compiled tier's
+        # may overshoot by at most one straight-line path.
+        "largest batch within bound": sink is None or (
+            sink.largest <= BATCH_FLUSH + len(executor.program.instructions)),
+        "regs": repr(state.regs),       # repr: NaN registers compare
+        "memory": repr(state.memory),
+        "outputs": repr(state.output()),
+        "consumed": repr(executor.consumed_values),
+    }
+
+
+class TestCompiledLimitParity:
+    def test_straight_runs_stop_with_the_interpreters_state(self):
+        from repro.core import PBSConfig, PBSEngine
+
+        checked = 0
+        for program, limits in _limit_parity_cases():
+            for limit in limits:
+                for with_sink in (False, True):
+                    for with_pbs in (False, True):
+                        outcomes = []
+                        for tier in (Executor, CompiledExecutor):
+                            executor = tier(
+                                program, seed=5, max_instructions=limit,
+                                record_consumed=True,
+                                pbs=PBSEngine(PBSConfig()) if with_pbs
+                                else None,
+                            )
+                            outcomes.append(_limit_outcome(
+                                executor, _Columns() if with_sink else None))
+                        reference, candidate = outcomes
+                        for key in reference:
+                            assert candidate[key] == reference[key], (
+                                f"{program.name} limit={limit} "
+                                f"sink={with_sink} pbs={with_pbs}: {key}"
+                            )
+                        checked += 1
+        assert checked > 3000
+
+
+# ---------------------------------------------------------------------------
 # Plumbing: Session/Sweep/RunSpec/stat counters.
 # ---------------------------------------------------------------------------
 class TestEngineThreading:
@@ -208,12 +352,21 @@ class TestEngineThreading:
             with pytest.raises(KeyError, match="registered engines"):
                 Session("pi").engine(name)
 
-    def test_session_defaults_to_the_interp_tier(self):
+    def test_session_defaults_to_the_compiled_tier(self):
         result = Session("pi").scale(0.02).run()
-        assert result.engine_used == "interp"
+        assert result.engine_used == "compiled"
         stats = Sweep(workloads=["pi"], scales=[0.02], modes=["base"],
                       predictors=()).run(executor="serial").to_stats()
-        assert stats["engine_used"] == {"interp": 1}
+        assert stats["engine_used"] == {"compiled": 1}
+        workload = get_workload("pi")
+        assert workload.run(scale=0.02).executor.__class__.__name__ == (
+            "CompiledExecutor")
+        # The reference tier is still one directive away, with the
+        # same result.
+        reference = Session("pi").scale(0.02).engine("interp").run()
+        assert reference.engine_used == "interp"
+        assert reference.outputs == result.outputs
+        assert reference.instructions == result.instructions
 
     def test_engine_used_is_transient(self):
         result = Session("pi").scale(0.02).engine("compiled").run()

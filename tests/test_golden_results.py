@@ -152,13 +152,14 @@ def test_capture_then_replay_reproduces_golden_corpus(name, tmp_path):
     assert all(result.trace_origin == "replay" for result in second)
 
 
-@pytest.mark.parametrize("engine", ["compiled"])
+@pytest.mark.parametrize("engine", ["compiled", "interp"])
 @pytest.mark.parametrize("name", sorted(EXECUTORS))
 def test_engine_tiers_reproduce_golden_corpus(name, engine, service):
     # Execution tiers change speed, never results: the whole corpus,
     # re-run under each engine directive on every backend, must still
     # match the fixtures byte for byte.  The directive itself rides the
-    # wire, and every tier runs every spec.
+    # wire, and every tier runs every spec — the default one and the
+    # reference interpreter alike.
     entries = _manifest()
     specs = [
         replace(RunSpec.from_dict(entry["spec"]), engine=engine)
