@@ -86,7 +86,7 @@ def test_bench_executor_with_sink(benchmark):
 # Tiered engines (this machine, PYTHONHASHSEED=0): the compiled tier
 # runs the same 20k-iteration alu loop in ~2.7ms vs the interpreter's
 # ~27ms (10x; 8.6x over the PR 4 23.5ms baseline above), with codegen
-# amortized through the in-memory memo + on-disk CodegenStore.
+# amortized through the in-memory memo.
 def test_bench_compiled_executor(benchmark):
     from repro.engines import create_engine
 

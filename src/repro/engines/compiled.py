@@ -36,9 +36,7 @@ including the state a run leaves behind when it faults or exceeds its
 budget.
 
 Generated code is memoized in-process by program digest and execution
-variant, and optionally persisted as ``.py`` entries in a
-:class:`CodegenStore` (a :class:`~repro.storage.ShardedStore`) when the
-engine is built with ``cache_dir=``.
+variant.
 """
 
 from __future__ import annotations
@@ -59,19 +57,18 @@ from ..functional.executor import (
 from ..functional.trace import EventBatch, as_batch_sink
 from ..isa.opcodes import OP_CLASS, Op
 from ..isa.registers import COND_REG_NUM
-from ..storage import ShardedStore, canonical_digest
+from ..storage import canonical_digest
 from .base import Engine, register_engine
 
-#: Bumped when generated-code semantics change: old persisted codegen
-#: entries stop matching and are regenerated instead of misbehaving.
+#: Part of every program digest; bumped when generated-code semantics
+#: change.
 #: v2: NaN-propagating MIN/MAX/FMIN/FMAX, halted flag, step variant.
 #: v3: columnar sink variant (EventBatch extends per basic block).
 #: v4: budget checks at loop headers with a hand-off to the
 #: interpreter, event rows from row keys.
 CODEGEN_VERSION = 4
 
-#: Sink modes for the generated-code variant key.  The values are part
-#: of persisted codegen keys, so they never change.
+#: Sink modes for the generated-code variant key.
 SINK_NONE = 0      # no events
 SINK_BATCH = 2     # columnar: EventBatch rows, sink.consume_batch
 
@@ -689,13 +686,6 @@ def _row_writers(table: tuple, sink):
     return keys.extend, log, transfer, addrs.append, returns.append, flush
 
 
-class CodegenStore(ShardedStore):
-    """Persistent cache of generated ``.py`` sources, sharded by the
-    (program digest, variant) key digest."""
-
-    suffix = ".py"
-
-
 #: (program digest, variant) -> bound function — shared process-wide so
 #: every engine instance (and every Session in a sweep worker) reuses
 #: one compilation per program.  The variant leads with the sink mode
@@ -735,14 +725,12 @@ def compiled_function(
     pbs: bool,
     record_consumed: bool,
     step: bool = False,
-    store: Optional[CodegenStore] = None,
 ):
     """The (memoized) compiled function for one program + variant.
 
     ``sink`` is a sink mode (:data:`SINK_NONE` or :data:`SINK_BATCH`).
     Returns ``(function, cache_hit)`` — ``cache_hit`` is
-    True when no fresh code generation happened (in-process memo or a
-    warm store).
+    True when the in-process memo already held the function.
     """
     decoded = Executor._decode(program.instructions)
     digest = program_digest(program, decoded)
@@ -752,29 +740,11 @@ def compiled_function(
     if cached is not None:
         return cached, True
 
-    source = None
-    hit = False
-    store_digest = None
-    if store is not None:
-        store_digest = canonical_digest(
-            {"program": digest, "variant": list(variant)}
-        )
-        path = store.path(store_digest)
-        if path.exists():
-            source = path.read_text()
-            hit = True
-    if source is None:
-        source = generate_source(
-            program, decoded,
-            sink=variant[0], pbs=variant[1], record_consumed=variant[2],
-            step=variant[3],
-        )
-        if store is not None:
-            store.write_entry(store_digest, source, meta={
-                "program": program.name,
-                "variant": list(variant),
-                "codegen_version": CODEGEN_VERSION,
-            })
+    source = generate_source(
+        program, decoded,
+        sink=variant[0], pbs=variant[1], record_consumed=variant[2],
+        step=variant[3],
+    )
     table = None
     if variant[0]:
         table = _TABLES.get(digest)
@@ -782,7 +752,7 @@ def compiled_function(
             table = _TABLES[digest] = _row_table(decoded)
     function = _bind(source, program, table)
     _MEMO[key] = function
-    return function, hit
+    return function, False
 
 
 class CompiledExecutor(Executor):
@@ -810,7 +780,6 @@ class CompiledExecutor(Executor):
             pbs=self.pbs is not None,
             record_consumed=self.record_consumed,
             step=step,
-            store=self._engine.store if self._engine is not None else None,
         )
         if self._engine is not None:
             self._engine.last_cache_hit = cache_hit
@@ -834,13 +803,9 @@ class CompiledEngine(Engine):
 
     Supports every workload and attachment (the generated code speaks
     the full sink/PBS/consumed-value protocol).
-    ``cache_dir=`` adds a persistent :class:`CodegenStore` under the
-    in-process memo, so cold processes skip code generation for
-    already-seen programs.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None):
-        self.store = CodegenStore(cache_dir) if cache_dir else None
+    def __init__(self):
         self.last_cache_hit = False
 
     def executor(self, program, *, seed=0, pbs=None, record_consumed=False):

@@ -515,8 +515,8 @@ def _cmd_sweep(args) -> int:
     trace_note = ""
     if results.trace_captures or results.trace_hits:
         trace_note = (
-            f" ({results.trace_captures} interpreted, "
-            f"{results.trace_hits} replayed)"
+            f" ({results.trace_captures} from captures, "
+            f"{results.trace_hits} from replays)"
         )
     engine_note = ""
     if results.engine_used:

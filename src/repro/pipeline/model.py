@@ -36,12 +36,15 @@ from .metrics import CoreStats
 class OoOCore:
     """A columnar trace sink computing cycles, IPC and branch statistics.
 
-    Branch classification is delegated to an owned
-    :class:`~repro.branch.PredictorHarness` built from the core's
-    predictor and options, so ``stats.branches`` *is* that harness's
-    :class:`~repro.branch.BranchStats`.  Each batch is classified first,
-    then timed: predictor state depends only on the ``(pc, taken,
-    prob_mode)`` order, never on cycle timing, so this is exact.
+    Branch classification is delegated to a
+    :class:`~repro.branch.PredictorHarness`, so ``stats.branches`` *is*
+    that harness's :class:`~repro.branch.BranchStats`.  The constructor
+    builds the core its own harness from ``predictor`` and the harness
+    options; :meth:`sharing` times the rows of a harness that other
+    consumers read too.  Each batch is classified first, then timed:
+    predictor state depends only on the ``(pc, taken, prob_mode)``
+    order, never on cycle timing, so one classification serves every
+    core width exactly.
     """
 
     def __init__(
@@ -53,17 +56,33 @@ class OoOCore:
         oracle_pcs=frozenset(),
         pbs_inserts_history: bool = True,
     ):
-        self.config = config
-        self.predictor = predictor
-        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
-        self.harness = PredictorHarness(
+        self._attach(config, PredictorHarness(
             predictor,
             filter_probabilistic=filter_probabilistic,
             pbs_inserts_history=pbs_inserts_history,
             oracle_pcs=oracle_pcs,
-        )
-        self.stats = CoreStats(config.name, predictor_name=predictor.name)
-        self.stats.branches = self.harness.stats
+        ), hierarchy)
+
+    @classmethod
+    def sharing(cls, config: CoreConfig, harness: PredictorHarness) -> "OoOCore":
+        """A core timing the rows ``harness`` classifies.
+
+        The harness is fed elsewhere (it may serve other cores and
+        MPKI readers too), so this core must be fed
+        ``consume_batch(batch, mispredicted)`` with the rows the
+        harness reported for that batch.
+        """
+        core = cls.__new__(cls)
+        core._attach(config, harness, None)
+        return core
+
+    def _attach(self, config, harness, hierarchy) -> None:
+        self.config = config
+        self.harness = harness
+        self.predictor = harness.predictor
+        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
+        self.stats = CoreStats(config.name, predictor_name=self.predictor.name)
+        self.stats.branches = harness.stats
 
         self._latency: Dict[int, int] = dict(config.latencies)
         self._reg_ready: Dict[int, int] = {}
@@ -76,13 +95,18 @@ class OoOCore:
         self._last_cycle = 0
 
     # ------------------------------------------------------------------
-    def consume_batch(self, batch) -> None:
-        mispredicted = []
-        self.harness.consume_batch(batch, mispredicted)
-        # Sentinel row: the walk below compares every row against the
-        # next mispredicted one, and no row index reaches len(batch).
+    def consume_batch(self, batch, mispredicted=None) -> None:
+        """Time one batch.  ``mispredicted`` lists, in row order, the
+        rows of the batch that the core's harness already classified
+        as mispredicted; without it the core classifies the batch
+        through its harness first."""
+        if mispredicted is None:
+            mispredicted = []
+            self.harness.consume_batch(batch, mispredicted)
         n = len(batch.pcs)
-        mispredicted.append(n)
+        # Past the last misprediction, next_miss is n: no row index
+        # reaches it.
+        misses = iter(mispredicted)
 
         config = self.config
         width = config.width
@@ -107,8 +131,7 @@ class OoOCore:
         commit_slots = self._commit_slots
         last_cycle = self._last_cycle
         branch_stall = 0
-        miss_index = 0
-        next_miss = mispredicted[0]
+        next_miss = next(misses, n)
 
         srcs_col = batch.srcs
         classes = batch.classes
@@ -162,8 +185,7 @@ class OoOCore:
                 stall = frontend_ready - (dispatch + 1)
                 if stall > 0:
                     branch_stall += stall
-                miss_index += 1
-                next_miss = mispredicted[miss_index]
+                next_miss = next(misses, n)
 
             # ----- commit: in order, width per cycle -------------------
             commit = complete

@@ -22,7 +22,7 @@ import json
 import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..sim.executors import Executor, register_executor
+from ..sim.executors import Executor, register_executor, trace_groups
 from ..sim.results import RunResult
 
 #: Environment variable naming the coordinator address (``host:port``).
@@ -202,9 +202,16 @@ class HttpExecutor(Executor):
     back in completion order and are reassembled into spec order, so
     the executor contract — and bit-identical golden results — hold.
 
+    Every spec travels as its own frame, so a trace group is not run
+    as one job here: its specs may land on different workers, each
+    with its own trace store.  When the specs carry a trace store, the
+    batch therefore becomes two jobs: one leader per trace group first
+    (it replays a stored trace or interprets and captures one), then
+    the rest, which replay what the leaders left.
+
     ``coordinator`` defaults to ``$REPRO_COORDINATOR`` and ``token`` to
-    ``$REPRO_TOKEN``; per-job counters from the coordinator land in
-    :attr:`telemetry` after each ``map()`` (one
+    ``$REPRO_TOKEN``; per-job counters from the coordinator, summed
+    over the jobs of the last ``map()``, land in :attr:`telemetry` (one
     ``coordinator:host:port`` entry, feeding the ``workers`` key of
     ``--stats-json``).
     """
@@ -230,15 +237,31 @@ class HttpExecutor(Executor):
             return []
         self.batches += 1
         self.dispatched += len(specs)
-        job = self.client.submit(specs=specs)["job"]
+        self.telemetry = {}
         results: List[Optional[RunResult]] = [None] * len(specs)
+        jobs = [list(range(len(specs)))]
+        if any(spec.trace_store for spec in specs):
+            groups = trace_groups(specs)
+            jobs = [
+                [group[0] for group in groups],
+                sorted(index for group in groups for index in group[1:]),
+            ]
+        for job in jobs:
+            if job:
+                self._run_job(specs, job, results, on_result)
+        return results
+
+    def _run_job(self, specs, indices, results, on_result) -> None:
+        """Submit ``specs[i] for i in indices`` as one coordinator job
+        and place its results."""
+        job = self.client.submit(specs=[specs[i] for i in indices])["job"]
         failures: List[str] = []
         final: Optional[Dict] = None
         for entry in self.client.stream(job):
             if entry.get("done"):
                 final = entry
                 break
-            index = entry["index"]
+            index = indices[entry["index"]]
             if "error" in entry:
                 failures.append(f"spec #{index}: {entry['error']}")
                 continue
@@ -256,22 +279,20 @@ class HttpExecutor(Executor):
             if on_result is not None:
                 on_result(index, specs[index], result)
         if final is not None:
-            self.telemetry = {
-                f"coordinator:{self.client.label}": {
-                    key: value
-                    for key, value in final.items()
-                    if isinstance(value, int) and not isinstance(value, bool)
-                }
-            }
+            slot = self.telemetry.setdefault(
+                f"coordinator:{self.client.label}", {}
+            )
+            for key, value in final.items():
+                if isinstance(value, int) and not isinstance(value, bool):
+                    slot[key] = slot.get(key, 0) + value
         if failures:
             raise RuntimeError(
-                f"http executor: {len(failures)}/{len(specs)} specs failed: "
+                f"http executor: {len(failures)}/{len(indices)} specs failed: "
                 + "; ".join(failures[:3])
             )
-        missing = sum(result is None for result in results)
+        missing = sum(results[index] is None for index in indices)
         if missing:
             raise RuntimeError(
                 f"http executor: result stream for job {job} ended with "
-                f"{missing}/{len(specs)} specs unresolved"
+                f"{missing}/{len(indices)} specs unresolved"
             )
-        return results

@@ -2,12 +2,15 @@
 
 An :class:`Executor` turns a batch of picklable ``RunSpec`` descriptions
 into :class:`~repro.sim.results.RunResult` objects.  Two strategies
-ship with the package:
+ship with the package, and both run a batch as **trace groups**
+(:func:`trace_groups`): the specs that share a committed path run as
+one job, one engine run feeding all of their consumers
+(:func:`~repro.sim.session.run_group`):
 
-* :class:`SerialExecutor` — run every spec in-process, in order;
+* :class:`SerialExecutor` — run every group in-process, in order;
 * :class:`WorkerPoolExecutor` — the local process pool and the
-  default: workers that outlive a batch, one spec at a time each, and
-  are replaced when they die.
+  default: workers that outlive a batch, one group at a time each,
+  largest groups first, and replaced when they die.
 
 A third, the distributed :class:`~repro.serve.client.HttpExecutor`
 (``"http"``), lives in :mod:`repro.serve.client`: it submits the batch
@@ -17,7 +20,9 @@ to a ``repro-coordinator``, which fans it out to registered
 All executors honour the same contract: ``map(specs, on_result=None)``
 returns results **in spec order**, regardless of completion order, and
 ``on_result(index, spec, result)`` fires once per spec as its result
-becomes available — in completion order on the parallel backends.
+becomes available — on the local backends, group by group (in spec
+order within a group), groups in order of their first spec on
+``serial`` and in completion order on the parallel backends.
 Because every spec carries its own seed, results are bit-identical
 across executors and worker counts.
 
@@ -41,34 +46,83 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Type, Un
 
 from .registry import Registry, validate_options
 from .results import RunResult
+from .session import run_group
 
 #: ``on_result(index, spec, result)`` — fired once per completed spec.
 ProgressCallback = Callable[[int, object, RunResult], None]
 
-#: Attempts per spec on :class:`WorkerPoolExecutor` (the coordinator's
+#: Attempts per job on :class:`WorkerPoolExecutor` (the coordinator's
 #: ``max_attempts`` default).
 MAX_ATTEMPTS = 3
 
 
 class WorkerDiedError(RuntimeError):
-    """A pool worker process died while it ran a spec."""
+    """A pool worker process died while it ran a job."""
 
 
 def _execute_spec(spec) -> RunResult:
-    """Worker entry point: run one spec (module-level for pickling)."""
+    """Run one spec: the per-spec entry point every local execution
+    passes through once per spec (module-level, so it can be wrapped)."""
     return spec.session().run()
 
 
+def _execute_group(specs) -> List[RunResult]:
+    """Run one trace group as one run, returning a result per spec.
+
+    Each spec still passes through :func:`_execute_spec` once: the
+    group's run happens inside the first call, and the later calls
+    hand out their share of it.  A group of one runs as a plain spec.
+    """
+    if len(specs) == 1:
+        return [_execute_spec(specs[0])]
+    shared: List[RunResult] = []
+    return [
+        _execute_spec(_GroupMember(specs, shared, index))
+        for index in range(len(specs))
+    ]
+
+
+class _GroupMember:
+    """One spec of a trace group, shaped like a spec for
+    :func:`_execute_spec`: ``session().run()`` is its result, and the
+    first member to run runs the whole group into ``shared``."""
+
+    def __init__(self, specs, shared: List[RunResult], index: int):
+        self.specs = specs
+        self.shared = shared
+        self.index = index
+
+    def session(self) -> "_GroupMember":
+        return self
+
+    def run(self) -> RunResult:
+        if not self.shared:
+            self.shared.extend(run_group([spec.session() for spec in self.specs]))
+        return self.shared[self.index]
+
+
+def trace_groups(specs: Sequence) -> List[List[int]]:
+    """Indices of ``specs`` grouped by ``RunSpec.group_key()``: the
+    specs that share one committed path, engine directive and trace
+    store, and so one engine run.  Groups are in order of their first
+    spec, and indices in spec order within a group."""
+    groups: dict = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(spec.group_key(), []).append(index)
+    return list(groups.values())
+
+
 def _worker_main(conn) -> None:
-    """One pool worker: run each spec received on ``conn`` and reply
-    ``(True, result)`` or ``(False, exception)``, until the pipe closes."""
+    """One pool worker: run each trace group received on ``conn`` and
+    reply ``(True, results)`` or ``(False, exception)``, until the pipe
+    closes."""
     while True:
         try:
-            spec = conn.recv()
+            specs = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, _execute_spec(spec))
+            reply = (True, _execute_group(specs))
         except Exception as exc:
             reply = (False, exc)
         conn.send(reply)
@@ -163,7 +217,8 @@ def create_executor(
 
 @register_executor("serial")
 class SerialExecutor(Executor):
-    """Run every spec in the calling process, in spec order."""
+    """Run every trace group in the calling process, in order of its
+    first spec."""
 
     def __init__(self, processes: int = 1):
         # ``processes`` is accepted (and ignored) so the factory can
@@ -171,13 +226,20 @@ class SerialExecutor(Executor):
         del processes
 
     def map(self, specs, on_result=None):
-        results = []
-        for index, spec in enumerate(specs):
-            result = _execute_spec(spec)
-            if on_result is not None:
-                on_result(index, spec, result)
-            results.append(result)
+        specs = list(specs)
+        results: List[Optional[RunResult]] = [None] * len(specs)
+        for group in trace_groups(specs):
+            _deliver(specs, group, _execute_group([specs[i] for i in group]),
+                     results, on_result)
         return results
+
+
+def _deliver(specs, group, values, results, on_result) -> None:
+    """Place a finished group's results, firing ``on_result`` for each."""
+    for index, result in zip(group, values):
+        results[index] = result
+        if on_result is not None:
+            on_result(index, specs[index], result)
 
 
 def _stop(process, conn) -> None:
@@ -191,17 +253,19 @@ class WorkerPoolExecutor(Executor):
     """The local process pool, reused across ``map()`` calls.
 
     Up to ``processes`` workers start as work arrives and live until
-    :meth:`close`.  Each owns one pipe and runs one spec at a time, so
-    an idle worker takes the next spec; ``on_result`` fires in
-    **completion** order, results return in spec order.
-    ``processes <= 1`` runs specs in-process.
+    :meth:`close`.  Each owns one pipe and runs one trace group at a
+    time, so an idle worker takes the next group, the largest first;
+    ``on_result`` fires in **completion** order, results return in spec
+    order.  ``processes <= 1`` runs the groups in-process, as
+    :class:`SerialExecutor` does.
 
     A worker that dies without replying (SIGKILL, OOM kill) is replaced
-    and its spec requeued; after :data:`MAX_ATTEMPTS` deaths the spec
-    raises :class:`WorkerDiedError`.  If a spec or ``on_result`` raises,
-    the batch's busy workers are stopped.  Counters (:attr:`batches`,
-    :attr:`dispatched`, :attr:`completed`, :attr:`requeued`) accumulate
-    across batches.
+    and its whole group requeued; after :data:`MAX_ATTEMPTS` deaths the
+    group raises :class:`WorkerDiedError`.  If a spec or ``on_result``
+    raises, the batch's busy workers are stopped.  Counters
+    (:attr:`batches`, :attr:`dispatched`, :attr:`completed`,
+    :attr:`requeued`) accumulate across batches; all but
+    :attr:`requeued`, which counts groups, count specs.
     """
 
     def __init__(self, processes: Optional[int] = None):
@@ -224,39 +288,43 @@ class WorkerPoolExecutor(Executor):
             self.completed += len(results)
             return results
         results: List[Optional[RunResult]] = [None] * len(specs)
-        deaths = [0] * len(specs)
-        jobs = deque(enumerate(specs))
+        # Largest groups first, so no long group starts last.
+        groups = sorted(trace_groups(specs), key=len, reverse=True)
+        payloads = [[specs[i] for i in group] for group in groups]
+        deaths = [0] * len(groups)
+        jobs = deque(enumerate(payloads))
         # closing(): an exception below stops this batch's busy workers
         # now, not whenever its traceback lets the generator go.
         with closing(self._run(jobs)) as finished:
-            for index, ok, value in finished:
+            for key, ok, value in finished:
+                group = groups[key]
                 if ok:
-                    results[index] = value
-                    self.completed += 1
-                    if on_result is not None:
-                        on_result(index, specs[index], value)
+                    self.completed += len(group)
+                    _deliver(specs, group, value, results, on_result)
                     continue
                 if not isinstance(value, WorkerDiedError):
                     raise value
-                deaths[index] += 1
-                if deaths[index] == MAX_ATTEMPTS:
+                deaths[key] += 1
+                if deaths[key] == MAX_ATTEMPTS:
                     raise WorkerDiedError(
-                        f"{specs[index]!r} lost its worker on all "
+                        f"the trace group of {len(group)} spec(s) led by "
+                        f"{specs[group[0]]!r} lost its worker on all "
                         f"{MAX_ATTEMPTS} attempts; last: {value}"
                     )
                 self.requeued += 1
-                jobs.append((index, specs[index]))
+                jobs.append((key, payloads[key]))
         return results
 
     def _run(self, jobs: deque, wake=None) -> Iterator[Tuple]:
-        """Run the ``(key, spec)`` jobs queued on ``jobs``, yielding
-        ``(key, True, result)`` or ``(key, False, exception)`` as each
-        finishes; the exception is a :class:`WorkerDiedError` when the
-        spec's worker died.  Jobs may be appended at any time.  Without
-        ``wake`` the run ends once ``jobs`` is empty and no worker is
-        busy; with it (a pipe end) the run waits for more, reading one
-        message per append, and ends on a ``None`` message.  However the
-        run ends, the workers still busy in it are stopped.
+        """Run the ``(key, specs)`` jobs queued on ``jobs``, each a trace
+        group, yielding ``(key, True, results)`` or ``(key, False,
+        exception)`` as each finishes; the exception is a
+        :class:`WorkerDiedError` when the group's worker died.  Jobs may
+        be appended at any time.  Without ``wake`` the run ends once
+        ``jobs`` is empty and no worker is busy; with it (a pipe end)
+        the run waits for more, reading one message per append, and
+        ends on a ``None`` message.  However the run ends, the workers
+        still busy in it are stopped.
         """
         busy = {}  # conn -> (process, key)
         try:
@@ -265,10 +333,10 @@ class WorkerPoolExecutor(Executor):
                     process, conn = (
                         self._idle.pop() if self._idle else self._spawn()
                     )
-                    key, spec = jobs.popleft()
+                    key, job = jobs.popleft()
                     busy[conn] = process, key
                     try:
-                        conn.send(spec)
+                        conn.send(job)
                     except OSError:
                         pass  # it died idle: its sentinel fires below
                 if not busy and wake is None:

@@ -629,15 +629,20 @@ class CoordinatorWorker:
                     name=f"repro-worker-pool@{self.worker_id}",
                 )
                 self._pool_thread.start()
-        self._jobs.append(((deliver, failed), spec))
+        self._jobs.append(((deliver, failed), [spec]))
         self._wake.send(True)
 
     def _serve_pool(self, wake) -> None:
-        """The pool thread: run queued specs until ``stop`` sends ``None``.
-        A spec that raises or whose process dies answers ``error``."""
+        """The pool thread: run queued specs, each a group of one, until
+        ``stop`` sends ``None``.  A spec that raises or whose process
+        dies answers ``error``."""
         with WorkerPoolExecutor(self.processes) as pool:
             for (deliver, failed), ok, value in pool._run(self._jobs, wake):
-                (deliver if ok else failed)(value)
+                if ok:
+                    (result,) = value
+                    deliver(result)
+                else:
+                    failed(value)
 
     # -- trace streaming ------------------------------------------------
 

@@ -21,7 +21,8 @@ fans out to every attached consumer::
 ``run()`` returns a structured, JSON-serializable :class:`RunResult`; the
 live simulation objects (harnesses, cores, the PBS engine, the raw
 ``WorkloadRun``) stay reachable on the session for callers that need
-them.
+them.  :func:`run_group` runs several sessions that share a committed
+path as one interpretation, each getting its own ``run()`` result.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ class Session:
 
         ``name`` is a registered engine (``"compiled"``, the default for
         a Session that never calls this, or the reference ``"interp"``);
-        ``options`` go to its constructor (e.g.
-        ``cache_dir=`` for the compiled tier's persistent codegen
-        cache).  Every tier runs every session — tiers change speed,
+        ``options`` go to its constructor (the built-in tiers take
+        none).  Every tier runs every session — tiers change speed,
         never results.
         """
         from ..engines import get_engine
@@ -235,169 +235,21 @@ class Session:
         return trace_digest(self._workload, self._scale, self._seed, pbs_config)
 
     # -- execution -------------------------------------------------------
-    def _build_consumers(self) -> List[Callable]:
-        """Fresh harnesses/cores for one run, plus caller-owned sinks."""
-        from ..branch import PredictorHarness
-        from ..pipeline import OoOCore
-
-        self.harnesses = {}
-        self.cores = {}
-        consumers: List[Callable] = []
-        if self._timing_config is not None:
-            for spec in self._specs:
-                config = replace(
-                    self._timing_config,
-                    latencies=dict(self._timing_config.latencies),
-                )
-                core = OoOCore(config, spec.make(), **spec.options)
-                self.cores[spec.label] = core
-                consumers.append(core)
-        else:
-            for spec in self._specs:
-                harness = PredictorHarness(spec.make(), **spec.options)
-                self.harnesses[spec.label] = harness
-                consumers.append(harness)
-        consumers.extend(self._extra_sinks)
-        return consumers
-
     def run(self) -> RunResult:
-        from ..core import PBSEngine
-        from ..engines import create_engine
+        """Run the session once: :func:`run_group` of this session alone."""
+        (result,) = run_group([self])
+        return result
 
+    def _committed_path(self) -> tuple:
+        """What fixes this session's event stream and how it is
+        produced; sessions that agree on it can share one run."""
         store = self._trace_store
-        if store is not None:
-            digest = self.trace_digest()
-            if self._trace_mode in ("auto", "replay"):
-                reader = store.open(digest)
-                if reader is not None:
-                    if self._trace_mode == "replay":
-                        return self._replay(reader)
-                    from ..trace import TraceFormatError
-
-                    try:
-                        return self._replay(reader)
-                    except (OSError, TraceFormatError):
-                        # The trace vanished or broke between open() and
-                        # the event stream — e.g. a concurrent
-                        # `trace gc --max-bytes` evicted it.  auto mode
-                        # falls back to a fresh interpretation (and
-                        # recapture) instead of failing the run.
-                        pass
-                elif self._trace_mode == "replay":
-                    raise LookupError(
-                        f"no trace for {self._workload} scale={self._scale} "
-                        f"seed={self._seed} in {store.root}"
-                    )
-
-        workload = get_workload(self._workload)
-        consumers = self._build_consumers()
-        self.pbs_engine = (
-            PBSEngine(self._pbs_config) if self._pbs_config is not None else None
+        return (
+            self._workload, self._scale, self._seed,
+            self._resolved_pbs_config(),
+            self._engine_name, self._engine_options,
+            store.root if store is not None else None, self._trace_mode,
         )
-        capture = None
-        record_consumed = self._record_consumed
-        if store is not None:
-            capture = store.writer(digest)
-            consumers = consumers + [capture.sink]
-            # Consumed values ride along in the trace metadata so a
-            # later record_consumed replay stays bit-identical; the
-            # executor's semantics do not depend on the flag.
-            record_consumed = True
-        sink = FanOut(consumers) if consumers else None
-
-        tier = create_engine(self._engine_name, **self._engine_options)
-
-        started = time.perf_counter()
-        try:
-            self.workload_run = workload.run(
-                scale=self._scale,
-                seed=self._seed,
-                pbs=self.pbs_engine,
-                sink=sink,
-                record_consumed=record_consumed,
-                engine=tier,
-            )
-            wall_time = time.perf_counter() - started
-
-            for core in self.cores.values():
-                core.finalize()
-
-            run = self.workload_run
-            pbs_stats = (
-                self.pbs_engine.stats.as_dict() if self.pbs_engine else None
-            )
-            if capture is not None:
-                capture.commit({
-                    "workload": self._workload,
-                    "scale": self._scale,
-                    "seed": self._seed,
-                    "pbs_config": self._resolved_pbs_config(),
-                    "instructions": run.instructions,
-                    "outputs": dict(run.outputs),
-                    "pbs_stats": pbs_stats,
-                    "consumed_values": list(run.consumed_values),
-                })
-        except BaseException:
-            # Never leave a staged capture behind — not on interpreter
-            # faults, and not on a consumer's finalize() or the commit
-            # itself failing after a successful run.
-            if capture is not None:
-                capture.abort()
-            raise
-        result = self._package(
-            wall_time,
-            outputs=dict(run.outputs),
-            instructions=run.instructions,
-            pbs_metrics=(
-                PBSMetrics.from_stats(self.pbs_engine.stats)
-                if self.pbs_engine else None
-            ),
-            consumed_values=(
-                list(run.consumed_values) if self._record_consumed else None
-            ),
-        )
-        if capture is not None:
-            result.trace_origin = "capture"
-        result.engine_used = tier.name
-        result.compiled_hit = tier.last_cache_hit
-        if sink is not None:
-            result.sink_batches = sink.batches
-        return result
-
-    def _replay(self, reader) -> RunResult:
-        """Rebuild a :class:`RunResult` from a stored trace, feeding the
-        recorded event stream to freshly built consumers."""
-        consumers = self._build_consumers()
-        self.pbs_engine = None
-        self.workload_run = None
-
-        started = time.perf_counter()
-        sink = FanOut(consumers) if consumers else None
-        if sink is not None:
-            reader.replay(sink)
-        # No consumers: everything the result needs is in the metadata,
-        # so the event stream is not even decompressed.
-        wall_time = time.perf_counter() - started
-
-        for core in self.cores.values():
-            core.finalize()
-
-        meta = reader.meta
-        pbs_stats = meta.get("pbs_stats")
-        result = self._package(
-            wall_time,
-            outputs=dict(meta.get("outputs") or {}),
-            instructions=int(meta.get("instructions") or 0),
-            pbs_metrics=PBSMetrics(**pbs_stats) if pbs_stats else None,
-            consumed_values=(
-                list(meta.get("consumed_values") or [])
-                if self._record_consumed else None
-            ),
-        )
-        result.trace_origin = "replay"
-        if sink is not None:
-            result.sink_batches = sink.batches
-        return result
 
     def _resolved_pbs_config(self) -> Optional[Dict]:
         from dataclasses import asdict
@@ -409,9 +261,14 @@ class Session:
         wall_time: float,
         outputs: Dict,
         instructions: int,
-        pbs_metrics: Optional[PBSMetrics],
+        pbs_stats: Optional[Dict],
         consumed_values: Optional[List[float]],
+        sink: Optional[FanOut],
     ) -> RunResult:
+        """This session's result of a finished run: its cores are
+        finalized, and every container in the result is its own."""
+        for core in self.cores.values():
+            core.finalize()
         result = RunResult(
             workload=self._workload,
             scale=self._scale,
@@ -426,11 +283,224 @@ class Session:
                 label: CoreMetrics.from_stats(label, core.stats)
                 for label, core in self.cores.items()
             },
-            pbs_stats=pbs_metrics,
-            outputs=outputs,
+            pbs_stats=PBSMetrics(**pbs_stats) if pbs_stats else None,
+            outputs=dict(outputs),
             instructions=instructions,
             wall_time=wall_time,
         )
-        if consumed_values is not None:
-            result.consumed_values = consumed_values
+        if self._record_consumed:
+            result.consumed_values = list(consumed_values)
+        if sink is not None:
+            result.sink_batches = sink.batches
         return result
+
+
+class _Classifier:
+    """One harness and the cores that time its rows: each batch is
+    classified once, and every core reads the mispredicted rows."""
+
+    def __init__(self, harness):
+        self.harness = harness
+        self.cores: List = []
+
+    def consume_batch(self, batch) -> None:
+        mispredicted: List[int] = []
+        self.harness.consume_batch(batch, mispredicted)
+        for core in self.cores:
+            core.consume_batch(batch, mispredicted)
+
+
+def _harness_key(spec: _PredictorSpec):
+    """Predictor specs with equal keys share one harness: a registered
+    predictor under equal harness options classifies a stream the same
+    way for every label, session and core that reads it."""
+    if isinstance(spec.factory, str):
+        try:
+            return spec.factory, frozenset(spec.options.items())
+        except TypeError:  # an unhashable option value: never shared
+            pass
+    return id(spec)
+
+
+def _build_consumers(sessions: Sequence[Session]) -> List[Callable]:
+    """Fresh consumers for one run of ``sessions``: one harness per
+    distinct (predictor, harness options), each with the cores that
+    time its rows, then every session's caller-owned sinks.  Each
+    session's ``harnesses``/``cores`` map its own labels, in its own
+    order, onto them."""
+    from ..branch import PredictorHarness
+    from ..pipeline import OoOCore
+
+    classifiers: Dict[object, _Classifier] = {}
+    sinks: List[Callable] = []
+    for session in sessions:
+        session.harnesses = {}
+        session.cores = {}
+        timing = session._timing_config
+        for spec in session._specs:
+            key = _harness_key(spec)
+            classifier = classifiers.get(key)
+            if classifier is None:
+                classifier = classifiers[key] = _Classifier(
+                    PredictorHarness(spec.make(), **spec.options)
+                )
+            if timing is None:
+                session.harnesses[spec.label] = classifier.harness
+                continue
+            config = replace(timing, latencies=dict(timing.latencies))
+            core = OoOCore.sharing(config, classifier.harness)
+            classifier.cores.append(core)
+            session.cores[spec.label] = core
+        sinks.extend(session._extra_sinks)
+    # A harness no core reads is fed directly.
+    return [
+        classifier if classifier.cores else classifier.harness
+        for classifier in classifiers.values()
+    ] + sinks
+
+
+def run_group(sessions: Sequence[Session]) -> List[RunResult]:
+    """Run ``sessions`` that follow one committed path as one run.
+
+    The sessions must agree on workload, scale, seed, PBS config,
+    engine and trace store; they may differ in predictors, harness
+    options, timing, consumed-value recording and extra sinks.  The
+    workload is interpreted once (or its stored trace replayed once),
+    and the event stream feeds every session's consumers, with one
+    harness per distinct (predictor, harness options) however many
+    sessions and cores read it.  The results come back one per
+    session, in order, each exactly what that session's own ``run()``
+    returns.
+
+    With a trace store attached, the run **replays** the stored trace
+    when the store holds one and **interprets + captures** otherwise;
+    every result's ``trace_origin`` names which.
+    """
+    lead = sessions[0]
+    path = lead._committed_path()
+    if any(session._committed_path() != path for session in sessions[1:]):
+        raise ValueError(
+            "run_group needs sessions with one workload, scale, seed, "
+            "PBS config, engine and trace store"
+        )
+    store = lead._trace_store
+    if store is not None and lead._trace_mode in ("auto", "replay"):
+        reader = store.open(lead.trace_digest())
+        if reader is not None:
+            if lead._trace_mode == "replay":
+                return _replay(sessions, reader)
+            from ..trace import TraceFormatError
+
+            try:
+                return _replay(sessions, reader)
+            except (OSError, TraceFormatError):
+                # The trace vanished or broke between open() and the
+                # event stream — e.g. a concurrent `trace gc
+                # --max-bytes` evicted it.  auto mode falls back to a
+                # fresh interpretation (and recapture) instead of
+                # failing the run.
+                pass
+        elif lead._trace_mode == "replay":
+            raise LookupError(
+                f"no trace for {lead._workload} scale={lead._scale} "
+                f"seed={lead._seed} in {store.root}"
+            )
+    return _interpret(sessions)
+
+
+def _interpret(sessions: Sequence[Session]) -> List[RunResult]:
+    from ..core import PBSEngine
+    from ..engines import create_engine
+
+    lead = sessions[0]
+    workload = get_workload(lead._workload)
+    consumers = _build_consumers(sessions)
+    pbs_engine = (
+        PBSEngine(lead._pbs_config) if lead._pbs_config is not None else None
+    )
+    for session in sessions:
+        session.pbs_engine = pbs_engine
+    record_consumed = any(session._record_consumed for session in sessions)
+    store = lead._trace_store
+    capture = None
+    if store is not None:
+        capture = store.writer(lead.trace_digest())
+        consumers.append(capture.sink)
+        # Consumed values ride along in the trace metadata so a later
+        # record_consumed replay stays bit-identical; the executor's
+        # semantics do not depend on the flag.
+        record_consumed = True
+    sink = FanOut(consumers) if consumers else None
+
+    tier = create_engine(lead._engine_name, **lead._engine_options)
+
+    started = time.perf_counter()
+    try:
+        run = workload.run(
+            scale=lead._scale,
+            seed=lead._seed,
+            pbs=pbs_engine,
+            sink=sink,
+            record_consumed=record_consumed,
+            engine=tier,
+        )
+        wall_time = time.perf_counter() - started
+        pbs_stats = pbs_engine.stats.as_dict() if pbs_engine else None
+        results = []
+        for session in sessions:
+            session.workload_run = run
+            results.append(session._package(
+                wall_time, run.outputs, run.instructions, pbs_stats,
+                run.consumed_values, sink,
+            ))
+        if capture is not None:
+            capture.commit({
+                "workload": lead._workload,
+                "scale": lead._scale,
+                "seed": lead._seed,
+                "pbs_config": lead._resolved_pbs_config(),
+                "instructions": run.instructions,
+                "outputs": dict(run.outputs),
+                "pbs_stats": pbs_stats,
+                "consumed_values": list(run.consumed_values),
+            })
+    except BaseException:
+        # Never leave a staged capture behind — not on interpreter
+        # faults, and not on a consumer's finalize() or the commit
+        # itself failing after a successful run.
+        if capture is not None:
+            capture.abort()
+        raise
+    for result in results:
+        if capture is not None:
+            result.trace_origin = "capture"
+        result.engine_used = tier.name
+        result.compiled_hit = tier.last_cache_hit
+    return results
+
+
+def _replay(sessions: Sequence[Session], reader) -> List[RunResult]:
+    """Rebuild each session's :class:`RunResult` from a stored trace,
+    feeding the recorded event stream to freshly built consumers."""
+    consumers = _build_consumers(sessions)
+    started = time.perf_counter()
+    sink = FanOut(consumers) if consumers else None
+    if sink is not None:
+        reader.replay(sink)
+    # No consumers: everything the results need is in the metadata,
+    # so the event stream is not even decompressed.
+    wall_time = time.perf_counter() - started
+
+    meta = reader.meta
+    results = []
+    for session in sessions:
+        session.pbs_engine = None
+        session.workload_run = None
+        result = session._package(
+            wall_time, meta.get("outputs") or {},
+            int(meta.get("instructions") or 0), meta.get("pbs_stats"),
+            meta.get("consumed_values") or [], sink,
+        )
+        result.trace_origin = "replay"
+        results.append(result)
+    return results

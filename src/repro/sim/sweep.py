@@ -6,7 +6,9 @@ those (or any other spec list, such as a paper artefact's) through a
 pluggable :class:`~repro.sim.executors.Executor` backend — serial,
 a local process pool, or a ``repro-coordinator`` — and memoizes
 completed runs in an on-disk sharded
-:class:`~repro.sim.cache.ResultCache`.  Every run carries its own seed
+:class:`~repro.sim.cache.ResultCache`.  Specs that share a committed
+path run as one trace group: one engine run feeding all of their
+consumers.  Every run carries its own seed
 in its spec, so results are bit-identical regardless of backend, worker
 count or execution order::
 
@@ -19,6 +21,7 @@ count or execution order::
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -118,16 +121,37 @@ class RunSpec:
     def digest(self) -> str:
         return spec_digest(self.cache_key())
 
+    def _resolved_pbs_config(self) -> Optional[Dict]:
+        """The PBS config the run uses, spelled out (``None`` when off).
+        Expanding through ``PBSConfig`` makes a partial dict, the
+        spelled-out default and ``None`` in PBS mode land on one trace
+        digest and one trace group, as they do on one Session."""
+        if self.mode != "pbs":
+            return None
+        from ..core import PBSConfig
+
+        return asdict(PBSConfig(**(self.pbs_config or {})))
+
     def trace_digest(self) -> str:
         """Digest of the committed-path trace this spec would consume —
         shared by every spec that differs only in predictors, harness
-        options or timing configuration."""
-        from ..trace import resolved_pbs_config, trace_digest
+        options, timing configuration or consumed-value recording."""
+        from ..trace import trace_digest
 
         return trace_digest(
-            self.workload, self.scale, self.seed,
-            resolved_pbs_config(self.pbs_config, self.mode == "pbs"),
+            self.workload, self.scale, self.seed, self._resolved_pbs_config()
         )
+
+    def group_key(self) -> str:
+        """Specs with equal keys form one **trace group**: they share a
+        committed path (one :meth:`trace_digest`), an engine directive
+        and a trace store, so one engine run can serve them all
+        (:func:`run_specs`)."""
+        return json.dumps([
+            self.workload, self.scale, self.seed,
+            self._resolved_pbs_config(), self.engine, self.engine_options,
+            self.trace_store, self.trace_mode,
+        ], sort_keys=True)
 
     def session(self) -> Session:
         from ..core import PBSConfig
@@ -179,8 +203,10 @@ class SweepResult:
         ``executor`` names the backend that ran the pending specs, or
         is ``None`` when everything came from the cache.
         ``trace_captures``/``trace_hits`` count, among the simulated
-        specs, full interpretations recorded into a trace store versus
-        replays of a stored committed path (both zero without one).
+        specs, those whose run interpreted and recorded a trace versus
+        those whose run replayed a stored committed path (both zero
+        without a store; every spec of a trace group counts its
+        group's one run).
         ``workers`` carries per-worker telemetry summed across the
         sweep's executor batches (``None`` for local backends).
         ``engine_used`` maps execution-tier names to how many simulated
@@ -289,9 +315,9 @@ class Sweep:
 
         With ``split_predictors`` each predictor becomes its own grid
         axis (one spec per predictor instead of one spec fanning out to
-        all of them) — finer cache granularity, and the natural shape
-        for trace reuse: all points of one ``(workload, scale, seed,
-        mode)`` group share a single interpretation.
+        all of them) — finer cache granularity at no extra engine runs:
+        all points of one ``(workload, scale, seed, mode)`` group still
+        share a single interpretation (:func:`run_specs`).
         """
         workloads = (
             self.workloads if self.workloads is not None else workload_names()
@@ -351,6 +377,16 @@ def run_specs(
 ) -> SweepResult:
     """Execute ``specs``, loading memoized points from the cache.
 
+    The unit of work is the **trace group**: the pending specs with one
+    :meth:`RunSpec.group_key` — the same committed path and engine
+    directive — run as one engine run in one process, whose event
+    stream feeds one harness per distinct (predictor, harness options),
+    every core that reads one of those harnesses, and the group's
+    consumed-value recording.  Each spec still gets exactly the result
+    its own ``spec.session().run()`` returns, so results and cache
+    digests do not depend on grouping.  Specs served by the cache drop
+    out of their group first.
+
     ``executor`` selects the execution backend: a registry name
     (``"serial"``, ``"pool"``, ``"http"`` — the latter reading the
     coordinator address from ``$REPRO_COORDINATOR``), an
@@ -358,12 +394,16 @@ def run_specs(
     :class:`~repro.sim.executors.WorkerPoolExecutor` across many
     sweeps), or ``None`` for the default: a ``pool`` of ``processes``
     workers (serial when ``processes <= 1``), closed when the run ends.
+    ``serial`` and ``pool`` run each trace group as one job; ``http``
+    sends every spec as its own frame (see its docs).
     ``cache_dir`` names an on-disk :class:`ResultCache`; ``trace_dir``
-    a trace store that interprets each trace group once and replays it
-    for the rest.  ``on_result`` fires once per spec —
+    a trace store: a group whose trace is stored replays it once for
+    all of its specs, and any other group is interpreted and captured
+    once.  ``on_result`` fires once per spec —
     ``on_result(spec, result)`` — as each result becomes available:
-    cache hits first, in spec order, then fresh results in completion
-    order when ``processes > 1``.  The returned results are always in
+    cache hits first, in spec order, then fresh results group by group
+    (groups in order of their first spec on ``serial``, in completion
+    order on parallel backends).  The returned results are always in
     spec order.
     """
     started = time.perf_counter()
@@ -382,9 +422,7 @@ def run_specs(
                 continue
         pending.append(index)
 
-    total_pending = len(pending)
     executor_name = None
-    trace_captures = trace_hits = 0
     workers: Optional[Dict] = None
 
     # Cache hits notify first, in spec order, and only now — after
@@ -397,32 +435,11 @@ def run_specs(
             on_result(specs[index], results[index])
 
     if pending:
+        todo = [specs[index] for index in pending]
         if trace_dir is not None:
-            for index in pending:
-                specs[index] = replace(
-                    specs[index], trace_store=str(trace_dir)
-                )
-            # Interpret once per trace group, replay everywhere:
-            # one leader per distinct trace key runs first (replays
-            # if the store is already warm, else interprets and
-            # captures); the followers then replay its trace.  Two
-            # executor batches, so the barrier holds on parallel
-            # and distributed backends too.
-            leaders: List[int] = []
-            followers: List[int] = []
-            seen: Dict[str, int] = {}
-            for index in pending:
-                key = specs[index].trace_digest()
-                if key in seen:
-                    followers.append(index)
-                else:
-                    seen[key] = index
-                    leaders.append(index)
-            batches = [leaders, followers]
-        else:
-            batches = [pending]
+            todo = [replace(spec, trace_store=str(trace_dir)) for spec in todo]
 
-        def completed(batch_index, spec, result):
+        def completed(position, spec, result):
             if cache is not None:
                 cache.put(spec.digest(), result)
             if on_result is not None:
@@ -431,38 +448,31 @@ def run_specs(
         backend = create_executor(executor, processes)
         executor_name = backend.name
         try:
-            for batch in batches:
-                if not batch:
-                    continue
-                todo = [specs[index] for index in batch]
-                fresh = backend.map(todo, on_result=completed)
-                if len(fresh) != len(todo):
-                    raise RuntimeError(
-                        f"executor {backend.name!r} returned {len(fresh)} "
-                        f"results for {len(todo)} specs"
-                    )
-                for index, result in zip(batch, fresh):
-                    results[index] = result
-                # Per-worker counters reset every map() call; sum
-                # them across the leader/follower batches so the
-                # stats reflect the whole sweep.
-                telemetry = getattr(backend, "telemetry", None)
-                if telemetry:
-                    workers = workers or {}
-                    for address, counters in telemetry.items():
-                        slot = workers.setdefault(address, {})
-                        for key, value in counters.items():
-                            slot[key] = slot.get(key, 0) + value
+            fresh = backend.map(todo, on_result=completed)
+            if len(fresh) != len(todo):
+                raise RuntimeError(
+                    f"executor {backend.name!r} returned {len(fresh)} "
+                    f"results for {len(todo)} specs"
+                )
+            for index, result in zip(pending, fresh):
+                results[index] = result
+            telemetry = getattr(backend, "telemetry", None)
+            if telemetry:
+                workers = {
+                    address: dict(counters)
+                    for address, counters in telemetry.items()
+                }
         finally:
             if not isinstance(executor, Executor):
                 backend.close()  # throwaway backend owned by this call
-        for index in pending:
-            origin = getattr(results[index], "trace_origin", None)
-            if origin == "capture":
-                trace_captures += 1
-            elif origin == "replay":
-                trace_hits += 1
 
+    trace_captures = trace_hits = 0
+    for index in pending:
+        origin = getattr(results[index], "trace_origin", None)
+        if origin == "capture":
+            trace_captures += 1
+        elif origin == "replay":
+            trace_hits += 1
     engine_used: Dict[str, int] = {}
     compiled_hits = 0
     sink_batches = 0
@@ -475,8 +485,8 @@ def run_specs(
         sink_batches += getattr(result, "sink_batches", 0)
 
     return SweepResult(
-        results, cache_hits=len(specs) - total_pending,
-        simulated=total_pending,
+        results, cache_hits=len(hits),
+        simulated=len(pending),
         wall_time=time.perf_counter() - started,
         executor=executor_name,
         trace_captures=trace_captures, trace_hits=trace_hits,

@@ -33,7 +33,6 @@ from .format import (
 from .store import (
     TraceCapture,
     TraceStore,
-    resolved_pbs_config,
     trace_digest,
     trace_key,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "unpack_events_batch",
     "TraceCapture",
     "TraceStore",
-    "resolved_pbs_config",
     "trace_digest",
     "trace_key",
 ]

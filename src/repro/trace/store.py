@@ -20,25 +20,6 @@ from ..storage import ShardedStore, canonical_digest
 from .format import FORMAT_VERSION, TraceFormatError, TraceReader, TraceWriter
 
 
-def resolved_pbs_config(pbs_config: Optional[Dict], enabled: bool) -> Optional[Dict]:
-    """The canonical PBS config dict for a trace key.
-
-    ``None`` with PBS enabled means the paper's default
-    :class:`~repro.core.PBSConfig`; it is expanded so that a spec saying
-    "default" and a spec spelling the default out land on one trace.
-    """
-    if not enabled:
-        return None
-    from dataclasses import asdict
-
-    from ..core import PBSConfig
-
-    # Expand through PBSConfig so a partial dict, the spelled-out
-    # default and None all land on the digest the Session actually
-    # stores the trace under.
-    return asdict(PBSConfig(**pbs_config) if pbs_config else PBSConfig())
-
-
 def trace_key(
     workload: str,
     scale: float,

@@ -171,23 +171,6 @@ class TestCompiledTier:
         )
         assert (first, second) == (False, True)
 
-    def test_codegen_store_survives_processes(self, tmp_path):
-        # A cold in-memory memo plus a warm on-disk store is exactly the
-        # fresh-worker case: generation is skipped, the artifact loads.
-        program = get_workload("pi").build(0.02)
-        _MEMO.clear()
-        _, cold = compiled_function(
-            program, sink=False, pbs=False, record_consumed=False,
-            store=CompiledEngine(cache_dir=str(tmp_path)).store,
-        )
-        _MEMO.clear()
-        _, warm = compiled_function(
-            program, sink=False, pbs=False, record_consumed=False,
-            store=CompiledEngine(cache_dir=str(tmp_path)).store,
-        )
-        assert (cold, warm) == (False, True)
-        assert any(tmp_path.rglob("*.py"))
-
     def test_program_digest_is_stable_and_content_addressed(self):
         pi = get_workload("pi")
         assert program_digest(pi.build(0.02)) == program_digest(pi.build(0.02))

@@ -247,6 +247,21 @@ class TestImportBoundary:
         """)
         self._run_blocked(script)
 
+    def test_confidence_intervals_skip_scipy_stats(self):
+        # The interval helpers need two quantile functions, which
+        # scipy.special provides without scipy.stats' import cost.
+        script = textwrap.dedent("""
+            import sys
+            from repro.stats import (
+                count_interval, mean_interval, proportion_interval,
+            )
+            assert mean_interval([1.0, 2.0, 4.0]).low < 1.0
+            assert 0.0 < proportion_interval(3, 7).low < 3 / 7
+            assert count_interval([17, 19, 18], 19).high <= 19
+            assert "scipy.stats" not in sys.modules, "scipy.stats loaded"
+        """)
+        self._run_blocked(script)
+
     @staticmethod
     def _run_blocked(script):
         src = str(Path(sim_registry.__file__).resolve().parents[2])

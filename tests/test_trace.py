@@ -569,9 +569,11 @@ class TestSessionCaptureReplay:
 
 # The acceptance grid: a predictor-only sweep, >= 4 predictors x 2
 # seeds on one workload.  With a trace store, each (workload, scale,
-# seed, PBS-config) group must be interpreted exactly once and replayed
-# for every other point — on every executor, including http — while
-# staying bit-identical to the no-trace-store path.
+# seed, PBS-config) group must be interpreted exactly once — on every
+# executor, including http — while staying bit-identical to the
+# no-trace-store path.  The local executors run a group as one engine
+# run whose every point reads "capture"; http runs a leader per group
+# first and replays the rest from the worker's store.
 ACCEPTANCE_GRID = dict(
     workloads=["pi"],
     scales=(SCALE,),
@@ -623,7 +625,14 @@ class TestSweepTracePlanning:
         traced = Sweep(**ACCEPTANCE_GRID, trace_dir=tmp_path).run(
             processes=2, executor=name
         )
-        self._check(baseline, traced)
+        # One engine run per group feeds every point live, so every
+        # point reads "capture" and the store holds one trace per group.
+        stats = traced.to_stats()
+        assert stats["trace_captures"] == ACCEPTANCE_POINTS, stats
+        assert stats["trace_hits"] == 0, stats
+        assert len(TraceStore(tmp_path)) == ACCEPTANCE_GROUPS
+        for plain, shared in zip(baseline, traced):
+            assert _normalized(plain) == _normalized(shared)
         # A second sweep over the warm store replays everything.
         warm = Sweep(**ACCEPTANCE_GRID, trace_dir=tmp_path).run(executor=name)
         stats = warm.to_stats()
@@ -660,7 +669,9 @@ class TestSweepTracePlanning:
                     predictors=("tournament", "gshare"), split_predictors=True,
                     cache_dir=tmp_path / "cache", trace_dir=tmp_path / "traces")
         first = Sweep(**grid).run(executor="serial")
-        assert first.to_stats()["trace_captures"] == 2  # base + pbs groups
+        # base + pbs groups, two predictors each, one capture per group.
+        assert first.to_stats()["trace_captures"] == 4
+        assert len(TraceStore(tmp_path / "traces")) == 2
         second = Sweep(**grid).run(executor="serial")
         stats = second.to_stats()
         # Everything comes from the result cache; the trace layer idles.
@@ -686,7 +697,9 @@ class TestWireTraceStreaming:
         warm = Sweep(**ACCEPTANCE_GRID, trace_dir=store_dir).run(
             executor="serial"
         )
-        assert warm.to_stats()["trace_captures"] == ACCEPTANCE_GROUPS
+        # A serial sweep: one capture per group, read by every point.
+        assert warm.to_stats()["trace_captures"] == ACCEPTANCE_POINTS
+        assert len(TraceStore(store_dir)) == ACCEPTANCE_GROUPS
         return store_dir
 
     def test_cold_worker_serves_replays_after_one_stream(
