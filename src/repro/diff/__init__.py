@@ -1,7 +1,7 @@
 """Single-step lockstep differential testing across execution tiers.
 
-The bit-identity contract says every tier — interpreter, compiled,
-trace replay — commits the same architectural state at every
+The bit-identity contract says every tier — the interpreter and the
+compiled tier — commits the same architectural state at every
 retired instruction.  End-to-end result comparison can only say *that*
 two tiers disagree; this package says *where*:
 
@@ -28,7 +28,6 @@ from .steppers import (
     STEPPERS,
     CompiledStepper,
     InterpStepper,
-    ReplayStepper,
     Stepper,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "STEPPERS",
     "CompiledStepper",
     "InterpStepper",
-    "ReplayStepper",
     "Stepper",
 ]

@@ -180,7 +180,8 @@ def _compare_at_barrier(
     # Architectural state, field by field.
     deltas: List[Dict] = []
 
-    def collect(kind: str, ref_values, values_of) -> None:
+    def collect(kind: str, values_of) -> None:
+        ref_values = values_of(reference)
         for stepper in steppers[1:]:
             if len(deltas) >= MAX_DELTAS:
                 return
@@ -200,30 +201,9 @@ def _compare_at_barrier(
                     if len(deltas) >= MAX_DELTAS:
                         return
 
-    comparing_regs = [s for s in steppers if s.compares_registers]
-    if len(comparing_regs) > 1 and comparing_regs[0] is reference:
-        ref_regs = reference.regs()
-        collect(
-            "reg",
-            ref_regs,
-            lambda s: s.regs() if s.compares_registers else ref_regs,
-        )
-    comparing_mem = [s for s in steppers if s.compares_memory]
-    if len(comparing_mem) > 1 and comparing_mem[0] is reference:
-        ref_mem = reference.memory()
-        collect(
-            "mem",
-            ref_mem,
-            lambda s: s.memory() if s.compares_memory else ref_mem,
-        )
-    comparing_rng = [s for s in steppers if s.compares_rng]
-    if len(comparing_rng) > 1 and comparing_rng[0] is reference:
-        ref_rng = [reference.rng_state()]
-        collect(
-            "rng",
-            ref_rng,
-            lambda s: [s.rng_state()] if s.compares_rng else ref_rng,
-        )
+    collect("reg", lambda s: s.regs())
+    collect("mem", lambda s: s.memory())
+    collect("rng", lambda s: [s.rng_state()])
 
     # Sink-attached mode: each tier fed a fresh predictor harness, so
     # the batch pipeline itself is under the lockstep contract — every
@@ -256,8 +236,6 @@ def _compare_at_barrier(
     for stepper in steppers[1:]:
         if len(deltas) >= MAX_DELTAS:
             break
-        if not (stepper.compares_outputs and reference.compares_outputs):
-            continue
         theirs = stepper.outputs()
         for channel in sorted(set(ref_out) | set(theirs)):
             ours_ch = ref_out.get(channel, [])
@@ -314,9 +292,7 @@ def diff_tiers(
     tier as an attached sink (a fresh
     :class:`~repro.branch.PredictorHarness` each): the batch-fed tally
     counters are then compared at every barrier, putting the columnar
-    event pipeline itself under the lockstep contract.  Only
-    sink-capable tiers (``interp``, ``compiled``) may be combined with
-    it.
+    event pipeline itself under the lockstep contract.
 
     A consistent fault — every tier raising the same exception type with
     the same message at the same retired count — is agreement, not a
@@ -332,28 +308,21 @@ def diff_tiers(
     if stride < 1:
         raise ValueError("stride must be >= 1")
 
-    if predictor is not None:
+    def sink():
+        if predictor is None:
+            return None
         from ..branch import PredictorHarness
         from ..sim.registry import create_predictor
 
-        sinkless = [t for t in tiers if not STEPPERS[t].supports_sink]
-        if sinkless:
-            raise ValueError(
-                f"tiers {sinkless} cannot carry an attached sink; "
-                f"sink-attached lockstep needs sink-capable tiers only"
-            )
-        steppers = [
-            STEPPERS[t](
-                program, seed=seed, max_instructions=max_instructions,
-                sink=PredictorHarness(create_predictor(predictor)),
-            )
-            for t in tiers
-        ]
-    else:
-        steppers = [
-            STEPPERS[t](program, seed=seed, max_instructions=max_instructions)
-            for t in tiers
-        ]
+        return PredictorHarness(create_predictor(predictor))
+
+    steppers = [
+        STEPPERS[t](
+            program, seed=seed, max_instructions=max_instructions,
+            sink=sink(),
+        )
+        for t in tiers
+    ]
     reference = steppers[0]
 
     barrier = 0

@@ -7,7 +7,7 @@ Subcommands::
     pbs-experiments sweep --workloads pi,dop --seeds 0,1,2,3 --processes 4
     pbs-experiments sweep --trace-store .pbs-traces --split-predictors ...
     pbs-experiments trace ls                   # captured traces
-    pbs-experiments diff --tiers interp,compiled,replay --programs 200
+    pbs-experiments diff --tiers interp,compiled --programs 200
     pbs-experiments list workloads             # registry contents
 """
 
@@ -190,17 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--trace-store", type=str, default=None, metavar="DIR",
         help=(
-            "trace store directory: interpret each (workload, scale, "
-            "seed, PBS-config) group once, replay its committed path "
-            "for every other grid point"
+            "local trace store directory: each (workload, scale, seed, "
+            "PBS-config) group replays its stored committed path, or is "
+            "interpreted once and captured for a later sweep to replay "
+            "(local executors only)"
         ),
     )
     sweep_parser.add_argument(
         "--split-predictors", action="store_true",
         help=(
             "one grid point per predictor instead of one point fanning "
-            "out to all of them (the shape that profits most from "
-            "--trace-store)"
+            "out to all of them: finer cache granularity, and the points "
+            "of one group still share one engine run"
         ),
     )
     sweep_parser.add_argument(
@@ -296,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_parser.add_argument(
         "--tiers", type=_csv, default=["interp", "compiled"],
-        help="comma-separated tiers to co-execute (interp, compiled, "
-             "replay; default: interp,compiled); the first is the "
-             "reference",
+        help="comma-separated tiers to co-execute (interp, compiled; "
+             "default: interp,compiled); the first is the reference",
     )
     diff_parser.add_argument(
         "--programs", type=int, default=50, metavar="N",
@@ -326,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictor", type=str, default=None, metavar="NAME",
         help="sink-attached lockstep: ride a fresh harness of this "
              "registered predictor on every tier and compare the "
-             "batch-fed tally at each barrier (sink-capable tiers "
-             "only: interp, compiled)",
+             "batch-fed tally at each barrier",
     )
     diff_parser.add_argument(
         "--workloads", type=_csv, default=None,
@@ -476,6 +475,11 @@ def _cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
 
+    if args.trace_store and (args.coordinator or args.executor == "http"):
+        raise SystemExit(
+            "--trace-store needs a local executor: trace stores are "
+            "local and traces never cross the wire"
+        )
     executor, owned = _resolve_executor(args)
     try:
         results = sweep.run(
@@ -753,16 +757,6 @@ def _cmd_diff(args) -> int:
         print("error: --tiers needs at least two tiers", file=sys.stderr)
         return 2
     limit = args.max_instructions or DIFF_MAX_INSTRUCTIONS
-    if args.predictor is not None:
-        sinkless = [
-            t for t in args.tiers if not STEPPERS[t].supports_sink
-        ]
-        if sinkless:
-            print(f"error: --predictor cannot ride tier(s) "
-                  f"{', '.join(sinkless)}; sink-attached lockstep needs "
-                  f"sink-capable tiers only (interp, compiled)",
-                  file=sys.stderr)
-            return 2
     divergences = []
     checked = 0
 

@@ -11,11 +11,8 @@ the first line of each connection:
   Any frame from a worker renews its leases; a worker silent for longer
   than ``lease_seconds`` has its in-flight specs requeued for the
   other workers and takes no new work until it speaks again — so a
-  killed worker loses nothing but time.  When a submitted spec's trace
-  already sits in a client-side store this daemon can read, the run
-  frame offers to stream it, and a cold worker pulls it once
-  (``trace_want`` -> ``trace_data``/``trace_end``) instead of
-  interpreting the committed path itself.
+  killed worker loses nothing but time.  Traces never cross the wire:
+  a submitted spec that names a trace store is refused with a 400.
 
 * **HTTP plane** — everything else is HTTP/1.1 with JSON bodies:
 
@@ -56,7 +53,6 @@ import signal
 import sys
 import threading
 from collections import deque
-from dataclasses import replace as _spec_replace
 from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -65,7 +61,6 @@ from ..sim.registry import workload_names
 from ..sim.remote import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    TRACE_CHUNK_BYTES,
     ProtocolError,
     decode_frame,
     encode_frame,
@@ -120,8 +115,6 @@ class _Job:
         self.worker_cache_hits = 0  # answered from a worker's cache
         self.deduped = 0           # attached to an identical in-flight spec
         self.simulated = 0         # simulations this job put on a worker
-        self.trace_streams = 0     # traces streamed to cold workers
-        self.trace_stream_bytes = 0
         self.event = asyncio.Event()
 
     @property
@@ -150,30 +143,18 @@ class _Job:
             "cache_hits": self.cache_hits,
             "worker_cache_hits": self.worker_cache_hits,
             "deduped": self.deduped,
-            "trace_streams": self.trace_streams,
-            "trace_stream_bytes": self.trace_stream_bytes,
         }
 
 
 class _Task:
     """One distinct spec digest in flight, with its subscribed jobs."""
 
-    __slots__ = ("digest", "spec", "wire_spec", "directive", "trace_source",
-                 "waiters", "attempts", "done")
+    __slots__ = ("digest", "spec", "wire_spec", "waiters", "attempts", "done")
 
-    def __init__(self, digest: str, spec: RunSpec, directive: Optional[Dict],
-                 trace_source=None):
+    def __init__(self, digest: str, spec: RunSpec):
         self.digest = digest
         self.spec = spec
-        # Precomputed run-frame payload; trace fields never cross the
-        # wire (workers use their own stores, steered by the directive).
-        self.wire_spec = spec.to_dict()
-        self.wire_spec.pop("trace_store", None)
-        self.wire_spec.pop("trace_mode", None)
-        self.directive = directive
-        #: Path of this spec's trace in the submitter's store, when this
-        #: daemon can read it: offered to cold workers as a stream.
-        self.trace_source = trace_source
+        self.wire_spec = spec.to_dict()  # the precomputed run-frame payload
         self.waiters: List[Tuple[_Job, int]] = []
         self.attempts = 0
         self.done = False
@@ -182,13 +163,11 @@ class _Task:
 class _WorkerLink:
     """Coordinator-side state of one registered worker connection."""
 
-    def __init__(self, name: str, writer, processes: int,
-                 trace_store: bool, address: str):
+    def __init__(self, name: str, writer, processes: int, address: str):
         self.name = name
         self.writer = writer
         self.processes = processes
         self.capacity = max(1, min(processes * 2, 32))
-        self.trace_store = trace_store
         self.address = address
         self.inflight: Dict[int, _Task] = {}
         self.last_seen = 0.0
@@ -212,7 +191,6 @@ class _WorkerLink:
             "address": self.address,
             "processes": self.processes,
             "capacity": self.capacity,
-            "trace_store": self.trace_store,
             "inflight": len(self.inflight),
             "completed": self.completed,
             "requeued": self.requeued,
@@ -258,8 +236,6 @@ class Coordinator:
         self.worker_cache_hits = 0
         self.deduped = 0
         self.requeues = 0
-        self.trace_streams = 0
-        self.trace_stream_bytes = 0
         self.address: Tuple[str, int] = (host, port)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -452,10 +428,7 @@ class Coordinator:
         self._worker_seq += 1
         name = f"{frame.get('name') or 'worker'}-{self._worker_seq}"
         peer = writer.get_extra_info("peername") or ("?", 0)
-        link = _WorkerLink(
-            name, writer, processes,
-            bool(frame.get("trace_store")), f"{peer[0]}:{peer[1]}",
-        )
+        link = _WorkerLink(name, writer, processes, f"{peer[0]}:{peer[1]}")
         link.last_seen = self._loop.time()
         self._workers[name] = link
         await self._send_frame(writer, {
@@ -466,7 +439,7 @@ class Coordinator:
         })
         self._log(
             f"worker {name} registered from {link.address} "
-            f"(processes={processes}, trace_store={link.trace_store})"
+            f"(processes={processes})"
         )
         self._dispatch()
         try:
@@ -491,8 +464,6 @@ class Coordinator:
                     self._worker_result(link, message)
                 elif kind == "error":
                     self._worker_error(link, message)
-                elif kind == "trace_want":
-                    await self._answer_trace_want(link, message)
                 elif kind == "heartbeat":
                     pass
                 elif kind == "ping":
@@ -552,18 +523,14 @@ class Coordinator:
         self._run_seq += 1
         run_id = self._run_seq
         link.inflight[run_id] = task
-        frame = {
+        # Run frames are small; the kernel buffer absorbs them without
+        # an explicit drain (worker reads keep the window bounded).
+        link.writer.write(encode_frame({
             "type": "run",
             "id": run_id,
             "spec": task.wire_spec,
             "digest": task.digest,
-        }
-        if task.directive and link.trace_store:
-            stream = {"stream": True} if task.trace_source is not None else {}
-            frame["trace"] = {**task.directive, **stream}
-        # Run frames are small; the kernel buffer absorbs them without
-        # an explicit drain (worker reads keep the window bounded).
-        link.writer.write(encode_frame(frame))
+        }))
 
     def _requeue(self, tasks: List[_Task], reason: str) -> None:
         for task in tasks:
@@ -613,13 +580,13 @@ class Coordinator:
                 self._log(f"cache write failed for {task.digest[:12]}: {exc}")
             else:
                 self._enforce_cache_budget(task.digest)
-        self._finish_task(task, result_dict, cached, message.get("trace"),
+        self._finish_task(task, result_dict, cached,
                           engine=message.get("engine"),
                           engine_hit=bool(message.get("engine_hit")))
         self._dispatch()
 
     def _finish_task(self, task: _Task, result_dict: Dict,
-                     cached: bool, trace, engine=None,
+                     cached: bool, engine=None,
                      engine_hit: bool = False) -> None:
         task.done = True
         self._active.pop(task.digest, None)
@@ -634,8 +601,6 @@ class Coordinator:
                 else:
                     job.simulated += 1
             entry = {"index": index, "result": result_dict, "cached": cached}
-            if trace in ("capture", "replay"):
-                entry["trace"] = trace
             if engine:
                 entry["engine"] = engine
                 entry["engine_hit"] = engine_hit
@@ -675,12 +640,11 @@ class Coordinator:
 
     # -- submissions ----------------------------------------------------
 
-    def _parse_submission(self, payload) -> List[Tuple[RunSpec, Optional[Dict]]]:
+    def _parse_submission(self, payload) -> List[RunSpec]:
         if not isinstance(payload, dict):
             raise ValueError("body must be a JSON object")
         if ("specs" in payload) == ("sweep" in payload):
             raise ValueError('submit exactly one of "specs" or "sweep"')
-        items: List[Tuple[RunSpec, Optional[Dict]]] = []
         if "sweep" in payload:
             grid = payload["sweep"]
             if not isinstance(grid, dict):
@@ -695,54 +659,47 @@ class Coordinator:
                 specs = Sweep(**grid).specs()
             except Exception as exc:
                 raise ValueError(f"bad sweep grid: {exc}") from None
-            items = [(spec, None) for spec in specs]
         else:
             raw = payload["specs"]
             if not isinstance(raw, list) or not raw:
                 raise ValueError('"specs" must be a non-empty array')
+            specs = []
             for i, obj in enumerate(raw):
-                directive = None
-                if isinstance(obj, dict) and "spec" in obj:
-                    directive = obj.get("trace")
-                    if directive is not None and not isinstance(directive, dict):
-                        raise ValueError(f'specs[{i}]: "trace" must be an object')
-                    obj = obj["spec"]
                 try:
                     spec = RunSpec.from_dict(obj)
                 except Exception as exc:
                     raise ValueError(
                         f"specs[{i}]: undecodable spec: {exc}"
                     ) from None
-                # A client-local trace store path means "use trace
-                # reuse"; the path itself never leaves the client's
-                # machine meaningfully, so turn it into a directive.
-                if spec.trace_store is not None and directive is None:
-                    directive = {"mode": spec.trace_mode}
-                items.append((spec, directive))
+                if spec.trace_store is not None:
+                    raise ValueError(
+                        f"specs[{i}]: names trace store "
+                        f"{spec.trace_store!r}; trace stores are local and "
+                        "traces never cross the wire, so run trace-store "
+                        "sweeps on a local executor"
+                    )
+                specs.append(spec)
         known = set(workload_names())
-        for i, (spec, _) in enumerate(items):
+        for i, spec in enumerate(specs):
             if spec.workload not in known:
                 raise ValueError(
                     f"specs[{i}]: unknown workload {spec.workload!r}; "
                     f"registered: {sorted(known)}"
                 )
-        if len(items) > MAX_JOB_SPECS:
+        if len(specs) > MAX_JOB_SPECS:
             raise ValueError(
-                f"{len(items)} specs exceed the {MAX_JOB_SPECS} per-job limit"
+                f"{len(specs)} specs exceed the {MAX_JOB_SPECS} per-job limit"
             )
-        return items
+        return specs
 
-    def _submit(self, items: List[Tuple[RunSpec, Optional[Dict]]]) -> _Job:
+    def _submit(self, specs: List[RunSpec]) -> _Job:
         self._job_seq += 1
-        job = _Job(f"j{self._job_seq}", len(items))
+        job = _Job(f"j{self._job_seq}", len(specs))
         self._jobs[job.id] = job
         self.jobs_submitted += 1
-        self.specs_received += len(items)
-        for index, (spec, directive) in enumerate(items):
-            clean = spec
-            if spec.trace_store is not None or spec.trace_mode != "auto":
-                clean = _spec_replace(spec, trace_store=None, trace_mode="auto")
-            digest = clean.digest()
+        self.specs_received += len(specs)
+        for index, spec in enumerate(specs):
+            digest = spec.digest()
             if self.cache is not None:
                 hit = self.cache.get(digest)
                 if hit is not None:
@@ -760,7 +717,7 @@ class Coordinator:
                 job.deduped += 1
                 self.deduped += 1
                 continue
-            task = _Task(digest, clean, directive, self._trace_source(spec))
+            task = _Task(digest, spec)
             task.waiters.append((job, index))
             self._active[digest] = task
             self._pending.append(task)
@@ -769,81 +726,6 @@ class Coordinator:
         self._log(f"job {job.id}: {job.specs} specs submitted "
                   f"({job.cache_hits} cached, {job.deduped} deduped)")
         return job
-
-    @staticmethod
-    def _trace_source(spec: RunSpec):
-        """Path of ``spec``'s trace in its submitter's store, or ``None``.
-
-        Never creates the store directory: a submitter that has not
-        captured anything locally should not grow an empty store as a
-        side effect of offering streams.
-        """
-        if spec.trace_store is None or not os.path.isdir(spec.trace_store):
-            return None
-        from ..trace import TraceStore
-
-        path = TraceStore(spec.trace_store).path(spec.trace_digest())
-        return path if path.exists() else None
-
-    async def _answer_trace_want(self, link: _WorkerLink, message: Dict) -> None:
-        """A cold worker parked a spec we offered to stream: send the
-        trace, or ``trace_unavailable`` so it runs the spec without."""
-        digest = message.get("digest")
-        task = link.inflight.get(message.get("id"))
-        if task is None or task.trace_source is None:
-            # The lease moved on (or nothing was offered): the worker
-            # still holds the parked specs and must release them.
-            await self._send_frame(link.writer, {
-                "type": "trace_unavailable", "digest": digest,
-            })
-            return
-        sent = await self._stream_trace(link.writer, digest, task.trace_source)
-        if sent is None:
-            return
-        self.trace_streams += 1
-        self.trace_stream_bytes += sent
-        if task.waiters:
-            job = task.waiters[0][0]  # the job that put the spec on a worker
-            job.trace_streams += 1
-            job.trace_stream_bytes += sent
-        self._log(f"streamed trace {str(digest)[:12]} ({sent} bytes) "
-                  f"to {link.name}")
-
-    async def _stream_trace(self, writer, digest: str, path) -> Optional[int]:
-        """Ship one trace file's bytes to a worker, chunked and
-        checksummed; returns the bytes sent, or ``None`` when the file
-        vanished and ``trace_unavailable`` went out instead."""
-        import base64
-        import hashlib
-
-        hasher = hashlib.sha256()
-        sent = 0
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            # Evicted between the offer and the request (a gc race):
-            # same graceful path as a stale offer.
-            await self._send_frame(writer, {
-                "type": "trace_unavailable", "digest": digest,
-            })
-            return None
-        with handle:
-            while True:
-                # Off the loop: a disk read must not stall other workers.
-                chunk = await asyncio.to_thread(handle.read, TRACE_CHUNK_BYTES)
-                if not chunk:
-                    break
-                hasher.update(chunk)
-                sent += len(chunk)
-                await self._send_frame(writer, {
-                    "type": "trace_data", "digest": digest,
-                    "data": base64.b64encode(chunk).decode("ascii"),
-                })
-        await self._send_frame(writer, {
-            "type": "trace_end", "digest": digest,
-            "sha256": hasher.hexdigest(), "bytes": sent,
-        })
-        return sent
 
     def _prune_jobs(self) -> None:
         while len(self._jobs) > MAX_RETAINED_JOBS:
@@ -890,8 +772,6 @@ class Coordinator:
             "worker_cache_hits": self.worker_cache_hits,
             "deduped": self.deduped,
             "requeues": self.requeues,
-            "trace_streams": self.trace_streams,
-            "trace_stream_bytes": self.trace_stream_bytes,
             "pending": len(self._pending),
             "active": len(self._active),
             "workers": len(self._workers),
@@ -975,11 +855,11 @@ class Coordinator:
                 })
                 return
             try:
-                items = self._parse_submission(payload)
+                specs = self._parse_submission(payload)
             except ValueError as exc:
                 await self._http_json(writer, 400, {"error": str(exc)})
                 return
-            job = self._submit(items)
+            job = self._submit(specs)
             await self._http_json(writer, 200, {
                 "job": job.id, "specs": job.specs,
             })

@@ -26,39 +26,17 @@ Message frames
 
 ====================  =====================================================
 ``register``          worker -> coordinator: ``protocol``,
-                      ``cache_version``, ``processes``, ``trace_store``
-                      (whether the worker holds a local trace store) and
-                      optional ``token``/``name``; answered with
-                      ``registered`` (``worker``, ``lease_seconds``,
+                      ``cache_version``, ``processes`` and optional
+                      ``token``/``name``; answered with ``registered``
+                      (``worker``, ``lease_seconds``,
                       ``heartbeat_seconds``) or ``error``
 ``run``               ``{"id": n, "spec": RunSpec.to_dict(), "digest":
-                      sha256}``; an optional ``"trace": {"mode": ...}``
-                      asks the worker to serve the spec through its
-                      **own** trace store (replay the committed path if
-                      captured, interpret + capture otherwise);
-                      ``"stream": true`` in the directive additionally
-                      offers to wire-stream the trace should the worker
-                      lack it
+                      sha256}``
 ``result``            ``{"id": n, "result": RunResult.to_dict(),
-                      "cached": bool}`` plus ``"trace"``:
-                      ``"capture"``/``"replay"``/absent, and
-                      ``"engine"``/``"engine_hit"``: which execution
-                      tier ran the spec (absent for the legacy path)
-``trace_want``        worker -> coordinator: ``{"id": n, "digest": d}`` —
-                      the worker parks the spec and asks for the offered
-                      trace before running it
-``trace_data``        coordinator -> worker: ``{"digest": d, "data":
-                      base64}`` — one chunk of the trace file's raw bytes
-                      (the already-compressed frames ship verbatim), each
-                      frame under the 64 MiB cap
-``trace_end``         coordinator -> worker: ``{"digest": d, "sha256":
-                      hex, "bytes": n}`` — closes the stream; the worker
-                      verifies the checksum *and* that the received
-                      file's metadata re-derives the claimed store
-                      digest before committing it to its store
-``trace_unavailable`` coordinator -> worker: ``{"digest": d}`` — the
-                      offer could not be honoured (file evicted since);
-                      parked specs run without the trace
+                      "cached": bool}`` plus ``"engine"``/
+                      ``"engine_hit"``: which execution tier ran the
+                      spec, and whether it reused generated code
+                      (absent on a cache hit)
 ``error``             ``{"message": str}`` plus ``"id"`` when tied to
                       one spec
 ``heartbeat``         worker -> coordinator: renews the worker's leases
@@ -67,14 +45,8 @@ Message frames
 ``bye``               clean shutdown
 ====================  =====================================================
 
-Trace reuse never ships a store *path* over the wire: the coordinator
-strips the client's ``trace_store`` from the spec and sends only the
-directive; each worker reads and writes its own store next to its own
-cache.  What **can** cross the wire — when the coordinator can read the
-client's trace and the worker's store lacks it — is the trace file
-itself, streamed once in ``trace_data`` chunks and digest-verified on
-receipt, after which every later spec of the same committed path
-replays from the worker's local disk.
+Traces never cross the wire: a spec that names a trace store is
+refused at submission, and a worker interprets every spec it runs.
 """
 
 from __future__ import annotations
@@ -100,16 +72,11 @@ from .sweep import RunSpec
 log = logging.getLogger(__name__)
 
 #: Bump on incompatible frame/handshake changes.
-#: v2: trace streaming (``trace_want``/``trace_data``/``trace_end``/
-#: ``trace_unavailable``) for cold workers.
-PROTOCOL_VERSION = 2
+#: v3: no trace directive, trace frames or ``register.trace_store``.
+PROTOCOL_VERSION = 3
 
 #: Hard ceiling on one frame; anything larger is treated as corrupt.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: Raw bytes per ``trace_data`` chunk; base64 expansion (4/3) keeps the
-#: resulting frame far under :data:`MAX_FRAME_BYTES`.
-TRACE_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 class ProtocolError(Exception):
@@ -187,14 +154,7 @@ class CoordinatorWorker:
     into an ``error`` frame for its run id, so the coordinator's retry
     policy decides what happens to the spec.  With ``cache_dir``
     set, the worker answers warm specs from its sharded
-    :class:`ResultCache` without re-simulating; with ``trace_dir`` set,
-    it advertises a local :class:`~repro.trace.TraceStore` and serves
-    trace-directive specs through it (interpret once, replay for every
-    later request of the same committed path), accepting wire-streamed
-    traces the coordinator offers.  ``trace_max_bytes`` bounds that
-    store: when a capture or a received stream pushes it past the
-    budget, the least-recently-used traces are evicted (the daemon
-    equivalent of ``repro trace gc --max-bytes``).  ``fail_after=N`` is
+    :class:`ResultCache` without re-simulating.  ``fail_after=N`` is
     a test hook: the worker severs its connection after its N-th
     ``run`` frame, simulating a worker killed mid-grid.
     """
@@ -204,8 +164,6 @@ class CoordinatorWorker:
         coordinator: Union[str, Tuple[str, int]],
         processes: int = 1,
         cache_dir: Optional[str] = None,
-        trace_dir: Optional[str] = None,
-        trace_max_bytes: Optional[int] = None,
         token: Optional[str] = None,
         name: Optional[str] = None,
         fail_after: Optional[int] = None,
@@ -223,8 +181,6 @@ class CoordinatorWorker:
             token = os.environ.get(TOKEN_ENV) or None
         self.processes = processes
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self.trace_dir = str(trace_dir) if trace_dir else None
-        self.trace_max_bytes = trace_max_bytes
         self.token = token
         self.name = name
         self.fail_after = fail_after
@@ -239,7 +195,6 @@ class CoordinatorWorker:
         self.heartbeat_seconds = 5.0
         #: Set when the worker gives up — stopped, failed, or drained.
         self.stopped = threading.Event()
-        self._trace_store = None
         #: ``processes > 1``: specs queued for the pool, the pipe that
         #: wakes its thread, and the thread (started by the first spec).
         self._jobs: deque = deque()
@@ -250,45 +205,11 @@ class CoordinatorWorker:
         self._inflight = 0
         self._drain_cond = threading.Condition(self._lock)
         self._write_lock = threading.Lock()
-        #: trace digest -> [(run_id, spec, digest), ...] awaiting a stream.
-        self._parked: Dict[str, list] = {}
-        #: trace digest -> in-flight stream receive state.
-        self._incoming: Dict[str, Dict] = {}
         self._sock: Optional[socket.socket] = None
         self._rfile = None
         self._wfile = None
         self._thread: Optional[threading.Thread] = None
         self._heartbeat: Optional[threading.Thread] = None
-
-    # -- shared resources -----------------------------------------------
-
-    @property
-    def trace_store(self):
-        """The worker's local :class:`~repro.trace.TraceStore` (lazy)."""
-        with self._lock:
-            if self._trace_store is None:
-                from ..trace import TraceStore
-
-                self._trace_store = TraceStore(self.trace_dir)
-            return self._trace_store
-
-    def _note_trace_write(self) -> None:
-        """A trace landed in the store; enforce the byte budget if set."""
-        if self.trace_max_bytes is None or self.trace_dir is None:
-            return
-        store = self.trace_store
-        # Cheap size probe first: the full gc (metadata decode of every
-        # trace + manifest compaction) only runs when over budget.
-        if store.total_bytes() <= self.trace_max_bytes:
-            return
-        with self._lock:
-            summary = store.gc(max_bytes=self.trace_max_bytes)
-        if summary["evicted"]:
-            self._log(
-                f"trace store over {self.trace_max_bytes} bytes: evicted "
-                f"{summary['evicted']} traces "
-                f"({summary['reclaimed_bytes']} bytes reclaimed)"
-            )
 
     def _log(self, message: str) -> None:
         label = self.worker_id or f"@{self.coordinator[0]}:{self.coordinator[1]}"
@@ -332,7 +253,6 @@ class CoordinatorWorker:
             "protocol": self.protocol_version,
             "cache_version": self.cache_version,
             "processes": self.processes,
-            "trace_store": self.trace_dir is not None,
         }
         if self.token:
             frame["token"] = self.token
@@ -397,32 +317,18 @@ class CoordinatorWorker:
             self.stopped.set()
 
     def _serve_connection(self) -> None:
-        try:
-            while True:
-                message = _read_frame(self._rfile)
-                if message is None or message["type"] == "bye":
-                    return
-                kind = message["type"]
-                if kind == "run":
-                    self._handle_run(message)
-                elif kind in ("trace_data", "trace_end", "trace_unavailable"):
-                    try:
-                        self._handle_trace_frame(message)
-                    except ProtocolError as exc:
-                        # Say why, then drop the connection: the
-                        # coordinator requeues whatever we held.
-                        self._send_quietly({"type": "error", "message": str(exc)})
-                        raise
-                elif kind == "ping":
-                    self._send_quietly({"type": "pong"})
-                elif kind == "error":
-                    self._log(f"coordinator error: {message.get('message')}")
-                # pong / anything else: ignore
-        finally:
-            # Parked specs were leased on this connection; the
-            # coordinator requeues them when it drops.
-            self._parked.clear()
-            self._discard_incoming()
+        while True:
+            message = _read_frame(self._rfile)
+            if message is None or message["type"] == "bye":
+                return
+            kind = message["type"]
+            if kind == "run":
+                self._handle_run(message)
+            elif kind == "ping":
+                self._send_quietly({"type": "pong"})
+            elif kind == "error":
+                self._log(f"coordinator error: {message.get('message')}")
+            # pong / anything else: ignore
 
     def stop(self, send_bye: bool = True) -> None:
         already = self.stopped.is_set()
@@ -520,17 +426,6 @@ class CoordinatorWorker:
                 "message": f"undecodable spec: {exc}",
             })
             return
-        directive = message.get("trace")
-        if directive and self.trace_dir is not None:
-            # The submitter asked for trace reuse; point the spec at
-            # this worker's own store (trace paths never cross the wire).
-            from dataclasses import replace as _replace
-
-            spec = _replace(
-                spec,
-                trace_store=self.trace_dir,
-                trace_mode=str(directive.get("mode") or "auto"),
-            )
         digest = spec.digest()
         claimed = message.get("digest")
         if claimed is not None and claimed != digest:
@@ -553,28 +448,6 @@ class CoordinatorWorker:
                     "result": hit.to_dict(), "cached": True,
                 })
                 return
-        if (
-            directive
-            and directive.get("stream")
-            and spec.trace_store is not None
-            and spec.trace_mode in ("auto", "replay")
-        ):
-            # The coordinator can read this spec's trace; if our store
-            # does not hold it, park the spec and pull the trace over the
-            # wire once — every later spec of the same committed path
-            # replays from local disk.
-            trace_digest = spec.trace_digest()
-            parked = self._parked.get(trace_digest)
-            if parked is not None:
-                parked.append((run_id, spec, digest))
-                return
-            if not self.trace_store.path(trace_digest).exists():
-                self._parked[trace_digest] = [(run_id, spec, digest)]
-                self._send_quietly({
-                    "type": "trace_want", "id": run_id,
-                    "digest": trace_digest,
-                })
-                return
         self._execute_run(run_id, spec, digest)
 
     def _execute_run(self, run_id, spec: RunSpec, digest: str) -> None:
@@ -585,19 +458,14 @@ class CoordinatorWorker:
             try:
                 if self.cache is not None:
                     self.cache.put(digest, result)
-                if result.trace_origin == "capture":
-                    self._note_trace_write()
                 self.completed += 1
                 self._log(
                     f"ran {spec.workload} scale={spec.scale:g} "
                     f"seed={spec.seed} {spec.mode} in {result.wall_time:.2f}s"
-                    + (f" [trace {result.trace_origin}]"
-                       if result.trace_origin else "")
                 )
                 self._send_quietly({
                     "type": "result", "id": run_id,
                     "result": result.to_dict(), "cached": False,
-                    "trace": result.trace_origin,
                     "engine": result.engine_used,
                     "engine_hit": result.compiled_hit,
                 })
@@ -644,86 +512,6 @@ class CoordinatorWorker:
                 else:
                     failed(value)
 
-    # -- trace streaming ------------------------------------------------
-
-    def _handle_trace_frame(self, message: Dict) -> None:
-        kind = message["type"]
-        digest = message.get("digest")
-        if not isinstance(digest, str) or digest not in self._parked:
-            raise ProtocolError(f"{kind} for unrequested trace {digest!r}")
-        if kind == "trace_unavailable":
-            # The offer went stale (e.g. the source store was gc'd
-            # between offer and request): run the parked specs without
-            # the trace — they interpret + capture locally instead.
-            self._release_parked(digest)
-            return
-        state = self._incoming.get(digest)
-        if state is None:
-            import hashlib
-
-            path = self.trace_store.path(digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(
-                f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            state = self._incoming[digest] = {
-                "tmp": tmp,
-                "handle": open(tmp, "wb"),
-                "hasher": hashlib.sha256(),
-                "bytes": 0,
-            }
-        if kind == "trace_data":
-            import base64
-
-            try:
-                chunk = base64.b64decode(message.get("data") or "", validate=True)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(f"undecodable trace chunk: {exc}") from None
-            state["handle"].write(chunk)
-            state["hasher"].update(chunk)
-            state["bytes"] += len(chunk)
-            return
-        # trace_end: verify and commit (or fall back to interpreting).
-        state = self._incoming.pop(digest)
-        state["handle"].close()
-        failure = None
-        if state["hasher"].hexdigest() != message.get("sha256"):
-            failure = "checksum mismatch"
-        elif state["bytes"] != message.get("bytes"):
-            failure = (
-                f"length mismatch ({state['bytes']} received, "
-                f"{message.get('bytes')} announced)"
-            )
-        else:
-            failure = self.trace_store.adopt(state["tmp"], digest)
-        if failure is not None:
-            state["tmp"].unlink(missing_ok=True)
-            self._log(
-                f"rejected streamed trace {digest[:12]}: {failure}; "
-                "parked specs will interpret locally"
-            )
-        else:
-            self._log(
-                f"received trace {digest[:12]} "
-                f"({state['bytes']} bytes) into {self.trace_store.root}"
-            )
-            self._note_trace_write()
-        self._release_parked(digest)
-
-    def _release_parked(self, digest: str) -> None:
-        for run_id, spec, spec_digest in self._parked.pop(digest, []):
-            self._execute_run(run_id, spec, spec_digest)
-
-    def _discard_incoming(self) -> None:
-        """Connection teardown: drop half-received stream temp files."""
-        for state in self._incoming.values():
-            try:
-                state["handle"].close()
-            except OSError:
-                pass
-            state["tmp"].unlink(missing_ok=True)
-        self._incoming.clear()
-
 
 def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-worker`` console script."""
@@ -747,21 +535,6 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
         help="sharded result cache; warm specs are answered from disk",
     )
     parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help=(
-            "local trace store; specs sent with a trace directive are "
-            "interpreted once and replayed from the committed-path trace"
-        ),
-    )
-    parser.add_argument(
-        "--trace-max-bytes", default=None, metavar="SIZE",
-        help=(
-            "byte budget for --trace-dir (e.g. 512M, 2G): least-recently-"
-            "used traces are evicted whenever a capture or a received "
-            "wire stream pushes the store past it"
-        ),
-    )
-    parser.add_argument(
         "--token", default=None, metavar="SECRET",
         help="shared secret for --coordinator (default: $REPRO_TOKEN)",
     )
@@ -781,16 +554,6 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
         help="log one line per served request to stderr",
     )
     args = parser.parse_args(argv)
-    trace_max_bytes = None
-    if args.trace_max_bytes is not None:
-        from ..storage import parse_size
-
-        if args.trace_dir is None:
-            parser.error("--trace-max-bytes requires --trace-dir")
-        try:
-            trace_max_bytes = parse_size(args.trace_max_bytes)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(message)s")
 
@@ -810,9 +573,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         worker = CoordinatorWorker(
             args.coordinator, processes=args.processes,
-            cache_dir=args.cache_dir, trace_dir=args.trace_dir,
-            trace_max_bytes=trace_max_bytes, token=args.token,
-            name=args.name,
+            cache_dir=args.cache_dir, token=args.token, name=args.name,
         ).start()
     except (OSError, ProtocolError, _FatalWorkerError) as exc:
         print(f"repro-worker: cannot register with {args.coordinator}: {exc}",

@@ -157,9 +157,10 @@ class RunResult:
     engine_used: Optional[str] = None
     #: True when the compiled tier reused already-generated code.
     compiled_hit: bool = False
-    #: EventBatches the run's sink fan-out received.  Transient like
-    #: ``engine_used`` — batching never changes results, so it is never
-    #: serialized.
+    #: EventBatches the run's sink fan-out received, on the first
+    #: result of a trace group only (the others share that run and
+    #: carry 0).  Transient like ``engine_used`` — batching never
+    #: changes results, so it is never serialized.
     sink_batches: int = 0
     #: Always 0: events only travel as batches now, so no run explodes
     #: batches for a per-event consumer.  Kept only because the frozen

@@ -263,7 +263,6 @@ class Session:
         instructions: int,
         pbs_stats: Optional[Dict],
         consumed_values: Optional[List[float]],
-        sink: Optional[FanOut],
     ) -> RunResult:
         """This session's result of a finished run: its cores are
         finalized, and every container in the result is its own."""
@@ -290,8 +289,6 @@ class Session:
         )
         if self._record_consumed:
             result.consumed_values = list(consumed_values)
-        if sink is not None:
-            result.sink_batches = sink.batches
         return result
 
 
@@ -451,7 +448,7 @@ def _interpret(sessions: Sequence[Session]) -> List[RunResult]:
             session.workload_run = run
             results.append(session._package(
                 wall_time, run.outputs, run.instructions, pbs_stats,
-                run.consumed_values, sink,
+                run.consumed_values,
             ))
         if capture is not None:
             capture.commit({
@@ -476,6 +473,7 @@ def _interpret(sessions: Sequence[Session]) -> List[RunResult]:
             result.trace_origin = "capture"
         result.engine_used = tier.name
         result.compiled_hit = tier.last_cache_hit
+    _count_batches(results, sink)
     return results
 
 
@@ -499,8 +497,16 @@ def _replay(sessions: Sequence[Session], reader) -> List[RunResult]:
         result = session._package(
             wall_time, meta.get("outputs") or {},
             int(meta.get("instructions") or 0), meta.get("pbs_stats"),
-            meta.get("consumed_values") or [], sink,
+            meta.get("consumed_values") or [],
         )
         result.trace_origin = "replay"
         results.append(result)
+    _count_batches(results, sink)
     return results
+
+
+def _count_batches(results: List[RunResult], sink: Optional[FanOut]) -> None:
+    """The group's one fan-out counts on its first result only, so a
+    sum over results counts each run's batches once."""
+    if sink is not None:
+        results[0].sink_batches = sink.batches

@@ -397,9 +397,10 @@ def run_specs(
     ``serial`` and ``pool`` run each trace group as one job; ``http``
     sends every spec as its own frame (see its docs).
     ``cache_dir`` names an on-disk :class:`ResultCache`; ``trace_dir``
-    a trace store: a group whose trace is stored replays it once for
-    all of its specs, and any other group is interpreted and captured
-    once.  ``on_result`` fires once per spec —
+    a local trace store: a group whose trace is stored replays it once
+    for all of its specs, and any other group is interpreted and
+    captured once.  Trace stores are local (traces never cross the
+    wire), so ``http`` refuses a ``trace_dir``.  ``on_result`` fires once per spec —
     ``on_result(spec, result)`` — as each result becomes available:
     cache hits first, in spec order, then fresh results group by group
     (groups in order of their first spec on ``serial``, in completion

@@ -16,8 +16,9 @@ semantics.  This package makes that stream a first-class artifact:
 
 :class:`~repro.sim.Session` and :class:`~repro.sim.Sweep` build on it:
 ``Session.trace(store)`` captures on first run and replays after;
-``Sweep(trace_dir=...)`` interprets each trace group once and replays
-every other grid point in the group.  See ``docs/api.md``.
+``Sweep(trace_dir=...)`` interprets each trace group once, capturing
+its trace for a later sweep to replay.  Stores are local: a trace
+never crosses the wire to a worker.  See ``docs/traces.md``.
 """
 
 from .format import (
@@ -25,9 +26,7 @@ from .format import (
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    pack_event,
     read_meta,
-    unpack_events,
     unpack_events_batch,
 )
 from .store import (
@@ -42,9 +41,7 @@ __all__ = [
     "TraceFormatError",
     "TraceReader",
     "TraceWriter",
-    "pack_event",
     "read_meta",
-    "unpack_events",
     "unpack_events_batch",
     "TraceCapture",
     "TraceStore",

@@ -32,7 +32,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
-from ..functional.trace import EventBatch, TraceEvent, as_batch_sink
+from ..functional.trace import EventBatch, as_batch_sink
 from ..isa.opcodes import OP_CLASS, Op
 
 #: Bump on any incompatible change to the framing or event packing.
@@ -70,92 +70,9 @@ class TraceFormatError(Exception):
     """A trace file is truncated, corrupt, or from another version."""
 
 
-def pack_event(event: TraceEvent) -> bytes:
-    """One event -> its packed record."""
-    flags = event.prob_mode << PROB_SHIFT
-    if event.is_cond_branch:
-        flags |= F_COND
-    if event.taken:
-        flags |= F_TAKEN
-    if event.is_store:
-        flags |= F_STORE
-    target = event.target
-    tail = b""
-    if target is not None:
-        flags |= F_TARGET
-        if event.next_pc == target:
-            flags |= F_NEXT_IS_TARGET
-        elif event.next_pc != event.pc + 1:
-            raise TraceFormatError(
-                f"unencodable next_pc {event.next_pc} at pc {event.pc}"
-            )
-        tail = _U32.pack(target)
-    elif event.next_pc != event.pc + 1:
-        raise TraceFormatError(
-            f"unencodable next_pc {event.next_pc} at pc {event.pc}"
-        )
-    if event.addr is not None:
-        flags |= F_ADDR
-        tail += _U32.pack(event.addr)
-    srcs = event.srcs
-    return (
-        _EVENT.pack(event.pc, event.op, flags, event.dest, len(srcs))
-        + bytes(srcs)
-        + tail
-    )
-
-
-def unpack_events(buffer: bytes) -> Iterator[TraceEvent]:
-    """Decode one event frame's payload back into live events."""
-    unpack_event = _EVENT.unpack_from
-    unpack_u32 = _U32.unpack_from
-    ops = _OP_BY_VALUE
-    classes = _CLASS_BY_VALUE
-    make = TraceEvent
-    offset = 0
-    end = len(buffer)
-    try:
-        while offset < end:
-            pc, op_value, flags, dest, nsrcs = unpack_event(buffer, offset)
-            offset += 8
-            srcs = tuple(buffer[offset:offset + nsrcs])
-            if len(srcs) != nsrcs:
-                raise TraceFormatError("corrupt event frame: truncated sources")
-            offset += nsrcs
-            if flags & F_TARGET:
-                target = unpack_u32(buffer, offset)[0]
-                offset += 4
-            else:
-                target = None
-            if flags & F_ADDR:
-                addr = unpack_u32(buffer, offset)[0]
-                offset += 4
-            else:
-                addr = None
-            yield make(
-                pc,
-                ops[op_value],
-                classes[op_value],
-                dest,
-                srcs,
-                is_cond_branch=bool(flags & F_COND),
-                taken=bool(flags & F_TAKEN),
-                target=target,
-                next_pc=target if flags & F_NEXT_IS_TARGET else pc + 1,
-                addr=addr,
-                is_store=bool(flags & F_STORE),
-                prob_mode=flags >> PROB_SHIFT,
-            )
-    except (struct.error, KeyError) as exc:
-        raise TraceFormatError(f"corrupt event frame: {exc!r}") from None
-
-
 def unpack_events_batch(buffer: bytes, batch: EventBatch) -> None:
-    """Decode one event frame's payload into batch columns.
-
-    Field-identical to :func:`unpack_events`, minus the per-event
-    TraceEvent construction — replay's columnar fast path.
-    """
+    """Decode one event frame's payload, appending its rows to
+    ``batch``'s columns."""
     unpack_event = _EVENT.unpack_from
     unpack_u32 = _U32.unpack_from
     ops = _OP_BY_VALUE
@@ -245,7 +162,7 @@ class TraceWriter:
         self._finalized = False
 
     def consume_batch(self, batch: EventBatch) -> None:
-        """Pack a batch's rows; records equal :func:`pack_event`'s.
+        """Pack a batch's rows into records (see the module docstring).
 
         Frames flush every ``events_per_frame`` events wherever the
         batch boundaries fall, so the file bytes do not depend on how
@@ -437,11 +354,6 @@ class TraceReader:
                         f"{self.path}: unexpected frame kind {kind}"
                     )
                 yield payload
-
-    def events(self) -> Iterator[TraceEvent]:
-        """Stream the recorded events, one frame in memory at a time."""
-        for payload in self._event_payloads():
-            yield from unpack_events(payload)
 
     def replay(self, sink) -> int:
         """Feed every event to ``sink``; returns the event count.

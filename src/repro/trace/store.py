@@ -111,36 +111,6 @@ class TraceStore(ShardedStore):
             self._index[digest] = entry
         self._append(entry)
 
-    def adopt(self, staged_path, digest: str) -> Optional[str]:
-        """Publish a finalized trace file staged outside the store.
-
-        Used by the wire-streaming receive path: verifies that the file
-        is readable and that its metadata re-derives ``digest`` (a trace
-        must live under the key its content describes), then moves it
-        into place atomically and indexes it.  Returns ``None`` on
-        success or a rejection reason — the staged file is left in place
-        for the caller to discard.
-        """
-        from .format import read_meta
-
-        meta = read_meta(staged_path)
-        if meta is None:
-            return "unreadable or unfinalized trace file"
-        derived = trace_digest(
-            meta.get("workload"), meta.get("scale"), meta.get("seed"),
-            meta.get("pbs_config"),
-        )
-        if derived != digest:
-            return (
-                f"metadata derives trace digest {derived[:12]}, "
-                f"claimed {digest[:12]}"
-            )
-        path = self.path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(staged_path, path)
-        self._record(digest, self._entry_meta(digest))
-        return None
-
     def writer(self, digest: str, compress: bool = True) -> "TraceCapture":
         """A capture handle staging into a temp file; ``commit(meta)``
         atomically publishes it under ``digest``."""

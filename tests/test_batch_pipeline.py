@@ -348,6 +348,28 @@ class TestFanOut:
         assert stats["sink_batches"] > 0
         assert "sink_fallbacks" not in stats
 
+    def test_sweep_counts_each_group_fan_out_once(self):
+        # Split predictors: each mode is one trace group of two specs
+        # sharing one run, so the sweep counts each run's batches once.
+        stats = (
+            Sweep(workloads=["pi"], scales=(0.02,), seeds=(1,),
+                  predictors=("tournament", "gshare"), split_predictors=True)
+            .run(executor="serial")
+            .to_stats()
+        )
+        assert stats["specs"] == 4
+        per_run = [
+            session.run().sink_batches
+            for session in (
+                Session("pi", scale=0.02, seed=1)
+                .predictors("tournament", "gshare"),
+                Session("pi", scale=0.02, seed=1)
+                .predictors("tournament", "gshare").pbs(),
+            )
+        ]
+        assert min(per_run) > 0
+        assert stats["sink_batches"] == sum(per_run)
+
     def test_session_legacy_sink_never_falls_back(self):
         events = []
         result = (
@@ -389,14 +411,6 @@ def test_diff_sink_attached_interp_vs_compiled():
         predictor="tournament",
     )
     assert divergence is None
-
-
-def test_diff_sink_attached_rejects_sinkless_tier():
-    from repro.diff import diff_tiers
-
-    program = get_workload("pi").build(0.02)
-    with pytest.raises(ValueError, match="sink"):
-        diff_tiers(program, ("interp", "replay"), predictor="tournament")
 
 
 def test_diff_sink_detects_tally_skew():

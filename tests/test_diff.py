@@ -22,12 +22,12 @@ from repro.diff import (
     CompiledStepper,
     GenProgram,
     InterpStepper,
-    ReplayStepper,
     build_program,
     diff_tiers,
     generate,
     shrink,
 )
+from repro.functional import EventBatch, Executor
 from repro.functional.executor import (
     ExecutionError,
     ExecutionLimitExceeded,
@@ -35,6 +35,8 @@ from repro.functional.executor import (
     nan_min,
 )
 from repro.isa import ProgramBuilder, F, R
+from repro.sim import FanOut
+from repro.trace import TraceReader, TraceWriter
 from repro.workloads import workload_names, get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -78,13 +80,31 @@ class TestGenerator:
 # Lockstep agreement (the healthy case)
 
 
+class _Columns:
+    """A batch sink that keeps every row it is fed, column by column."""
+
+    def __init__(self):
+        self.columns = {name: [] for name in EventBatch.__slots__}
+
+    def consume_batch(self, batch):
+        for name, column in self.columns.items():
+            column.extend(getattr(batch, name))
+
+
 class TestLockstepAgreement:
     @pytest.mark.parametrize("seed", range(6))
-    def test_interp_compiled_replay_agree(self, seed):
+    def test_interp_compiled_replay_agree(self, seed, tmp_path):
         program = build_program(generate(seed))
-        assert diff_tiers(
-            program, ("interp", "compiled", "replay"), seed=seed
-        ) is None
+        assert diff_tiers(program, ("interp", "compiled"), seed=seed) is None
+        # The interpreter's committed path survives a trace capture and
+        # replay through the batch codec, row for row.
+        live, replayed = _Columns(), _Columns()
+        writer = TraceWriter(tmp_path / "t.trace", events_per_frame=64)
+        Executor(program, seed=seed).run(sink=FanOut([live, writer]))
+        writer.finalize({})
+        TraceReader(tmp_path / "t.trace").replay(replayed)
+        assert live.columns["pcs"]
+        assert replayed.columns == live.columns
 
     def test_coarse_stride_agrees_too(self):
         program = build_program(generate(1))
@@ -240,7 +260,7 @@ class TestLimitParity:
 
     @pytest.mark.parametrize(
         "stepper_class",
-        [InterpStepper, CompiledStepper, ReplayStepper],
+        [InterpStepper, CompiledStepper],
     )
     def test_every_tier_trips_at_exact_boundary(self, stepper_class):
         stepper = stepper_class(
@@ -251,7 +271,7 @@ class TestLimitParity:
         assert stepper.retired == self.LIMIT
 
     def test_consistent_limit_fault_is_agreement(self):
-        tiers = ("interp", "compiled", "replay")
+        tiers = ("interp", "compiled")
         assert diff_tiers(
             _counting_loop(), tiers, seed=0, max_instructions=self.LIMIT
         ) is None
@@ -310,7 +330,7 @@ class TestCorpusLockstep:
     def test_workload_lockstep(self, name):
         program = get_workload(name).build(self.SCALE)
         divergence = diff_tiers(
-            program, ("interp", "compiled", "replay"), seed=1, max_instructions=2_000_000
+            program, ("interp", "compiled"), seed=1, max_instructions=2_000_000
         )
         assert divergence is None, divergence.summary()
 
@@ -343,14 +363,14 @@ class TestCli:
         assert report["divergences"] == []
 
     def test_unknown_tier_is_usage_error(self):
-        for tier in ("quantum", "vector"):
+        for tier in ("quantum", "vector", "replay"):
             proc = _run_cli("--tiers", f"interp,{tier}", "--programs", "1")
             assert proc.returncode == 2
             assert "unknown tier" in proc.stderr
 
     def test_workload_lockstep_via_cli(self):
         proc = _run_cli(
-            "--tiers", "interp,replay", "--programs", "0",
+            "--tiers", "interp,compiled", "--programs", "0",
             "--workloads", "pi", "--scale", "0.02", "--json",
         )
         assert proc.returncode == 0, proc.stderr

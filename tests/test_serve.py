@@ -164,8 +164,8 @@ class TestHttpApi:
         stats = client.stats()
         for key in (
             "jobs_submitted", "specs_received", "simulated", "cache_hits",
-            "worker_cache_hits", "deduped", "requeues", "trace_streams",
-            "trace_stream_bytes", "pending", "active", "workers",
+            "worker_cache_hits", "deduped", "requeues", "pending",
+            "active", "workers",
         ):
             assert isinstance(stats[key], int), key
 
@@ -183,6 +183,14 @@ class TestWorkerPlane:
             CoordinatorWorker(
                 service.address, token=TOKEN,
                 protocol_version=PROTOCOL_VERSION + 1,
+            ).start()
+
+    def test_protocol_2_worker_is_refused(self, service):
+        # Protocol 2 workers still park specs and wait for trace
+        # frames, which no coordinator sends any more.
+        with pytest.raises(_FatalWorkerError, match="worker sent 2"):
+            CoordinatorWorker(
+                service.address, token=TOKEN, protocol_version=2,
             ).start()
 
     def test_non_register_first_frame_is_an_error(self, service):
@@ -381,7 +389,7 @@ class TestEndToEnd:
         silent.sendall(encode_frame({
             "type": "register", "protocol": PROTOCOL_VERSION,
             "cache_version": CACHE_VERSION, "processes": 1,
-            "trace_store": False, "name": "silent",
+            "name": "silent",
         }))
         registered = _read_frame(silent_reader)
         assert registered["type"] == "registered"
@@ -410,32 +418,6 @@ class TestEndToEnd:
         finally:
             silent.close()
             coordinator.stop()
-
-    def test_trace_directive_round_trip(self, tmp_path):
-        # A client-side trace_store becomes a directive; the worker owns
-        # the actual store and the second pass replays from it.
-        from dataclasses import replace
-
-        coordinator = Coordinator(port=0).start()
-        worker = CoordinatorWorker(
-            coordinator.address, processes=1, trace_dir=str(tmp_path)
-        ).start()
-        assert coordinator.wait_for_workers(1, timeout=10)
-        specs = [
-            replace(spec, trace_store=str(tmp_path / "client-side"))
-            for spec in Sweep(**_grid(seeds=(0,))).specs()
-        ]
-        executor = HttpExecutor(coordinator=coordinator.address)
-        try:
-            first = executor.map(specs)
-            second = executor.map(specs)
-        finally:
-            worker.stop()
-            coordinator.stop()
-        assert all(r.trace_origin in ("capture", "replay") for r in first)
-        assert all(r.trace_origin == "replay" for r in second)
-        assert [_comparable(a) for a in first] == \
-            [_comparable(b) for b in second]
 
 
 # ----------------------------------------------------------------------
@@ -476,6 +458,18 @@ class TestServeCLI:
                 "--executor", "serial",
                 "--coordinator", "127.0.0.1:1",
             ])
+
+    def test_trace_store_requires_a_local_executor(self, tmp_path):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit, match="--trace-store"):
+            runner.main([
+                "sweep", "--workloads", "pi", "--seeds", "0",
+                "--modes", "base", "--cache-dir", "",
+                "--executor", "http", "--coordinator", "127.0.0.1:1",
+                "--trace-store", str(tmp_path / "traces"),
+            ])
+        assert not (tmp_path / "traces").exists()
 
     def test_http_without_coordinator_is_a_clean_error(self, monkeypatch):
         from repro.experiments import runner

@@ -1,9 +1,9 @@
 """Tests for the repro.trace subsystem: binary format, content-addressed
 store, Session capture/replay, Sweep trace planning, and the shared
-sharded-store helper."""
+sharded-store helper.  Stores are local: the http executor refuses
+them."""
 
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import pytest
@@ -12,6 +12,7 @@ from repro.core import PBSConfig
 from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.serve import Coordinator
+from repro.serve.client import CoordinatorError
 from repro.sim import CoordinatorWorker, HttpExecutor, RunSpec, Session, Sweep
 from repro.storage import ShardedStore, canonical_digest
 from repro.trace import (
@@ -19,9 +20,8 @@ from repro.trace import (
     TraceReader,
     TraceStore,
     TraceWriter,
-    pack_event,
     trace_digest,
-    unpack_events,
+    unpack_events_batch,
 )
 
 SCALE = 0.02
@@ -47,6 +47,34 @@ EVENT_FIELDS = TraceEvent.__slots__
 def _assert_events_equal(a: TraceEvent, b: TraceEvent):
     for field in EVENT_FIELDS:
         assert getattr(a, field) == getattr(b, field), field
+
+
+class _Collect:
+    """A batch sink that appends every replayed batch to one
+    :class:`EventBatch` (replay reuses its batch between frames)."""
+
+    def __init__(self):
+        self.batch = EventBatch()
+
+    def consume_batch(self, batch):
+        for column in EventBatch.__slots__:
+            getattr(self.batch, column).extend(getattr(batch, column))
+
+
+def _write(path, events, compress=True, events_per_frame=4, meta=None):
+    writer = TraceWriter(path, compress=compress,
+                         events_per_frame=events_per_frame)
+    writer.consume_batch(EventBatch.from_events(events))
+    writer.finalize(meta or {"workload": "x"})
+    return path
+
+
+def _replayed(path) -> list:
+    """Every event of a trace file, through ``TraceReader.replay``."""
+    collect = _Collect()
+    count = TraceReader(path).replay(collect)
+    assert count == len(collect.batch)
+    return list(collect.batch.events())
 
 
 class TestEventPacking:
@@ -77,26 +105,27 @@ class TestEventPacking:
         _event(dest=4, srcs=(5,)),
     ]
 
-    def test_roundtrip_preserves_every_field(self):
-        payload = b"".join(pack_event(event) for event in self.CASES)
-        decoded = list(unpack_events(payload))
+    def test_roundtrip_preserves_every_field(self, tmp_path):
+        # One frame holds every case: the batch codec packs and decodes
+        # each record on its own, whatever the framing.
+        path = _write(tmp_path / "t.trace", self.CASES, compress=False,
+                      events_per_frame=len(self.CASES))
+        decoded = _replayed(path)
         assert len(decoded) == len(self.CASES)
         for original, restored in zip(self.CASES, decoded):
             _assert_events_equal(original, restored)
 
-    def test_corrupt_payload_raises(self):
-        payload = pack_event(self.CASES[0])
+    def test_corrupt_payload_raises(self, tmp_path):
+        path = _write(tmp_path / "t.trace", self.CASES[:1], compress=False)
+        (payload,) = TraceReader(path)._event_payloads()
         with pytest.raises(TraceFormatError):
-            list(unpack_events(payload[:-1]))
+            unpack_events_batch(payload[:-1], EventBatch())
 
 
 class TestTraceFile:
     def _capture(self, tmp_path, events, compress=True, meta=None):
-        path = tmp_path / "t.trace"
-        writer = TraceWriter(path, compress=compress, events_per_frame=4)
-        writer.consume_batch(EventBatch.from_events(events))
-        writer.finalize(meta or {"workload": "x"})
-        return path
+        return _write(tmp_path / "t.trace", events, compress=compress,
+                      meta=meta)
 
     def test_write_read_with_framing_and_compression(self, tmp_path):
         events = TestEventPacking.CASES * 5  # several frames at 4/frame
@@ -105,7 +134,7 @@ class TestTraceFile:
             reader = TraceReader(path)
             assert reader.events_count == len(events)
             assert reader.meta["workload"] == "x"
-            decoded = list(reader.events())
+            decoded = _replayed(path)
             assert len(decoded) == len(events)
             for original, restored in zip(events, decoded):
                 _assert_events_equal(original, restored)
@@ -569,11 +598,9 @@ class TestSessionCaptureReplay:
 
 # The acceptance grid: a predictor-only sweep, >= 4 predictors x 2
 # seeds on one workload.  With a trace store, each (workload, scale,
-# seed, PBS-config) group must be interpreted exactly once — on every
-# executor, including http — while staying bit-identical to the
-# no-trace-store path.  The local executors run a group as one engine
-# run whose every point reads "capture"; http runs a leader per group
-# first and replays the rest from the worker's store.
+# seed, PBS-config) group must be interpreted exactly once on the local
+# executors, while staying bit-identical to the no-trace-store path.
+# Each group runs as one engine run whose every point reads "capture".
 ACCEPTANCE_GRID = dict(
     workloads=["pi"],
     scales=(SCALE,),
@@ -585,38 +612,10 @@ ACCEPTANCE_GROUPS = 2 * 2   # seeds x modes
 ACCEPTANCE_POINTS = 2 * 2 * 4  # seeds x modes x predictors
 
 
-@contextmanager
-def _service(**worker_options):
-    """An in-process coordinator with one registered single-process
-    worker; yields the ``http`` executor pointed at it."""
-    coordinator = Coordinator(port=0).start()
-    worker = CoordinatorWorker(
-        coordinator.address, processes=1, **worker_options
-    ).start()
-    try:
-        assert coordinator.wait_for_workers(1, timeout=10)
-        yield HttpExecutor(coordinator=coordinator.address)
-    finally:
-        worker.stop()
-        coordinator.stop()
-
-
-def _coordinator_telemetry(result) -> dict:
-    (telemetry,) = result.to_stats()["workers"].values()
-    return telemetry
-
-
 class TestSweepTracePlanning:
     @pytest.fixture(scope="class")
     def baseline(self):
         return Sweep(**ACCEPTANCE_GRID).run(executor="serial")
-
-    def _check(self, baseline, traced):
-        stats = traced.to_stats()
-        assert stats["trace_captures"] == ACCEPTANCE_GROUPS, stats
-        assert stats["trace_hits"] == ACCEPTANCE_POINTS - ACCEPTANCE_GROUPS, stats
-        for plain, shared in zip(baseline, traced):
-            assert _normalized(plain) == _normalized(shared)
 
     @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_local_executors_interpret_once_per_group(
@@ -641,28 +640,25 @@ class TestSweepTracePlanning:
         for plain, shared in zip(baseline, warm):
             assert _normalized(plain) == _normalized(shared)
 
-    def test_http_executor_reuses_worker_local_store(self, tmp_path, baseline):
-        with _service(trace_dir=str(tmp_path / "worker")) as executor:
-            traced = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=tmp_path / "client-unused"
-            ).run(executor=executor)
-        self._check(baseline, traced)
-        assert len(TraceStore(tmp_path / "worker")) == ACCEPTANCE_GROUPS
-        # Nothing was captured on the client side of the wire, and the
-        # store directory was never even created there.
-        assert not (tmp_path / "client-unused").exists()
-
-    def test_worker_without_trace_store_degrades_gracefully(
-        self, tmp_path, baseline
-    ):
-        with _service() as executor:
-            traced = Sweep(**ACCEPTANCE_GRID, trace_dir=tmp_path).run(
-                executor=executor
-            )
-        stats = traced.to_stats()
-        assert stats["trace_captures"] == 0 and stats["trace_hits"] == 0
-        for plain, shared in zip(baseline, traced):
-            assert _normalized(plain) == _normalized(shared)
+    def test_http_executor_refuses_a_trace_store(self, tmp_path):
+        # Trace stores are local and never cross the wire: the
+        # coordinator refuses the job before any worker runs a spec.
+        coordinator = Coordinator(port=0).start()
+        worker = CoordinatorWorker(coordinator.address, processes=1).start()
+        try:
+            assert coordinator.wait_for_workers(1, timeout=10)
+            executor = HttpExecutor(coordinator=coordinator.address)
+            with pytest.raises(CoordinatorError, match="trace store") as err:
+                Sweep(**ACCEPTANCE_GRID, trace_dir=tmp_path / "traces").run(
+                    executor=executor
+                )
+            assert err.value.status == 400
+            assert worker.requests == 0
+            assert coordinator.stats_payload()["specs_received"] == 0
+        finally:
+            worker.stop()
+            coordinator.stop()
+        assert not (tmp_path / "traces").exists()
 
     def test_cache_and_trace_compose(self, tmp_path):
         grid = dict(workloads=["pi"], scales=(SCALE,), seeds=(0,),
@@ -679,138 +675,3 @@ class TestSweepTracePlanning:
         assert stats["trace_captures"] == stats["trace_hits"] == 0
         for a, b in zip(first, second):
             assert _normalized(a) == _normalized(b)
-
-
-class TestWireTraceStreaming:
-    """Protocol v2: the coordinator streams traces it can read from the
-    submitter's store to a cold worker, which verifies, stores and
-    replays them."""
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return Sweep(**ACCEPTANCE_GRID).run(executor="serial")
-
-    @pytest.fixture()
-    def warm_client_store(self, tmp_path):
-        """A client-side store holding every acceptance-grid trace."""
-        store_dir = tmp_path / "client-traces"
-        warm = Sweep(**ACCEPTANCE_GRID, trace_dir=store_dir).run(
-            executor="serial"
-        )
-        # A serial sweep: one capture per group, read by every point.
-        assert warm.to_stats()["trace_captures"] == ACCEPTANCE_POINTS
-        assert len(TraceStore(store_dir)) == ACCEPTANCE_GROUPS
-        return store_dir
-
-    def test_cold_worker_serves_replays_after_one_stream(
-        self, tmp_path, baseline, warm_client_store
-    ):
-        # The acceptance criterion: a cold worker (empty --trace-dir)
-        # must serve *replay* specs after one wire stream per trace.
-        worker_dir = tmp_path / "worker-traces"
-        with _service(trace_dir=str(worker_dir)) as executor:
-            streamed = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=warm_client_store
-            ).run(executor=executor)
-            stats = streamed.to_stats()
-            assert stats["trace_hits"] == ACCEPTANCE_POINTS, stats
-            assert stats["trace_captures"] == 0, stats
-            telemetry = _coordinator_telemetry(streamed)
-            assert telemetry["trace_streams"] == ACCEPTANCE_GROUPS, telemetry
-            assert telemetry["trace_stream_bytes"] > 0
-            for plain, shared in zip(baseline, streamed):
-                assert _normalized(plain) == _normalized(shared)
-            # The streamed traces are digest-verified, manifest-indexed
-            # worker property now: a second sweep replays without a
-            # single new stream.
-            assert len(TraceStore(worker_dir)) == ACCEPTANCE_GROUPS
-            again = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=warm_client_store
-            ).run(executor=executor)
-            assert _coordinator_telemetry(again)["trace_streams"] == 0
-            assert again.to_stats()["trace_hits"] == ACCEPTANCE_POINTS
-
-    def test_corrupt_stream_is_rejected_and_interpreted(
-        self, tmp_path, baseline, warm_client_store, monkeypatch
-    ):
-        # A stream that fails checksum verification must never poison
-        # the worker store; the parked specs interpret locally instead.
-        import base64
-
-        async def corrupt_stream(self, writer, digest, path):
-            await self._send_frame(writer, {
-                "type": "trace_data", "digest": digest,
-                "data": base64.b64encode(b"junk").decode("ascii"),
-            })
-            await self._send_frame(writer, {
-                "type": "trace_end", "digest": digest,
-                "sha256": "0" * 64, "bytes": 4,
-            })
-            return 4
-
-        monkeypatch.setattr(Coordinator, "_stream_trace", corrupt_stream)
-        worker_dir = tmp_path / "worker-traces"
-        with _service(trace_dir=str(worker_dir)) as executor:
-            result = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=warm_client_store
-            ).run(executor=executor)
-        # Streams were attempted, rejected, and the leaders fell back
-        # to interpret + capture on the worker.
-        assert _coordinator_telemetry(result)["trace_streams"] == ACCEPTANCE_GROUPS
-        assert result.to_stats()["trace_captures"] == ACCEPTANCE_GROUPS
-        for plain, shared in zip(baseline, result):
-            assert _normalized(plain) == _normalized(shared)
-        # No half-received junk in the store: only the worker's own
-        # (valid) captures.
-        for digest in TraceStore(worker_dir).digests():
-            assert TraceStore(worker_dir).open(digest) is not None
-        assert not list(worker_dir.glob("??/.*.tmp"))
-
-    def test_stale_offer_degrades_to_unavailable(
-        self, tmp_path, baseline, warm_client_store, monkeypatch
-    ):
-        # The offer/want race: the coordinator offered a trace it can
-        # no longer serve.  The worker must run the spec regardless.
-        async def stale_stream(self, writer, digest, path):
-            await self._send_frame(writer, {
-                "type": "trace_unavailable", "digest": digest,
-            })
-
-        monkeypatch.setattr(Coordinator, "_stream_trace", stale_stream)
-        with _service(trace_dir=str(tmp_path / "worker-traces")) as executor:
-            result = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=warm_client_store
-            ).run(executor=executor)
-        telemetry = _coordinator_telemetry(result)
-        assert telemetry["trace_streams"] == 0, telemetry
-        assert telemetry["completed"] == ACCEPTANCE_POINTS, telemetry
-        assert result.to_stats()["trace_captures"] == ACCEPTANCE_GROUPS
-        for plain, shared in zip(baseline, result):
-            assert _normalized(plain) == _normalized(shared)
-
-    def test_worker_trace_budget_keeps_store_bounded(
-        self, tmp_path, baseline, warm_client_store
-    ):
-        # A worker with a 1-byte budget evicts every trace the moment
-        # it lands — results stay correct, disk stays bounded.
-        worker_dir = tmp_path / "worker-traces"
-        with _service(trace_dir=str(worker_dir), trace_max_bytes=1) as executor:
-            result = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=warm_client_store
-            ).run(executor=executor)
-        for plain, shared in zip(baseline, result):
-            assert _normalized(plain) == _normalized(shared)
-        assert TraceStore(worker_dir).total_bytes() <= 1
-
-    def test_cold_client_never_offers(self, tmp_path, baseline):
-        # No client-side store on disk -> no stream offers, and the
-        # worker interprets leaders itself.
-        with _service(trace_dir=str(tmp_path / "worker-traces")) as executor:
-            result = Sweep(
-                **ACCEPTANCE_GRID, trace_dir=tmp_path / "client-never-made"
-            ).run(executor=executor)
-        stats = result.to_stats()
-        assert _coordinator_telemetry(result)["trace_streams"] == 0
-        assert stats["trace_captures"] == ACCEPTANCE_GROUPS, stats
-        assert stats["trace_hits"] == ACCEPTANCE_POINTS - ACCEPTANCE_GROUPS, stats
-        assert not (tmp_path / "client-never-made").exists()
