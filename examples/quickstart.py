@@ -8,8 +8,8 @@ workload plugin, and drives it with a `Session`: the benchmark is
 interpreted once per configuration, fanning the trace out to the 8 KB
 TAGE-SC-L timing core, with and without Probabilistic Branch Support.
 It then captures the committed path into a trace store, replays it for
-a different predictor with no re-interpretation, and runs a trace-native
-analysis pass over the stored stream.
+a different predictor with no re-interpretation, and attaches an
+analysis pass to a live run.
 
 Run:  python examples/quickstart.py
 
@@ -145,20 +145,21 @@ def main():
               f"second run {replayed.trace_origin}ed it "
               f"in {replayed.wall_time:.3f}s with no interpreter")
 
-        # --- study the stored stream itself (repro.analysis) ---------
-        # A stored trace is a corpus: analysis passes replay it with no
-        # Session at all.  The entropy study shows why PBS works — the
-        # probabilistic branch carries ~0.75 bits/execution that no
-        # predictor can learn; the loop branch carries ~0.  On the
-        # command line: `pbs-experiments analyze`.  Tour: docs/analysis.md.
-        from repro.analysis import analyze_store
+    # --- study the stream itself (repro.analysis) ----------------------
+    # An analysis pass is one more sink on a live run, beside the
+    # predictors.  The entropy study shows why PBS works — the
+    # probabilistic branch carries ~0.9 bits/execution that no
+    # predictor can learn; the loop branch carries ~0.  On the command
+    # line: `pbs-experiments analyze`.  Tour: docs/analysis.md.
+    from repro.analysis import create_analysis
 
-        report = analyze_store(trace_store, passes=["branch-entropy"])[0]
-        print("\nbranch entropy from the stored trace (docs/analysis.md):")
-        for row in report["analyses"]["branch-entropy"]["per_branch"]:
-            kind = "probabilistic" if row["probabilistic"] else "regular"
-            print(f"  pc={row['pc']:<4d} {kind:13s} p(taken)={row['taken_rate']:.3f}"
-                  f"  {row['entropy_bits']:.3f} bits/execution")
+    entropy = create_analysis("branch-entropy")
+    Session("quickstart", scale=SCALE, seed=42).sink(entropy).run()
+    print("\nbranch entropy of a live run (docs/analysis.md):")
+    for row in entropy.result()["per_branch"]:
+        kind = "probabilistic" if row["probabilistic"] else "regular"
+        print(f"  pc={row['pc']:<4d} {kind:13s} p(taken)={row['taken_rate']:.3f}"
+              f"  {row['entropy_bits']:.3f} bits/execution")
 
     print("\nPBS hardware budget (paper Section V-C2):")
     print(hardware_cost().render())

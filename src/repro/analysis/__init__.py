@@ -1,14 +1,16 @@
-"""repro.analysis — trace-native analysis passes.
+"""repro.analysis — analysis passes over the committed-path event stream.
 
-Post-hoc microarchitectural studies over stored committed-path traces:
-one :class:`~repro.trace.TraceReader` pass fans the event stream out to
-any number of registered consumers, with no :class:`~repro.sim.Session`
-and no re-interpretation.  See ``docs/analysis.md``::
+Microarchitectural studies that ride a live run: a pass is a columnar
+sink, so it attaches to a :class:`~repro.sim.Session` next to the
+predictors and cores and sees the same event stream they do.  See
+``docs/analysis.md``::
 
-    from repro.analysis import analyze_store
+    from repro.analysis import create_analysis
+    from repro.sim import Session
 
-    for report in analyze_store(".pbs-traces", passes=["branch-entropy"]):
-        print(report["workload"], report["analyses"]["branch-entropy"]["overall"])
+    entropy = create_analysis("branch-entropy")
+    Session("pi", scale=0.05).sink(entropy).run()
+    print(entropy.result()["overall"])
 
 Five passes ship in :mod:`repro.analysis.passes` (``instruction-mix``,
 ``branch-entropy``, ``taken-rate``, ``mispredicts``, ``working-set``);
@@ -31,13 +33,7 @@ from .passes import (
     WorkingSet,
     direction_entropy,
 )
-from .run import (
-    analyze_store,
-    analyze_trace,
-    default_passes,
-    resolve_passes,
-    select_digests,
-)
+from .run import default_passes, resolve_passes
 
 __all__ = [
     "ANALYSES",
@@ -51,9 +47,6 @@ __all__ = [
     "TakenRateHistogram",
     "WorkingSet",
     "direction_entropy",
-    "analyze_store",
-    "analyze_trace",
     "default_passes",
     "resolve_passes",
-    "select_digests",
 ]

@@ -19,10 +19,10 @@ mirroring ``@register_workload`` / ``@register_predictor``::
         def consume_batch(self, batch): ...
         def result(self): return {...}
 
-``repro analyze`` (the ``pbs-experiments analyze`` subcommand) and
-:func:`~repro.analysis.run.analyze_trace` resolve names through this
-registry; one :class:`~repro.trace.TraceReader` pass fans the event
-stream out to every requested consumer.
+``pbs-experiments analyze`` and
+:func:`~repro.analysis.run.resolve_passes` resolve names through this
+registry; each resolved pass joins a live run as a ``Session.sink``
+consumer, so one run feeds every requested pass.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ class AnalysisPass:
     """One streaming trace consumer: feed batches, then read the result.
 
     Subclasses implement ``consume_batch(batch)`` and :meth:`result`.  A
-    pass that defines only ``__call__(event)`` still works:
-    :func:`~repro.analysis.run.analyze_trace` wraps it in
+    pass that defines only ``__call__(event)`` still works: the
+    session's fan-out wraps it in
     :class:`~repro.functional.trace.PerEventSink`.  A pass instance is
     single use: it accumulates state across the whole stream and is
-    rebuilt for every analyzed trace.
+    rebuilt for every analyzed run.
     """
 
     #: Registry name (set by :func:`register_analysis`).

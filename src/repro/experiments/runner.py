@@ -5,8 +5,7 @@ Subcommands::
     pbs-experiments run all                    # every table and figure
     pbs-experiments run figure6 --scale 0.25 --seed 3 --json
     pbs-experiments sweep --workloads pi,dop --seeds 0,1,2,3 --processes 4
-    pbs-experiments sweep --trace-store .pbs-traces --split-predictors ...
-    pbs-experiments trace ls                   # captured traces
+    pbs-experiments analyze --workloads pi --scales 0.05 --json
     pbs-experiments diff --tiers interp,compiled --programs 200
     pbs-experiments list workloads             # registry contents
 """
@@ -59,6 +58,31 @@ EXPERIMENTS = {
 
 def _csv(text):
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _add_grid_arguments(parser) -> None:
+    """The ``workloads x scales x seeds x modes`` grid and predictor set
+    that ``sweep`` and ``analyze`` both take."""
+    parser.add_argument(
+        "--workloads", type=_csv, default=None,
+        help="comma-separated benchmarks (default: all registered)",
+    )
+    parser.add_argument(
+        "--scales", type=lambda s: [float(x) for x in _csv(s)],
+        default=[DEFAULT_SCALE], help="comma-separated scale factors",
+    )
+    parser.add_argument(
+        "--seeds", type=lambda s: [int(x) for x in _csv(s)],
+        default=[DEFAULT_SEED], help="comma-separated seeds",
+    )
+    parser.add_argument(
+        "--modes", type=_csv, default=["base", "pbs"],
+        help="comma-separated modes from {base, pbs}",
+    )
+    parser.add_argument(
+        "--predictors", type=_csv, default=None,
+        help="comma-separated predictor names (default: paper baselines)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,26 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", help="run a raw parameter grid through repro.sim.Sweep"
     )
-    sweep_parser.add_argument(
-        "--workloads", type=_csv, default=None,
-        help="comma-separated benchmarks (default: all registered)",
-    )
-    sweep_parser.add_argument(
-        "--scales", type=lambda s: [float(x) for x in _csv(s)],
-        default=[DEFAULT_SCALE], help="comma-separated scale factors",
-    )
-    sweep_parser.add_argument(
-        "--seeds", type=lambda s: [int(x) for x in _csv(s)],
-        default=[DEFAULT_SEED], help="comma-separated seeds",
-    )
-    sweep_parser.add_argument(
-        "--modes", type=_csv, default=["base", "pbs"],
-        help="comma-separated modes from {base, pbs}",
-    )
-    sweep_parser.add_argument(
-        "--predictors", type=_csv, default=None,
-        help="comma-separated predictor names (default: paper baselines)",
-    )
+    _add_grid_arguments(sweep_parser)
     sweep_parser.add_argument(
         "--processes", type=int, default=1, help="worker processes"
     )
@@ -186,15 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--cache-dir", type=str, default=".pbs-cache",
         help="on-disk result cache (use '' to disable)",
-    )
-    sweep_parser.add_argument(
-        "--trace-store", type=str, default=None, metavar="DIR",
-        help=(
-            "local trace store directory: each (workload, scale, seed, "
-            "PBS-config) group replays its stored committed path, or is "
-            "interpreted once and captured for a later sweep to replay "
-            "(local executors only)"
-        ),
     )
     sweep_parser.add_argument(
         "--split-predictors", action="store_true",
@@ -241,47 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = subparsers.add_parser(
         "analyze",
-        help="run trace-native analysis passes over stored traces "
-             "(no Session, no re-interpretation)",
+        help="run analysis passes on live runs of a grid; --predictors "
+             "feed the mispredicts pass",
     )
-    analyze_parser.add_argument(
-        "digests", nargs="*", default=[],
-        help="trace digests (or unique prefixes); default: every trace "
-             "matching the selector options",
-    )
-    analyze_parser.add_argument(
-        "--trace-store", type=str, default=".pbs-traces", metavar="DIR",
-        help="trace store directory (default: .pbs-traces)",
-    )
+    _add_grid_arguments(analyze_parser)
     analyze_parser.add_argument(
         "--passes", type=_csv, default=None,
         help="comma-separated analysis passes (default: all registered; "
              "see 'list analyses')",
     )
     analyze_parser.add_argument(
-        "--predictors", type=_csv, default=None,
-        help="predictor names for the mispredicts pass "
-             "(default: paper baselines)",
-    )
-    analyze_parser.add_argument(
         "--top", type=int, default=20, metavar="N",
         help="rows per per-branch table (0 = unlimited; default 20)",
-    )
-    analyze_parser.add_argument(
-        "--workloads", type=_csv, default=None,
-        help="sweep selector: only traces of these workloads",
-    )
-    analyze_parser.add_argument(
-        "--scales", type=lambda s: [float(x) for x in _csv(s)], default=None,
-        help="sweep selector: only traces at these scales",
-    )
-    analyze_parser.add_argument(
-        "--seeds", type=lambda s: [int(x) for x in _csv(s)], default=None,
-        help="sweep selector: only traces with these seeds",
-    )
-    analyze_parser.add_argument(
-        "--modes", type=_csv, default=None,
-        help="sweep selector: only traces in these modes {base, pbs}",
     )
     analyze_parser.add_argument(
         "--json", action="store_true",
@@ -342,35 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the machine-readable report instead of text",
     )
 
-    trace_parser = subparsers.add_parser(
-        "trace", help="inspect and maintain a committed-path trace store"
-    )
-    trace_parser.add_argument(
-        "action", choices=["ls", "info", "gc"],
-        help="ls: list traces; info: one trace's metadata; gc: drop "
-             "unreadable/stale traces (--all clears the store)",
-    )
-    trace_parser.add_argument(
-        "digest", nargs="?", default=None,
-        help="trace digest (or unique prefix) for 'info'",
-    )
-    trace_parser.add_argument(
-        "--trace-store", type=str, default=".pbs-traces", metavar="DIR",
-        help="trace store directory (default: .pbs-traces)",
-    )
-    trace_parser.add_argument(
-        "--all", action="store_true",
-        help="with gc: remove every trace, not just stale ones",
-    )
-    trace_parser.add_argument(
-        "--max-bytes", default=None, metavar="SIZE",
-        help="with gc: evict least-recently-used traces until the store "
-             "fits SIZE (e.g. 500000, 64M, 2G)",
-    )
-    trace_parser.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of a table",
-    )
     return parser
 
 
@@ -451,7 +389,6 @@ def _cmd_sweep(args) -> int:
         modes=args.modes,
         predictors=args.predictors,
         cache_dir=args.cache_dir or None,
-        trace_dir=args.trace_store or None,
         split_predictors=args.split_predictors,
         engine=args.engine,
     )
@@ -462,12 +399,7 @@ def _cmd_sweep(args) -> int:
 
         def on_result(spec, result):
             done["count"] += 1
-            if result.cached:
-                origin = "cache"
-            elif result.trace_origin == "replay":
-                origin = f"replay {result.wall_time:.1f}s"
-            else:
-                origin = f"{result.wall_time:.1f}s"
+            origin = "cache" if result.cached else f"{result.wall_time:.1f}s"
             print(
                 f"[{done['count']}/{total}] {spec.workload} "
                 f"scale={spec.scale:g} seed={spec.seed} {spec.mode} "
@@ -475,11 +407,6 @@ def _cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
 
-    if args.trace_store and (args.coordinator or args.executor == "http"):
-        raise SystemExit(
-            "--trace-store needs a local executor: trace stores are "
-            "local and traces never cross the wire"
-        )
     executor, owned = _resolve_executor(args)
     try:
         results = sweep.run(
@@ -516,12 +443,6 @@ def _cmd_sweep(args) -> int:
                 f"{result.workload:10s} scale={result.scale:<5g} "
                 f"seed={result.seed:<3d} {mode:4s}  mpki: {mpki}  [{origin}]"
             )
-    trace_note = ""
-    if results.trace_captures or results.trace_hits:
-        trace_note = (
-            f" ({results.trace_captures} from captures, "
-            f"{results.trace_hits} from replays)"
-        )
     engine_note = ""
     if results.engine_used:
         tiers = ", ".join(
@@ -530,7 +451,7 @@ def _cmd_sweep(args) -> int:
         )
         engine_note = f", tiers: {tiers}"
     print(
-        f"[{len(results)} runs: {results.simulated} simulated{trace_note}, "
+        f"[{len(results)} runs: {results.simulated} simulated, "
         f"{results.cache_hits} from cache{engine_note}, "
         f"{results.wall_time:.1f}s]",
         file=sys.stderr,
@@ -541,7 +462,7 @@ def _cmd_sweep(args) -> int:
 def _render_report(report) -> str:
     """Human rendering of one analyze report (``--json`` skips this)."""
     lines = [
-        f"trace {report['digest'][:12]}  {report['workload']} "
+        f"{report['workload']} "
         f"scale={report['scale']:g} seed={report['seed']} {report['mode']}  "
         f"({report['events']} events)"
     ]
@@ -609,12 +530,8 @@ def _render_report(report) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    from pathlib import Path
+    from ..analysis import analysis_names, resolve_passes
 
-    from ..analysis import analysis_names, analyze_store
-
-    if not Path(args.trace_store).is_dir():
-        raise SystemExit(f"no trace store at {args.trace_store!r}")
     passes = args.passes or analysis_names()
     unknown = sorted(set(passes) - set(analysis_names()))
     if unknown:
@@ -628,113 +545,34 @@ def _cmd_analyze(args) -> int:
         options["mispredicts"] = {"predictors": args.predictors, "top": top}
     if "branch-entropy" in passes:
         options["branch-entropy"] = {"top": top}
-    selector = {}
-    if args.workloads:
-        selector["workload"] = args.workloads
-    if args.scales:
-        selector["scale"] = args.scales
-    if args.seeds:
-        selector["seed"] = args.seeds
-    if args.modes:
-        selector["mode"] = args.modes
-    try:
-        reports = analyze_store(
-            args.trace_store,
-            digests=args.digests or None,
-            passes=passes,
-            selector=selector or None,
-            **options,
-        )
-    except LookupError as exc:
-        raise SystemExit(str(exc)) from None
+    # The passes are the only consumers: no predictor harness runs
+    # beside them, so a point costs one engine run plus its passes.
+    grid = Sweep(workloads=args.workloads, scales=args.scales,
+                 seeds=args.seeds, modes=args.modes, predictors=())
+    reports = []
+    for spec in grid.specs():
+        session = spec.session()
+        sinks = resolve_passes(passes, **options)
+        for sink in sinks:
+            session.sink(sink)
+        result = session.run()
+        reports.append({
+            "workload": spec.workload,
+            "scale": spec.scale,
+            "seed": spec.seed,
+            "mode": spec.mode,
+            "instructions": result.instructions,
+            # One event per retired instruction (the sink contract).
+            "events": result.instructions,
+            "analyses": {sink.name: sink.result() for sink in sinks},
+        })
     if args.json:
         print(json.dumps(reports, indent=2, sort_keys=True))
-        return 0
-    if not reports:
-        print(f"(no traces match in {args.trace_store})")
         return 0
     for report in reports:
         print(_render_report(report))
         print()
-    print(f"[{len(reports)} traces analyzed from {args.trace_store}]",
-          file=sys.stderr)
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from pathlib import Path
-
-    from ..trace import TraceStore, read_meta
-
-    if not Path(args.trace_store).is_dir():
-        # Creating stores is the sweep's job; an inspection command on a
-        # missing path is almost certainly a typo, not a request for an
-        # empty directory.
-        raise SystemExit(f"no trace store at {args.trace_store!r}")
-    store = TraceStore(args.trace_store)
-    if args.action == "ls":
-        entries = [store.entry(digest) or {"digest": digest}
-                   for digest in store.digests()]
-        if args.json:
-            print(json.dumps(entries, indent=2, sort_keys=True))
-            return 0
-        if not entries:
-            print(f"(no traces in {store.root})")
-            return 0
-        print(f"{'digest':12s}  {'workload':10s} {'scale':>6s} {'seed':>4s} "
-              f"{'mode':4s} {'events':>10s} {'bytes':>10s}")
-        total_bytes = 0
-        for entry in entries:
-            total_bytes += entry.get("bytes") or 0
-            print(
-                f"{entry['digest'][:12]:12s}  "
-                f"{str(entry.get('workload', '?')):10s} "
-                f"{str(entry.get('scale', '?')):>6s} "
-                f"{str(entry.get('seed', '?')):>4s} "
-                f"{str(entry.get('mode', '?')):4s} "
-                f"{str(entry.get('events', '?')):>10s} "
-                f"{str(entry.get('bytes', '?')):>10s}"
-            )
-        print(f"[{len(entries)} traces, {total_bytes} bytes in {store.root}]",
-              file=sys.stderr)
-        return 0
-    if args.action == "info":
-        if not args.digest:
-            raise SystemExit("trace info needs a digest (see 'trace ls')")
-        matches = store.digests(args.digest)
-        if len(matches) != 1:
-            raise SystemExit(
-                f"{len(matches)} traces match {args.digest!r}; "
-                "need a unique digest prefix"
-            )
-        digest = matches[0]
-        meta = read_meta(store.path(digest))
-        if meta is None:
-            raise SystemExit(f"trace {digest} is unreadable (try 'trace gc')")
-        consumed = meta.pop("consumed_values", None)
-        info = {
-            "digest": digest,
-            "path": str(store.path(digest)),
-            "bytes": store.path(digest).stat().st_size,
-            "consumed_values": len(consumed or []),
-            **meta,
-        }
-        print(json.dumps(info, indent=2, sort_keys=True))
-        return 0
-    # gc
-    max_bytes = None
-    if args.max_bytes is not None:
-        from ..storage import parse_size
-
-        try:
-            max_bytes = parse_size(args.max_bytes)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    summary = store.gc(clear=args.all, max_bytes=max_bytes)
-    print(json.dumps(summary, indent=2, sort_keys=True) if args.json else
-          f"[gc: removed {summary['removed']}, evicted {summary['evicted']}, "
-          f"kept {summary['kept']}, "
-          f"reclaimed {summary['reclaimed_bytes']} bytes]")
+    print(f"[{len(reports)} runs analyzed]", file=sys.stderr)
     return 0
 
 
@@ -885,8 +723,6 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
     if args.command == "diff":

@@ -255,6 +255,7 @@ class HttpExecutor(Executor):
             if engine:
                 result.engine_used = str(engine)
                 result.compiled_hit = bool(entry.get("engine_hit"))
+            result.sink_batches = int(entry.get("sink_batches", 0))
             results[index] = result
             self.completed += 1
             if on_result is not None:

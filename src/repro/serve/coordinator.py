@@ -582,12 +582,14 @@ class Coordinator:
                 self._enforce_cache_budget(task.digest)
         self._finish_task(task, result_dict, cached,
                           engine=message.get("engine"),
-                          engine_hit=bool(message.get("engine_hit")))
+                          engine_hit=bool(message.get("engine_hit")),
+                          sink_batches=int(message.get("sink_batches") or 0))
         self._dispatch()
 
     def _finish_task(self, task: _Task, result_dict: Dict,
                      cached: bool, engine=None,
-                     engine_hit: bool = False) -> None:
+                     engine_hit: bool = False,
+                     sink_batches: int = 0) -> None:
         task.done = True
         self._active.pop(task.digest, None)
         if cached:
@@ -604,6 +606,9 @@ class Coordinator:
             if engine:
                 entry["engine"] = engine
                 entry["engine_hit"] = engine_hit
+            if position == 0 and sink_batches:
+                # The run's batches count once, for the spec that ran.
+                entry["sink_batches"] = sink_batches
             job.deliver(entry)
 
     def _worker_error(self, link: _WorkerLink, message: Dict) -> None:

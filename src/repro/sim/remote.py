@@ -34,9 +34,10 @@ Message frames
                       sha256}``
 ``result``            ``{"id": n, "result": RunResult.to_dict(),
                       "cached": bool}`` plus ``"engine"``/
-                      ``"engine_hit"``: which execution tier ran the
-                      spec, and whether it reused generated code
-                      (absent on a cache hit)
+                      ``"engine_hit"``/``"sink_batches"``: which
+                      execution tier ran the spec, whether it reused
+                      generated code, and how many event batches its
+                      sinks received (absent on a cache hit)
 ``error``             ``{"message": str}`` plus ``"id"`` when tied to
                       one spec
 ``heartbeat``         worker -> coordinator: renews the worker's leases
@@ -468,6 +469,7 @@ class CoordinatorWorker:
                     "result": result.to_dict(), "cached": False,
                     "engine": result.engine_used,
                     "engine_hit": result.compiled_hit,
+                    "sink_batches": result.sink_batches,
                 })
             finally:
                 self._end_run()

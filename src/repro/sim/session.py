@@ -392,9 +392,9 @@ def run_group(sessions: Sequence[Session]) -> List[RunResult]:
                 return _replay(sessions, reader)
             except (OSError, TraceFormatError):
                 # The trace vanished or broke between open() and the
-                # event stream — e.g. a concurrent `trace gc
-                # --max-bytes` evicted it.  auto mode falls back to a
-                # fresh interpretation (and recapture) instead of
+                # event stream — e.g. the store was deleted by hand
+                # while the run was starting.  auto mode falls back to
+                # a fresh interpretation (and recapture) instead of
                 # failing the run.
                 pass
         elif lead._trace_mode == "replay":

@@ -1,24 +1,11 @@
-"""Shared on-disk layout for content-addressed stores.
+"""Helpers shared by the on-disk content-addressed stores.
 
 Both the sweep :class:`~repro.sim.cache.ResultCache` and the
 :class:`~repro.trace.TraceStore` keep one file per entry, named by the
 SHA-256 digest of the entry's canonical key and **sharded** into 256
-subdirectories by digest prefix::
-
-    <root>/
-        manifest.jsonl          # one line per entry: digest + metadata
-        3f/3f9a...e1<suffix>
-        a0/a07c...42<suffix>
-
-Sharding keeps directory listings fast at millions of entries, and the
-append-only ``manifest.jsonl`` index gives O(1) ``len()``, ``stats()``
-and digest-prefix lookup without touching the shard directories.  Entry
-writes go through a per-process temp file and an atomic ``os.replace``,
-and manifest appends are single ``O_APPEND`` writes, so concurrent
-writers — even racing on the same digest — never corrupt the store.
-
-:class:`ShardedStore` implements exactly this machinery once; the two
-stores subclass it with their own entry ``suffix`` and codec.
+subdirectories by digest prefix (``<root>/3f/3f9a...e1<suffix>``), and
+publish each file through a per-writer temp file and an atomic
+``os.replace``, so writers racing on one digest never corrupt it.
 """
 
 from __future__ import annotations
@@ -28,20 +15,25 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 #: Hex characters of the digest used as the shard directory name.
 SHARD_CHARS = 2
-
-MANIFEST_NAME = "manifest.jsonl"
-
-_DIGEST_LEN = 64  # hex SHA-256
 
 
 def canonical_digest(payload: Dict) -> str:
     """Stable SHA-256 of a canonical (JSON-serializable) key payload."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def temp_path(path: Path) -> Path:
+    """A per-writer staging file next to ``path``: writers racing on one
+    digest each stage their own file, and the atomic replaces leave
+    whichever finished last."""
+    return path.with_name(
+        f".{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
 
 
 #: Suffix multipliers for :func:`parse_size` (binary, like ``ls -h``).
@@ -91,229 +83,3 @@ def parse_size(text: Union[str, int]) -> int:
     if size < 0:
         raise ValueError(f"size may not be negative, got {text!r}")
     return size
-
-
-def looks_like_digest(stem: str) -> bool:
-    if len(stem) != _DIGEST_LEN:
-        return False
-    return all(ch in "0123456789abcdef" for ch in stem)
-
-
-class ShardedStore:
-    """A sharded directory of ``<digest[:2]>/<digest><suffix>`` files.
-
-    Subclasses set :attr:`suffix` and layer their own entry codec
-    (``get``/``put``) on top of :meth:`write_entry` and
-    :meth:`entry_path`; everything below — sharding, the manifest
-    index, atomic writes, ``clear()`` — is shared.
-    """
-
-    #: Filename suffix of one entry (".json", ".trace", ...).
-    suffix = ".json"
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self._index: Optional[Dict[str, Dict]] = None
-        self._post_open()
-        if not self.manifest_path.exists():
-            # Rebuild the index from the shards now, before any put()
-            # writes an entry the rebuild scan could mistake for a
-            # pre-existing metadata-less one.  When a manifest exists
-            # the index loads lazily — the fully-warm read path (get()
-            # only) never pays for reading it.
-            self._load_index()
-
-    def _post_open(self) -> None:
-        """Subclass hook run before the index check (e.g. migrations)."""
-
-    # -- layout ---------------------------------------------------------
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
-
-    def path(self, digest: str) -> Path:
-        return self.root / digest[:SHARD_CHARS] / f"{digest}{self.suffix}"
-
-    def _entry_meta(self, digest: str) -> Dict:
-        """Manifest entry for ``digest`` recovered from the stored file
-        (pre-manifest entries: migration, rebuild).  Subclasses enrich."""
-        return {"digest": digest}
-
-    # -- manifest index -------------------------------------------------
-
-    def _load_index(self) -> Dict[str, Dict]:
-        """digest -> manifest entry, loaded lazily from ``manifest.jsonl``.
-
-        Lines for one digest are **merged**, later keys winning — so a
-        minimal later line (e.g. a last-used stamp) updates its fields
-        without erasing the richer metadata of the original entry.  A
-        truncated trailing line from a crashed writer is skipped.  When
-        the manifest is missing but shards exist — deleted by hand, or
-        an older store — it is rebuilt from the shard listing.
-        """
-        if self._index is not None:
-            return self._index
-        index: Dict[str, Dict] = {}
-        if self.manifest_path.exists():
-            for line in self.manifest_path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                digest = entry.get("digest")
-                if digest:
-                    merged = index.get(digest)
-                    index[digest] = (
-                        {**merged, **entry} if merged is not None else entry
-                    )
-        else:
-            for path in sorted(self.root.glob(f"??/*{self.suffix}")):
-                if looks_like_digest(path.stem):
-                    index[path.stem] = self._entry_meta(path.stem)
-            if index:
-                with open(self.manifest_path, "a") as handle:
-                    for entry in index.values():
-                        handle.write(
-                            json.dumps(entry, sort_keys=True) + "\n"
-                        )
-        self._index = index
-        return index
-
-    def _record(self, digest: str, entry: Dict) -> None:
-        if self._index is None:
-            # Index not loaded: append without paying the O(entries)
-            # manifest parse just to dedup one line — duplicate lines
-            # are tolerated on read (later lines win).
-            self._append(entry)
-            return
-        existing = self._index.get(digest)
-        if existing is not None and len(existing) >= len(entry):
-            return  # already indexed with at least as much metadata
-        self._index[digest] = entry
-        self._append(entry)
-
-    def _record_unconditionally(self, digest: str, entry: Dict) -> None:
-        """Index + append ``entry`` even when a richer one exists — for
-        metadata that moves backwards in size but forwards in time
-        (e.g. last-used stamps)."""
-        if self._index is not None:
-            self._index[digest] = entry
-        self._append(entry)
-
-    def _append(self, entry: Dict) -> None:
-        # A single small O_APPEND write: atomic on POSIX, so concurrent
-        # writers interleave whole lines rather than corrupting them.
-        with open(self.manifest_path, "a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    # -- entries --------------------------------------------------------
-
-    def write_entry(self, digest: str, payload: Union[str, bytes],
-                    meta: Optional[Dict] = None) -> Path:
-        """Atomically write one entry and index it in the manifest."""
-        path = self.path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Per-writer temp name: two writers racing on one digest each
-        # stage their own file, and the atomic replaces leave whichever
-        # finished last — both wrote identical content anyway.
-        tmp = path.with_name(
-            f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        try:
-            if isinstance(payload, bytes):
-                tmp.write_bytes(payload)
-            else:
-                tmp.write_text(payload)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)  # only present if the write failed
-        entry = {"digest": digest}
-        entry.update(meta or {})
-        self._record(digest, entry)
-        return path
-
-    def digests(self, prefix: str = "") -> List[str]:
-        """All indexed digests starting with ``prefix``, sorted."""
-        # Snapshot before filtering: another thread recording an entry
-        # mid-iteration must not raise "dict changed size".
-        return sorted(
-            d for d in list(self._load_index()) if d.startswith(prefix)
-        )
-
-    def entry(self, digest: str) -> Optional[Dict]:
-        """The manifest entry for ``digest``, or ``None``."""
-        return self._load_index().get(digest)
-
-    def stats(self) -> Dict:
-        """Index-backed summary: entry/shard counts, session hit rates."""
-        index = self._load_index()
-        shards = {digest[:SHARD_CHARS] for digest in list(index)}
-        return {
-            "entries": len(index),
-            "shards": len(shards),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def remove(self, digest: str) -> bool:
-        """Drop one entry's file and forget it in the in-memory index.
-
-        The manifest keeps its (now stale) line until the next rebuild;
-        readers treat a missing file as a plain miss.
-        """
-        index = self._load_index()
-        existed = self.path(digest).exists()
-        self.path(digest).unlink(missing_ok=True)
-        index.pop(digest, None)
-        return existed
-
-    def compact(self) -> None:
-        """Rewrite the manifest from the in-memory index.
-
-        Used after :meth:`remove` batches (gc) so stale lines do not
-        resurrect deleted entries on the next open.  Not safe against
-        concurrent writers — compaction is an offline operation.
-        """
-        index = self._load_index()
-        tmp = self.manifest_path.with_name(
-            f".{MANIFEST_NAME}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        try:
-            with open(tmp, "w") as handle:
-                # Snapshot: a concurrent writer appending to the index
-                # mid-compaction must not crash the iteration (its entry
-                # either makes this compaction or the next gc's).
-                for entry in list(index.values()):
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            os.replace(tmp, self.manifest_path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    def clear(self) -> int:
-        removed = 0
-        for shard in self.root.glob("??"):
-            if not shard.is_dir():
-                continue
-            for path in shard.iterdir():
-                if path.is_file():
-                    if path.suffix == self.suffix:
-                        removed += 1
-                    path.unlink()  # entries and stray .tmp files alike
-            if not any(shard.iterdir()):
-                shard.rmdir()
-        self.manifest_path.unlink(missing_ok=True)
-        self._index = {}
-        return removed
-
-    def __len__(self) -> int:
-        return len(self._load_index())
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._load_index()

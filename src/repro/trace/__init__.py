@@ -9,16 +9,17 @@ semantics.  This package makes that stream a first-class artifact:
 * :class:`TraceWriter` / :class:`TraceReader` — a compact struct-packed
   binary file format (versioned header, zlib-compressed frames, O(1)
   metadata access);
-* :class:`TraceStore` — a content-addressed, sharded on-disk store
+* :class:`TraceStore` — a content-addressed directory of trace files
   keyed by :func:`trace_digest` of ``(workload, scale, seed, PBS
-  config)``, sharing the :class:`~repro.storage.ShardedStore` layout
-  with the sweep result cache.
+  config)``, sharded like the sweep result cache but with no index and
+  no eviction: a scratch directory, deleted by hand.
 
 :class:`~repro.sim.Session` and :class:`~repro.sim.Sweep` build on it:
 ``Session.trace(store)`` captures on first run and replays after;
 ``Sweep(trace_dir=...)`` interprets each trace group once, capturing
 its trace for a later sweep to replay.  Stores are local: a trace
-never crosses the wire to a worker.  See ``docs/traces.md``.
+never crosses the wire to a worker.  Analyses run on live sessions
+(:mod:`repro.analysis`), not on stored traces.  See ``docs/traces.md``.
 """
 
 from .format import (
@@ -26,7 +27,6 @@ from .format import (
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    read_meta,
     unpack_events_batch,
 )
 from .store import (
@@ -41,7 +41,6 @@ __all__ = [
     "TraceFormatError",
     "TraceReader",
     "TraceWriter",
-    "read_meta",
     "unpack_events_batch",
     "TraceCapture",
     "TraceStore",

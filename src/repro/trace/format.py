@@ -19,8 +19,8 @@ zlib-compressed when the header flag is set.  ``next_pc`` is never
 stored: on the committed path it is always either ``pc + 1`` or the
 branch target, so one flag bit reconstructs it exactly.
 
-The trailer makes metadata reads O(1): ``repro trace info`` and the
-store's manifest rebuild never decode event frames.
+The trailer makes metadata reads O(1): opening a reader never decodes
+event frames.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from ..functional.trace import EventBatch, as_batch_sink
 from ..isa.opcodes import OP_CLASS, Op
@@ -339,10 +339,6 @@ class TraceReader:
                 ) from None
         return kind, payload
 
-    @property
-    def events_count(self) -> int:
-        return int(self.meta.get("events", 0))
-
     def _event_payloads(self) -> Iterator[bytes]:
         """Stream the raw (decompressed) event-frame payloads."""
         with open(self.path, "rb") as handle:
@@ -371,10 +367,3 @@ class TraceReader:
             batch.clear()
         return count
 
-
-def read_meta(path: Union[str, Path]) -> Optional[Dict]:
-    """Metadata of a trace file, or ``None`` if it is unreadable."""
-    try:
-        return TraceReader(path).meta
-    except (OSError, TraceFormatError):
-        return None

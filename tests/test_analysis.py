@@ -1,7 +1,8 @@
 """Tests for repro.analysis: the pass registry, the built-in passes over
-synthetic and real streams, store selection, and the `analyze` CLI —
-including the golden-locked guarantee that the mispredicts pass
-reproduces a live Session's counters bit-identically."""
+synthetic and real streams, and the live `analyze` CLI — including the
+golden-locked guarantee that the mispredicts pass reproduces a
+Session's predictor counters bit-identically, and that a live run feeds
+every pass exactly what a replay of its captured trace does."""
 
 import contextlib
 import io
@@ -13,22 +14,36 @@ import pytest
 from repro.analysis import (
     AnalysisPass,
     analysis_names,
-    analyze_store,
-    analyze_trace,
     create_analysis,
     direction_entropy,
     register_analysis,
-    select_digests,
+    resolve_passes,
 )
 from repro.analysis.base import ANALYSES
 from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RunResult, Session
+from repro.sim.session import FanOut
 from repro.trace import TraceStore
 
 from .golden import GOLDEN_DIR, GOLDEN_PREDICTORS, GOLDEN_SCALE
 
 SCALE = 0.02
+
+
+def _analyze(argv):
+    """``pbs-experiments analyze ... --json``, parsed."""
+    from repro.experiments.runner import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["analyze", *argv, "--json"]) == 0
+    return json.loads(buffer.getvalue())
+
+
+def _grid(workload="pi", scale=SCALE, seeds="1", modes="base"):
+    return ["--workloads", workload, "--scales", str(scale),
+            "--seeds", seeds, "--modes", modes]
 
 
 def _event(**overrides) -> TraceEvent:
@@ -61,7 +76,7 @@ class TestRegistry:
         with pytest.raises(KeyError, match="registered passes"):
             create_analysis("no-such-study")
 
-    def test_custom_pass_plugs_in_everywhere(self, tmp_path):
+    def test_custom_pass_plugs_in_everywhere(self):
         @register_analysis("event-count")
         class EventCount(AnalysisPass):
             def __init__(self):
@@ -74,11 +89,11 @@ class TestRegistry:
                 return {"events": self.events}
 
         try:
-            store = TraceStore(tmp_path)
-            session = Session("pi", scale=SCALE, seed=1).trace(store)
-            session.run()
-            report = analyze_store(store, passes=["event-count"])[0]
+            (report,) = _analyze(_grid() + ["--passes", "event-count"])
             assert report["analyses"]["event-count"]["events"] == report["events"]
+            live = resolve_passes(["event-count"])[0]
+            result = Session("pi", scale=SCALE, seed=1).sink(live).run()
+            assert live.result()["events"] == result.instructions
         finally:
             del ANALYSES["event-count"]
 
@@ -176,9 +191,9 @@ class TestPassesOnSyntheticStreams:
 
 
 class TestMispredictsGoldenLock:
-    """`repro analyze` over a stored trace must reproduce the
-    branch-mispredict counts of the equivalent Session run
-    bit-identically — locked against the golden corpus fixtures."""
+    """`pbs-experiments analyze` must reproduce the branch-mispredict
+    counts of the equivalent Session run bit-identically — locked
+    against the golden corpus fixtures."""
 
     AGGREGATE_FIELDS = (
         "instructions", "regular_branches", "regular_mispredicts",
@@ -188,20 +203,16 @@ class TestMispredictsGoldenLock:
     @pytest.mark.parametrize("fixture", [
         "pi-base-seed1.json", "pi-pbs-seed1.json", "dop-base-seed1.json",
     ])
-    def test_counts_match_golden_fixture(self, tmp_path, fixture):
+    def test_counts_match_golden_fixture(self, fixture):
         golden = RunResult.from_dict(
             json.loads((GOLDEN_DIR / fixture).read_text())
         )
-        store = TraceStore(tmp_path)
-        session = Session(golden.workload, scale=GOLDEN_SCALE, seed=golden.seed)
-        if golden.pbs:
-            session.pbs()
-        session.trace(store).run()
-
-        report = analyze_store(
-            store, passes=["mispredicts"],
-            **{"mispredicts": {"predictors": GOLDEN_PREDICTORS}},
-        )[0]
+        (report,) = _analyze(
+            _grid(golden.workload, GOLDEN_SCALE, str(golden.seed),
+                  "pbs" if golden.pbs else "base")
+            + ["--passes", "mispredicts",
+               "--predictors", ",".join(GOLDEN_PREDICTORS)]
+        )
         for name in GOLDEN_PREDICTORS:
             fixture_metrics = golden.predictor(name)
             analyzed = report["analyses"]["mispredicts"][name]
@@ -211,136 +222,111 @@ class TestMispredictsGoldenLock:
                 )
             assert analyzed["mpki"] == fixture_metrics.mpki
 
-    def test_per_branch_breakdown_sums_to_aggregate(self, tmp_path):
-        store = TraceStore(tmp_path)
-        Session("pi", scale=SCALE, seed=1).trace(store).run()
-        report = analyze_store(
-            store, passes=["mispredicts"],
-            **{"mispredicts": {"predictors": ("tournament",), "top": None}},
-        )[0]
+    def test_per_branch_breakdown_sums_to_aggregate(self):
+        (report,) = _analyze(_grid() + [
+            "--passes", "mispredicts", "--predictors", "tournament",
+            "--top", "0",
+        ])
         data = report["analyses"]["mispredicts"]["tournament"]
         assert sum(row["mispredicts"] for row in data["per_branch"]) == (
             data["regular_mispredicts"] + data["prob_mispredicts"]
         )
 
 
-class TestStoreSelection:
-    @pytest.fixture()
-    def store(self, tmp_path):
-        store = TraceStore(tmp_path)
-        for workload, seed in (("pi", 0), ("pi", 1), ("dop", 0)):
-            Session(workload, scale=SCALE, seed=seed).trace(store).run()
-        return store
-
-    def test_selects_everything_by_default(self, store):
-        assert len(select_digests(store)) == 3
-
-    def test_prefix_and_selector_compose(self, store):
-        digests = select_digests(store, workload="pi")
-        assert len(digests) == 2
-        assert select_digests(store, seed=0, workload="dop") != []
-        assert select_digests(store, [digests[0][:8]]) == [digests[0]]
-        assert select_digests(store, workload=["pi", "dop"], seed=1) != []
-        assert select_digests(store, workload="greeks") == []
-
-    def test_unknown_prefix_raises(self, store):
-        with pytest.raises(LookupError):
-            select_digests(store, ["zz-no-such"])
-
-    def test_reports_carry_identity(self, store):
-        reports = analyze_store(store, passes=["instruction-mix"],
-                                selector={"workload": "dop"})
-        assert len(reports) == 1
-        report = reports[0]
-        assert report["workload"] == "dop" and report["mode"] == "base"
-        assert report["digest"] in store
-        assert report["events"] == report["analyses"][
-            "instruction-mix"]["instructions"]
-
-
 class TestAnalysisIsStreamEquivalent:
     def test_pass_as_live_sink_matches_stored_analysis(self, tmp_path):
-        """A pass fed live by Session.sink() sees the same stream replay
-        feeds it — analysis composes with capture."""
+        """A pass fed live by Session.sink() sees the same stream a
+        replay of the run's captured trace feeds it — analysis composes
+        with capture."""
         store = TraceStore(tmp_path)
         live = create_analysis("branch-entropy")
-        Session("pi", scale=SCALE, seed=4).sink(live).trace(store).run()
-        stored = analyze_store(store, passes=["branch-entropy"])[0]
-        assert live.result() == stored["analyses"]["branch-entropy"]
+        session = Session("pi", scale=SCALE, seed=4).sink(live).trace(store)
+        session.run()
+        replayed = create_analysis("branch-entropy")
+        store.open(session.trace_digest()).replay(replayed)
+        assert live.result() == replayed.result()
 
-    def test_single_reader_pass_feeds_all_consumers(self, tmp_path):
-        store = TraceStore(tmp_path)
-        Session("pi", scale=SCALE, seed=4).trace(store).run()
-        digest = store.digests()[0]
-        report = analyze_trace(store.path(digest),
-                               passes=["instruction-mix", "working-set"])
+    def test_single_reader_pass_feeds_all_consumers(self):
+        """One run feeds every requested pass."""
+        (report,) = _analyze(_grid() + [
+            "--passes", "instruction-mix,working-set",
+        ])
         assert set(report["analyses"]) == {"instruction-mix", "working-set"}
         assert report["events"] == report["analyses"][
             "instruction-mix"]["instructions"]
 
 
-class TestAnalyzeCLI:
-    def _main(self, argv):
-        from repro.experiments.runner import main
+class TestLiveMatchesReplay:
+    """For every registered pass, the live `analyze` report equals the
+    same passes fed by a replay of a trace captured for that point."""
 
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = main(argv)
-        return code, buffer.getvalue()
-
-    @pytest.fixture()
-    def store_dir(self, tmp_path):
+    @pytest.mark.parametrize("workload", ["pi", "dop"])
+    def test_every_pass_matches_a_replayed_trace(self, tmp_path, workload):
+        reports = _analyze(_grid(workload, 0.05, modes="base,pbs"))
+        assert [report["mode"] for report in reports] == ["base", "pbs"]
         store = TraceStore(tmp_path)
-        for seed in (0, 1):
-            Session("pi", scale=SCALE, seed=seed).trace(store).run()
-        return str(tmp_path)
+        for report in reports:
+            session = Session(workload, scale=0.05, seed=1)
+            if report["mode"] == "pbs":
+                session.pbs()
+            session.trace(store, mode="capture").run()
+            # The CLI's defaults: every pass, per-branch tables of 20.
+            passes = resolve_passes(
+                analysis_names(),
+                mispredicts={"predictors": None, "top": 20},
+                **{"branch-entropy": {"top": 20}},
+            )
+            reader = store.open(session.trace_digest())
+            assert reader.replay(FanOut(passes)) == report["events"]
+            assert report["instructions"] == reader.meta["instructions"]
+            assert report["analyses"] == {
+                analysis.name: analysis.result() for analysis in passes
+            }
 
-    def test_json_reports(self, store_dir):
-        code, out = self._main([
-            "analyze", "--trace-store", store_dir,
+
+class TestAnalyzeCLI:
+    GRID = _grid(seeds="0,1")
+
+    def test_json_reports(self):
+        reports = _analyze(self.GRID + [
             "--passes", "branch-entropy,mispredicts",
-            "--predictors", "tournament", "--json",
+            "--predictors", "tournament",
         ])
-        assert code == 0
-        reports = json.loads(out)
         assert len(reports) == 2
         for report in reports:
             assert set(report["analyses"]) == {"branch-entropy", "mispredicts"}
             assert list(report["analyses"]["mispredicts"]) == ["tournament"]
             overall = report["analyses"]["branch-entropy"]["overall"]
             assert overall["total_entropy_bits"] > 0
+            assert list(report) == sorted([
+                "workload", "scale", "seed", "mode", "instructions",
+                "events", "analyses",
+            ])
 
-    def test_json_is_deterministic(self, store_dir):
-        first = self._main(["analyze", "--trace-store", store_dir, "--json"])
-        second = self._main(["analyze", "--trace-store", store_dir, "--json"])
-        assert first == second
+    def test_json_is_deterministic(self):
+        assert _analyze(self.GRID) == _analyze(self.GRID)
 
-    def test_selector_filters(self, store_dir):
-        code, out = self._main([
-            "analyze", "--trace-store", store_dir, "--seeds", "1",
-            "--passes", "instruction-mix", "--json",
+    def test_selector_filters(self):
+        reports = _analyze([
+            "--workloads", "pi,dop", "--scales", str(SCALE), "--seeds", "1",
+            "--modes", "pbs", "--passes", "instruction-mix",
         ])
-        assert code == 0
-        (report,) = json.loads(out)
-        assert report["seed"] == 1
+        assert [(r["workload"], r["seed"], r["mode"]) for r in reports] == [
+            ("pi", 1, "pbs"), ("dop", 1, "pbs"),
+        ]
 
-    def test_human_rendering_mentions_every_pass(self, store_dir, capsys):
+    def test_human_rendering_mentions_every_pass(self, capsys):
         from repro.experiments.runner import main
 
-        assert main(["analyze", "--trace-store", store_dir]) == 0
+        assert main(["analyze", *self.GRID]) == 0
         out = capsys.readouterr().out
         for fragment in ("instruction-mix", "branch-entropy", "taken-rate",
-                         "mispredicts", "trace "):
+                         "mispredicts", "pi scale=0.02 seed=0 base"):
             assert fragment in out
 
-    def test_unknown_pass_fails_cleanly(self, store_dir):
+    def test_unknown_pass_fails_cleanly(self):
         with pytest.raises(SystemExit, match="unknown analysis"):
-            self._main(["analyze", "--trace-store", store_dir,
-                        "--passes", "nope"])
-
-    def test_missing_store_fails_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="no trace store"):
-            self._main(["analyze", "--trace-store", str(tmp_path / "absent")])
+            _analyze(self.GRID + ["--passes", "nope"])
 
     def test_listed_in_registry_listing(self, capsys):
         from repro.experiments.runner import main
@@ -350,13 +336,11 @@ class TestAnalyzeCLI:
         assert "branch-entropy" in out and "mispredicts" in out
 
 
-def test_entropy_study_shows_the_papers_story(tmp_path):
+def test_entropy_study_shows_the_papers_story():
     """End to end on a real workload: the probabilistic branch carries
     (much) more direction entropy than the loop branch — the paper's
-    motivating observation, recovered from a stored trace alone."""
-    store = TraceStore(tmp_path)
-    Session("pi", scale=0.05, seed=1).trace(store).run()
-    report = analyze_store(store, passes=["branch-entropy"])[0]
+    motivating observation, measured on a live run."""
+    (report,) = _analyze(_grid(scale=0.05) + ["--passes", "branch-entropy"])
     prob = report["analyses"]["branch-entropy"]["probabilistic"]
     regular = report["analyses"]["branch-entropy"]["regular"]
     assert prob["bits_per_execution"] > 0.5

@@ -254,6 +254,25 @@ class TestEndToEnd:
         assert telemetry["specs"] == 16
         assert telemetry["failures"] == 0
 
+    def test_sink_batches_cross_the_wire(self):
+        # The result frame carries each run's batch count, so an http
+        # sweep's --stats-json reports what its workers delivered, the
+        # same count a serial sweep reports.
+        grid = dict(_grid(seeds=[0]), predictors=("tournament",))
+        coordinator = Coordinator(port=0).start()
+        worker = CoordinatorWorker(coordinator.address, processes=1).start()
+        try:
+            assert coordinator.wait_for_workers(1, timeout=10)
+            executor = HttpExecutor(coordinator=coordinator.address)
+            stats = Sweep(**grid).run(executor=executor).to_stats()
+        finally:
+            worker.stop()
+            coordinator.stop()
+        assert stats["specs"] == stats["simulated"] == 2
+        assert stats["sink_batches"] > 0, stats
+        serial = Sweep(**grid).run(executor="serial").to_stats()
+        assert stats["sink_batches"] == serial["sink_batches"]
+
     def test_worker_survives_a_killed_simulation_process(self):
         # One worker with two simulation processes; both are SIGKILLed
         # mid-grid.  The dead slot answers an error frame, the
@@ -458,18 +477,6 @@ class TestServeCLI:
                 "--executor", "serial",
                 "--coordinator", "127.0.0.1:1",
             ])
-
-    def test_trace_store_requires_a_local_executor(self, tmp_path):
-        from repro.experiments import runner
-
-        with pytest.raises(SystemExit, match="--trace-store"):
-            runner.main([
-                "sweep", "--workloads", "pi", "--seeds", "0",
-                "--modes", "base", "--cache-dir", "",
-                "--executor", "http", "--coordinator", "127.0.0.1:1",
-                "--trace-store", str(tmp_path / "traces"),
-            ])
-        assert not (tmp_path / "traces").exists()
 
     def test_http_without_coordinator_is_a_clean_error(self, monkeypatch):
         from repro.experiments import runner

@@ -1,7 +1,7 @@
 """Tests for the repro.trace subsystem: binary format, content-addressed
-store, Session capture/replay, Sweep trace planning, and the shared
-sharded-store helper.  Stores are local: the http executor refuses
-them."""
+store, Session capture/replay, Sweep trace planning, and the sharded
+result-cache layout the store shares.  Stores are local: the http
+executor refuses them."""
 
 import json
 from dataclasses import asdict, replace
@@ -13,8 +13,15 @@ from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.serve import Coordinator
 from repro.serve.client import CoordinatorError
-from repro.sim import CoordinatorWorker, HttpExecutor, RunSpec, Session, Sweep
-from repro.storage import ShardedStore, canonical_digest
+from repro.sim import (
+    CoordinatorWorker,
+    HttpExecutor,
+    ResultCache,
+    RunSpec,
+    Session,
+    Sweep,
+)
+from repro.storage import canonical_digest
 from repro.trace import (
     TraceFormatError,
     TraceReader,
@@ -132,7 +139,7 @@ class TestTraceFile:
         for compress in (True, False):
             path = self._capture(tmp_path, events, compress=compress)
             reader = TraceReader(path)
-            assert reader.events_count == len(events)
+            assert reader.meta["events"] == len(events)
             assert reader.meta["workload"] == "x"
             decoded = _replayed(path)
             assert len(decoded) == len(events)
@@ -222,61 +229,18 @@ class TestTraceStore:
         self._capture_one(store, digest)
         reader = store.open(digest)
         assert reader is not None and store.hits == 1
-        assert reader.events_count == len(TestEventPacking.CASES)
-        entry = store.entry(digest)
-        assert entry["workload"] == "pi" and entry["mode"] == "base"
-        assert entry["events"] == len(TestEventPacking.CASES)
-        assert digest in store and len(store) == 1
+        assert reader.meta["events"] == len(TestEventPacking.CASES)
+        assert reader.meta["workload"] == "pi"
 
-    def test_sharded_layout_and_manifest(self, tmp_path):
+    def test_sharded_layout_without_manifest(self, tmp_path):
+        # A store is its trace files and nothing else.
         store = TraceStore(tmp_path)
         digest = trace_digest("pi", SCALE, 2, None)
         self._capture_one(store, digest)
-        assert (tmp_path / digest[:2] / f"{digest}.trace").exists()
-        assert (tmp_path / "manifest.jsonl").exists()
-        # A fresh open sees the manifest; deleting it rebuilds from shards.
-        assert digest in TraceStore(tmp_path)
-        (tmp_path / "manifest.jsonl").unlink()
-        rebuilt = TraceStore(tmp_path)
-        assert digest in rebuilt
-        assert rebuilt.entry(digest)["workload"] == "pi"
-
-    def test_gc_drops_corrupt_keeps_good(self, tmp_path):
-        store = TraceStore(tmp_path)
-        good = trace_digest("pi", SCALE, 1, None)
-        bad = trace_digest("pi", SCALE, 2, None)
-        self._capture_one(store, good)
-        self._capture_one(store, bad)
-        store.path(bad).write_bytes(b"garbage")
-        summary = store.gc()
-        assert summary == {
-            "removed": 1, "evicted": 0, "kept": 1,
-            "reclaimed_bytes": summary["reclaimed_bytes"],
-        }
-        assert summary["reclaimed_bytes"] > 0
-        # The gc is durable across reopen (manifest compacted).
-        reopened = TraceStore(tmp_path)
-        assert good in reopened and bad not in reopened
-        assert reopened.gc(clear=True)["removed"] == 1
-        assert len(TraceStore(tmp_path)) == 0
-
-    def test_gc_handles_manifest_orphans(self, tmp_path):
-        # A crash between the atomic rename and the manifest append
-        # leaves a valid but unindexed trace: gc adopts it, and
-        # gc(clear=True) can always reclaim it.
-        store = TraceStore(tmp_path)
-        digest = trace_digest("pi", SCALE, 7, None)
-        self._capture_one(store, digest)
-        (tmp_path / "manifest.jsonl").write_text("")  # lose the index
-        orphaned = TraceStore(tmp_path)
-        assert len(orphaned) == 0
-        summary = orphaned.gc()
-        assert summary["kept"] == 1 and summary["removed"] == 0
-        assert orphaned.entry(digest)["workload"] == "pi"  # adopted
-        (tmp_path / "manifest.jsonl").write_text("")
-        wiped = TraceStore(tmp_path)
-        assert wiped.gc(clear=True)["removed"] == 1
-        assert not list(tmp_path.glob("??/*.trace"))
+        assert sorted(
+            path.relative_to(tmp_path).as_posix()
+            for path in tmp_path.rglob("*")
+        ) == [digest[:2], f"{digest[:2]}/{digest}.trace"]
 
     def test_abort_leaves_no_entry(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -289,185 +253,12 @@ class TestTraceStore:
 
 
 class TestTraceStoreByteBudget:
-    """`trace gc --max-bytes`: LRU eviction, touch tracking, and the
-    edge cases — interrupted gc, impossible budgets, concurrent
-    writers."""
-
-    def _capture(self, store, seed):
-        digest = trace_digest("pi", SCALE, seed, None)
-        capture = store.writer(digest)
-        capture.sink.consume_batch(EventBatch.from_events(TestEventPacking.CASES))
-        capture.commit({
-            "workload": "pi", "scale": SCALE, "seed": seed, "pbs_config": None,
-        })
-        return digest
-
-    def _stamp(self, store, digest, atime):
-        """Pin a digest's last-use stamp (what touch() does, minus the
-        wall clock)."""
-        entry = dict(store.entry(digest))
-        entry["atime"] = atime
-        store._record_unconditionally(digest, entry)
-
-    def test_open_advances_the_atime_stamp(self, tmp_path):
-        store = TraceStore(tmp_path)
-        digest = self._capture(store, 1)
-        self._stamp(store, digest, 1.0)
-        assert store.open(digest) is not None
-        assert store.entry(digest)["atime"] > 1.0
-        # The stamp survives reopen — it lives in the manifest — and
-        # the minimal touch line merges with (not replaces) the rich
-        # entry metadata.
-        reopened = TraceStore(tmp_path).entry(digest)
-        assert reopened["atime"] > 1.0
-        assert reopened["workload"] == "pi"
-        assert reopened["events"] == len(TestEventPacking.CASES)
-
-    def test_lru_falls_back_to_write_time_without_stamps(self, tmp_path):
-        # Manifests that predate atime tracking: eviction order follows
-        # the file write time, not digest order.
-        import os as _os
-
-        store = TraceStore(tmp_path)
-        digests = [self._capture(store, seed) for seed in (0, 1)]
-        manifest = tmp_path / "manifest.jsonl"
-        lines = []
-        for line in manifest.read_text().splitlines():
-            entry = json.loads(line)
-            entry.pop("atime", None)
-            lines.append(json.dumps(entry, sort_keys=True))
-        manifest.write_text("\n".join(lines) + "\n")
-        newer, older = digests  # make digests[1] the older *file*
-        _os.utime(store.path(older), (100.0, 100.0))
-        _os.utime(store.path(newer), (200.0, 200.0))
-        fresh = TraceStore(tmp_path)
-        budget = fresh.path(newer).stat().st_size
-        summary = fresh.gc(max_bytes=budget)
-        assert summary["evicted"] == 1
-        assert fresh.path(newer).exists()
-        assert not fresh.path(older).exists()
-
-    def test_lru_eviction_order_follows_last_use(self, tmp_path):
-        store = TraceStore(tmp_path)
-        digests = [self._capture(store, seed) for seed in (0, 1, 2)]
-        # Oldest write, but most recently *used*: must survive.
-        self._stamp(store, digests[0], 300.0)
-        self._stamp(store, digests[1], 100.0)
-        self._stamp(store, digests[2], 200.0)
-        sizes = {d: store.path(d).stat().st_size for d in digests}
-        budget = sizes[digests[0]] + sizes[digests[2]]
-        summary = store.gc(max_bytes=budget)
-        assert summary["evicted"] == 1 and summary["kept"] == 2
-        assert summary["reclaimed_bytes"] == sizes[digests[1]]
-        assert not store.path(digests[1]).exists()
-        assert store.path(digests[0]).exists()
-        assert store.path(digests[2]).exists()
-        assert store.total_bytes() <= budget
-        # Manifest is consistent after eviction: reopen sees exactly
-        # the survivors.
-        assert TraceStore(tmp_path).digests() == sorted(
-            [digests[0], digests[2]]
-        )
-
-    def test_budget_smaller_than_one_trace_empties_the_store(self, tmp_path):
-        store = TraceStore(tmp_path)
-        for seed in (0, 1):
-            self._capture(store, seed)
-        smallest = min(
-            path.stat().st_size for path in tmp_path.glob("??/*.trace")
-        )
-        summary = store.gc(max_bytes=smallest - 1)
-        assert summary["evicted"] == 2 and summary["kept"] == 0
-        assert store.total_bytes() == 0
-        assert len(TraceStore(tmp_path)) == 0
-
-    def test_generous_budget_evicts_nothing(self, tmp_path):
-        store = TraceStore(tmp_path)
-        for seed in (0, 1):
-            self._capture(store, seed)
-        summary = store.gc(max_bytes=store.total_bytes())
-        assert summary["evicted"] == 0 and summary["kept"] == 2
-
-    def test_manifest_rebuild_after_interrupted_gc(self, tmp_path):
-        # A gc killed between unlinking files and compacting the
-        # manifest leaves stale lines; the next open must treat them as
-        # misses and the next gc must converge to a consistent store.
-        store = TraceStore(tmp_path)
-        digests = [self._capture(store, seed) for seed in (0, 1, 2)]
-        store.path(digests[0]).unlink()   # "interrupted" mid-eviction
-        reopened = TraceStore(tmp_path)
-        assert len(reopened) == 3         # stale manifest line survives
-        assert reopened.open(digests[0]) is None   # ... but reads miss
-        summary = reopened.gc()
-        assert summary["removed"] == 1 and summary["kept"] == 2
-        assert TraceStore(tmp_path).digests() == sorted(digests[1:])
-        # Losing the manifest entirely rebuilds from the shards, and
-        # the rebuilt entries are immediately gc'able again.
-        (tmp_path / "manifest.jsonl").unlink()
-        rebuilt = TraceStore(tmp_path)
-        assert rebuilt.digests() == sorted(digests[1:])
-        assert rebuilt.gc(max_bytes=0)["evicted"] == 2
-        assert rebuilt.total_bytes() == 0
-
-    def test_concurrent_writer_during_gc(self, tmp_path):
-        import threading
-
-        store = TraceStore(tmp_path)
-        budget = 1  # evict everything the gc sees
-        stop = threading.Event()
-        failures = []
-
-        def writer():
-            seed = 100
-            writer_store = TraceStore(tmp_path)
-            try:
-                while not stop.is_set():
-                    self._capture(writer_store, seed)
-                    seed += 1
-            except Exception as exc:   # pragma: no cover — the assertion
-                failures.append(exc)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        try:
-            for _ in range(10):
-                store.gc(max_bytes=budget)
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not failures, failures
-        # With the writer quiesced, one more gc restores the invariant:
-        # under budget and manifest-consistent.
-        summary = TraceStore(tmp_path).gc(max_bytes=budget)
-        final = TraceStore(tmp_path)
-        assert final.total_bytes() <= budget
-        assert final.digests() == []
-        assert summary["removed"] + summary["evicted"] >= 0  # no crash
-
-    def test_cli_gc_max_bytes(self, tmp_path, capsys):
-        from repro.experiments.runner import main
-
-        store = TraceStore(tmp_path)
-        for seed in (0, 1):
-            self._capture(store, seed)
-        assert main(["trace", "gc", "--trace-store", str(tmp_path),
-                     "--max-bytes", "0", "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["evicted"] == 2
-        assert TraceStore(tmp_path).total_bytes() == 0
-
-    def test_cli_gc_rejects_bad_size(self, tmp_path):
-        from repro.experiments.runner import main
-
-        TraceStore(tmp_path)
-        with pytest.raises(SystemExit, match="unparsable size"):
-            main(["trace", "gc", "--trace-store", str(tmp_path),
-                  "--max-bytes", "lots"])
+    """A trace that vanishes between open() and its event stream (a
+    store deleted by hand mid-run): auto mode re-interprets."""
 
     def test_auto_replay_falls_back_when_trace_vanishes(self, tmp_path):
-        # The gc race from the replay side: the store says hit, the
-        # event stream is gone.  auto mode re-interprets; replay mode
-        # propagates the failure.
+        # The store says hit, the event stream is gone.  auto mode
+        # re-interprets; replay mode propagates the failure.
         store = TraceStore(tmp_path)
         session = Session("pi", scale=SCALE, seed=6).predictors("tournament")
         plain = session.run()
@@ -516,9 +307,10 @@ def test_parse_size():
 
 
 class TestShardedStoreHelper:
-    """The shared helper itself, via a minimal text-entry subclass."""
+    """The sharded layout and manifest index of the result cache, via a
+    minimal text-entry subclass."""
 
-    class TextStore(ShardedStore):
+    class TextStore(ResultCache):
         suffix = ".txt"
 
         def put(self, digest, text):
@@ -629,7 +421,7 @@ class TestSweepTracePlanning:
         stats = traced.to_stats()
         assert stats["trace_captures"] == ACCEPTANCE_POINTS, stats
         assert stats["trace_hits"] == 0, stats
-        assert len(TraceStore(tmp_path)) == ACCEPTANCE_GROUPS
+        assert len(list(tmp_path.glob("??/*.trace"))) == ACCEPTANCE_GROUPS
         for plain, shared in zip(baseline, traced):
             assert _normalized(plain) == _normalized(shared)
         # A second sweep over the warm store replays everything.
@@ -667,7 +459,7 @@ class TestSweepTracePlanning:
         first = Sweep(**grid).run(executor="serial")
         # base + pbs groups, two predictors each, one capture per group.
         assert first.to_stats()["trace_captures"] == 4
-        assert len(TraceStore(tmp_path / "traces")) == 2
+        assert len(list((tmp_path / "traces").glob("??/*.trace"))) == 2
         second = Sweep(**grid).run(executor="serial")
         stats = second.to_stats()
         # Everything comes from the result cache; the trace layer idles.
