@@ -80,11 +80,6 @@ def get_analysis(name: str) -> Type[AnalysisPass]:
     return ANALYSES.get(name)
 
 
-def list_analyses() -> List[str]:
-    """Uniform ``list_*`` alias for :func:`analysis_names`."""
-    return analysis_names()
-
-
 def create_analysis(name: str, **options) -> AnalysisPass:
     """Instantiate the registered pass ``name`` with ``options``.
 

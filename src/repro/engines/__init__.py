@@ -29,7 +29,6 @@ from .base import (
     create_engine,
     engine_names,
     get_engine,
-    list_engines,
     register_engine,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "create_engine",
     "engine_names",
     "get_engine",
-    "list_engines",
     "register_engine",
 ]

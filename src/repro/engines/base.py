@@ -74,11 +74,6 @@ def get_engine(name: str) -> Type[Engine]:
     return ENGINES.get(name)
 
 
-def list_engines() -> List[str]:
-    """Uniform ``list_*`` alias for :func:`engine_names`."""
-    return engine_names()
-
-
 def create_engine(engine: Union[str, Engine, None], **options) -> Engine:
     """Resolve an engine argument to an instance.
 

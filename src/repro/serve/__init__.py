@@ -7,8 +7,8 @@ The package is the repo's one distributed stack:
   ``RunResult`` wire schema, plus a worker-registration plane where
   ``repro-worker --coordinator host:port`` daemons dial in and receive
   specs under lease-based ownership;
-* :class:`CoordinatorClient` — a thin synchronous HTTP client (submit,
-  poll, stream);
+* :class:`CoordinatorClient` — a thin synchronous HTTP client (submit
+  specs, read status, stream results);
 * :class:`HttpExecutor` — the ``"http"`` entry in the executor
   registry, so ``Sweep.run(executor="http")`` and
   ``pbs-experiments sweep --executor http --coordinator host:port``

@@ -1,8 +1,10 @@
 """HTTP client for the coordinator daemon, plus the ``"http"`` executor.
 
 :class:`CoordinatorClient` is a thin synchronous wrapper over the
-coordinator's JSON API (see ``docs/service.md``): submit a grid, poll a
-job, or stream its results as they complete.  :class:`HttpExecutor`
+coordinator's JSON API (see ``docs/service.md``): submit a list of
+specs, read a job's status, or stream its results as they complete.
+Grids are expanded here, with ``Sweep(...).specs()``; the coordinator
+takes spec lists only.  :class:`HttpExecutor`
 adapts that client to the :class:`~repro.sim.executors.Executor`
 contract, so ``Sweep.run(executor="http")`` and
 ``pbs-experiments sweep --executor http --coordinator host:port`` drive
@@ -33,6 +35,9 @@ TOKEN_ENV = "REPRO_TOKEN"
 
 #: Default coordinator port.
 DEFAULT_PORT = 7350
+
+#: Socket timeout, in seconds, of every request to the coordinator.
+TIMEOUT = 300.0
 
 
 class CoordinatorError(RuntimeError):
@@ -69,7 +74,6 @@ class CoordinatorClient:
         self,
         address: Union[str, Tuple[str, int], None] = None,
         token: Optional[str] = None,
-        timeout: float = 300.0,
     ):
         if address is None:
             address = os.environ.get(COORDINATOR_ENV, "").strip()
@@ -82,7 +86,6 @@ class CoordinatorClient:
         self.token = (
             token if token is not None else os.environ.get(TOKEN_ENV) or None
         )
-        self.timeout = timeout
         self.label = f"{self.host}:{self.port}"
 
     # -- plumbing -------------------------------------------------------
@@ -109,7 +112,7 @@ class CoordinatorClient:
     def _request(self, method: str, path: str, payload=None) -> Dict:
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host, self.port, timeout=TIMEOUT
         )
         try:
             connection.request(method, path, body=body, headers=self._headers())
@@ -134,30 +137,18 @@ class CoordinatorClient:
     def stats(self) -> Dict:
         return self._request("GET", "/v1/stats")
 
-    def submit(self, specs=None, sweep: Optional[Dict] = None) -> Dict:
-        """Submit a job: either a list of specs (``RunSpec`` objects or
-        their ``to_dict()`` form) or a ``{"workloads": ..., "seeds":
-        ...}`` grid expanded server-side.  Returns ``{"job": id,
-        "specs": n}``."""
-        if (specs is None) == (sweep is None):
-            raise ValueError("pass exactly one of specs= or sweep=")
-        if specs is not None:
-            payload = {
-                "specs": [
-                    spec.to_dict() if hasattr(spec, "to_dict") else spec
-                    for spec in specs
-                ]
-            }
-        else:
-            payload = {"sweep": sweep}
-        return self._request("POST", "/v1/sweeps", payload)
+    def submit(self, specs) -> Dict:
+        """Submit a job: a list of specs (``RunSpec`` objects or their
+        ``to_dict()`` form).  Returns ``{"job": id, "specs": n}``."""
+        return self._request("POST", "/v1/sweeps", {
+            "specs": [
+                spec.to_dict() if hasattr(spec, "to_dict") else spec
+                for spec in specs
+            ]
+        })
 
     def status(self, job: str) -> Dict:
         return self._request("GET", f"/v1/sweeps/{job}")
-
-    def results(self, job: str) -> Dict:
-        """Non-blocking snapshot: ``{"entries": [...], "done": bool, ...}``."""
-        return self._request("GET", f"/v1/sweeps/{job}/results?poll=1")
 
     def stream(self, job: str) -> Iterator[Dict]:
         """Yield completion entries as the coordinator produces them.
@@ -167,7 +158,7 @@ class CoordinatorClient:
         final entry is ``{"done": true, **job_stats}``.
         """
         connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host, self.port, timeout=TIMEOUT
         )
         try:
             connection.request(
@@ -220,13 +211,9 @@ class HttpExecutor(Executor):
         coordinator: Union[str, Tuple[str, int], None] = None,
         token: Optional[str] = None,
         processes: int = 1,
-        timeout: float = 300.0,
     ):
         del processes  # width lives on the workers, not the client
-        self.client = CoordinatorClient(coordinator, token=token, timeout=timeout)
-        self.batches = 0
-        self.dispatched = 0
-        self.completed = 0
+        self.client = CoordinatorClient(coordinator, token=token)
         #: ``coordinator:host:port`` -> per-job counters from the last map().
         self.telemetry: Dict[str, Dict[str, int]] = {}
 
@@ -234,11 +221,9 @@ class HttpExecutor(Executor):
         specs = list(specs)
         if not specs:
             return []
-        self.batches += 1
-        self.dispatched += len(specs)
         self.telemetry = {}
         results: List[Optional[RunResult]] = [None] * len(specs)
-        job = self.client.submit(specs=specs)["job"]
+        job = self.client.submit(specs)["job"]
         failures: List[str] = []
         final: Optional[Dict] = None
         for entry in self.client.stream(job):
@@ -257,7 +242,6 @@ class HttpExecutor(Executor):
                 result.compiled_hit = bool(entry.get("engine_hit"))
             result.sink_batches = int(entry.get("sink_batches", 0))
             results[index] = result
-            self.completed += 1
             if on_result is not None:
                 on_result(index, specs[index], result)
         if final is not None:

@@ -17,11 +17,10 @@ the first line of each connection:
 * **HTTP plane** — everything else is HTTP/1.1 with JSON bodies:
 
   ====================================  =================================
-  ``POST /v1/sweeps``                   submit specs or a grid; job id
+  ``POST /v1/sweeps``                   submit ``{"specs": [...]}``; job id
   ``GET /v1/sweeps/<id>``               job status + counters
   ``GET /v1/sweeps/<id>/results``       chunked NDJSON stream of results
-                                        in completion order (``?poll=1``
-                                        for a non-blocking snapshot)
+                                        in completion order
   ``GET /v1/workers``                   registered workers
   ``GET /v1/stats``                     daemon-lifetime counters
   ``GET /v1/healthz``                   liveness (never needs auth)
@@ -30,15 +29,16 @@ the first line of each connection:
 Identical in-flight specs — across any number of concurrent clients —
 share one simulation keyed by the result-cache digest (one run, N
 subscribers), and completed specs are answered straight from the
-coordinator's sharded :class:`~repro.sim.cache.ResultCache`.  A shared
+coordinator's sharded :class:`~repro.sim.cache.ResultCache`, the
+stack's one result cache.  A shared
 secret (``--token`` / ``$REPRO_TOKEN``) gates both planes: HTTP clients
 send ``Authorization: Bearer <token>``, workers a ``token`` field in
 their ``register`` frame.
 
 Everything runs on the event-loop thread, so the scheduler state needs
-no locks; :meth:`Coordinator.start` spins the loop up on a background
-thread for in-process embedding (tests), while the console script runs
-:meth:`Coordinator.serve_async` on the main thread.
+no locks.  :meth:`Coordinator.start` spins the loop up on a background
+thread and :meth:`Coordinator.stop` joins it; the console script does
+the same, waiting for SIGINT/SIGTERM on the main thread in between.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import sys
 import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs
 
 from ..sim.cache import CACHE_VERSION, ResultCache
 from ..sim.registry import workload_names
@@ -66,7 +65,7 @@ from ..sim.remote import (
     encode_frame,
 )
 from ..sim.results import RunResult
-from ..sim.sweep import RunSpec, Sweep
+from ..sim.sweep import RunSpec
 from .client import DEFAULT_PORT, TOKEN_ENV, parse_coordinator_address
 
 log = logging.getLogger(__name__)
@@ -92,13 +91,6 @@ _REASONS = {
     500: "Internal Server Error",
 }
 
-#: Grid fields a ``{"sweep": {...}}`` submission may set.
-_SWEEP_FIELDS = {
-    "workloads", "scales", "seeds", "modes", "predictors",
-    "harness_options", "pbs_config", "timing", "record_consumed",
-    "split_predictors",
-}
-
 
 class _Job:
     """One submission: per-index results plus a completion-order log."""
@@ -111,10 +103,9 @@ class _Job:
         self.log: List[Dict] = []
         self.completed = 0
         self.failures = 0
-        self.cache_hits = 0        # answered from the coordinator's cache
-        self.worker_cache_hits = 0  # answered from a worker's cache
-        self.deduped = 0           # attached to an identical in-flight spec
-        self.simulated = 0         # simulations this job put on a worker
+        self.cache_hits = 0   # answered from the coordinator's cache
+        self.deduped = 0      # attached to an identical in-flight spec
+        self.simulated = 0    # simulations this job put on a worker
         self.event = asyncio.Event()
 
     @property
@@ -141,7 +132,6 @@ class _Job:
             "failures": self.failures,
             "simulated": self.simulated,
             "cache_hits": self.cache_hits,
-            "worker_cache_hits": self.worker_cache_hits,
             "deduped": self.deduped,
         }
 
@@ -208,7 +198,6 @@ class Coordinator:
         port: int = 0,
         token: Optional[str] = None,
         cache_dir: Optional[str] = None,
-        cache_max_bytes: Optional[int] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = 3,
     ):
@@ -216,8 +205,6 @@ class Coordinator:
         self.port = port
         self.token = token or None
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        self.cache_max_bytes = cache_max_bytes
-        self._cache_bytes: Optional[int] = None
         self.lease_seconds = lease_seconds
         self.heartbeat_seconds = max(0.05, min(lease_seconds / 4, 5.0))
         self.max_attempts = max_attempts
@@ -233,7 +220,6 @@ class Coordinator:
         self.specs_received = 0
         self.simulated = 0
         self.cache_hits = 0
-        self.worker_cache_hits = 0
         self.deduped = 0
         self.requeues = 0
         self.address: Tuple[str, int] = (host, port)
@@ -330,28 +316,6 @@ class Coordinator:
                 return True
             _time.sleep(0.02)
         return len(self._workers) >= count
-
-    async def serve_async(self) -> None:
-        """Run on the current loop until SIGINT/SIGTERM (the CLI path)."""
-        self._loop = asyncio.get_running_loop()
-        await self._open()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover — non-POSIX
-                pass
-        print(
-            f"repro-coordinator listening on {self.address_string} "
-            f"(protocol v{PROTOCOL_VERSION}, cache v{CACHE_VERSION}, "
-            f"lease {self.lease_seconds:g}s"
-            + (", token required" if self.token else "")
-            + ")",
-            file=sys.stderr, flush=True,
-        )
-        await stop.wait()
-        print("repro-coordinator: shutting down", file=sys.stderr, flush=True)
-        await self._close()
 
     def _log(self, message: str) -> None:
         log.info("[repro-coordinator %s] %s", self.address_string, message)
@@ -466,8 +430,6 @@ class Coordinator:
                     self._worker_error(link, message)
                 elif kind == "heartbeat":
                     pass
-                elif kind == "ping":
-                    await self._send_frame(writer, {"type": "pong"})
                 elif kind == "draining":
                     link.draining = True
                     self._log(f"worker {name} draining")
@@ -572,44 +534,28 @@ class Coordinator:
                 [task], f"malformed result from {link.name}: {exc!r}"
             )
             return
-        cached = bool(message.get("cached"))
-        if self.cache is not None and not cached:
+        if self.cache is not None:
             try:
                 self.cache.put(task.digest, result)
             except OSError as exc:  # pragma: no cover — disk trouble
                 self._log(f"cache write failed for {task.digest[:12]}: {exc}")
-            else:
-                self._enforce_cache_budget(task.digest)
-        self._finish_task(task, result_dict, cached,
-                          engine=message.get("engine"),
-                          engine_hit=bool(message.get("engine_hit")),
-                          sink_batches=int(message.get("sink_batches") or 0))
-        self._dispatch()
-
-    def _finish_task(self, task: _Task, result_dict: Dict,
-                     cached: bool, engine=None,
-                     engine_hit: bool = False,
-                     sink_batches: int = 0) -> None:
         task.done = True
         self._active.pop(task.digest, None)
-        if cached:
-            self.worker_cache_hits += 1
-        else:
-            self.simulated += 1
+        self.simulated += 1
+        engine = message.get("engine")
+        sink_batches = int(message.get("sink_batches") or 0)
         for position, (job, index) in enumerate(task.waiters):
-            if position == 0:  # the job that put the spec on a worker
-                if cached:
-                    job.worker_cache_hits += 1
-                else:
-                    job.simulated += 1
-            entry = {"index": index, "result": result_dict, "cached": cached}
+            entry = {"index": index, "result": result_dict, "cached": False}
             if engine:
                 entry["engine"] = engine
-                entry["engine_hit"] = engine_hit
-            if position == 0 and sink_batches:
-                # The run's batches count once, for the spec that ran.
-                entry["sink_batches"] = sink_batches
+                entry["engine_hit"] = bool(message.get("engine_hit"))
+            if position == 0:  # the job that put the spec on a worker
+                job.simulated += 1
+                if sink_batches:
+                    # The run's batches count once, for the spec that ran.
+                    entry["sink_batches"] = sink_batches
             job.deliver(entry)
+        self._dispatch()
 
     def _worker_error(self, link: _WorkerLink, message: Dict) -> None:
         run_id = message.get("id")
@@ -646,51 +592,35 @@ class Coordinator:
     # -- submissions ----------------------------------------------------
 
     def _parse_submission(self, payload) -> List[RunSpec]:
-        if not isinstance(payload, dict):
-            raise ValueError("body must be a JSON object")
-        if ("specs" in payload) == ("sweep" in payload):
-            raise ValueError('submit exactly one of "specs" or "sweep"')
-        if "sweep" in payload:
-            grid = payload["sweep"]
-            if not isinstance(grid, dict):
-                raise ValueError('"sweep" must be a JSON object')
-            unknown = sorted(set(grid) - _SWEEP_FIELDS)
-            if unknown:
-                raise ValueError(
-                    f"unknown sweep fields {unknown}; "
-                    f"known: {sorted(_SWEEP_FIELDS)}"
-                )
-            try:
-                specs = Sweep(**grid).specs()
-            except Exception as exc:
-                raise ValueError(f"bad sweep grid: {exc}") from None
-        else:
-            raw = payload["specs"]
-            if not isinstance(raw, list) or not raw:
-                raise ValueError('"specs" must be a non-empty array')
-            specs = []
-            for i, obj in enumerate(raw):
-                try:
-                    spec = RunSpec.from_dict(obj)
-                except Exception as exc:
-                    raise ValueError(
-                        f"specs[{i}]: undecodable spec: {exc}"
-                    ) from None
-                if spec.trace_store is not None:
-                    raise ValueError(
-                        f"specs[{i}]: names trace store "
-                        f"{spec.trace_store!r}; trace stores are local and "
-                        "traces never cross the wire, so run trace-store "
-                        "sweeps on a local executor"
-                    )
-                specs.append(spec)
+        if not isinstance(payload, dict) or set(payload) != {"specs"}:
+            raise ValueError(
+                'body must be {"specs": [...]}, a JSON object with only '
+                'a "specs" array; expand grids client-side with '
+                "Sweep(...).specs()"
+            )
+        raw = payload["specs"]
+        if not isinstance(raw, list) or not raw:
+            raise ValueError('"specs" must be a non-empty array')
         known = set(workload_names())
-        for i, spec in enumerate(specs):
+        specs = []
+        for i, obj in enumerate(raw):
+            try:
+                spec = RunSpec.from_dict(obj)
+            except Exception as exc:
+                raise ValueError(f"specs[{i}]: undecodable spec: {exc}") from None
+            if spec.trace_store is not None:
+                raise ValueError(
+                    f"specs[{i}]: names trace store "
+                    f"{spec.trace_store!r}; trace stores are local and "
+                    "traces never cross the wire, so run trace-store "
+                    "sweeps on a local executor"
+                )
             if spec.workload not in known:
                 raise ValueError(
                     f"specs[{i}]: unknown workload {spec.workload!r}; "
                     f"registered: {sorted(known)}"
                 )
+            specs.append(spec)
         if len(specs) > MAX_JOB_SPECS:
             raise ValueError(
                 f"{len(specs)} specs exceed the {MAX_JOB_SPECS} per-job limit"
@@ -739,34 +669,6 @@ class Coordinator:
                 return  # never drop a live job
             del self._jobs[oldest]
 
-    def _enforce_cache_budget(self, digest: str) -> None:
-        if self.cache_max_bytes is None or self.cache is None:
-            return
-        if self._cache_bytes is None:
-            self._cache_bytes = sum(
-                self._entry_size(d) for d in self.cache.digests()
-            )
-        else:
-            self._cache_bytes += self._entry_size(digest)
-        if self._cache_bytes <= self.cache_max_bytes:
-            return
-        # Evict in manifest (insertion) order — oldest entries first.
-        for victim in self.cache.digests():
-            if self._cache_bytes <= self.cache_max_bytes:
-                break
-            if victim == digest:
-                continue  # never evict the entry that triggered the gc
-            size = self._entry_size(victim)
-            if self.cache.remove(victim):
-                self._cache_bytes -= size
-                self._log(f"cache over budget: evicted {victim[:12]}")
-
-    def _entry_size(self, digest: str) -> int:
-        try:
-            return self.cache.path(digest).stat().st_size
-        except OSError:
-            return 0
-
     def stats_payload(self) -> Dict:
         return {
             "jobs_submitted": self.jobs_submitted,
@@ -774,7 +676,6 @@ class Coordinator:
             "specs_received": self.specs_received,
             "simulated": self.simulated,
             "cache_hits": self.cache_hits,
-            "worker_cache_hits": self.worker_cache_hits,
             "deduped": self.deduped,
             "requeues": self.requeues,
             "pending": len(self._pending),
@@ -800,6 +701,8 @@ class Coordinator:
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
+            length = -1
+        if length < 0:
             await self._http_json(writer, 400, {"error": "bad Content-Length"})
             return
         if length > MAX_BODY_BYTES:
@@ -811,7 +714,7 @@ class Coordinator:
             })
             return
         body = await reader.readexactly(length) if length else b""
-        path, _, query = target.partition("?")
+        path = target.partition("?")[0]
         if self.token and path != "/v1/healthz":
             supplied = headers.get("authorization", "")
             if not hmac.compare_digest(supplied, f"Bearer {self.token}"):
@@ -819,10 +722,10 @@ class Coordinator:
                     "error": "unauthorized: bad or missing bearer token",
                 })
                 return
-        await self._route(writer, method, path, query, body)
+        await self._route(writer, method, path, body)
 
     async def _route(self, writer, method: str, path: str,
-                     query: str, body: bytes) -> None:
+                     body: bytes) -> None:
         if path == "/v1/healthz":
             await self._http_json(writer, 200 if method == "GET" else 405, {
                 "ok": True,
@@ -884,11 +787,6 @@ class Coordinator:
                 return
             if not streaming:
                 await self._http_json(writer, 200, job.stats())
-                return
-            if "poll" in parse_qs(query):
-                await self._http_json(writer, 200, {
-                    "entries": job.log, **job.stats(),
-                })
                 return
             await self._stream_results(writer, job)
             return
@@ -970,13 +868,6 @@ def coordinator_main(argv=None) -> int:
         help="server-side sharded result cache; warm specs never hit a worker",
     )
     parser.add_argument(
-        "--cache-max-bytes", default=None, metavar="SIZE",
-        help=(
-            "byte budget for --cache-dir (e.g. 512M, 2G): oldest entries "
-            "are evicted when a result write pushes the cache past it"
-        ),
-    )
-    parser.add_argument(
         "--lease-seconds", type=float, default=DEFAULT_LEASE_SECONDS,
         metavar="S",
         help=(
@@ -994,16 +885,6 @@ def coordinator_main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     host, port = parse_coordinator_address(args.listen)
-    cache_max_bytes = None
-    if args.cache_max_bytes is not None:
-        from ..storage import parse_size
-
-        if args.cache_dir is None:
-            parser.error("--cache-max-bytes requires --cache-dir")
-        try:
-            cache_max_bytes = parse_size(args.cache_max_bytes)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.lease_seconds <= 0:
         parser.error("--lease-seconds must be positive")
     coordinator = Coordinator(
@@ -1011,16 +892,33 @@ def coordinator_main(argv=None) -> int:
         token=args.token if args.token is not None
         else os.environ.get(TOKEN_ENV) or None,
         cache_dir=args.cache_dir,
-        cache_max_bytes=cache_max_bytes,
         lease_seconds=args.lease_seconds,
         max_attempts=args.max_attempts,
     )
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(message)s")
+    # Signals only set an event: the main thread then stops the
+    # coordinator, which joins its event-loop thread.
+    stop_signal = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda signum, frame: stop_signal.set())
     try:
-        asyncio.run(coordinator.serve_async())
-    except KeyboardInterrupt:  # pragma: no cover — belt and braces
-        pass
+        coordinator.start()
+    except OSError as exc:
+        print(f"repro-coordinator: cannot listen on {args.listen}: {exc}",
+              file=sys.stderr, flush=True)
+        return 1
+    print(
+        f"repro-coordinator listening on {coordinator.address_string} "
+        f"(protocol v{PROTOCOL_VERSION}, cache v{CACHE_VERSION}, "
+        f"lease {coordinator.lease_seconds:g}s"
+        + (", token required" if coordinator.token else "")
+        + ")",
+        file=sys.stderr, flush=True,
+    )
+    stop_signal.wait()
+    print("repro-coordinator: shutting down", file=sys.stderr, flush=True)
+    coordinator.stop()
     return 0
 
 

@@ -250,18 +250,6 @@ class ResultCache:
             "by_workload": dict(sorted(by_workload.items())),
         }
 
-    def remove(self, digest: str) -> bool:
-        """Drop one entry's file and forget it in the in-memory index.
-
-        The manifest keeps its (now stale) line until the next rebuild;
-        readers treat a missing file as a plain miss.
-        """
-        index = self._load_index()
-        existed = self.path(digest).exists()
-        self.path(digest).unlink(missing_ok=True)
-        index.pop(digest, None)
-        return existed
-
     def clear(self) -> int:
         removed = 0
         for shard in self.root.glob("??"):

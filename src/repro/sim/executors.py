@@ -186,11 +186,6 @@ def get_executor(name: str) -> Type[Executor]:
     return EXECUTORS.get(name)
 
 
-def list_executors() -> List[str]:
-    """Uniform ``list_*`` alias for :func:`executor_names`."""
-    return executor_names()
-
-
 def create_executor(
     executor: Union[str, Executor, None],
     processes: int = 1,
@@ -244,7 +239,10 @@ def _deliver(specs, group, values, results, on_result) -> None:
 
 def _stop(process, conn) -> None:
     conn.close()
-    process.terminate()
+    # SIGKILL, not SIGTERM: a worker forked from a process that handles
+    # SIGTERM (a draining repro-worker) inherits the handler and would
+    # ignore terminate(), leaving join() to wait forever.
+    process.kill()
     process.join()
 
 

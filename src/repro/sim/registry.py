@@ -17,7 +17,7 @@ All five of the package's registries — workloads, predictors, executors
 and execution engines (:mod:`repro.engines`) — are instances of one
 :class:`Registry` helper defined here, so they share the same
 ergonomics: ``register_*`` raises on duplicate names (pass
-``replace=True`` to override deliberately), ``get_*``/``list_*`` raise
+``replace=True`` to override deliberately), ``get_*``/``*_names`` raise
 and list with identical shapes, and every unknown-name error names the
 registered alternatives.
 
@@ -292,11 +292,6 @@ def get_workload(name: str):
     return _WORKLOAD_INSTANCES[name]
 
 
-def list_workloads() -> List[str]:
-    """Uniform ``list_*`` alias for :func:`workload_names`."""
-    return workload_names()
-
-
 def all_workloads() -> List[object]:
     return [get_workload(name) for name in workload_names()]
 
@@ -341,11 +336,6 @@ def predictor_names(baseline_only: bool = False) -> List[str]:
     ]
 
 
-def list_predictors() -> List[str]:
-    """Uniform ``list_*`` alias for :func:`predictor_names`."""
-    return predictor_names()
-
-
 def baseline_predictors() -> Tuple[str, ...]:
     """The paper's evaluated predictor pair, in registration order."""
     return tuple(predictor_names(baseline_only=True))
@@ -353,11 +343,6 @@ def baseline_predictors() -> Tuple[str, ...]:
 
 def predictor_factory(name: str) -> Callable[[], object]:
     return PREDICTORS.get(name)[0]
-
-
-def get_predictor(name: str) -> Callable[[], object]:
-    """Uniform ``get_*`` alias for :func:`predictor_factory`."""
-    return predictor_factory(name)
 
 
 def create_predictor(name: str):

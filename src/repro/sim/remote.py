@@ -10,16 +10,15 @@ that fans :class:`~repro.sim.sweep.Sweep` grids out across machines:
   are the only codec.  A worker opens with a ``register`` frame that
   carries the protocol version *and* the cache/digest version, so a
   worker that would compute different spec digests is refused instead
-  of silently polluting the fleet's caches.
+  of silently polluting the coordinator's cache.
 
 * **Worker daemon** — :class:`CoordinatorWorker`, exposed on the command
-  line as ``repro-worker --coordinator host:port --processes N
-  --cache-dir ...``.  It dials the coordinator, simulates each leased
-  spec with the existing Session machinery (inline for ``--processes
-  1``, on a :class:`~repro.sim.executors.WorkerPoolExecutor`
-  otherwise), answers warm requests
-  straight from its sharded :class:`~repro.sim.cache.ResultCache`, and
-  streams ``result`` frames back as they complete.
+  line as ``repro-worker --coordinator host:port --processes N``.  It
+  dials the coordinator, simulates each leased spec with the existing
+  Session machinery on a :class:`~repro.sim.executors.WorkerPoolExecutor`
+  of ``N`` simulation processes, and streams ``result`` frames back as
+  they complete.  Results are cached by the coordinator, which sees
+  every one of them; a worker keeps no cache.
 
 Message frames
 --------------
@@ -33,16 +32,15 @@ Message frames
 ``run``               ``{"id": n, "spec": RunSpec.to_dict(), "digest":
                       sha256}``
 ``result``            ``{"id": n, "result": RunResult.to_dict(),
-                      "cached": bool}`` plus ``"engine"``/
-                      ``"engine_hit"``/``"sink_batches"``: which
-                      execution tier ran the spec, whether it reused
-                      generated code, and how many event batches its
-                      sinks received (absent on a cache hit)
+                      "engine": str, "engine_hit": bool,
+                      "sink_batches": n}``: the result, which execution
+                      tier ran the spec, whether it reused generated
+                      code, and how many event batches its sinks
+                      received
 ``error``             ``{"message": str}`` plus ``"id"`` when tied to
                       one spec
 ``heartbeat``         worker -> coordinator: renews the worker's leases
 ``draining``          worker -> coordinator: assign no new work
-``ping``              liveness probe; answered with ``pong``
 ``bye``               clean shutdown
 ====================  =====================================================
 
@@ -65,8 +63,8 @@ import time
 from collections import deque
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .cache import CACHE_VERSION, ResultCache
-from .executors import WorkerPoolExecutor, _execute_spec
+from .cache import CACHE_VERSION
+from .executors import WorkerPoolExecutor
 from .results import RunResult
 from .sweep import RunSpec
 
@@ -74,10 +72,19 @@ log = logging.getLogger(__name__)
 
 #: Bump on incompatible frame/handshake changes.
 #: v3: no trace directive, trace frames or ``register.trace_store``.
-PROTOCOL_VERSION = 3
+#: v4: no ``result.cached`` (workers keep no cache) and no ``ping``/``pong``.
+PROTOCOL_VERSION = 4
 
 #: Hard ceiling on one frame; anything larger is treated as corrupt.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Seconds a worker waits for the coordinator to accept its connection.
+CONNECT_TIMEOUT = 300.0
+
+#: Re-registrations a worker tries after losing the coordinator, and
+#: the pause before each.
+RECONNECT_ATTEMPTS = 5
+RECONNECT_DELAY = 0.2
 
 
 class ProtocolError(Exception):
@@ -148,29 +155,22 @@ class CoordinatorWorker:
     the connection drops, the worker reconnects and re-registers with
     backoff while the coordinator reschedules whatever it was leasing.
 
-    ``processes <= 1`` simulates inline on the connection thread;
-    larger values run specs on a
-    :class:`~repro.sim.executors.WorkerPoolExecutor` of that width,
-    served by its own thread.  A simulation process that dies turns
-    into an ``error`` frame for its run id, so the coordinator's retry
-    policy decides what happens to the spec.  With ``cache_dir``
-    set, the worker answers warm specs from its sharded
-    :class:`ResultCache` without re-simulating.  ``fail_after=N`` is
-    a test hook: the worker severs its connection after its N-th
-    ``run`` frame, simulating a worker killed mid-grid.
+    Every spec runs on a :class:`~repro.sim.executors.WorkerPoolExecutor`
+    of ``processes`` simulation processes, served by its own thread
+    from :meth:`start` to :meth:`stop`.  A spec that raises, or whose
+    simulation process dies, turns into an ``error`` frame for its run
+    id, so the coordinator's retry policy decides what happens to it.
+    ``fail_after=N`` is a test hook: the worker severs its connection
+    after its N-th ``run`` frame, simulating a worker killed mid-grid.
     """
 
     def __init__(
         self,
         coordinator: Union[str, Tuple[str, int]],
         processes: int = 1,
-        cache_dir: Optional[str] = None,
         token: Optional[str] = None,
         name: Optional[str] = None,
         fail_after: Optional[int] = None,
-        timeout: float = 300.0,
-        reconnect_attempts: int = 5,
-        reconnect_delay: float = 0.2,
         protocol_version: int = PROTOCOL_VERSION,
         cache_version: int = CACHE_VERSION,
     ):
@@ -180,31 +180,25 @@ class CoordinatorWorker:
         self.coordinator = parse_coordinator_address(coordinator)
         if token is None:
             token = os.environ.get(TOKEN_ENV) or None
-        self.processes = processes
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        self.processes = max(1, processes)
         self.token = token
         self.name = name
         self.fail_after = fail_after
-        self.timeout = timeout
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_delay = reconnect_delay
         self.protocol_version = protocol_version
         self.cache_version = cache_version
         self.requests = 0
-        self.completed = 0
         self.worker_id: Optional[str] = None
         self.heartbeat_seconds = 5.0
         #: Set when the worker gives up — stopped, failed, or drained.
         self.stopped = threading.Event()
-        #: ``processes > 1``: specs queued for the pool, the pipe that
-        #: wakes its thread, and the thread (started by the first spec).
+        #: Specs queued for the pool, the pipe that wakes its thread,
+        #: and the thread (all set up by :meth:`start`).
         self._jobs: deque = deque()
         self._wake = None
         self._pool_thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
         self._draining = False
         self._inflight = 0
-        self._drain_cond = threading.Condition(self._lock)
+        self._drain_cond = threading.Condition()
         self._write_lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._rfile = None
@@ -226,6 +220,12 @@ class CoordinatorWorker:
         """
         self._connect()
         label = f"{self.coordinator[0]}:{self.coordinator[1]}"
+        wake, self._wake = multiprocessing.Pipe(duplex=False)
+        self._pool_thread = threading.Thread(
+            target=self._serve_pool, args=(wake,), daemon=True,
+            name=f"repro-worker-pool@{label}",
+        )
+        self._pool_thread.start()
         self._thread = threading.Thread(
             target=self._serve_loop, daemon=True,
             name=f"repro-worker@{label}",
@@ -239,7 +239,7 @@ class CoordinatorWorker:
         return self
 
     def _connect(self) -> None:
-        sock = socket.create_connection(self.coordinator, timeout=self.timeout)
+        sock = socket.create_connection(self.coordinator, timeout=CONNECT_TIMEOUT)
         sock.settimeout(None)  # blocking reads; stop() severs the socket
         # The protocol writes one small framed message at a time and
         # always flushes; with Nagle on, a frame written while the
@@ -292,7 +292,7 @@ class CoordinatorWorker:
         self._log(f"registered as {self.worker_id}")
 
     def _serve_loop(self) -> None:
-        attempts_left = self.reconnect_attempts
+        attempts_left = RECONNECT_ATTEMPTS
         try:
             while not self.stopped.is_set():
                 try:
@@ -307,10 +307,10 @@ class CoordinatorWorker:
                         self._log("giving up on the coordinator")
                         return
                     attempts_left -= 1
-                    time.sleep(self.reconnect_delay)
+                    time.sleep(RECONNECT_DELAY)
                     try:
                         self._connect()
-                        attempts_left = self.reconnect_attempts
+                        attempts_left = RECONNECT_ATTEMPTS
                         break
                     except (OSError, ProtocolError, _FatalWorkerError) as exc:
                         self._log(f"re-registration failed: {exc}")
@@ -325,11 +325,8 @@ class CoordinatorWorker:
             kind = message["type"]
             if kind == "run":
                 self._handle_run(message)
-            elif kind == "ping":
-                self._send_quietly({"type": "pong"})
             elif kind == "error":
                 self._log(f"coordinator error: {message.get('message')}")
-            # pong / anything else: ignore
 
     def stop(self, send_bye: bool = True) -> None:
         already = self.stopped.is_set()
@@ -438,35 +435,21 @@ class CoordinatorWorker:
                 ),
             })
             return
-        if self.cache is not None:
-            hit = self.cache.get(digest)
-            if hit is not None:
-                self._log(
-                    f"cache hit {spec.workload} seed={spec.seed} {spec.mode}"
-                )
-                self._send_quietly({
-                    "type": "result", "id": run_id,
-                    "result": hit.to_dict(), "cached": True,
-                })
-                return
-        self._execute_run(run_id, spec, digest)
+        self._execute_run(run_id, spec)
 
-    def _execute_run(self, run_id, spec: RunSpec, digest: str) -> None:
-        with self._lock:
+    def _execute_run(self, run_id, spec: RunSpec) -> None:
+        with self._drain_cond:
             self._inflight += 1
 
         def deliver(result: RunResult) -> None:
             try:
-                if self.cache is not None:
-                    self.cache.put(digest, result)
-                self.completed += 1
                 self._log(
                     f"ran {spec.workload} scale={spec.scale:g} "
                     f"seed={spec.seed} {spec.mode} in {result.wall_time:.2f}s"
                 )
                 self._send_quietly({
                     "type": "result", "id": run_id,
-                    "result": result.to_dict(), "cached": False,
+                    "result": result.to_dict(),
                     "engine": result.engine_used,
                     "engine_hit": result.compiled_hit,
                     "sink_batches": result.sink_batches,
@@ -483,22 +466,6 @@ class CoordinatorWorker:
             finally:
                 self._end_run()
 
-        if self.processes <= 1:
-            try:
-                result = _execute_spec(spec)
-            except Exception as exc:
-                failed(exc)
-                return
-            deliver(result)
-            return
-        with self._lock:
-            if self._pool_thread is None:
-                wake, self._wake = multiprocessing.Pipe(duplex=False)
-                self._pool_thread = threading.Thread(
-                    target=self._serve_pool, args=(wake,), daemon=True,
-                    name=f"repro-worker-pool@{self.worker_id}",
-                )
-                self._pool_thread.start()
         self._jobs.append(((deliver, failed), [spec]))
         self._wake.send(True)
 
@@ -530,11 +497,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--processes", type=int, default=1, metavar="N",
-        help="concurrent simulations (1 = inline in the connection thread)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="sharded result cache; warm specs are answered from disk",
+        help="simulation processes, one spec each at a time (default 1)",
     )
     parser.add_argument(
         "--token", default=None, metavar="SECRET",
@@ -575,7 +538,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         worker = CoordinatorWorker(
             args.coordinator, processes=args.processes,
-            cache_dir=args.cache_dir, token=args.token, name=args.name,
+            token=args.token, name=args.name,
         ).start()
     except (OSError, ProtocolError, _FatalWorkerError) as exc:
         print(f"repro-worker: cannot register with {args.coordinator}: {exc}",

@@ -15,7 +15,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict
 
 #: Hex characters of the digest used as the shard directory name.
 SHARD_CHARS = 2
@@ -34,52 +34,3 @@ def temp_path(path: Path) -> Path:
     return path.with_name(
         f".{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
-
-
-#: Suffix multipliers for :func:`parse_size` (binary, like ``ls -h``).
-_SIZE_SUFFIXES = {
-    "": 1,
-    "b": 1,
-    "k": 1024,
-    "kb": 1024,
-    "kib": 1024,
-    "m": 1024 ** 2,
-    "mb": 1024 ** 2,
-    "mib": 1024 ** 2,
-    "g": 1024 ** 3,
-    "gb": 1024 ** 3,
-    "gib": 1024 ** 3,
-    "t": 1024 ** 4,
-    "tb": 1024 ** 4,
-    "tib": 1024 ** 4,
-}
-
-
-def parse_size(text: Union[str, int]) -> int:
-    """A human byte count — ``"500000"``, ``"64M"``, ``"1.5GiB"`` — in bytes.
-
-    Suffixes are binary (``k`` = 1024) and case-insensitive; a bare
-    non-negative int passes through unchanged, so programmatic callers
-    and the CLI agree on what a plain number means.  Negative sizes —
-    bare ints included — and anything unparsable raise ``ValueError``
-    with a message naming the offending input.
-    """
-    if isinstance(text, bool):
-        # bool is an int subclass; a byte budget of True is a bug.
-        raise ValueError(f"size must be a byte count, not {text!r}")
-    if isinstance(text, int):
-        size = text
-    else:
-        raw = text.strip().lower()
-        number = raw.rstrip("kmgtib")
-        suffix = raw[len(number):]
-        try:
-            multiplier = _SIZE_SUFFIXES[suffix]
-            size = int(float(number) * multiplier)
-        except (KeyError, ValueError, OverflowError):  # OverflowError: "inf"
-            raise ValueError(
-                f"unparsable size {text!r}; want e.g. 500000, 64M or 1.5GiB"
-            ) from None
-    if size < 0:
-        raise ValueError(f"size may not be negative, got {text!r}")
-    return size

@@ -23,7 +23,6 @@ from repro.engines import (
     create_engine,
     engine_names,
     get_engine,
-    list_engines,
     register_engine,
 )
 from repro.engines.compiled import (
@@ -80,7 +79,6 @@ def assert_states_match(reference, candidate, label):
 class TestEngineRegistry:
     def test_builtin_tiers_registered(self):
         assert set(engine_names()) == {"interp", "compiled"}
-        assert list_engines() == engine_names()
 
     def test_get_unknown_engine_names_catalog(self):
         with pytest.raises(KeyError, match="registered engines"):

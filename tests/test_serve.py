@@ -3,9 +3,9 @@
 Covers the HTTP/JSON API surface, the worker-registration plane, lease
 expiry and reschedule after a worker dies mid-grid, identical-spec
 dedupe across concurrent submissions, the server-side result cache,
-bearer-token auth on both planes, and the ``http`` executor end to end
+bearer-token auth on both planes, the ``http`` executor end to end
 — including the acceptance grid (16 points, two workers, one killed
-mid-grid, bit-identical to serial).
+mid-grid, bit-identical to serial) — and both daemons' command lines.
 """
 
 import json
@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.serve import Coordinator, CoordinatorClient, CoordinatorError
+from repro.serve.coordinator import coordinator_main
 from repro.sim import CoordinatorWorker, HttpExecutor, Sweep
 from repro.sim.remote import (
     CACHE_VERSION,
@@ -27,6 +28,7 @@ from repro.sim.remote import (
     _read_frame,
     decode_frame,
     encode_frame,
+    worker_main,
 )
 
 from .watchdog import run_watched
@@ -118,11 +120,11 @@ class TestHttpApi:
         assert excinfo.value.status == 405
 
     @pytest.mark.parametrize("payload", [
-        {},                                        # neither specs nor sweep
+        {},                                        # no specs
         {"specs": []},                             # empty batch
-        {"specs": [{"workload": "pi"}], "sweep": {}},  # both
-        {"sweep": {"bogus_field": 1}},             # unknown grid field
-        {"sweep": {"workloads": ["no-such-workload"]}},
+        {"specs": [{"workload": "pi"}], "sweep": {}},  # a second field
+        {"sweep": {"workloads": ["pi"]}},          # a grid, not specs
+        {"specs": {"workload": "pi"}},             # not an array
         {"specs": [{"workload": "no-such-workload"}]},
         {"specs": [{"workload": "pi", "mystery": 3}]},  # undecodable spec
     ])
@@ -131,29 +133,45 @@ class TestHttpApi:
             client._request("POST", "/v1/sweeps", payload)
         assert excinfo.value.status == 400
 
+    def test_grid_submission_is_refused_naming_specs(self, client):
+        # Grids are expanded client-side; the refusal says what to send.
+        with pytest.raises(CoordinatorError, match='"specs"') as excinfo:
+            client._request("POST", "/v1/sweeps", {
+                "sweep": {"workloads": ["pi"], "seeds": [0]},
+            })
+        assert excinfo.value.status == 400
+
     def test_non_http_garbage_gets_a_400(self, service):
         with socket.create_connection(service.address, timeout=5) as sock:
             sock.sendall(b"NONSENSE\r\n\r\n")
             reply = sock.makefile("rb").read()
         assert b"400" in reply.split(b"\r\n", 1)[0]
 
-    def test_submit_poll_and_status_roundtrip(self, service, client):
-        # Server-side grid expansion plus the non-streaming poll path.
-        submitted = client.submit(sweep=dict(
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_gets_a_400(self, service, length):
+        with socket.create_connection(service.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/sweeps HTTP/1.1\r\nAuthorization: Bearer "
+                + TOKEN.encode() + b"\r\nContent-Length: " + length
+                + b"\r\n\r\n"
+            )
+            reply = sock.makefile("rb").read()
+        assert b"400" in reply.split(b"\r\n", 1)[0]
+        assert b"bad Content-Length" in reply
+
+    def test_submit_stream_and_status_roundtrip(self, service, client):
+        # A client-side expanded grid, its result stream and its status.
+        specs = Sweep(
             workloads=["pi"], scales=[SCALE], seeds=[0], modes=["base"],
-        ))
+        ).specs()
+        submitted = client.submit(specs)
         assert submitted["specs"] == 1
         job = submitted["job"]
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            snapshot = client.results(job)
-            if snapshot["done"]:
-                break
-            time.sleep(0.05)
-        assert snapshot["done"] is True
-        assert snapshot["completed"] == 1
-        assert snapshot["failures"] == 0
-        entries = snapshot["entries"]
+        entries = list(client.stream(job))
+        final = entries.pop()
+        assert final["done"] is True
+        assert final["completed"] == 1
+        assert final["failures"] == 0
         assert [entry["index"] for entry in entries] == [0]
         assert entries[0]["result"]["workload"] == "pi"
         status = client.status(job)
@@ -164,8 +182,7 @@ class TestHttpApi:
         stats = client.stats()
         for key in (
             "jobs_submitted", "specs_received", "simulated", "cache_hits",
-            "worker_cache_hits", "deduped", "requeues", "pending",
-            "active", "workers",
+            "deduped", "requeues", "pending", "active", "workers",
         ):
             assert isinstance(stats[key], int), key
 
@@ -185,12 +202,14 @@ class TestWorkerPlane:
                 protocol_version=PROTOCOL_VERSION + 1,
             ).start()
 
-    def test_protocol_2_worker_is_refused(self, service):
-        # Protocol 2 workers still park specs and wait for trace
-        # frames, which no coordinator sends any more.
-        with pytest.raises(_FatalWorkerError, match="worker sent 2"):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_protocol_worker_is_refused(self, service, version):
+        # Protocol 2 workers park specs and wait for trace frames, and
+        # protocol 3 workers keep a cache of their own and send
+        # ``cached`` results; this coordinator speaks neither.
+        with pytest.raises(_FatalWorkerError, match=f"worker sent {version}"):
             CoordinatorWorker(
-                service.address, token=TOKEN, protocol_version=2,
+                service.address, token=TOKEN, protocol_version=version,
             ).start()
 
     def test_non_register_first_frame_is_an_error(self, service):
@@ -273,9 +292,11 @@ class TestEndToEnd:
         serial = Sweep(**grid).run(executor="serial").to_stats()
         assert stats["sink_batches"] == serial["sink_batches"]
 
-    def test_worker_survives_a_killed_simulation_process(self):
-        # One worker with two simulation processes; both are SIGKILLed
-        # mid-grid.  The dead slot answers an error frame, the
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_worker_survives_a_killed_simulation_process(self, processes):
+        # One worker whose simulation processes are all SIGKILLed
+        # mid-grid — one process included: every width runs its specs
+        # on a pool.  The dead slot answers an error frame, the
         # coordinator requeues the spec, and the sweep completes.  Under
         # a watchdog: a worker that kept heartbeating a lost spec would
         # hang the sweep for good.
@@ -286,7 +307,9 @@ class TestEndToEnd:
 
             GRID = dict(workloads=["pi"], scales=(0.02,), seeds=tuple(range(4)))
             coordinator = Coordinator(port=0).start()
-            worker = CoordinatorWorker(coordinator.address, processes=2).start()
+            worker = CoordinatorWorker(
+                coordinator.address, processes=PROCESSES,
+            ).start()
             assert coordinator.wait_for_workers(1, timeout=10)
             killed = []
 
@@ -318,8 +341,8 @@ class TestEndToEnd:
                 == list(map(comparable, serial)),
                 "left": len(multiprocessing.active_children()),
             }))
-        """)
-        assert outcome["killed"] == 2
+        """.replace("PROCESSES", str(processes)))
+        assert outcome["killed"] == processes
         assert outcome["requeues"] >= 1
         assert outcome["simulated"] == 8
         assert outcome["identical"]
@@ -374,30 +397,6 @@ class TestEndToEnd:
     def test_empty_batch_returns_empty(self):
         # An empty batch submits no job, so no coordinator is contacted.
         assert HttpExecutor(coordinator="127.0.0.1:1").map([]) == []
-
-    def test_worker_cache_answers_second_batch(self, tmp_path):
-        # Without a coordinator-side cache, a repeat batch reaches the
-        # worker again, which answers it from its own result cache.
-        coordinator = Coordinator(port=0).start()
-        worker = CoordinatorWorker(
-            coordinator.address, processes=1, cache_dir=str(tmp_path)
-        ).start()
-        assert coordinator.wait_for_workers(1, timeout=10)
-        executor = HttpExecutor(coordinator=coordinator.address)
-        specs = Sweep(**_grid(seeds=(0, 1))).specs()
-        try:
-            first = executor.map(specs)
-            (cold,) = executor.telemetry.values()
-            second = executor.map(specs)
-            (warm,) = executor.telemetry.values()
-        finally:
-            worker.stop()
-            coordinator.stop()
-        assert cold["worker_cache_hits"] == 0
-        assert warm["worker_cache_hits"] == len(specs)
-        assert all(result.cached for result in second)
-        assert [_comparable(a) for a in first] == \
-            [_comparable(b) for b in second]
 
     def test_lease_expiry_reschedules_a_silent_worker(self):
         # A worker that registers, accepts specs, then goes silent must
@@ -478,6 +477,16 @@ class TestServeCLI:
                 "--coordinator", "127.0.0.1:1",
             ])
 
+    @pytest.mark.parametrize("main, argv", [
+        (worker_main, ["--coordinator", "127.0.0.1:1", "--cache-dir", "d"]),
+        (coordinator_main, ["--cache-max-bytes", "1G"]),
+    ], ids=["worker-cache-dir", "coordinator-cache-max-bytes"])
+    def test_removed_daemon_flags_are_refused(self, main, argv):
+        # The worker keeps no cache and the coordinator's has no budget.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
     def test_http_without_coordinator_is_a_clean_error(self, monkeypatch):
         from repro.experiments import runner
         from repro.serve.client import COORDINATOR_ENV
@@ -491,17 +500,21 @@ class TestServeCLI:
             ])
 
 
-def _spawn_worker(extra_args):
+def _spawn(module, extra_args, prog):
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.sim.remote"] + extra_args,
+        [sys.executable, "-m", module] + extra_args,
         stderr=subprocess.PIPE, text=True,
     )
     # Skip interpreter noise (e.g. runpy warnings) until the banner.
     for _ in range(10):
         banner = process.stderr.readline()
-        if not banner or "repro-worker" in banner:
+        if not banner or prog in banner:
             break
     return process, banner
+
+
+def _spawn_worker(extra_args):
+    return _spawn("repro.sim.remote", extra_args, "repro-worker")
 
 
 class TestGracefulShutdown:
@@ -567,3 +580,24 @@ class TestGracefulShutdown:
             process.kill()
             process.stderr.close()
             coordinator.stop()
+
+    def test_coordinator_entry_point_stops_cleanly_on_sigterm(self):
+        # The repro-coordinator command: bind an ephemeral port, print
+        # the bound address, serve, and exit 0 on SIGTERM.
+        process, banner = _spawn(
+            "repro.serve.coordinator", ["--listen", "127.0.0.1:0"],
+            "repro-coordinator",
+        )
+        try:
+            assert "listening on 127.0.0.1:" in banner, banner
+            address = banner.split("listening on ", 1)[1].split()[0]
+            assert not address.endswith(":0")
+            health = CoordinatorClient(address).healthz()
+            assert health["ok"] is True
+            assert health["protocol"] == PROTOCOL_VERSION
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            assert "shutting down" in process.stderr.read()
+        finally:
+            process.kill()
+            process.stderr.close()

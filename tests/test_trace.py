@@ -284,28 +284,6 @@ class TestTraceStoreByteBudget:
         assert _normalized(recovered) == _normalized(plain)
 
 
-def test_parse_size():
-    from repro.storage import parse_size
-
-    assert parse_size(123) == 123
-    assert parse_size(0) == 0
-    assert parse_size("0") == 0
-    assert parse_size("500000") == 500000
-    assert parse_size("1k") == 1024
-    assert parse_size("64M") == 64 * 1024 ** 2
-    assert parse_size("1.5GiB") == int(1.5 * 1024 ** 3)
-    assert parse_size(" 2g ") == 2 * 1024 ** 3
-    for bad in ("lots", "", "12X", "k", "inf", "nan", "-1G", "-5"):
-        with pytest.raises(ValueError):
-            parse_size(bad)
-    # Bare negative ints are as wrong as "-1G" strings.
-    with pytest.raises(ValueError, match="negative"):
-        parse_size(-5)
-    # bool is an int subclass; a byte budget of True is a bug upstream.
-    with pytest.raises(ValueError, match="byte count"):
-        parse_size(True)
-
-
 class TestShardedStoreHelper:
     """The sharded layout and manifest index of the result cache, via a
     minimal text-entry subclass."""
