@@ -140,6 +140,24 @@ def test_bench_compiled_executor_with_harness(benchmark):
     assert benchmark(run) > 40_000
 
 
+def test_bench_compiled_executor_pbs(benchmark):
+    """The compiled tier with a PBS engine attached and no sink, on a
+    loop-heavy workload: the generated code's PBS glue, the context
+    table and ``transact``."""
+    from repro.engines import create_engine
+
+    program = get_workload("bandit").build(0.25)
+    engine = create_engine("compiled")
+    engine.executor(program, seed=1, pbs=PBSEngine()).run()  # warm codegen
+
+    def run():
+        executor = engine.executor(program, seed=1, pbs=PBSEngine())
+        executor.run()
+        return executor.pbs.stats.hits
+
+    assert benchmark(run) > 1_500
+
+
 def test_bench_trace_capture(benchmark, tmp_path):
     """Interpret + record the committed path into a TraceStore."""
     from repro.sim import Session
@@ -242,6 +260,26 @@ def test_bench_pbs_transactions(benchmark):
         engine = PBSEngine()
         hits = 0
         for value in values:
+            group = ProbGroup(100, "lt", value < 0.5, 0.5, [40], [value])
+            if engine.transact(group).mode == "hit":
+                hits += 1
+        return hits
+
+    assert benchmark(run) > 15_000
+
+
+def test_bench_pbs_transactions_in_loop(benchmark):
+    """``test_bench_pbs_transactions`` with each group in a loop body: a
+    taken backward branch, which the context table tracks, precedes it."""
+    rng = random.Random(5)
+    values = [rng.random() for _ in range(20_000)]
+
+    def run():
+        engine = PBSEngine()
+        observe = engine.observe_branch
+        hits = 0
+        for value in values:
+            observe(120, True, 90)
             group = ProbGroup(100, "lt", value < 0.5, 0.5, [40], [value])
             if engine.transact(group).mode == "hit":
                 hits += 1

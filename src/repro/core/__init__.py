@@ -8,7 +8,7 @@ innermost loops.
 """
 
 from .config import PBSConfig
-from .context import NO_CONTEXT, ContextKey, ContextTable
+from .context import ContextTable
 from .cost import (
     context_table_entry_bits,
     hardware_cost,
@@ -29,8 +29,6 @@ from .tables import (
 
 __all__ = [
     "PBSConfig",
-    "NO_CONTEXT",
-    "ContextKey",
     "ContextTable",
     "context_table_entry_bits",
     "hardware_cost",

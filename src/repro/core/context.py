@@ -24,18 +24,17 @@ Function calls: a call made while a loop is active records the call PC in
 the entry's ``Function-PC`` field and bumps a 3-bit depth counter; returns
 decrement it.  Probabilistic branches are tracked only at depth 0 (in the
 loop body) or 1 (inside a function called from the loop body).
+
+:meth:`PBSEngine.transact` reads the context of a probabilistic branch
+straight from ``active_slot`` and that slot's entry: the key is (slot,
+Function-PC while the depth counter is non-zero, else 0), or (-1, 0)
+when no loop is live.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, List, Optional, Tuple
-
-#: A context key: (loop slot index or -1, function call PC or 0).
-ContextKey = Tuple[int, int]
-
-NO_CONTEXT: ContextKey = (-1, 0)
-
+from typing import Callable, List, Optional
 
 class _LoopEntry:
     __slots__ = ("loop_pc", "last_pc", "function_pc", "counter", "sequence")
@@ -67,6 +66,8 @@ class ContextTable:
         self.max_function_depth = max_function_depth
         self.on_flush = on_flush
         self.slots: List[Optional[_LoopEntry]] = [None] * entries
+        #: Most recently allocated live slot, or -1 when no loop is live.
+        self.active_slot = -1
         self._sequence = 0
         self.loops_detected = 0
         self.loops_terminated = 0
@@ -76,11 +77,13 @@ class ContextTable:
     def _flush_slot(self, slot: int) -> None:
         if self.slots[slot] is not None:
             self.slots[slot] = None
+            if slot == self.active_slot:
+                self.active_slot = self._newest_slot()
             if self.on_flush is not None:
                 self.on_flush(slot)
 
-    def _active_slot(self) -> int:
-        """Most recently allocated live slot, or -1."""
+    def _newest_slot(self) -> int:
+        """Rescan for the most recently allocated live slot, or -1."""
         best = -1
         best_seq = -1
         for index, entry in enumerate(self.slots):
@@ -89,32 +92,29 @@ class ContextTable:
                 best = index
         return best
 
-    def _find_loop(self, loop_pc: int) -> int:
-        for index, entry in enumerate(self.slots):
-            if entry is not None and entry.loop_pc == loop_pc:
-                return index
-        return -1
-
     def _allocate(self, loop_pc: int, last_pc: int) -> int:
-        if all(entry is None for entry in self.slots):
+        if self.active_slot < 0:
             # Entering the first loop ends the "no loop" context: PBS
             # entries allocated before any loop was detected (slot -1)
             # belong to a context that has now finished.
             if self.on_flush is not None:
                 self.on_flush(-1)
-        free = next(
-            (i for i, entry in enumerate(self.slots) if entry is None), -1
-        )
+        slots = self.slots
+        free = oldest = -1
+        for index, entry in enumerate(slots):
+            if entry is None:
+                free = index
+                break
+            if oldest < 0 or entry.sequence < slots[oldest].sequence:
+                oldest = index
         if free < 0:
             # Evict the oldest entry, clearing its PBS state.
-            oldest = min(
-                range(self.capacity), key=lambda i: self.slots[i].sequence
-            )
             self.evictions += 1
             self._flush_slot(oldest)
             free = oldest
         self._sequence += 1
-        self.slots[free] = _LoopEntry(loop_pc, last_pc, self._sequence)
+        slots[free] = _LoopEntry(loop_pc, last_pc, self._sequence)
+        self.active_slot = free
         self.loops_detected += 1
         return free
 
@@ -122,34 +122,38 @@ class ContextTable:
     def observe_branch(self, pc: int, taken: bool, target: Optional[int]) -> None:
         """Feed every control-flow transfer (including JMP) through here."""
         if target is None or target >= pc:
-            return  # only backward branches matter for loop tracking
+            # Only backward branches matter for loop tracking.  The
+            # compiled tier applies the same test when it generates code
+            # and emits no call for a forward transfer: keep them in step.
+            return
 
-        slot = self._find_loop(target)
-        if taken:
-            if slot >= 0:
-                entry = self.slots[slot]
-                if pc > entry.last_pc:
-                    entry.last_pc = pc
-            else:
+        for entry in self.slots:
+            if entry is not None and entry.loop_pc == target:
+                break
+        else:
+            if taken:
                 self._allocate(target, pc)
+            return
+        if taken:
+            if pc > entry.last_pc:
+                entry.last_pc = pc
             return
 
         # Not-taken backward branch: terminates the loop it belongs to if
         # the branch sits at or beyond the recorded Last-PC.
-        if slot >= 0 and pc >= self.slots[slot].last_pc:
-            terminated = self.slots[slot]
+        if pc >= entry.last_pc:
             self.loops_terminated += 1
-            self._flush_slot(slot)
+            self._flush_slot(self.slots.index(entry))
             # If the terminated loop is older than another live loop that
             # is *nested inside it* we would leave a stale inner loop; the
             # paper erases both when the older one terminates first.
-            for index, entry in enumerate(self.slots):
-                if entry is not None and entry.sequence > terminated.sequence:
+            for index, newer in enumerate(self.slots):
+                if newer is not None and newer.sequence > entry.sequence:
                     self.loops_terminated += 1
                     self._flush_slot(index)
 
     def observe_call(self, pc: int) -> None:
-        slot = self._active_slot()
+        slot = self.active_slot
         if slot < 0:
             return
         entry = self.slots[slot]
@@ -159,7 +163,7 @@ class ContextTable:
             entry.function_pc = pc
 
     def observe_return(self, pc: int) -> None:
-        slot = self._active_slot()
+        slot = self.active_slot
         if slot < 0:
             return
         entry = self.slots[slot]
@@ -169,21 +173,6 @@ class ContextTable:
             entry.function_pc = 0
 
     # ------------------------------------------------------------------
-    def current_context(self) -> Optional[ContextKey]:
-        """Context key for a probabilistic branch encountered now.
-
-        Returns ``None`` when PBS must not track the branch (function-call
-        depth beyond the supported level).
-        """
-        slot = self._active_slot()
-        if slot < 0:
-            return NO_CONTEXT
-        entry = self.slots[slot]
-        if entry.counter > self.max_function_depth:
-            return None
-        function_pc = entry.function_pc if entry.counter >= 1 else 0
-        return (slot, function_pc)
-
     def snapshot(self) -> dict:
         """Capture the loop/call context for a context switch.
 
@@ -198,6 +187,7 @@ class ContextTable:
     def restore(self, snapshot: dict) -> None:
         self.slots = copy.deepcopy(snapshot["slots"])
         self._sequence = snapshot["sequence"]
+        self.active_slot = self._newest_slot()
 
     def reset(self) -> None:
         for slot in range(self.capacity):

@@ -3,7 +3,10 @@
 The functional simulator calls :meth:`PBSEngine.transact` for every
 executed probabilistic branch group and :meth:`observe_branch` /
 :meth:`observe_call` / :meth:`observe_return` for the surrounding control
-flow.  The engine decides, per instance, between three modes:
+flow.  Those three are the context table's own methods, or a no-op
+without context support; the compiled tier calls ``observe_branch`` only
+at backward transfers, the only ones the table reacts to.  The engine
+decides, per instance, between three modes:
 
 ``hit``
     The Prob-BTB steers fetch with a recorded direction; the recorded
@@ -25,6 +28,7 @@ flow.  The engine decides, per instance, between three modes:
 from __future__ import annotations
 
 import copy
+from collections import deque
 from typing import Optional, Set
 
 from ..functional.executor import ProbDecision, ProbGroup
@@ -71,6 +75,10 @@ class PBSStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+def _ignore(*args, **kwargs) -> None:
+    """The control-flow observers of an engine without context support."""
+
+
 class PBSEngine:
     """Functional + structural model of the PBS hardware unit."""
 
@@ -86,83 +94,90 @@ class PBSEngine:
         )
         self.stats = PBSStats()
         self._blacklist: Set[BranchKey] = set()
-
-    # ------------------------------------------------------------------
-    # Control-flow observation (drives the Context-Table).
-    # ------------------------------------------------------------------
-    def observe_branch(self, pc: int, taken: bool, target: Optional[int]) -> None:
+        # Control-flow observation drives the Context-Table, or nothing
+        # without context support; both tiers call these directly.
         if self.config.context_support:
-            self.context.observe_branch(pc, taken, target)
-
-    def observe_call(self, pc: int) -> None:
-        if self.config.context_support:
-            self.context.observe_call(pc)
-
-    def observe_return(self, pc: int) -> None:
-        if self.config.context_support:
-            self.context.observe_return(pc)
+            self.observe_branch = self.context.observe_branch
+            self.observe_call = self.context.observe_call
+            self.observe_return = self.context.observe_return
+        else:
+            self.observe_branch = self.observe_call = self.observe_return = _ignore
 
     # ------------------------------------------------------------------
     # The probabilistic branch transaction.
     # ------------------------------------------------------------------
     def transact(self, group: ProbGroup) -> ProbDecision:
-        self.stats.instances += 1
+        # One body for the common path (context key, blacklist, Prob-BTB
+        # lookup and LRU stamp, Const-Val check, in-flight push and pull):
+        # it runs once per probabilistic branch, so it calls no helper
+        # until a rare event (allocation, release) needs one.  It is the
+        # only implementation of these steps; the tables hold the state.
+        stats = self.stats
+        stats.instances += 1
 
-        key = self._branch_key(group)
-        if key is None:
-            # Function-call depth beyond the supported level: PBS treats
-            # the branch as regular (paper §V-C1).
-            self.stats.deep_call_rejects += 1
-            self.stats.fallbacks += 1
+        slot = -1
+        function_pc = 0
+        if self.config.context_support:
+            context = self.context
+            slot = context.active_slot
+            if slot >= 0:
+                loop = context.slots[slot]
+                if loop.counter > context.max_function_depth:
+                    # Function-call depth beyond the supported level:
+                    # PBS treats the branch as regular (paper §V-C1).
+                    stats.deep_call_rejects += 1
+                    stats.fallbacks += 1
+                    return ProbDecision("regular", group.cond)
+                if loop.counter:
+                    function_pc = loop.function_pc
+        key = (group.jmp_pc, slot, function_pc)
+
+        blacklist = self._blacklist
+        if blacklist and key in blacklist:
+            stats.fallbacks += 1
             return ProbDecision("regular", group.cond)
 
-        if key in self._blacklist:
-            self.stats.fallbacks += 1
-            return ProbDecision("regular", group.cond)
-
-        entry = self.btb.lookup(key)
+        btb = self.btb
+        entry = btb.entries.get(key)
         if entry is None:
             entry = self._try_allocate(key, group)
             if entry is None:
-                self.stats.fallbacks += 1
+                stats.fallbacks += 1
                 return ProbDecision("regular", group.cond)
+        else:
+            btb.use_clock += 1
+            entry.last_use = btb.use_clock
 
         # Const-Val safety check: the comparison constant must not change
         # within a context (paper §IV, §V-C1).
         if entry.const_val != group.const_value:
-            self.stats.const_mismatches += 1
+            stats.const_mismatches += 1
             self._release(key)
             if self.config.blacklist_on_const_mismatch:
                 self._blacklist.add(key)
-            self.stats.fallbacks += 1
+            stats.fallbacks += 1
             return ProbDecision("regular", group.cond)
 
         # Record the newly generated values and outcome for a future
-        # instance (push at execute).
-        self.inflight.push(key, InFlightRecord(group.cond, list(group.values)))
-
-        if entry.record is None:
-            # Bootstrap: behave as a regular branch; pull a record into
-            # the Prob-BTB once enough instances are outstanding.
-            self.stats.bootstraps += 1
-            entry.record = self.inflight.pull_if_ready(key)
-            return ProbDecision("boot", group.cond)
-
-        # Steady state: replay the stored record, then pull the next one.
+        # instance (push at execute), then pull the oldest record into
+        # the Prob-BTB once enough instances are outstanding.
+        inflight = self.inflight
+        queue = inflight.queues.get(key)
+        if queue is None:
+            queue = inflight.queues[key] = deque()
+        queue.append(InFlightRecord(group.cond, list(group.values)))
         record = entry.record
-        self.stats.hits += 1
-        entry.record = self.inflight.pull_if_ready(key)
+        entry.record = queue.popleft() if len(queue) >= inflight.depth else None
+
+        if record is None:
+            # Bootstrap: behave as a regular branch while recording.
+            stats.bootstraps += 1
+            return ProbDecision("boot", group.cond)
+        # Steady state: replay the stored record.
+        stats.hits += 1
         return ProbDecision("hit", record.taken, record.values)
 
     # ------------------------------------------------------------------
-    def _branch_key(self, group: ProbGroup) -> Optional[BranchKey]:
-        if not self.config.context_support:
-            return (group.jmp_pc, -1, 0)
-        context = self.context.current_context()
-        if context is None:
-            return None
-        return (group.jmp_pc, context[0], context[1])
-
     def _try_allocate(self, key: BranchKey, group: ProbGroup):
         num_values = len(group.regs)
         if num_values > self.config.max_values_per_branch:
@@ -197,7 +212,8 @@ class PBSEngine:
             self.inflight.release(key)
             self.stats.loop_flushes += 1
         # Blacklist entries die with their context.
-        self._blacklist = {key for key in self._blacklist if key[1] != slot}
+        if self._blacklist:
+            self._blacklist = {key for key in self._blacklist if key[1] != slot}
 
     # ------------------------------------------------------------------
     # Context-switch support (paper §V-C2): "we recommend storing the 193

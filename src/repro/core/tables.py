@@ -8,7 +8,6 @@ modelled exactly, and the bit-level cost lives in :mod:`repro.core.cost`.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 #: A branch identity: (PROB_JMP pc, loop slot, function call PC).
@@ -91,54 +90,45 @@ class ProbInFlightTable:
 
     One queue per tracked branch; the queue depth equals the configured
     number of outstanding in-flight instances, which is also the replay
-    lag: instance *i* replays the record of instance *i - depth*.
+    lag: instance *i* replays the record of instance *i - depth*.  The
+    push at execute and the pull of the oldest record once ``depth`` are
+    outstanding happen in :meth:`PBSEngine.transact`, which runs once per
+    probabilistic branch and so works on ``queues`` directly.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
-        self._queues: Dict[BranchKey, Deque[InFlightRecord]] = {}
-
-    def push(self, key: BranchKey, record: InFlightRecord) -> None:
-        self._queues.setdefault(key, deque()).append(record)
-
-    def pull_if_ready(self, key: BranchKey) -> Optional[InFlightRecord]:
-        """Pop the oldest record once ``depth`` instances are outstanding."""
-        queue = self._queues.get(key)
-        if queue is not None and len(queue) >= self.depth:
-            return queue.popleft()
-        return None
+        self.queues: Dict[BranchKey, Deque[InFlightRecord]] = {}
 
     def occupancy(self, key: BranchKey) -> int:
-        queue = self._queues.get(key)
+        queue = self.queues.get(key)
         return len(queue) if queue is not None else 0
 
     def release(self, key: BranchKey) -> None:
-        self._queues.pop(key, None)
+        self.queues.pop(key, None)
 
 
 class ProbBTB:
     """The Prob-BTB: a small fully-associative table of probabilistic
-    branches, indexed by (branch PC, context)."""
+    branches, indexed by (branch PC, context).
+
+    Replacement is least-recently-used: ``use_clock`` stamps an entry's
+    ``last_use`` at allocation and at every hit.  The hit lookup is part
+    of :meth:`PBSEngine.transact`, which reads ``entries`` directly.
+    """
 
     def __init__(self, entries: int):
         self.capacity = entries
-        self._entries: Dict[BranchKey, ProbBTBEntry] = {}
-        self._use_clock = 0
-
-    def lookup(self, key: BranchKey) -> Optional[ProbBTBEntry]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._use_clock += 1
-            entry.last_use = self._use_clock
-        return entry
+        self.entries: Dict[BranchKey, ProbBTBEntry] = {}
+        self.use_clock = 0
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def allocate(
         self, key: BranchKey, target: int, const_val, num_values: int
@@ -146,9 +136,9 @@ class ProbBTB:
         if self.full:
             return None
         entry = ProbBTBEntry(key, target, const_val, num_values)
-        self._use_clock += 1
-        entry.last_use = self._use_clock
-        self._entries[key] = entry
+        self.use_clock += 1
+        entry.last_use = self.use_clock
+        self.entries[key] = entry
         return entry
 
     def evict_candidate(self, active_slot: int) -> Optional[BranchKey]:
@@ -162,7 +152,7 @@ class ProbBTB:
         """
         candidates = [
             entry
-            for entry in self._entries.values()
+            for entry in self.entries.values()
             if entry.loop_slot != active_slot
         ]
         if not candidates:
@@ -170,7 +160,7 @@ class ProbBTB:
         return min(candidates, key=lambda entry: entry.last_use).key
 
     def invalidate(self, key: BranchKey) -> None:
-        self._entries.pop(key, None)
+        self.entries.pop(key, None)
 
     def flush_loop_slot(self, slot: int) -> List[BranchKey]:
         """Clear every entry associated with a context-table slot.
@@ -180,11 +170,11 @@ class ProbBTB:
         valid bit", reclaiming the value storage.
         """
         victims = [
-            key for key, entry in self._entries.items() if entry.loop_slot == slot
+            key for key, entry in self.entries.items() if entry.loop_slot == slot
         ]
         for key in victims:
-            del self._entries[key]
+            del self.entries[key]
         return victims
 
     def keys(self):
-        return list(self._entries.keys())
+        return list(self.entries.keys())

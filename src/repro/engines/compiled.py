@@ -66,7 +66,9 @@ from .base import Engine, register_engine
 #: v3: columnar sink variant (EventBatch extends per basic block).
 #: v4: budget checks at loop headers with a hand-off to the
 #: interpreter, event rows from row keys.
-CODEGEN_VERSION = 4
+#: v5: PBS context-table calls only at backward transfers, calls and
+#: returns (the context table ignores every forward transfer).
+CODEGEN_VERSION = 5
 
 #: Sink modes for the generated-code variant key.
 SINK_NONE = 0      # no events
@@ -394,7 +396,8 @@ class _Codegen:
                 put(depth, f"_t = not r{COND_REG_NUM}")
             else:
                 put(depth, f"_t = {A} {_BRANCH_SYMBOL[op]} {B}")
-            if self.pbs:
+            # ContextTable.observe_branch ignores forward transfers.
+            if self.pbs and target < pc:
                 put(depth, f"pbs_observe({pc}, _t, {target})")
             self.branch(depth, pc, target, pc)
         elif op is Op.JMP or op is Op.CALL:
@@ -402,7 +405,7 @@ class _Codegen:
                 put(depth, f"call_stack.append({pc + 1})")
                 if self.pbs:
                     put(depth, f"pbs_observe_call({pc})")
-            elif self.pbs:
+            elif self.pbs and target < pc:
                 put(depth, f"pbs_observe({pc}, True, {target})")
             if self.sink:
                 self.row(depth, pc, str(pc))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import weakref
 from collections import deque
 from contextlib import closing
 from multiprocessing.connection import wait
@@ -54,6 +55,12 @@ ProgressCallback = Callable[[int, object, RunResult], None]
 #: Attempts per job on :class:`WorkerPoolExecutor` (the coordinator's
 #: ``max_attempts`` default).
 MAX_ATTEMPTS = 3
+
+
+#: The parent-side pipe end of every pool worker this process started.
+#: A forked worker inherits copies of them all; it closes those first
+#: (:func:`_worker_main`), so a worker sees EOF once its parent dies.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 class WorkerDiedError(RuntimeError):
@@ -116,6 +123,8 @@ def _worker_main(conn) -> None:
     """One pool worker: run each trace group received on ``conn`` and
     reply ``(True, results)`` or ``(False, exception)``, until the pipe
     closes."""
+    for end in list(_PARENT_ENDS):
+        end.close()
     while True:
         try:
             specs = conn.recv()
@@ -372,6 +381,7 @@ class WorkerPoolExecutor(Executor):
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
         conn, child = context.Pipe()
+        _PARENT_ENDS.add(conn)
         process = context.Process(target=_worker_main, args=(child,), daemon=True)
         process.start()
         child.close()  # the worker holds the only copy, so its death is EOF

@@ -90,7 +90,7 @@ class TestContextSwitch:
         snapshot = engine.save_state()
         engine.reset()
         engine.restore_state(snapshot)
-        assert engine.context.current_context() != (-1, 0)
+        assert engine.context.active_slot >= 0
 
 
 class TestCpiStack:

@@ -1,5 +1,7 @@
 """Tests for the PBS engine: bootstrap, replay, safety, capacity."""
 
+import copy
+
 import pytest
 
 from repro.core import PBSConfig, PBSEngine, hardware_cost
@@ -197,6 +199,20 @@ class TestCapacity:
         assert eng.transact(group(jmp_pc=300)).mode == "boot"
         assert eng.stats.capacity_rejects == 0
 
+    def test_hit_makes_an_entry_most_recently_used(self):
+        eng = engine(num_branches=2, inflight_depth=1)
+        eng.observe_branch(pc=90, taken=True, target=5)      # outer
+        outer = eng.context.active_slot
+        eng.transact(group(jmp_pc=100))
+        eng.transact(group(jmp_pc=200))
+        assert eng.transact(group(jmp_pc=100)).mode == "hit"
+        # In an inner loop both entries are stale-context candidates; the
+        # one not hit since its allocation is the least recently used.
+        eng.observe_branch(pc=50, taken=True, target=30)     # inner
+        inner = eng.context.active_slot
+        assert eng.transact(group(jmp_pc=300)).mode == "boot"
+        assert sorted(eng.btb.keys()) == [(100, outer, 0), (300, inner, 0)]
+
 
 class TestHardwareCost:
     def test_paper_cost_is_193_bytes(self):
@@ -241,3 +257,105 @@ class TestReset:
         eng.reset()
         assert eng.stats.instances == 0
         assert eng.transact(group()).mode == "boot"
+
+
+class TestCachedActiveSlot:
+    """The fused ``transact`` keys branches by the context table's cached
+    active slot; these paths change which slot that is."""
+
+    def test_save_restore_round_trip_keeps_executing(self):
+        eng = engine(inflight_depth=2)
+        reference = engine(inflight_depth=2)
+        for e in (eng, reference):
+            e.observe_branch(pc=90, taken=True, target=5)    # outer
+            e.observe_branch(pc=50, taken=True, target=30)   # inner
+            for i in range(3):
+                e.transact(group(value=0.1 * (i + 1)))
+        snapshot = eng.save_state()
+        # The inner loop ends (flushing its branch), then the state from
+        # before that is restored.
+        eng.observe_branch(pc=50, taken=False, target=30)
+        eng.transact(group(value=0.5))
+        eng.restore_state(snapshot)
+        eng.stats = copy.deepcopy(reference.stats)
+        inner = reference.context.active_slot
+        assert eng.context.active_slot == inner
+        for i in range(4):
+            value = 0.05 * (i + 1)
+            got, want = eng.transact(group(value=value)), reference.transact(
+                group(value=value))
+            assert (got.mode, got.taken, got.swap_values) == (
+                want.mode, want.taken, want.swap_values)
+        assert eng.btb.keys() == reference.btb.keys() == [(100, inner, 0)]
+        assert eng.stats.as_dict() == reference.stats.as_dict()
+
+    def test_reset_with_a_loop_active(self):
+        eng = engine(inflight_depth=1)
+        eng.observe_branch(pc=50, taken=True, target=10)
+        eng.observe_call(pc=20)
+        eng.observe_call(pc=21)
+        eng.reset()
+        assert eng.context.active_slot == -1
+        assert eng.transact(group()).mode == "boot"
+        assert eng.btb.keys() == [(100, -1, 0)]
+
+    def test_eviction_of_the_older_slot_rekeys_branches(self):
+        eng = engine(inflight_depth=1)
+        eng.observe_branch(pc=90, taken=True, target=5)
+        first = eng.context.active_slot
+        eng.transact(group())
+        eng.observe_branch(pc=50, taken=True, target=30)
+        eng.transact(group())
+        eng.observe_branch(pc=70, taken=True, target=60)     # evicts first
+        assert eng.context.evictions == 1
+        assert eng.context.active_slot == first
+        # The evicted loop's entry went with it; the new loop reuses its
+        # slot number but starts a fresh context.
+        assert eng.transact(group()).mode == "boot"
+        assert sorted(eng.btb.keys()) == sorted(
+            [(100, first, 0), (100, 1 - first, 0)])
+        assert eng.stats.loop_flushes == 1
+
+    def test_deep_call_reject_then_return_reenables_tracking(self):
+        eng = engine(inflight_depth=1)
+        eng.observe_branch(pc=50, taken=True, target=10)
+        slot = eng.context.active_slot
+        eng.observe_call(pc=20)
+        eng.observe_call(pc=21)
+        assert eng.transact(group()).mode == "regular"
+        assert eng.stats.deep_call_rejects == 1
+        eng.observe_return(pc=30)
+        assert eng.transact(group()).mode == "boot"
+        assert eng.transact(group()).mode == "hit"
+        assert eng.btb.keys() == [(100, slot, 20)]
+        eng.observe_return(pc=31)
+        assert eng.transact(group()).mode == "boot"  # back in the loop body
+        assert eng.stats.deep_call_rejects == 1
+
+    def test_const_val_blacklist_dies_with_its_loop_slot(self):
+        eng = engine(inflight_depth=1)
+        eng.observe_branch(pc=90, taken=True, target=5)      # outer
+        eng.transact(group(jmp_pc=200))
+        eng.observe_branch(pc=50, taken=True, target=30)     # inner
+        inner = eng.context.active_slot
+        eng.transact(group(const=0.5))
+        eng.transact(group(const=0.6))                       # blacklisted
+        assert eng.transact(group(const=0.5)).mode == "regular"
+        eng.observe_branch(pc=50, taken=False, target=30)    # inner ends
+        assert (100, inner, 0) not in eng._blacklist
+        assert eng.btb.keys() == [(200, 1 - inner, 0)]
+        eng.observe_branch(pc=50, taken=True, target=30)     # re-entered
+        assert eng.context.active_slot == inner
+        assert eng.transact(group(const=0.5)).mode == "boot"
+
+    def test_context_support_off_keys_by_pc_alone(self):
+        eng = engine(inflight_depth=1, context_support=False)
+        eng.observe_branch(pc=90, taken=True, target=5)
+        eng.observe_call(pc=20)
+        eng.observe_call(pc=21)
+        assert eng.transact(group()).mode == "boot"
+        assert eng.transact(group()).mode == "hit"
+        assert eng.btb.keys() == [(100, -1, 0)]
+        assert eng.context.active_slot == -1
+        assert eng.context.loops_detected == 0
+        assert eng.stats.deep_call_rejects == 0

@@ -1,13 +1,18 @@
 """Direct unit tests for the PBS hardware tables."""
 
+from collections import deque
+
 import pytest
 
 from repro.core import (
     InFlightRecord,
+    PBSConfig,
+    PBSEngine,
     ProbBTB,
     ProbInFlightTable,
     SwapTable,
 )
+from repro.functional.executor import ProbGroup
 
 KEY_A = (100, 0, 0)
 KEY_B = (200, 0, 0)
@@ -16,12 +21,12 @@ KEY_C = (300, 1, 0)
 
 class TestProbBTB:
     def test_lookup_miss(self):
-        assert ProbBTB(4).lookup(KEY_A) is None
+        assert KEY_A not in ProbBTB(4).entries
 
     def test_allocate_and_lookup(self):
         btb = ProbBTB(4)
         entry = btb.allocate(KEY_A, target=5, const_val=0.5, num_values=1)
-        assert btb.lookup(KEY_A) is entry
+        assert btb.entries[KEY_A] is entry
         assert entry.const_val == 0.5
         assert not entry.valid  # no record pulled yet
 
@@ -43,7 +48,7 @@ class TestProbBTB:
         btb.allocate(KEY_A, 0, 0.5, 1)
         btb.invalidate(KEY_A)
         assert not btb.full
-        assert btb.lookup(KEY_A) is None
+        assert KEY_A not in btb.entries
 
     def test_invalidate_missing_key_is_noop(self):
         ProbBTB(1).invalidate(KEY_A)  # must not raise
@@ -54,16 +59,18 @@ class TestProbBTB:
         btb.allocate(KEY_C, 0, 0.5, 1)   # slot 1
         victims = btb.flush_loop_slot(0)
         assert victims == [KEY_A]
-        assert btb.lookup(KEY_A) is None
-        assert btb.lookup(KEY_C) is not None
+        assert list(btb.entries) == [KEY_C]
 
     def test_evict_candidate_prefers_lru_outside_active_slot(self):
         btb = ProbBTB(2)
-        btb.allocate(KEY_A, 0, 0.5, 1)
         btb.allocate(KEY_C, 0, 0.5, 1)
-        btb.lookup(KEY_A)  # KEY_A becomes MRU
+        btb.allocate(KEY_A, 0, 0.5, 1)  # KEY_A is the most recent use
         # Active slot 7: both entries are candidates, KEY_C is LRU.
         assert btb.evict_candidate(active_slot=7) == KEY_C
+        # A hit (PBSEngine.transact) restamps an entry's last use.
+        btb.use_clock += 1
+        btb.entries[KEY_C].last_use = btb.use_clock
+        assert btb.evict_candidate(active_slot=7) == KEY_A
 
     def test_evict_candidate_never_picks_active_slot(self):
         btb = ProbBTB(1)
@@ -100,32 +107,47 @@ class TestSwapTable:
         assert table.free == 1
 
 
+def transact_at(engine, jmp_pc, value):
+    return engine.transact(ProbGroup(jmp_pc, "lt", value < 0.5, 0.5, [40], [value]))
+
+
 class TestProbInFlightTable:
+    """The push and pull happen in ``PBSEngine.transact``; these tests
+    drive it and read the table it fills."""
+
     def test_pull_requires_depth_records(self):
-        table = ProbInFlightTable(depth=3)
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        table.push(KEY_A, InFlightRecord(False, [0.2]))
-        assert table.pull_if_ready(KEY_A) is None
-        table.push(KEY_A, InFlightRecord(True, [0.3]))
-        record = table.pull_if_ready(KEY_A)
+        engine = PBSEngine(PBSConfig(inflight_depth=3))
+        key = (100, -1, 0)
+        transact_at(engine, 100, 0.1)
+        transact_at(engine, 100, 0.2)
+        assert engine.inflight.occupancy(key) == 2
+        assert engine.btb.entries[key].record is None
+        transact_at(engine, 100, 0.3)
+        record = engine.btb.entries[key].record
         assert record is not None
         assert record.values == [0.1]  # FIFO: oldest first
+        assert engine.inflight.occupancy(key) == 2
 
     def test_queues_are_per_key(self):
-        table = ProbInFlightTable(depth=1)
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        assert table.pull_if_ready(KEY_B) is None
-        assert table.pull_if_ready(KEY_A).values == [0.1]
+        engine = PBSEngine(PBSConfig(inflight_depth=1))
+        transact_at(engine, 100, 0.1)
+        transact_at(engine, 200, 0.2)
+        assert engine.btb.entries[(100, -1, 0)].record.values == [0.1]
+        assert engine.btb.entries[(200, -1, 0)].record.values == [0.2]
+        assert transact_at(engine, 200, 0.3).swap_values == [0.2]
 
     def test_occupancy(self):
         table = ProbInFlightTable(depth=4)
         assert table.occupancy(KEY_A) == 0
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
+        table.queues[KEY_A] = deque([InFlightRecord(True, [0.1])])
         assert table.occupancy(KEY_A) == 1
 
     def test_release_clears_queue(self):
-        table = ProbInFlightTable(depth=1)
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        table.release(KEY_A)
-        assert table.occupancy(KEY_A) == 0
-        assert table.pull_if_ready(KEY_A) is None
+        engine = PBSEngine(PBSConfig(inflight_depth=2))
+        key = (100, -1, 0)
+        transact_at(engine, 100, 0.1)
+        engine.inflight.release(key)
+        assert engine.inflight.occupancy(key) == 0
+        # The next instance starts a fresh queue: no record is pulled.
+        transact_at(engine, 100, 0.2)
+        assert engine.btb.entries[key].record is None

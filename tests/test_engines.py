@@ -149,6 +149,21 @@ class TestCompiledTier:
         candidate = engine_state("compiled", program, seed=3)
         assert_states_match(reference, candidate, f"compiled:{name}")
 
+    @pytest.mark.parametrize("name", sorted(workload_names()))
+    def test_matches_interp_with_pbs_on_every_workload(self, name):
+        from repro.core import PBSEngine
+
+        program = get_workload(name).build(0.02)
+        for seed in (1, 3):
+            reference, candidate = (
+                _limit_outcome(tier(program, seed=seed, pbs=PBSEngine(),
+                                    record_consumed=True), None)
+                for tier in (Executor, CompiledExecutor))
+            assert reference["error"] is None
+            for key in reference:
+                assert candidate[key] == reference[key], (
+                    f"compiled:{name} seed={seed}: {key}")
+
     def test_generated_source_is_valid_python(self):
         program = get_workload("pi").build(0.02)
         decoded = Executor._decode(program.instructions)
@@ -292,6 +307,21 @@ def _limit_outcome(executor, sink):
         "memory": repr(state.memory),
         "outputs": repr(state.output()),
         "consumed": repr(executor.consumed_values),
+        **pbs_state(executor.pbs),
+    }
+
+
+def pbs_state(pbs):
+    """The PBS engine's observable state, empty without one: its
+    counters, the context table's loop counters and the Prob-BTB keys."""
+    if pbs is None:
+        return {}
+    context = pbs.context
+    return {
+        "pbs stats": pbs.stats.as_dict(),
+        "context counters": (context.loops_detected,
+                             context.loops_terminated, context.evictions),
+        "prob-btb keys": sorted(pbs.btb.keys()),
     }
 
 

@@ -307,6 +307,48 @@ class TestPoolSurvivesKilledWorkers:
         assert outcome["requeued"] == 2  # attempts 2 and 3
         assert outcome["after"] == [2]  # the executor still works
 
+    def test_workers_exit_when_their_driver_is_sigkilled(self):
+        outcome = run_watched("""
+            import json, subprocess, sys, time
+
+            DRIVER = '''
+            import time
+            from repro.sim import RunSpec, WorkerPoolExecutor
+            pool = WorkerPoolExecutor(processes=2)
+            pool.map([RunSpec(workload="pi", scale=0.02, seed=seed)
+                      for seed in (0, 1)])
+            print(*(process.pid for process, _ in pool._idle), flush=True)
+            time.sleep(600)
+            '''
+
+            def state(pid):
+                # An unreaped zombie still answers os.kill(pid, 0): read
+                # its state instead.  No entry means it was reaped.
+                try:
+                    with open(f"/proc/{pid}/status") as status:
+                        for line in status:
+                            if line.startswith("State:"):
+                                return line.split()[1]
+                except FileNotFoundError:
+                    return "gone"
+
+            driver = subprocess.Popen(
+                [sys.executable, "-c", DRIVER],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+            workers = [int(pid) for pid in driver.stdout.readline().split()]
+            driver.kill()
+            driver.wait()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                states = [state(pid) for pid in workers]
+                if all(s in ("Z", "gone") for s in states):
+                    break
+                time.sleep(0.1)
+            print(json.dumps({"workers": len(workers), "states": states}))
+        """)
+        assert outcome["workers"] == 2
+        assert all(s in ("Z", "gone") for s in outcome["states"]), outcome
+
 
 def _worker_pids(executor):
     """Pids of the pool's live idle workers (all of them between maps)."""
