@@ -72,6 +72,18 @@ def golden_specs() -> List[RunSpec]:
                 timing=_four_wide_dict(),
             )
         )
+    # A two-entry Prob-BTB keeps genetic's branches under capacity
+    # pressure, so LRU replacement and loop flushes are in the contract.
+    specs.append(
+        RunSpec(
+            workload="genetic",
+            scale=GOLDEN_SCALE,
+            seed=1,
+            mode="pbs",
+            predictors=GOLDEN_PREDICTORS,
+            pbs_config={"num_branches": 2},
+        )
+    )
     return specs
 
 
@@ -86,7 +98,10 @@ def fixture_name(spec: RunSpec) -> str:
     filtered = (
         "-filtered" if spec.harness_options.get("filter_probabilistic") else ""
     )
-    return f"{spec.workload}-{spec.mode}-seed{spec.seed}{timed}{filtered}.json"
+    branches = (spec.pbs_config or {}).get("num_branches")
+    btb = f"-btb{branches}" if branches else ""
+    return (f"{spec.workload}-{spec.mode}-seed{spec.seed}"
+            f"{timed}{filtered}{btb}.json")
 
 
 #: The CFD ablation's timed cores.  A Session cannot express
