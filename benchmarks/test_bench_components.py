@@ -10,7 +10,6 @@ import random
 from repro.branch import TageSCL, Tournament
 from repro.core import PBSEngine
 from repro.functional import Executor
-from repro.functional.executor import ProbGroup
 from repro.isa import ProgramBuilder, R
 from repro.workloads import get_workload
 
@@ -260,8 +259,7 @@ def test_bench_pbs_transactions(benchmark):
         engine = PBSEngine()
         hits = 0
         for value in values:
-            group = ProbGroup(100, "lt", value < 0.5, 0.5, [40], [value])
-            if engine.transact(group).mode == "hit":
+            if engine.transact(100, value < 0.5, 0.5, [value]) is not None:
                 hits += 1
         return hits
 
@@ -280,8 +278,7 @@ def test_bench_pbs_transactions_in_loop(benchmark):
         hits = 0
         for value in values:
             observe(120, True, 90)
-            group = ProbGroup(100, "lt", value < 0.5, 0.5, [40], [value])
-            if engine.transact(group).mode == "hit":
+            if engine.transact(100, value < 0.5, 0.5, [value]) is not None:
                 hits += 1
         return hits
 

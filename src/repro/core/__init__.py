@@ -20,7 +20,6 @@ from .cost import (
 from .engine import PBSEngine, PBSStats
 from .tables import (
     BranchKey,
-    InFlightRecord,
     ProbBTB,
     ProbBTBEntry,
     ProbInFlightTable,
@@ -39,7 +38,6 @@ __all__ = [
     "PBSEngine",
     "PBSStats",
     "BranchKey",
-    "InFlightRecord",
     "ProbBTB",
     "ProbBTBEntry",
     "ProbInFlightTable",

@@ -1,40 +1,45 @@
 """The PBS engine: ties the tables together and implements the protocol.
 
-The functional simulator calls :meth:`PBSEngine.transact` for every
+The functional simulator calls :meth:`PBSEngine.transact` once per
 executed probabilistic branch group and :meth:`observe_branch` /
 :meth:`observe_call` / :meth:`observe_return` for the surrounding control
 flow.  Those three are the context table's own methods, or a no-op
 without context support; the compiled tier calls ``observe_branch`` only
-at backward transfers, the only ones the table reacts to.  The engine
-decides, per instance, between three modes:
+at backward transfers, the only ones the table reacts to.
 
-``hit``
+``transact(jmp_pc, cond, const_value, values)`` takes the jumping
+``PROB_JMP``'s pc, the condition computed from the new probabilistic
+value, the comparison constant and the group's new values.  It returns
+the replayed ``(taken, values)`` record on a hit and ``None`` otherwise.
+:class:`PBSStats` counts each instance in one of three categories:
+
+``hits``
     The Prob-BTB steers fetch with a recorded direction; the recorded
     probabilistic values are swapped into the registers and the newly
     generated values enter the Prob-in-Flight table.  No prediction, no
     possible misprediction (paper Section III-B).
 
-``boot``
-    Bootstrap: the instance executes as a regular branch while its record
-    is collected.  After ``inflight_depth`` records the oldest is pulled
+``bootstraps``
+    The instance executes as a regular branch while its record is
+    collected.  After ``inflight_depth`` records the oldest is pulled
     into the Prob-BTB and the branch goes live.
 
-``regular``
-    PBS declines the branch: Const-Val mismatch, table capacity, too many
-    probabilistic values, unsupported call depth, or PBS disabled for the
-    branch after a safety flush.
+``fallbacks``
+    PBS declines the branch (it executes as a regular one): Const-Val
+    mismatch, table capacity, too many probabilistic values, unsupported
+    call depth, or PBS disabled for the branch after a safety flush.
+    Each reason has its own counter.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Optional, Set
+from typing import List, Optional, Set
 
-from ..functional.executor import ProbDecision, ProbGroup
 from .config import PBSConfig
 from .context import ContextTable
-from .tables import BranchKey, InFlightRecord, ProbBTB, ProbInFlightTable, SwapTable
+from .tables import BranchKey, ProbBTB, ProbInFlightTable, Record, SwapTable
 
 
 class PBSStats:
@@ -106,12 +111,16 @@ class PBSEngine:
     # ------------------------------------------------------------------
     # The probabilistic branch transaction.
     # ------------------------------------------------------------------
-    def transact(self, group: ProbGroup) -> ProbDecision:
+    def transact(
+        self, jmp_pc: int, cond: bool, const_value, values: List[float]
+    ) -> Optional[Record]:
         # One body for the common path (context key, blacklist, Prob-BTB
         # lookup and LRU stamp, Const-Val check, in-flight push and pull):
         # it runs once per probabilistic branch, so it calls no helper
         # until a rare event (allocation, release) needs one.  It is the
         # only implementation of these steps; the tables hold the state.
+        # ``values`` becomes the record without a copy: both tiers build
+        # that list fresh for each group and never touch it again.
         stats = self.stats
         stats.instances += 1
 
@@ -127,36 +136,36 @@ class PBSEngine:
                     # PBS treats the branch as regular (paper §V-C1).
                     stats.deep_call_rejects += 1
                     stats.fallbacks += 1
-                    return ProbDecision("regular", group.cond)
+                    return None
                 if loop.counter:
                     function_pc = loop.function_pc
-        key = (group.jmp_pc, slot, function_pc)
+        key = (jmp_pc, slot, function_pc)
 
         blacklist = self._blacklist
         if blacklist and key in blacklist:
             stats.fallbacks += 1
-            return ProbDecision("regular", group.cond)
+            return None
 
         btb = self.btb
         entry = btb.entries.get(key)
         if entry is None:
-            entry = self._try_allocate(key, group)
+            entry = self._try_allocate(key, const_value, len(values))
             if entry is None:
                 stats.fallbacks += 1
-                return ProbDecision("regular", group.cond)
+                return None
         else:
             btb.use_clock += 1
             entry.last_use = btb.use_clock
 
         # Const-Val safety check: the comparison constant must not change
         # within a context (paper §IV, §V-C1).
-        if entry.const_val != group.const_value:
+        if entry.const_val != const_value:
             stats.const_mismatches += 1
             self._release(key)
             if self.config.blacklist_on_const_mismatch:
                 self._blacklist.add(key)
             stats.fallbacks += 1
-            return ProbDecision("regular", group.cond)
+            return None
 
         # Record the newly generated values and outcome for a future
         # instance (push at execute), then pull the oldest record into
@@ -165,21 +174,20 @@ class PBSEngine:
         queue = inflight.queues.get(key)
         if queue is None:
             queue = inflight.queues[key] = deque()
-        queue.append(InFlightRecord(group.cond, list(group.values)))
+        queue.append((cond, values))
         record = entry.record
         entry.record = queue.popleft() if len(queue) >= inflight.depth else None
 
         if record is None:
             # Bootstrap: behave as a regular branch while recording.
             stats.bootstraps += 1
-            return ProbDecision("boot", group.cond)
+            return None
         # Steady state: replay the stored record.
         stats.hits += 1
-        return ProbDecision("hit", record.taken, record.values)
+        return record
 
     # ------------------------------------------------------------------
-    def _try_allocate(self, key: BranchKey, group: ProbGroup):
-        num_values = len(group.regs)
+    def _try_allocate(self, key: BranchKey, const_value, num_values: int):
         if num_values > self.config.max_values_per_branch:
             self.stats.value_count_rejects += 1
             return None
@@ -192,7 +200,7 @@ class PBSEngine:
         if not self.swap.allocate(key, max(0, num_values - 1)):
             self.stats.swap_rejects += 1
             return None
-        entry = self.btb.allocate(key, 0, group.const_value, num_values)
+        entry = self.btb.allocate(key, const_value)
         if entry is None:  # pragma: no cover - guarded by btb.full above
             self.swap.release(key)
             return None

@@ -13,44 +13,28 @@ from typing import Deque, Dict, List, Optional, Tuple
 #: A branch identity: (PROB_JMP pc, loop slot, function call PC).
 BranchKey = Tuple[int, int, int]
 
-
-class InFlightRecord:
-    """One executed-but-not-yet-replayed instance of a probabilistic
-    branch: its outcome and the probabilistic values that produced it."""
-
-    __slots__ = ("taken", "values")
-
-    def __init__(self, taken: bool, values: List[float]):
-        self.taken = taken
-        self.values = values
+#: One executed instance of a probabilistic branch: its outcome and the
+#: probabilistic values that produced it, as ``(taken, values)``.
+Record = Tuple[bool, List[float]]
 
 
 class ProbBTBEntry:
     """One Prob-BTB entry (plus its SwapTable slots, held by reference).
 
-    ``record`` is the instance currently steering fetch (the paper's
-    T/NT + Pr-Phy + SwapTable pointers); ``const_val`` is the comparison
-    constant registered at allocation for the safety check.
+    ``record`` is the ``(taken, values)`` record currently steering
+    fetch (the paper's T/NT + Pr-Phy + SwapTable pointers), or ``None``
+    until one is pulled in; ``const_val`` is the comparison constant
+    registered at allocation for the safety check.
     """
 
-    __slots__ = (
-        "key", "target", "const_val", "record", "num_values", "loop_slot",
-        "last_use",
-    )
+    __slots__ = ("key", "const_val", "record", "loop_slot", "last_use")
 
-    def __init__(self, key: BranchKey, target: int, const_val, num_values: int):
+    def __init__(self, key: BranchKey, const_val):
         self.key = key
-        self.target = target
         self.const_val = const_val
-        self.record: Optional[InFlightRecord] = None
-        self.num_values = num_values
+        self.record: Optional[Record] = None
         self.loop_slot = key[1]
         self.last_use = 0
-
-    @property
-    def valid(self) -> bool:
-        """A record has been pulled in: fetch can be steered."""
-        return self.record is not None
 
 
 class SwapTable:
@@ -88,21 +72,18 @@ class SwapTable:
 class ProbInFlightTable:
     """FIFO of executed instances awaiting their pull into the Prob-BTB.
 
-    One queue per tracked branch; the queue depth equals the configured
-    number of outstanding in-flight instances, which is also the replay
-    lag: instance *i* replays the record of instance *i - depth*.  The
-    push at execute and the pull of the oldest record once ``depth`` are
-    outstanding happen in :meth:`PBSEngine.transact`, which runs once per
-    probabilistic branch and so works on ``queues`` directly.
+    One queue of ``(taken, values)`` records per tracked branch; the
+    queue depth equals the configured number of outstanding in-flight
+    instances, which is also the replay lag: instance *i* replays the
+    record of instance *i - depth*.  The push at execute and the pull of
+    the oldest record once ``depth`` are outstanding happen in
+    :meth:`PBSEngine.transact`, which runs once per probabilistic branch
+    and so works on ``queues`` directly.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
-        self.queues: Dict[BranchKey, Deque[InFlightRecord]] = {}
-
-    def occupancy(self, key: BranchKey) -> int:
-        queue = self.queues.get(key)
-        return len(queue) if queue is not None else 0
+        self.queues: Dict[BranchKey, Deque[Record]] = {}
 
     def release(self, key: BranchKey) -> None:
         self.queues.pop(key, None)
@@ -123,19 +104,13 @@ class ProbBTB:
         self.use_clock = 0
 
     @property
-    def occupancy(self) -> int:
-        return len(self.entries)
-
-    @property
     def full(self) -> bool:
         return len(self.entries) >= self.capacity
 
-    def allocate(
-        self, key: BranchKey, target: int, const_val, num_values: int
-    ) -> Optional[ProbBTBEntry]:
+    def allocate(self, key: BranchKey, const_val) -> Optional[ProbBTBEntry]:
         if self.full:
             return None
-        entry = ProbBTBEntry(key, target, const_val, num_values)
+        entry = ProbBTBEntry(key, const_val)
         self.use_clock += 1
         entry.last_use = self.use_clock
         self.entries[key] = entry

@@ -47,13 +47,7 @@ from itertools import compress, count
 from operator import itemgetter as pick
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..functional.executor import (
-    ExecutionError,
-    Executor,
-    ProbGroup,
-    nan_max,
-    nan_min,
-)
+from ..functional.executor import ExecutionError, Executor, nan_max, nan_min
 from ..functional.trace import EventBatch, as_batch_sink
 from ..isa.opcodes import OP_CLASS, Op
 from ..isa.registers import COND_REG_NUM
@@ -68,7 +62,10 @@ from .base import Engine, register_engine
 #: interpreter, event rows from row keys.
 #: v5: PBS context-table calls only at backward transfers, calls and
 #: returns (the context table ignores every forward transfer).
-CODEGEN_VERSION = 5
+#: v6: ``PBSEngine.transact(pc, cond, const, values)`` returns the hit's
+#: ``(taken, values)`` record or ``None``; the pending group drops its
+#: comparison operator.
+CODEGEN_VERSION = 6
 
 #: Sink modes for the generated-code variant key.
 SINK_NONE = 0      # no events
@@ -379,14 +376,14 @@ class _Codegen:
             put(depth, f"_v = r{s0}; _k = {B}")
             put(depth, f"_c = _v {_CMP_SYMBOL[cmp_op]} _k")
             put(depth, f"r{COND_REG_NUM} = 1 if _c else 0")
-            put(depth, f"_pend = ({cmp_op!r}, _c, _k, [{s0}], [_v])")
+            put(depth, f"_pend = (_c, _k, [{s0}], [_v])")
             self.pending = True
         elif op is Op.PROB_JMP and target is None:
             # Intermediate PROB_JMP: registers an extra swap value,
             # does not jump.
             self.pending_check(depth, pc)
             if dest != -1:
-                put(depth, f"_pend[3].append({dest}); _pend[4].append({D})")
+                put(depth, f"_pend[2].append({dest}); _pend[3].append({D})")
         elif op is Op.PROB_JMP:
             self.prob_jmp(depth, pc, dest, target)
         elif op in _BRANCH_SYMBOL or op is Op.JT or op is Op.JF:
@@ -448,17 +445,15 @@ class _Codegen:
         """The jumping PROB_JMP: hand the group to the PBS engine."""
         put = self.put
         self.pending_check(depth, pc)
-        put(depth, "_gr = _pend[3]; _gv = _pend[4]")
+        put(depth, "_gr = _pend[2]; _gv = _pend[3]")
         if dest != -1:
             put(depth, f"_gr.append({dest}); _gv.append(r{dest})")
         if self.pbs:
-            put(depth, f"_dec = pbs_transact(_PG({pc}, _pend[0], "
-                       "_pend[1], _pend[2], _gr, _gv))")
-            put(depth, "_t = _dec.taken")
-            put(depth, 'if _dec.mode == "hit":')
+            put(depth, f"_rec = pbs_transact({pc}, _pend[0], _pend[1], _gv)")
+            put(depth, "if _rec is not None:")
             if self.sink:
                 put(depth + 1, f"_pk = {pc + 2 * self.n}")
-            put(depth + 1, "_sv = _dec.swap_values")
+            put(depth + 1, "_t, _sv = _rec")
             put(depth + 1, "for _rn, _ov in _zip(_gr, _sv):")
             chain = "if"
             for candidate in self.swap_candidates:
@@ -469,15 +464,14 @@ class _Codegen:
             if self.record_consumed:
                 put(depth + 1, "consumed_values.append(_sv[0])")
             put(depth, "else:")
+            put(depth + 1, "_t = _pend[0]")
             if self.sink:
                 put(depth + 1, f"_pk = {pc}")
             if self.record_consumed:
                 put(depth + 1, "consumed_values.append(_gv[0])")
-            elif not self.sink:
-                put(depth + 1, "pass")
             key = "_pk"
         else:
-            put(depth, "_t = _pend[1]")
+            put(depth, "_t = _pend[0]")
             if self.record_consumed:
                 put(depth, "consumed_values.append(_gv[0])")
             key = pc
@@ -706,7 +700,6 @@ def _bind(source: str, program, table: Optional[tuple]):
         "_XE": ExecutionError,
         "_LF": partial(_memory_fault, program.name, "load from"),
         "_SF": partial(_memory_fault, program.name, "store to"),
-        "_PG": ProbGroup,
         "_N": program.name,
         "_exp": math.exp,
         "_log": math.log,

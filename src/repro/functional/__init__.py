@@ -4,8 +4,6 @@ from .executor import (
     ExecutionError,
     ExecutionLimitExceeded,
     Executor,
-    ProbDecision,
-    ProbGroup,
     nan_max,
     nan_min,
 )
@@ -17,8 +15,6 @@ __all__ = [
     "ExecutionError",
     "ExecutionLimitExceeded",
     "Executor",
-    "ProbDecision",
-    "ProbGroup",
     "nan_max",
     "nan_min",
     "Drand48",

@@ -72,47 +72,6 @@ def nan_max(a, b):
     return a if a >= b else b
 
 
-class ProbGroup:
-    """A decoded PROB_CMP + PROB_JMP... group, handed to the PBS engine.
-
-    Attributes:
-        jmp_pc: PC of the final (jumping) PROB_JMP — the Prob-BTB index.
-        cmp_op: comparison operator string.
-        cond: condition computed from the *new* probabilistic value.
-        const_value: the value the probabilistic value is compared against
-            (the paper's Const-Val safety field).
-        regs: register numbers holding probabilistic values, in order
-            [PROB_CMP reg, intermediate PROB_JMP regs..., final PROB_JMP reg].
-        values: the newly generated values currently in those registers.
-    """
-
-    __slots__ = ("jmp_pc", "cmp_op", "cond", "const_value", "regs", "values")
-
-    def __init__(self, jmp_pc, cmp_op, cond, const_value, regs, values):
-        self.jmp_pc = jmp_pc
-        self.cmp_op = cmp_op
-        self.cond = cond
-        self.const_value = const_value
-        self.regs = regs
-        self.values = values
-
-
-class ProbDecision:
-    """The PBS engine's verdict for one probabilistic branch instance.
-
-    ``mode`` is ``'hit'`` (replay recorded direction + swap values),
-    ``'boot'`` (bootstrap: regular behaviour while recording) or
-    ``'regular'`` (fallback: Const-Val mismatch, capacity, context rules).
-    """
-
-    __slots__ = ("mode", "taken", "swap_values")
-
-    def __init__(self, mode: str, taken: bool, swap_values=None):
-        self.mode = mode
-        self.taken = taken
-        self.swap_values = swap_values
-
-
 class Executor:
     """Interprets a program, producing the committed-path trace."""
 
@@ -257,8 +216,6 @@ class Executor:
         # Hoisted globals/builtins: every name below is read once here
         # instead of per retired instruction.
         eval_cmp = evaluate_cmp
-        prob_decision = ProbDecision
-        prob_group = ProbGroup
         _abs, _float, _int, _bool = abs, float, int, bool
         _nmin, _nmax = nan_min, nan_max
         NOT_PROB = ProbMode.NOT_PROB
@@ -291,7 +248,7 @@ class Executor:
 
         # Pending probabilistic group being assembled between PROB_CMP and
         # the final PROB_JMP.
-        pending_cmp = self._pending_cmp  # (cmp_op, cond, const_value, regs, values)
+        pending_cmp = self._pending_cmp  # (cond, const_value, regs, values)
 
         if self._halted:
             return state
@@ -396,19 +353,13 @@ class Executor:
                     const_value = regs[s1] if s1r else s1
                     cond = eval_cmp(cmp_op_f, new_value, const_value)
                     regs[COND] = 1 if cond else 0
-                    pending_cmp = (
-                        cmp_op_f,
-                        cond,
-                        const_value,
-                        [s0],
-                        [new_value],
-                    )
+                    pending_cmp = (cond, const_value, [s0], [new_value])
                 elif op is PROB_JMP:
                     if pending_cmp is None:
                         raise ExecutionError(
                             f"{program.name}@{pc}: PROB_JMP without PROB_CMP"
                         )
-                    cmp_op, cond, const_value, group_regs, group_values = pending_cmp
+                    cond, const_value, group_regs, group_values = pending_cmp
                     if dest != -1:
                         group_regs.append(dest)
                         group_values.append(regs[dest])
@@ -419,22 +370,21 @@ class Executor:
                     else:
                         is_branch = True
                         target = target_f
-                        group = prob_group(
-                            pc, cmp_op, cond, const_value, group_regs, group_values
+                        record = None if pbs is None else pbs.transact(
+                            pc, cond, const_value, group_values
                         )
-                        if pbs is not None:
-                            decision = pbs.transact(group)
-                        else:
-                            decision = prob_decision("regular", cond)
-                        taken = decision.taken
-                        if decision.mode == "hit":
+                        if record is not None:
+                            # PBS hit: follow the recorded direction and
+                            # swap the recorded values in.
+                            taken, swap_values = record
                             prob_mode = PBS_HIT
-                            for reg_num, old in zip(group_regs, decision.swap_values):
+                            for reg_num, old in zip(group_regs, swap_values):
                                 regs[reg_num] = old
                             regs[COND] = 1 if taken else 0
                             if record_consumed:
-                                consumed_values.append(decision.swap_values[0])
+                                consumed_values.append(swap_values[0])
                         else:
+                            taken = cond
                             prob_mode = PREDICTED
                             if record_consumed:
                                 consumed_values.append(group_values[0])
@@ -679,8 +629,7 @@ class Executor:
             "outputs": {k: list(v) for k, v in state.outputs.items()},
             "rng": self.rng.snapshot(),
             "pending_cmp": None if pending is None else (
-                pending[0], pending[1], pending[2],
-                list(pending[3]), list(pending[4]),
+                pending[0], pending[1], list(pending[2]), list(pending[3]),
             ),
             "consumed": len(self.consumed_values),
         }
@@ -699,7 +648,6 @@ class Executor:
         self.rng.restore(snap["rng"])
         pending = snap["pending_cmp"]
         self._pending_cmp = None if pending is None else (
-            pending[0], pending[1], pending[2],
-            list(pending[3]), list(pending[4]),
+            pending[0], pending[1], list(pending[2]), list(pending[3]),
         )
         del self.consumed_values[snap["consumed"]:]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import PBSEngine
-from repro.functional.executor import ProbGroup
 from repro.branch import AlwaysNotTaken, PerfectPredictor
 from repro.functional.trace import EventBatch, TraceEvent
 from repro.isa import Op, OpClass
@@ -11,14 +10,25 @@ from repro.pipeline import OoOCore, four_wide
 
 
 def group(value, pc=100, const=0.5):
-    return ProbGroup(pc, "lt", value < const, const, [40], [value])
+    """``transact``'s arguments for one group: (jmp_pc, cond, const, values)."""
+    return pc, value < const, const, [value]
+
+
+def mode(engine, args) -> str:
+    """Run one transaction and name its ``PBSStats`` category: ``"hit"``
+    when it returns a record, ``"boot"`` when it counted a bootstrap,
+    ``"regular"`` otherwise."""
+    bootstraps = engine.stats.bootstraps
+    if engine.transact(*args) is not None:
+        return "hit"
+    return "boot" if engine.stats.bootstraps > bootstraps else "regular"
 
 
 class TestContextSwitch:
     def warm_engine(self):
         engine = PBSEngine()
         for step in range(10):
-            engine.transact(group(0.05 * (step + 1)))
+            engine.transact(*group(0.05 * (step + 1)))
         return engine
 
     def test_save_restore_resumes_without_bootstrap(self):
@@ -26,13 +36,13 @@ class TestContextSwitch:
         snapshot = engine.save_state()
         engine.reset()
         engine.restore_state(snapshot)
-        assert engine.transact(group(0.9)).mode == "hit"
+        assert mode(engine, group(0.9)) == "hit"
 
     def test_reset_without_restore_rebootstraps(self):
         engine = self.warm_engine()
         engine.save_state()
         engine.reset()
-        assert engine.transact(group(0.9)).mode == "boot"
+        assert mode(engine, group(0.9)) == "boot"
 
     def test_restore_preserves_replay_order(self):
         engine = PBSEngine()
@@ -43,21 +53,21 @@ class TestContextSwitch:
                 snapshot = engine.save_state()
                 engine.reset()
                 engine.restore_state(snapshot)
-            decision = engine.transact(group(value))
-            if decision.mode == "hit":
-                replayed.append(decision.swap_values[0])
+            record = engine.transact(*group(value))
+            if record is not None:
+                replayed.append(record[1][0])
         # With depth 4 (+1 pre-loop instance handling not present here),
         # the replay sequence is exactly the generated sequence shifted.
         assert replayed == values[: len(replayed)]
 
     def test_restore_preserves_blacklist(self):
         engine = PBSEngine()
-        engine.transact(group(0.1))
-        engine.transact(ProbGroup(100, "lt", True, 0.7, [40], [0.1]))  # mismatch
+        engine.transact(*group(0.1))
+        engine.transact(100, True, 0.7, [0.1])  # mismatch
         snapshot = engine.save_state()
         engine.reset()
         engine.restore_state(snapshot)
-        assert engine.transact(group(0.2)).mode == "regular"
+        assert mode(engine, group(0.2)) == "regular"
 
     def test_snapshot_immune_to_later_execution(self):
         """Regression: save_state used to hand out live table references,
@@ -67,14 +77,14 @@ class TestContextSwitch:
         snapshot = engine.save_state()
         # Keep executing on a *different* value stream after the save.
         for step in range(20):
-            engine.transact(group(0.9 - 0.01 * step))
+            engine.transact(*group(0.9 - 0.01 * step))
         engine.reset()
         engine.restore_state(snapshot)
-        decision = engine.transact(group(0.9))
-        assert decision.mode == "hit"
+        record = engine.transact(*group(0.9))
+        assert record is not None
         # The replayed value comes from the pre-snapshot stream (depth-4
         # lag over 0.05*(step+1)), not from the post-save mutations.
-        assert decision.swap_values == [0.05 * 7]
+        assert record[1] == [0.05 * 7]
 
     def test_snapshot_restorable_repeatedly(self):
         engine = self.warm_engine()
@@ -82,7 +92,7 @@ class TestContextSwitch:
         for _ in range(2):
             engine.reset()
             engine.restore_state(snapshot)
-            assert engine.transact(group(0.9)).mode == "hit"
+            assert mode(engine, group(0.9)) == "hit"
 
     def test_restore_preserves_context_table(self):
         engine = PBSEngine()

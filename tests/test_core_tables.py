@@ -1,18 +1,8 @@
 """Direct unit tests for the PBS hardware tables."""
 
-from collections import deque
-
 import pytest
 
-from repro.core import (
-    InFlightRecord,
-    PBSConfig,
-    PBSEngine,
-    ProbBTB,
-    ProbInFlightTable,
-    SwapTable,
-)
-from repro.functional.executor import ProbGroup
+from repro.core import PBSConfig, PBSEngine, ProbBTB, SwapTable
 
 KEY_A = (100, 0, 0)
 KEY_B = (200, 0, 0)
@@ -25,27 +15,27 @@ class TestProbBTB:
 
     def test_allocate_and_lookup(self):
         btb = ProbBTB(4)
-        entry = btb.allocate(KEY_A, target=5, const_val=0.5, num_values=1)
+        entry = btb.allocate(KEY_A, const_val=0.5)
         assert btb.entries[KEY_A] is entry
         assert entry.const_val == 0.5
-        assert not entry.valid  # no record pulled yet
+        assert entry.record is None  # no record pulled yet
 
     def test_entry_valid_once_record_present(self):
         btb = ProbBTB(4)
-        entry = btb.allocate(KEY_A, 0, 0.5, 1)
-        entry.record = InFlightRecord(True, [0.3])
-        assert entry.valid
+        entry = btb.allocate(KEY_A, 0.5)
+        entry.record = (True, [0.3])
+        assert entry.record is not None
 
     def test_capacity(self):
         btb = ProbBTB(2)
-        assert btb.allocate(KEY_A, 0, 0.5, 1) is not None
-        assert btb.allocate(KEY_B, 0, 0.5, 1) is not None
+        assert btb.allocate(KEY_A, 0.5) is not None
+        assert btb.allocate(KEY_B, 0.5) is not None
         assert btb.full
-        assert btb.allocate(KEY_C, 0, 0.5, 1) is None
+        assert btb.allocate(KEY_C, 0.5) is None
 
     def test_invalidate_frees_space(self):
         btb = ProbBTB(1)
-        btb.allocate(KEY_A, 0, 0.5, 1)
+        btb.allocate(KEY_A, 0.5)
         btb.invalidate(KEY_A)
         assert not btb.full
         assert KEY_A not in btb.entries
@@ -55,16 +45,16 @@ class TestProbBTB:
 
     def test_flush_loop_slot(self):
         btb = ProbBTB(4)
-        btb.allocate(KEY_A, 0, 0.5, 1)   # slot 0
-        btb.allocate(KEY_C, 0, 0.5, 1)   # slot 1
+        btb.allocate(KEY_A, 0.5)   # slot 0
+        btb.allocate(KEY_C, 0.5)   # slot 1
         victims = btb.flush_loop_slot(0)
         assert victims == [KEY_A]
         assert list(btb.entries) == [KEY_C]
 
     def test_evict_candidate_prefers_lru_outside_active_slot(self):
         btb = ProbBTB(2)
-        btb.allocate(KEY_C, 0, 0.5, 1)
-        btb.allocate(KEY_A, 0, 0.5, 1)  # KEY_A is the most recent use
+        btb.allocate(KEY_C, 0.5)
+        btb.allocate(KEY_A, 0.5)  # KEY_A is the most recent use
         # Active slot 7: both entries are candidates, KEY_C is LRU.
         assert btb.evict_candidate(active_slot=7) == KEY_C
         # A hit (PBSEngine.transact) restamps an entry's last use.
@@ -74,7 +64,7 @@ class TestProbBTB:
 
     def test_evict_candidate_never_picks_active_slot(self):
         btb = ProbBTB(1)
-        btb.allocate(KEY_C, 0, 0.5, 1)  # slot 1
+        btb.allocate(KEY_C, 0.5)  # slot 1
         assert btb.evict_candidate(active_slot=1) is None
         assert btb.evict_candidate(active_slot=0) == KEY_C
 
@@ -108,7 +98,7 @@ class TestSwapTable:
 
 
 def transact_at(engine, jmp_pc, value):
-    return engine.transact(ProbGroup(jmp_pc, "lt", value < 0.5, 0.5, [40], [value]))
+    return engine.transact(jmp_pc, value < 0.5, 0.5, [value])
 
 
 class TestProbInFlightTable:
@@ -120,34 +110,28 @@ class TestProbInFlightTable:
         key = (100, -1, 0)
         transact_at(engine, 100, 0.1)
         transact_at(engine, 100, 0.2)
-        assert engine.inflight.occupancy(key) == 2
+        assert len(engine.inflight.queues.get(key, ())) == 2
         assert engine.btb.entries[key].record is None
         transact_at(engine, 100, 0.3)
         record = engine.btb.entries[key].record
         assert record is not None
-        assert record.values == [0.1]  # FIFO: oldest first
-        assert engine.inflight.occupancy(key) == 2
+        assert record[1] == [0.1]  # FIFO: oldest first
+        assert len(engine.inflight.queues.get(key, ())) == 2
 
     def test_queues_are_per_key(self):
         engine = PBSEngine(PBSConfig(inflight_depth=1))
         transact_at(engine, 100, 0.1)
         transact_at(engine, 200, 0.2)
-        assert engine.btb.entries[(100, -1, 0)].record.values == [0.1]
-        assert engine.btb.entries[(200, -1, 0)].record.values == [0.2]
-        assert transact_at(engine, 200, 0.3).swap_values == [0.2]
-
-    def test_occupancy(self):
-        table = ProbInFlightTable(depth=4)
-        assert table.occupancy(KEY_A) == 0
-        table.queues[KEY_A] = deque([InFlightRecord(True, [0.1])])
-        assert table.occupancy(KEY_A) == 1
+        assert engine.btb.entries[(100, -1, 0)].record[1] == [0.1]
+        assert engine.btb.entries[(200, -1, 0)].record[1] == [0.2]
+        assert transact_at(engine, 200, 0.3)[1] == [0.2]
 
     def test_release_clears_queue(self):
         engine = PBSEngine(PBSConfig(inflight_depth=2))
         key = (100, -1, 0)
         transact_at(engine, 100, 0.1)
         engine.inflight.release(key)
-        assert engine.inflight.occupancy(key) == 0
+        assert len(engine.inflight.queues.get(key, ())) == 0
         # The next instance starts a fresh queue: no record is pulled.
         transact_at(engine, 100, 0.2)
         assert engine.btb.entries[key].record is None
