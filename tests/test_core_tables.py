@@ -21,10 +21,10 @@ class TestProbBTB:
         assert entry.record is None  # no record pulled yet
 
     def test_entry_valid_once_record_present(self):
-        btb = ProbBTB(4)
-        entry = btb.allocate(KEY_A, 0.5)
-        entry.record = (True, [0.3])
-        assert entry.record is not None
+        # Depth 1: the first instance's record is pulled in at once.
+        engine = PBSEngine(PBSConfig(inflight_depth=1))
+        transact_at(engine, 100, 0.3)
+        assert engine.btb.entries[(100, -1, 0)].record == (True, [0.3])
 
     def test_capacity(self):
         btb = ProbBTB(2)
