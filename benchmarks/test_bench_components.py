@@ -222,11 +222,8 @@ def test_bench_tagescl_prediction(benchmark):
     benchmark(run)
 
 
-def test_bench_tagescl_with_harness(benchmark):
-    """The same 20k-branch stream fed as 1024-row batches through a
-    TAGE-SC-L harness: the batch kernel path every MPKI run takes (the
-    benchmark above times the per-branch reference path)."""
-    from repro.branch import PredictorHarness
+def harness_batches():
+    """The 20k-branch stream above as 1024-row ``EventBatch``es."""
     from repro.functional.trace import EventBatch, TraceEvent
     from repro.isa import Op, OpClass
 
@@ -237,18 +234,37 @@ def test_bench_tagescl_with_harness(benchmark):
                    taken=taken, target=0, next_pc=0 if taken else pc + 1)
         for pc, taken in stream
     ]
-    batches = [
+    return [
         EventBatch.from_events(events[start:start + 1024])
         for start in range(0, len(events), 1024)
     ]
 
+
+def bench_with_harness(benchmark, factory):
+    from repro.branch import PredictorHarness
+
+    batches = harness_batches()
+
     def run():
-        harness = PredictorHarness(TageSCL())
+        harness = PredictorHarness(factory())
         for batch in batches:
             harness.consume_batch(batch)
         return harness.stats.regular_branches
 
-    assert benchmark(run) == len(stream)
+    assert benchmark(run) == 20_000
+
+
+def test_bench_tournament_with_harness(benchmark):
+    """The same 20k-branch stream fed as 1024-row batches through a
+    Tournament harness: its batch kernel, which every MPKI run takes."""
+    bench_with_harness(benchmark, Tournament)
+
+
+def test_bench_tagescl_with_harness(benchmark):
+    """The same 20k-branch stream fed as 1024-row batches through a
+    TAGE-SC-L harness: the batch kernel path every MPKI run takes (the
+    benchmark above times the per-branch reference path)."""
+    bench_with_harness(benchmark, TageSCL)
 
 
 def test_bench_pbs_transactions(benchmark):

@@ -4,10 +4,10 @@
 ``predict_update_batch(pcs, takens, trains)``.  Its contract is the
 per-op reference sequence: for a training op ``predict`` then
 ``update``, otherwise ``insert_history``.  Every registered predictor
-and a few TAGE-SC-L geometries that reach the kernel's rarer paths run
-random op streams cut into random batches through the batch entry
-point and through the reference sequence; the predictions and the
-whole predictor state must be identical at every batch end.
+and a few TAGE-SC-L and Tournament geometries that reach the kernels'
+rarer paths run random op streams cut into random batches through the
+batch entry point and through the reference sequence; the predictions
+and the whole predictor state must be identical at every batch end.
 
 The streams mix biased random branches, fixed-trip loops (so the loop
 predictor gains confidence and overrides), loops longer than the loop
@@ -26,6 +26,7 @@ from repro.branch import (
     StatisticalCorrector,
     Tage,
     TageSCL,
+    Tournament,
 )
 from repro.sim import predictor_names
 from repro.sim.registry import create_predictor
@@ -38,8 +39,21 @@ try:
 except ImportError:  # pragma: no cover — hypothesis ships in CI
     HAVE_HYPOTHESIS = False
 
-#: TAGE-SC-L variants whose kernel paths the default geometry reaches
-#: only after long streams, plus geometries with other fold sets.
+
+def small_tournament(loop=None):
+    """A Tournament with tables small enough that bimodal, gshare and
+    chooser entries alias, and a 4-entry loop predictor with a 4-bit
+    trip counter, so loop entries are replaced and evicted."""
+    predictor = Tournament(
+        bimodal_entries=16, global_entries=32, history_bits=6, chooser_entries=4
+    )
+    predictor.loop = loop or LoopPredictor(entries=4, count_bits=4)
+    return predictor
+
+
+#: TAGE-SC-L and Tournament variants whose kernel paths the default
+#: geometry reaches only after long streams, plus TAGE-SC-L geometries
+#: with other fold sets.
 VARIANTS = {
     # Useful-bit aging every 64 trained branches.
     "tage-sc-l/aging": lambda: TageSCL(tage=Tage(useful_reset_period=64)),
@@ -62,6 +76,7 @@ VARIANTS = {
         ),
         loop=LoopPredictor(entries=8, count_bits=5),
     ),
+    "tournament/small": small_tournament,
 }
 
 FACTORIES = {name: (lambda name=name: create_predictor(name))
@@ -162,21 +177,28 @@ def test_kernel_matches_reference(name, seed):
     check(FACTORIES[name], stream, random_cuts(rng, len(stream[0])))
 
 
+class WatchedLoop(LoopPredictor):
+    """A loop predictor that records every entry evicted by an overlong
+    trip count."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evictions = []
+
+    def update(self, pc, taken):
+        before = self.tag[pc & self._mask]
+        super().update(pc, taken)
+        if before >= 0 and self.tag[pc & self._mask] == -1:
+            self.evictions.append(pc)
+
+
 def test_streams_reach_the_rare_paths():
     """The streams really cross useful-bit aging, loop eviction,
     confident loop overrides and both outcomes of the allocation coin."""
     stream = generate(random.Random(0), segments=80)
     assert sum(stream[2]) > 2 * VARIANTS["tage-sc-l/aging"]().tage.useful_reset_period
 
-    evictions = []
     flips = []
-
-    class WatchedLoop(LoopPredictor):
-        def update(self, pc, taken):
-            before = self.tag[pc & self._mask]
-            super().update(pc, taken)
-            if before >= 0 and self.tag[pc & self._mask] == -1:
-                evictions.append(pc)
 
     class WatchedTage(Tage):
         def _next_random(self):
@@ -195,9 +217,30 @@ def test_streams_reach_the_rare_paths():
             predictor.update(pc, taken)
         else:
             predictor.insert_history(pc, taken)
-    assert evictions
+    assert predictor.loop.evictions
     assert overrides
     assert 0 < sum(flips) < len(flips)
+
+
+def test_tournament_streams_reach_the_rare_paths():
+    """On the small Tournament the streams cross confident loop
+    overrides, loop eviction and chooser training in both directions."""
+    predictor = small_tournament(WatchedLoop(entries=4, count_bits=4))
+    overrides = ups = downs = 0
+    for pc, taken, train in zip(*generate(random.Random(0))):
+        if train:
+            overrides += predictor.loop.hit(pc)
+            predictor.predict(pc)
+            index = pc & predictor._chooser_mask
+            before = predictor.chooser[index]
+            predictor.update(pc, taken)
+            ups += predictor.chooser[index] > before
+            downs += predictor.chooser[index] < before
+        else:
+            predictor.insert_history(pc, taken)
+    assert overrides
+    assert predictor.loop.evictions
+    assert ups and downs
 
 
 def test_default_is_the_reference_sequence():

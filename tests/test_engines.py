@@ -263,6 +263,30 @@ def _spinning_program():
     return b.build()
 
 
+def _group_leader_program():
+    """A PROB group with a block leader inside it: a never-taken
+    backward branch targets its intermediate ``PROB_JMP``, so the
+    compiled tier checks the budget, and may hand off to the
+    interpreter, while the group is open."""
+    b = ProgramBuilder("group-leader")
+    b.li(R(1), 0)
+    b.li(R(3), 0)
+    b.fli(F(2), 0.25)
+    b.label("outer")
+    b.rand(F(1))
+    b.prob_cmp("lt", F(1), 0.5)
+    b.label("mid")
+    b.prob_jmp(F(2), None)
+    b.prob_jmp(F(1), "skip")
+    b.add(R(3), R(3), 1)
+    b.label("skip")
+    b.add(R(1), R(1), 1)
+    b.bge(R(1), 100, "mid")
+    b.blt(R(1), 20, "outer")
+    b.halt()
+    return b.build()
+
+
 def _limit_parity_cases():
     """``(program, limits)``: every limit up to a whole run for small
     programs, the first 120 and the last few around HALT (or the fault)
@@ -352,6 +376,36 @@ class TestCompiledLimitParity:
                             )
                         checked += 1
         assert checked > 3000
+
+    def test_base_runs_hand_an_open_group_to_the_interpreter(self):
+        """With neither PBS nor consumed values the generated code
+        carries no group registers or values; a limit that falls inside
+        an open group still stops both tiers with the same state."""
+        program = _group_leader_program()
+        total = Executor(program, seed=5)
+        total.run()
+        for limit in range(total.retired + 2):
+            outcomes = [
+                _limit_outcome(tier(program, seed=5, max_instructions=limit), None)
+                for tier in (Executor, CompiledExecutor)
+            ]
+            assert outcomes[1] == outcomes[0], f"limit={limit}"
+
+    def test_base_checkpoint_inside_an_open_group(self):
+        """A checkpoint taken while a base-variant group is open
+        restores and finishes as the interpreter does."""
+        program = _group_leader_program()
+        reference = Executor(program, seed=5)
+        reference.run()
+        for stop in range(4, 12):
+            executor = CompiledExecutor(program, seed=5)
+            executor.step(stop)
+            snapshot = executor.checkpoint()
+            executor.run()
+            executor.restore(snapshot)
+            executor.run()
+            assert executor.retired == reference.retired
+            assert repr(executor.state.regs) == repr(reference.state.regs)
 
 
 # ---------------------------------------------------------------------------
