@@ -96,6 +96,12 @@ class Tournament(BranchPredictor):
         # The last trained op's component predictions, for ``_last``.
         bimodal_pred, global_pred = self._last
 
+        # The loop lookup and update below copy LoopPredictor.hit,
+        # .predict and .update; tests/test_branch_kernels.py holds the
+        # copy to them.  Calling the three methods per trained op, with
+        # all else fused, cost 4.5% of mpki-grid wall_s (0.399 -> 0.418 s median,
+        # 10/10 alternating pairs, 2-vCPU VM) and ~1.4x on the 20k-branch
+        # harness microbenchmark.
         loop = self.loop
         loop_mask = loop._mask
         loop_shift = loop._tag_shift

@@ -65,9 +65,7 @@ from .base import Engine, register_engine
 #: v6: ``PBSEngine.transact(pc, cond, const, values)`` returns the hit's
 #: ``(taken, values)`` record or ``None``; the pending group drops its
 #: comparison operator.
-#: v7: with neither PBS nor consumed-value recording, nothing reads a
-#: pending group's registers or values, so the group carries ``()``.
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 6
 
 #: Sink modes for the generated-code variant key.
 SINK_NONE = 0      # no events
@@ -222,8 +220,6 @@ class _Codegen:
         self.pbs = pbs
         self.record_consumed = record_consumed
         self.swap_candidates = sorted(swap_candidates)
-        # Whether anything reads a pending group's registers and values.
-        self.reads_group = pbs or record_consumed
         self.lines: List[str] = []
         self.retired_to = self.rows_to = 0
         self.pending = False  # a PROB_CMP group is open at this point
@@ -380,16 +376,13 @@ class _Codegen:
             put(depth, f"_v = r{s0}; _k = {B}")
             put(depth, f"_c = _v {_CMP_SYMBOL[cmp_op]} _k")
             put(depth, f"r{COND_REG_NUM} = 1 if _c else 0")
-            if self.reads_group:
-                put(depth, f"_pend = (_c, _k, [{s0}], [_v])")
-            else:
-                put(depth, "_pend = (_c, _k, (), ())")
+            put(depth, f"_pend = (_c, _k, [{s0}], [_v])")
             self.pending = True
         elif op is Op.PROB_JMP and target is None:
             # Intermediate PROB_JMP: registers an extra swap value,
             # does not jump.
             self.pending_check(depth, pc)
-            if dest != -1 and self.reads_group:
+            if dest != -1:
                 put(depth, f"_pend[2].append({dest}); _pend[3].append({D})")
         elif op is Op.PROB_JMP:
             self.prob_jmp(depth, pc, dest, target)
@@ -452,10 +445,9 @@ class _Codegen:
         """The jumping PROB_JMP: hand the group to the PBS engine."""
         put = self.put
         self.pending_check(depth, pc)
-        if self.reads_group:
-            put(depth, "_gr = _pend[2]; _gv = _pend[3]")
-            if dest != -1:
-                put(depth, f"_gr.append({dest}); _gv.append(r{dest})")
+        put(depth, "_gr = _pend[2]; _gv = _pend[3]")
+        if dest != -1:
+            put(depth, f"_gr.append({dest}); _gv.append(r{dest})")
         if self.pbs:
             put(depth, f"_rec = pbs_transact({pc}, _pend[0], _pend[1], _gv)")
             put(depth, "if _rec is not None:")
@@ -797,12 +789,7 @@ class CompiledExecutor(Executor):
         # The next block could not retire whole within the stop.  The
         # interpreter resumes from the written-back state and finishes
         # the remainder exactly: it raises ExecutionLimitExceeded at its
-        # own count, or faults, halts or pauses first.  It appends to an
-        # open group's registers and values, which the generated code
-        # leaves as ``()`` when nothing reads them.
-        pending = self._pending_cmp
-        if pending is not None and isinstance(pending[2], tuple):
-            self._pending_cmp = (pending[0], pending[1], [], [])
+        # own count, or faults, halts or pauses first.
         return Executor.run(self, sink, stop - self.retired)
 
 

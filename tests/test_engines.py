@@ -298,6 +298,7 @@ def _limit_parity_cases():
                 for name in ("bsearch", "dop", "swaptions")]
     programs += [build_program(generate(seed)) for seed in (0, 1, 3)]
     programs += [_faulting_program(kind) for kind in ("load", "div", "fdiv", "ret")]
+    programs.append(_group_leader_program())
     for program in programs:
         reference = Executor(program, seed=5)
         try:
@@ -357,12 +358,15 @@ class TestCompiledLimitParity:
         for program, limits in _limit_parity_cases():
             for limit in limits:
                 for with_sink in (False, True):
-                    for with_pbs in (False, True):
+                    # The base variant (neither PBS nor consumed values)
+                    # is the one MPKI and timing runs take.
+                    for with_pbs, record in ((False, False), (False, True),
+                                             (True, True)):
                         outcomes = []
                         for tier in (Executor, CompiledExecutor):
                             executor = tier(
                                 program, seed=5, max_instructions=limit,
-                                record_consumed=True,
+                                record_consumed=record,
                                 pbs=PBSEngine(PBSConfig()) if with_pbs
                                 else None,
                             )
@@ -372,40 +376,11 @@ class TestCompiledLimitParity:
                         for key in reference:
                             assert candidate[key] == reference[key], (
                                 f"{program.name} limit={limit} "
-                                f"sink={with_sink} pbs={with_pbs}: {key}"
+                                f"sink={with_sink} pbs={with_pbs} "
+                                f"record_consumed={record}: {key}"
                             )
                         checked += 1
         assert checked > 3000
-
-    def test_base_runs_hand_an_open_group_to_the_interpreter(self):
-        """With neither PBS nor consumed values the generated code
-        carries no group registers or values; a limit that falls inside
-        an open group still stops both tiers with the same state."""
-        program = _group_leader_program()
-        total = Executor(program, seed=5)
-        total.run()
-        for limit in range(total.retired + 2):
-            outcomes = [
-                _limit_outcome(tier(program, seed=5, max_instructions=limit), None)
-                for tier in (Executor, CompiledExecutor)
-            ]
-            assert outcomes[1] == outcomes[0], f"limit={limit}"
-
-    def test_base_checkpoint_inside_an_open_group(self):
-        """A checkpoint taken while a base-variant group is open
-        restores and finishes as the interpreter does."""
-        program = _group_leader_program()
-        reference = Executor(program, seed=5)
-        reference.run()
-        for stop in range(4, 12):
-            executor = CompiledExecutor(program, seed=5)
-            executor.step(stop)
-            snapshot = executor.checkpoint()
-            executor.run()
-            executor.restore(snapshot)
-            executor.run()
-            assert executor.retired == reference.retired
-            assert repr(executor.state.regs) == repr(reference.state.regs)
 
 
 # ---------------------------------------------------------------------------
