@@ -224,20 +224,30 @@ def test_bench_tagescl_prediction(benchmark):
 
 def harness_batches():
     """The 20k-branch stream above as 1024-row ``EventBatch``es."""
-    from repro.functional.trace import EventBatch, TraceEvent
+    from repro.functional.trace import EventBatch, ProbMode
     from repro.isa import Op, OpClass
 
     rng = random.Random(3)
     stream = [(rng.randrange(64) * 2, rng.random() < 0.6) for _ in range(20_000)]
-    events = [
-        TraceEvent(pc, Op.BLT, OpClass.BRANCH, -1, (1, 2), is_cond_branch=True,
-                   taken=taken, target=0, next_pc=0 if taken else pc + 1)
-        for pc, taken in stream
-    ]
-    return [
-        EventBatch.from_events(events[start:start + 1024])
-        for start in range(0, len(events), 1024)
-    ]
+    batches = []
+    for start in range(0, len(stream), 1024):
+        rows = stream[start:start + 1024]
+        n = len(rows)
+        batch = EventBatch()
+        batch.pcs = [pc for pc, _ in rows]
+        batch.ops = [Op.BLT] * n
+        batch.classes = [OpClass.BRANCH] * n
+        batch.dests = [-1] * n
+        batch.srcs = [(1, 2)] * n
+        batch.conds = [True] * n
+        batch.takens = [taken for _, taken in rows]
+        batch.targets = [0] * n
+        batch.next_pcs = [0 if taken else pc + 1 for pc, taken in rows]
+        batch.addrs = [None] * n
+        batch.stores = [False] * n
+        batch.prob_modes = [ProbMode.NOT_PROB] * n
+        batches.append(batch)
+    return batches
 
 
 def bench_with_harness(benchmark, factory):

@@ -35,12 +35,10 @@ from ..sim.registry import Registry, validate_options
 class AnalysisPass:
     """One streaming trace consumer: feed batches, then read the result.
 
-    Subclasses implement ``consume_batch(batch)`` and :meth:`result`.  A
-    pass that defines only ``__call__(event)`` still works: the
-    session's fan-out wraps it in
-    :class:`~repro.functional.trace.PerEventSink`.  A pass instance is
-    single use: it accumulates state across the whole stream and is
-    rebuilt for every analyzed run.
+    Subclasses implement ``consume_batch(batch)`` and :meth:`result`;
+    ``consume_batch`` is the one sink protocol, so a run refuses a pass
+    without it.  A pass instance is single use: it accumulates state
+    across the whole stream and is rebuilt for every analyzed run.
     """
 
     #: Registry name (set by :func:`register_analysis`).
@@ -73,11 +71,6 @@ def register_analysis(name: str, *, replace: bool = False):
 def analysis_names() -> List[str]:
     """Registered pass names, in registration order."""
     return list(ANALYSES)
-
-
-def get_analysis(name: str) -> Type[AnalysisPass]:
-    """The registered :class:`AnalysisPass` subclass for ``name``."""
-    return ANALYSES.get(name)
 
 
 def create_analysis(name: str, **options) -> AnalysisPass:

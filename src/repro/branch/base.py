@@ -80,9 +80,6 @@ class BranchPredictor(abc.ABC):
                 insert_history(pc, taken)
         return predictions
 
-    def storage_bytes(self) -> float:
-        return self.storage_bits() / 8.0
-
     def reset(self) -> None:
         """Forget all state (default: re-construct via __init__ args)."""
         raise NotImplementedError(f"{type(self).__name__} does not support reset")

@@ -67,10 +67,6 @@ from .base import Engine, register_engine
 #: comparison operator.
 CODEGEN_VERSION = 6
 
-#: Sink modes for the generated-code variant key.
-SINK_NONE = 0      # no events
-SINK_BATCH = 2     # columnar: EventBatch rows, sink.consume_batch
-
 #: Batch-mode flush threshold: the generated code delivers the pending
 #: rows at the first control transfer after this many are logged (and
 #: unconditionally at pause/HALT/fault, in the ``finally``).
@@ -483,7 +479,7 @@ def generate_source(
     program,
     decoded: List[tuple],
     *,
-    sink: int,
+    sink: bool,
     pbs: bool,
     record_consumed: bool,
     step: bool = False,
@@ -497,18 +493,18 @@ def generate_source(
     the next budget check is not entered: the function returns there
     (see :meth:`CompiledExecutor.run` for the hand-off).
 
-    ``sink`` is :data:`SINK_NONE` or :data:`SINK_BATCH`.  The batch
+    ``sink`` says whether events are emitted; the generated function's
+    ``sink`` argument is then the sink's ``consume_batch``.  The batch
     variant logs row keys through :func:`_row_writers`, which hands
-    ``sink.consume_batch`` an :class:`~repro.functional.trace.EventBatch`
-    at the first control transfer after :data:`BATCH_FLUSH` rows and on
-    every exit.
+    that method an :class:`~repro.functional.trace.EventBatch` at the
+    first control transfer after :data:`BATCH_FLUSH` rows and on every
+    exit.
 
     ``step=True`` generates the resumable single-step variant used by
     the :mod:`repro.diff` lockstep harness and budgeted runs: every PC
     becomes its own basic block, so execution can stop, and later
     resume, at any instruction.
     """
-    sink = int(sink)
     n = len(decoded)
     leaders = list(range(n)) if step else _block_leaders(decoded)
 
@@ -633,7 +629,7 @@ def _row_table(decoded: List[tuple]) -> tuple:
     return tuple(table)
 
 
-def _row_writers(table: tuple, sink):
+def _row_writers(table: tuple, consume):
     """The batch variant's row log, for one call of the generated
     function.
 
@@ -641,13 +637,12 @@ def _row_writers(table: tuple, sink):
     the row-key log, ``tk`` appends a control transfer's key and
     flushes once :data:`BATCH_FLUSH` rows are logged, ``aa`` logs a load
     or store address and ``ar`` a ``RET`` target, in row order.
-    ``flush()`` delivers the logged rows to ``sink`` as one
+    ``flush()`` delivers the logged rows to ``consume`` as one
     :class:`EventBatch` built from ``table`` (see :func:`_row_table`).
     """
     keys: List[int] = []
     addrs: List[int] = []
     returns: List[int] = []
-    consume = sink.consume_batch
     log = keys.append
 
     def flush():
@@ -685,9 +680,9 @@ def _row_writers(table: tuple, sink):
 
 #: (program digest, variant) -> bound function — shared process-wide so
 #: every engine instance (and every Session in a sweep worker) reuses
-#: one compilation per program.  The variant leads with the sink mode
-#: (:data:`SINK_NONE` / :data:`SINK_BATCH`).
-_MEMO: Dict[Tuple[str, Tuple[int, bool, bool, bool]], object] = {}
+#: one compilation per program.  The variant is ``(sink, pbs,
+#: record_consumed, step)``.
+_MEMO: Dict[Tuple[str, Tuple[bool, bool, bool, bool]], object] = {}
 
 #: program digest -> :func:`_row_table`, shared by its batch variants.
 _TABLES: Dict[str, tuple] = {}
@@ -717,20 +712,20 @@ def _bind(source: str, program, table: Optional[tuple]):
 def compiled_function(
     program,
     *,
-    sink: int,
+    sink: bool,
     pbs: bool,
     record_consumed: bool,
     step: bool = False,
 ):
     """The (memoized) compiled function for one program + variant.
 
-    ``sink`` is a sink mode (:data:`SINK_NONE` or :data:`SINK_BATCH`).
-    Returns ``(function, cache_hit)`` — ``cache_hit`` is
-    True when the in-process memo already held the function.
+    ``sink`` says whether the run emits events.  Returns ``(function,
+    cache_hit)`` — ``cache_hit`` is True when the in-process memo
+    already held the function.
     """
     decoded = Executor._decode(program.instructions)
     digest = program_digest(program, decoded)
-    variant = (int(sink), bool(pbs), bool(record_consumed), bool(step))
+    variant = (bool(sink), bool(pbs), bool(record_consumed), bool(step))
     key = (digest, variant)
     cached = _MEMO.get(key)
     if cached is not None:
@@ -767,12 +762,13 @@ class CompiledExecutor(Executor):
         # run.  A budget — or any earlier partial progress — routes to
         # the resumable step variant; a fresh unbounded run keeps the
         # fast block-dispatch code.
+        consume = None if sink is None else as_batch_sink(sink)
         if self._halted:
             return self.state
         step = budget is not None or self._pc != 0 or self.retired != 0
         function, cache_hit = compiled_function(
             self.program,
-            sink=SINK_NONE if sink is None else SINK_BATCH,
+            sink=consume is not None,
             pbs=self.pbs is not None,
             record_consumed=self.record_consumed,
             step=step,
@@ -782,8 +778,7 @@ class CompiledExecutor(Executor):
         limit = self.max_instructions
         stop = limit if budget is None else min(limit, self.retired + budget)
         self._step_stop = stop
-        sink = as_batch_sink(sink)
-        function(self, sink)
+        function(self, consume)
         if self._halted or self.retired == stop < limit:
             return self.state
         # The next block could not retire whole within the stop.  The

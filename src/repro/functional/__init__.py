@@ -8,8 +8,8 @@ from .executor import (
     nan_min,
 )
 from .rng import Drand48, RecordingRng
-from .state import MachineState, MemoryFault
-from .trace import EventBatch, PerEventSink, ProbMode, TraceEvent, as_batch_sink
+from .state import MachineState
+from .trace import EventBatch, ProbMode, as_batch_sink
 
 __all__ = [
     "ExecutionError",
@@ -20,10 +20,7 @@ __all__ = [
     "Drand48",
     "RecordingRng",
     "MachineState",
-    "MemoryFault",
     "EventBatch",
-    "PerEventSink",
     "ProbMode",
-    "TraceEvent",
     "as_batch_sink",
 ]

@@ -32,8 +32,8 @@ from .trace import EventBatch, ProbMode, as_batch_sink
 #: has seen every retired instruction by the time ``run()`` returns).
 BATCH_CHUNK = 1024
 
-#: A columnar sink (declares ``consume_batch``) or a bare per-event
-#: callable, which :func:`~repro.functional.trace.as_batch_sink` adapts.
+#: A columnar sink: it declares ``consume_batch(batch)``, which
+#: :func:`~repro.functional.trace.as_batch_sink` checks on entry.
 Sink = object
 
 
@@ -196,7 +196,7 @@ class Executor:
             decoded = self._decoded = self._decode(program.instructions)
 
         if emit:
-            consume_batch = as_batch_sink(sink).consume_batch
+            consume_batch = as_batch_sink(sink)
             batch = EventBatch()
             b_pc = batch.pcs.append
             b_op = batch.ops.append

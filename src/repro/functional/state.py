@@ -29,22 +29,3 @@ class MachineState:
     def output(self, channel: int = 0) -> List:
         """Values emitted on ``channel`` (empty list if none)."""
         return self.outputs.get(channel, [])
-
-    def read_memory(self, addr: int):
-        if not 0 <= addr < len(self.memory):
-            raise MemoryFault(addr, len(self.memory))
-        return self.memory[addr]
-
-    def write_memory(self, addr: int, value) -> None:
-        if not 0 <= addr < len(self.memory):
-            raise MemoryFault(addr, len(self.memory))
-        self.memory[addr] = value
-
-
-class MemoryFault(Exception):
-    """Out-of-range data memory access."""
-
-    def __init__(self, addr: int, size: int):
-        super().__init__(f"memory access at {addr} outside [0, {size})")
-        self.addr = addr
-        self.size = size

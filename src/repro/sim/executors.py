@@ -190,11 +190,6 @@ def executor_names() -> List[str]:
     return list(EXECUTORS)
 
 
-def get_executor(name: str) -> Type[Executor]:
-    """The registered :class:`Executor` subclass for ``name``."""
-    return EXECUTORS.get(name)
-
-
 def create_executor(
     executor: Union[str, Executor, None],
     processes: int = 1,

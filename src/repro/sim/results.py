@@ -162,8 +162,8 @@ class RunResult:
     #: carry 0).  Transient like ``engine_used`` — batching never
     #: changes results, so it is never serialized.
     sink_batches: int = 0
-    #: Always 0: events only travel as batches now, so no run explodes
-    #: batches for a per-event consumer.  Kept only because the frozen
+    #: Always 0: a sink must declare ``consume_batch``, so no run
+    #: explodes batches for a per-event consumer.  Kept only because the frozen
     #: benchmark's tracer still sums it (``sim.fallback_batches``);
     #: transient and never serialized.
     sink_fallbacks: int = 0

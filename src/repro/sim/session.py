@@ -45,14 +45,14 @@ class FanOut:
     """Fans one columnar event stream out to several consumers.
 
     Every member receives each :class:`~repro.functional.EventBatch` in
-    attachment order; a bare per-event callable is wrapped in
-    :class:`~repro.functional.PerEventSink` on the way in.  ``batches``
-    counts the batches received.
+    attachment order.  Each must declare ``consume_batch``; a member
+    without it is a ``TypeError`` here, before the run starts.
+    ``batches`` counts the batches received.
     """
 
-    def __init__(self, sinks: Sequence[Callable]):
+    def __init__(self, sinks: Sequence[object]):
         self.sinks = list(sinks)
-        self._consumers = [as_batch_sink(sink).consume_batch for sink in self.sinks]
+        self._consumers = [as_batch_sink(sink) for sink in self.sinks]
         self.batches = 0
 
     def consume_batch(self, batch) -> None:
@@ -96,7 +96,7 @@ class Session:
         self._pbs_config = None          # PBSConfig when PBS is on
         self._timing_config = None       # CoreConfig when timing is on
         self._record_consumed = False
-        self._extra_sinks: List[Callable] = []
+        self._extra_sinks: List[object] = []
         self._trace_store = None
         self._trace_mode = "auto"
         self._engine_name = None         # execution tier; None: the default
@@ -186,15 +186,15 @@ class Session:
         self._record_consumed = flag
         return self
 
-    def sink(self, consumer: Callable) -> "Session":
+    def sink(self, consumer) -> "Session":
         """Attach an arbitrary extra trace consumer.
 
-        ``consumer`` is a columnar sink (it declares ``consume_batch``)
-        or a bare per-event callable, which is fed each batch's rows in
-        order once the batch is delivered.  Unlike predictors and cores,
-        extra sinks are caller-owned: they are not rebuilt per run, so a
-        sink fed by several ``run()`` calls accumulates state across all
-        of them.
+        ``consumer`` is a columnar sink: it declares
+        ``consume_batch(batch)``, and ``run()`` raises ``TypeError``
+        before anything executes if it does not.  Unlike predictors and
+        cores, extra sinks are caller-owned: they are not rebuilt per
+        run, so a sink fed by several ``run()`` calls accumulates state
+        across all of them.
         """
         self._extra_sinks.append(consumer)
         return self
@@ -319,7 +319,7 @@ def _harness_key(spec: _PredictorSpec):
     return id(spec)
 
 
-def _build_consumers(sessions: Sequence[Session]) -> List[Callable]:
+def _build_consumers(sessions: Sequence[Session]) -> List[object]:
     """Fresh consumers for one run of ``sessions``: one harness per
     distinct (predictor, harness options), each with the cores that
     time its rows, then every session's caller-owned sinks.  Each
@@ -329,7 +329,7 @@ def _build_consumers(sessions: Sequence[Session]) -> List[Callable]:
     from ..pipeline import OoOCore
 
     classifiers: Dict[object, _Classifier] = {}
-    sinks: List[Callable] = []
+    sinks: List[object] = []
     for session in sessions:
         session.harnesses = {}
         session.cores = {}
@@ -420,19 +420,17 @@ def _interpret(sessions: Sequence[Session]) -> List[RunResult]:
     record_consumed = any(session._record_consumed for session in sessions)
     store = lead._trace_store
     capture = None
-    if store is not None:
-        capture = store.writer(lead.trace_digest())
-        consumers.append(capture.sink)
-        # Consumed values ride along in the trace metadata so a later
-        # record_consumed replay stays bit-identical; the executor's
-        # semantics do not depend on the flag.
-        record_consumed = True
-    sink = FanOut(consumers) if consumers else None
-
-    tier = create_engine(lead._engine_name, **lead._engine_options)
-
-    started = time.perf_counter()
     try:
+        if store is not None:
+            capture = store.writer(lead.trace_digest())
+            consumers.append(capture.sink)
+            # Consumed values ride along in the trace metadata so a
+            # later record_consumed replay stays bit-identical; the
+            # executor's semantics do not depend on the flag.
+            record_consumed = True
+        sink = FanOut(consumers) if consumers else None
+        tier = create_engine(lead._engine_name, **lead._engine_options)
+        started = time.perf_counter()
         run = workload.run(
             scale=lead._scale,
             seed=lead._seed,
@@ -462,9 +460,10 @@ def _interpret(sessions: Sequence[Session]) -> List[RunResult]:
                 "consumed_values": list(run.consumed_values),
             })
     except BaseException:
-        # Never leave a staged capture behind — not on interpreter
-        # faults, and not on a consumer's finalize() or the commit
-        # itself failing after a successful run.
+        # Never leave a staged capture behind — not on a sink the
+        # fan-out refuses, not on interpreter faults, and not on a
+        # consumer's finalize() or the commit itself failing after a
+        # successful run.
         if capture is not None:
             capture.abort()
         raise

@@ -2,8 +2,8 @@
 everywhere.
 
 The paper's methodology is trace-driven: timing models, MPKI harnesses
-and the PBS engine all consume the committed-path
-:class:`~repro.functional.trace.TraceEvent` stream and never re-execute
+and analysis passes all consume the committed-path stream as
+:class:`~repro.functional.trace.EventBatch` columns and never re-execute
 semantics.  This package makes that stream a first-class artifact:
 
 * :class:`TraceWriter` / :class:`TraceReader` — a compact struct-packed

@@ -354,10 +354,11 @@ class TraceReader:
     def replay(self, sink) -> int:
         """Feed every event to ``sink``; returns the event count.
 
-        The sink receives one :class:`EventBatch` per stored frame,
-        decoded straight into columns.
+        The sink's ``consume_batch`` receives one :class:`EventBatch`
+        per stored frame, decoded straight into columns; a sink without
+        that method is a ``TypeError`` before any frame is read.
         """
-        consume = as_batch_sink(sink).consume_batch
+        consume = as_batch_sink(sink)
         count = 0
         batch = EventBatch()
         for payload in self._event_payloads():

@@ -19,7 +19,7 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core import PBSConfig, PBSEngine
+from ..core import PBSEngine
 from ..isa import Program
 
 
@@ -96,21 +96,6 @@ class Workload(abc.ABC):
             outputs=self.outputs(state),
         )
 
-    def run_with_pbs(
-        self,
-        scale: float = 1.0,
-        seed: int = 0,
-        config: Optional[PBSConfig] = None,
-        sink=None,
-        record_consumed: bool = False,
-    ) -> "WorkloadRun":
-        engine = PBSEngine(config if config is not None else PBSConfig())
-        run = self.run(
-            scale, seed, pbs=engine, sink=sink, record_consumed=record_consumed
-        )
-        run.pbs_engine = engine
-        return run
-
     def static_summary(self) -> Dict[str, int]:
         """Static branch counts of our implementation (Table II rows)."""
         return self.build(scale=0.05).static_branch_summary()
@@ -124,7 +109,6 @@ class WorkloadRun:
         self.program = program
         self.executor = executor
         self.outputs = outputs
-        self.pbs_engine = None
 
     @property
     def instructions(self) -> int:

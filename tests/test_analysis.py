@@ -20,12 +20,13 @@ from repro.analysis import (
     resolve_passes,
 )
 from repro.analysis.base import ANALYSES
-from repro.functional.trace import EventBatch, ProbMode, TraceEvent
+from repro.functional.trace import ProbMode
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RunResult, Session
 from repro.sim.session import FanOut
 from repro.trace import TraceStore
 
+from .events import Row, batch_of
 from .golden import GOLDEN_DIR, GOLDEN_PREDICTORS, GOLDEN_SCALE
 
 SCALE = 0.02
@@ -46,14 +47,14 @@ def _grid(workload="pi", scale=SCALE, seeds="1", modes="base"):
             "--seeds", seeds, "--modes", modes]
 
 
-def _event(**overrides) -> TraceEvent:
+def _event(**overrides) -> Row:
     base = dict(
         pc=7, op=Op.ADD, op_class=OP_CLASS[Op.ADD], dest=3, srcs=(1, 2),
         is_cond_branch=False, taken=False, target=None, next_pc=8,
         addr=None, is_store=False, prob_mode=ProbMode.NOT_PROB,
     )
     base.update(overrides)
-    return TraceEvent(**base)
+    return Row(**base)
 
 
 def _branch(pc, taken, prob=False):
@@ -82,8 +83,8 @@ class TestRegistry:
             def __init__(self):
                 self.events = 0
 
-            def __call__(self, event):
-                self.events += 1
+            def consume_batch(self, batch):
+                self.events += len(batch)
 
             def result(self):
                 return {"events": self.events}
@@ -117,7 +118,7 @@ class TestDirectionEntropy:
 class TestPassesOnSyntheticStreams:
     def _run(self, name, events, **options):
         sink = create_analysis(name, **options)
-        sink.consume_batch(EventBatch.from_events(events))
+        sink.consume_batch(batch_of(events))
         return sink.result()
 
     def test_instruction_mix(self):

@@ -5,8 +5,9 @@ implementation to compare against.  Instead every test here pins chunk
 invariance — one-event batches, the whole stream as one batch, and
 arbitrary cut points give identical results:
 
-* ``EventBatch`` explodes back to the exact ``TraceEvent`` rows it was
-  packed from, and bare callables reach them through ``as_batch_sink``;
+* ``consume_batch`` is the one sink protocol: a bare callable is a
+  ``TypeError`` naming that method at every place a sink enters a
+  producer, before any instruction retires;
 * the interpreter's and the compiled tier's ``step(1)``-driven streams
   equal a straight run;
 * ``PredictorHarness``, ``OoOCore`` (whose timing state crosses batch
@@ -27,12 +28,14 @@ from pathlib import Path
 import pytest
 
 from repro.branch import PredictorHarness
-from repro.functional import EventBatch, Executor, PerEventSink, as_batch_sink
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional import EventBatch, Executor, as_batch_sink
+from repro.functional.trace import ProbMode
 from repro.pipeline import OoOCore, four_wide
 from repro.sim import FanOut, Session, Sweep, get_workload, predictor_names
 from repro.sim.registry import create_predictor
-from repro.trace import TraceWriter
+from repro.trace import TraceReader, TraceWriter
+
+from .events import Collector, Row, batch_of, rows_of
 
 # One mid-size branchy workload keeps every per-predictor case fast.
 WORKLOAD = "bandit"
@@ -40,24 +43,11 @@ SCALE = 0.05
 SEED = 3
 
 
-class _Collector:
-    """Columnar sink that copies every batch into one growing batch."""
-
-    def __init__(self):
-        self.batch = EventBatch()
-        self.batches = 0
-
-    def consume_batch(self, batch):
-        self.batches += 1
-        for column in EventBatch.__slots__:
-            getattr(self.batch, column).extend(getattr(batch, column))
-
-
 def capture(workload=WORKLOAD, scale=SCALE, seed=SEED, pbs=False):
     """The whole committed-path stream of one run, as one batch."""
     from repro.core import PBSEngine
 
-    collector = _Collector()
+    collector = Collector()
     get_workload(workload).run(
         scale=scale, seed=seed, pbs=PBSEngine() if pbs else None,
         sink=collector,
@@ -139,13 +129,15 @@ def trace_bytes(pieces, events_per_frame=500):
 
 
 # ----------------------------------------------------------------------
-# EventBatch itself and the one per-event adapter.
+# EventBatch itself and the one sink protocol.
 # ----------------------------------------------------------------------
 class TestEventBatch:
     def test_round_trip_explodes_to_identical_events(self, stream):
-        events = list(stream.events())
-        assert all(isinstance(event, TraceEvent) for event in events)
-        assert_batches_equal(EventBatch.from_events(events), stream)
+        """The tests' row view reads a batch back field for field."""
+        rows = rows_of(stream)
+        assert len(rows) == len(stream)
+        assert all(isinstance(row, Row) for row in rows)
+        assert_batches_equal(batch_of(rows), stream)
 
     def test_clear_empties_every_column(self, stream):
         batch = chunks(stream, [10])[0]
@@ -166,17 +158,44 @@ class TestEventBatch:
                 self.batches.append(len(batch))
 
         consumer = Columnar()
-        assert as_batch_sink(consumer) is consumer
-        assert as_batch_sink(None) is None
+        assert as_batch_sink(consumer) == consumer.consume_batch
         get_workload("pi").run(scale=0.01, seed=1, sink=consumer)
         assert consumer.batches and sum(consumer.batches) > 0
 
-    def test_deliver_falls_back_to_per_event(self, stream):
-        events = []
-        adapter = as_batch_sink(events.append)
-        assert isinstance(adapter, PerEventSink)
-        feed(adapter, every(stream, 1000))
-        assert_batches_equal(EventBatch.from_events(events), stream)
+
+@pytest.mark.parametrize(
+    "entry", ["interp", "compiled", "fanout", "session", "replay"]
+)
+def test_bare_callable_is_refused(entry, stream, tmp_path):
+    """Each place a sink enters a producer refuses a sink without
+    ``consume_batch`` with a ``TypeError`` naming the method, before
+    any instruction retires or any row is delivered."""
+    from repro.engines import create_engine
+
+    rows = []
+    executor = None
+    with pytest.raises(TypeError, match="consume_batch"):
+        if entry in ("interp", "compiled"):
+            program = get_workload(WORKLOAD).build(SCALE)
+            executor = create_engine(entry).executor(program, seed=SEED)
+            executor.run(sink=rows.append)
+        elif entry == "fanout":
+            FanOut([PredictorHarness(create_predictor("tournament")),
+                    rows.append])
+        elif entry == "session":
+            store = tmp_path / "store"
+            (Session(WORKLOAD, scale=SCALE, seed=SEED)
+             .sink(rows.append).trace(store).run())
+        else:
+            path = tmp_path / "t.trace"
+            path.write_bytes(trace_bytes([stream]))
+            TraceReader(path).replay(rows.append)
+    assert rows == []
+    if executor is not None:
+        assert executor.retired == 0
+    if entry == "session":
+        # The refused run leaves no staged trace capture behind.
+        assert not list((tmp_path / "store").glob("??/*"))
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +208,7 @@ def stepped(executor, sink):
 
 def test_interp_batch_stream_matches_per_event(stream):
     program = get_workload(WORKLOAD).build(SCALE)
-    collector = _Collector()
+    collector = Collector()
     stepped(Executor(program, seed=SEED), collector)
     assert collector.batches == len(stream)
     assert_batches_equal(collector.batch, stream)
@@ -200,13 +219,13 @@ def test_compiled_batch_stream_matches_per_event(stream):
 
     program = get_workload(WORKLOAD).build(SCALE)
     engine = create_engine("compiled")
-    straight = _Collector()
+    straight = Collector()
     engine.executor(program, seed=SEED).run(sink=straight)
     assert_batches_equal(straight.batch, stream)
 
     # The step variant, at an odd stride (a step(1) walk of the whole
     # stream would recompile-check per instruction).
-    per_step = _Collector()
+    per_step = Collector()
     executor = engine.executor(program, seed=SEED)
     while executor.step(61, sink=per_step):
         pass
@@ -218,7 +237,7 @@ def test_budget_pause_flushes_batch(stream):
     """A budget-paused run() must already have delivered every retired
     instruction — the diff steppers rely on it."""
     program = get_workload(WORKLOAD).build(SCALE)
-    collector = _Collector()
+    collector = Collector()
     paused = Executor(program, seed=SEED)
     while not paused.halted:
         paused.run(sink=collector, budget=97)
@@ -228,23 +247,26 @@ def test_budget_pause_flushes_batch(stream):
 
 @pytest.mark.parametrize("engine", ["interp", "compiled"])
 def test_raising_sink_sees_each_row_once(engine, stream):
-    """A bare callable that raises partway through a chunk stops the run
-    at that event: the tail flush must not hand it the chunk again."""
+    """A sink that raises partway through the second 1024-row batch
+    stops the run there: the tail flush must not hand it any of that
+    batch's rows again."""
     from repro.engines import create_engine
 
-    stop = 1500  # inside the second 1024-row chunk
+    stop = 1500  # inside the second 1024-row batch
     assert len(stream) > 2 * stop
     seen = []
 
-    def sink(event):
-        seen.append(event.pc)
-        if len(seen) == stop:
-            raise RuntimeError("sink gave up")
+    class GivesUp:
+        def consume_batch(self, batch):
+            for pc in batch.pcs:
+                seen.append(pc)
+                if len(seen) == stop:
+                    raise RuntimeError("sink gave up")
 
     program = get_workload(WORKLOAD).build(SCALE)
     executor = create_engine(engine).executor(program, seed=SEED)
     with pytest.raises(RuntimeError, match="sink gave up"):
-        executor.run(sink=sink)
+        executor.run(sink=GivesUp())
     assert seen == stream.pcs[:stop]
 
 
@@ -322,21 +344,14 @@ def test_trace_writer_bytes_ignore_batch_boundaries(stream):
 # FanOut and the sink counters.
 # ----------------------------------------------------------------------
 class TestFanOut:
-    def test_all_legacy_fanout_stays_per_event(self, stream):
-        sinks = [[], []]
-        fan = FanOut([sinks[0].append, sinks[1].append])
-        feed(fan, every(stream, 1000))
-        for events in sinks:
-            assert_batches_equal(EventBatch.from_events(events), stream)
-
-    def test_mixed_fanout_explodes_once_for_legacy(self, stream):
+    def test_every_member_sees_each_batch(self, stream):
         harness = PredictorHarness(create_predictor("tournament"))
-        legacy = []
-        fan = FanOut([harness, legacy.append])
-        fan.consume_batch(stream)
-        assert fan.batches == 1
-        assert len(legacy) == len(stream)
+        collector = Collector()
+        fan = FanOut([harness, collector])
+        feed(fan, every(stream, 1000))
+        assert fan.batches == collector.batches == -(-len(stream) // 1000)
         assert harness.stats.instructions == len(stream)
+        assert_batches_equal(collector.batch, stream)
 
     def test_sweep_stats_surface_sink_counters(self):
         stats = (
@@ -370,17 +385,17 @@ class TestFanOut:
         assert min(per_run) > 0
         assert stats["sink_batches"] == sum(per_run)
 
-    def test_session_legacy_sink_never_falls_back(self):
-        events = []
+    def test_session_extra_sink_sees_every_row(self):
+        collector = Collector()
         result = (
             Session("pi", scale=0.05, seed=1)
             .predictors("tournament")
-            .sink(events.append)
+            .sink(collector)
             .run()
         )
-        assert result.sink_batches > 0
+        assert result.sink_batches == collector.batches > 0
         assert result.sink_fallbacks == 0
-        assert len(events) == result.instructions
+        assert len(collector.batch) == result.instructions
 
     def test_timed_runs_deliver_batches(self):
         from repro.pipeline import four_wide
@@ -482,7 +497,7 @@ def test_generated_programs_batch_equivalence(seed, predictor):
     program = build_program(generate(seed))
 
     def run(drive):
-        collector = _Collector()
+        collector = Collector()
         try:
             # A small limit bounds the stepped run; both drives must
             # raise it at the same retired count if a program reaches it.

@@ -7,23 +7,25 @@ from repro.branch import (
     PerfectPredictor,
     PredictorHarness,
 )
-from repro.functional.trace import EventBatch, ProbMode, TraceEvent
+from repro.functional.trace import ProbMode
 from repro.isa import Op, OpClass
+
+from .events import Row, batch_of
 
 
 def measure(events, predictor, mispredicted=None, **options):
     """Run a stored event list through a fresh harness; its stats."""
     harness = PredictorHarness(predictor, **options)
-    harness.consume_batch(EventBatch.from_events(events), mispredicted)
+    harness.consume_batch(batch_of(events), mispredicted)
     return harness.stats
 
 
 def alu_event(pc=0):
-    return TraceEvent(pc, Op.ADD, OpClass.IALU, 1, (2, 3), next_pc=pc + 1)
+    return Row(pc, Op.ADD, OpClass.IALU, 1, (2, 3), next_pc=pc + 1)
 
 
 def branch_event(pc, taken, prob_mode=ProbMode.NOT_PROB):
-    return TraceEvent(
+    return Row(
         pc,
         Op.BLT,
         OpClass.BRANCH,

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core import PBSEngine
 from repro.branch import AlwaysNotTaken, PerfectPredictor
-from repro.functional.trace import EventBatch, TraceEvent
 from repro.isa import Op, OpClass
 from repro.pipeline import OoOCore, four_wide
+
+from .events import Row, batch_of
 
 
 def group(value, pc=100, const=0.5):
@@ -105,20 +106,20 @@ class TestContextSwitch:
 
 class TestCpiStack:
     def branch_event(self, taken=True):
-        return TraceEvent(
+        return Row(
             10, Op.BLT, OpClass.BRANCH, -1, (),
             is_cond_branch=True, taken=taken, target=0, next_pc=0,
         )
 
     def alu_event(self, pc=0):
-        return TraceEvent(pc, Op.ADD, OpClass.IALU, 1, (), next_pc=pc + 1)
+        return Row(pc, Op.ADD, OpClass.IALU, 1, (), next_pc=pc + 1)
 
     def run_core(self, predictor, rounds, *per_round):
         """Feed ``rounds`` repetitions of ``per_round`` events as one
         batch; returns the finalized stats."""
         events = [event for _ in range(rounds) for event in per_round]
         core = OoOCore(four_wide(), predictor)
-        core.consume_batch(EventBatch.from_events(events))
+        core.consume_batch(batch_of(events))
         return core.finalize()
 
     def test_branch_component_tracks_mispredictions(self):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core import PBSConfig, PBSEngine
 from repro.functional import Executor, ProbMode
-from repro.isa import F, ProgramBuilder, R
+from repro.isa import F, Op, ProgramBuilder, R
+
+from .events import Collector
 
 
 def build_bernoulli_loop(iterations, threshold=0.5, name="bern"):
@@ -37,9 +39,9 @@ def run(program, seed=0, pbs=None, record_consumed=False):
     executor = Executor(
         program, seed=seed, pbs=pbs, record_consumed=record_consumed
     )
-    events = []
-    state = executor.run(sink=events.append)
-    return executor, state, events
+    collector = Collector()
+    state = executor.run(sink=collector)
+    return executor, state, collector.rows
 
 
 class TestEndToEndBootstrap:
@@ -128,17 +130,15 @@ class TestCategory2Swap:
         violations = []
         adds_on_taken_path = []
 
-        def sink(event):
-            if event.op.name == "FADD":
+        # Sinks see events a batch at a time, so single-step to read the
+        # machine state right after each instruction retires.
+        collector = Collector()
+        while executor.step(1, sink=collector):
+            if collector.batch.ops[-1] is Op.FADD:
                 value = executor.state.regs[33]  # F(1)
                 adds_on_taken_path.append(value)
                 if value < 0.5:
                     violations.append(value)
-
-        # Sinks see events a batch at a time, so single-step to read the
-        # machine state right after each instruction retires.
-        while executor.step(1, sink=sink):
-            pass
         assert adds_on_taken_path, "the taken path never executed"
         assert not violations
 
@@ -162,8 +162,10 @@ class TestDeterministicReplay:
         def run_trace():
             engine = PBSEngine()
             executor = Executor(program, seed=77, pbs=engine)
-            trace = []
-            executor.run(sink=lambda e: trace.append((e.pc, e.taken, e.prob_mode)))
+            collector = Collector()
+            executor.run(sink=collector)
+            batch = collector.batch
+            trace = list(zip(batch.pcs, batch.takens, batch.prob_modes))
             return trace, executor.state.output()
 
         first_trace, first_out = run_trace()

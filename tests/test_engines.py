@@ -28,8 +28,6 @@ from repro.engines import (
 from repro.engines.compiled import (
     _MEMO,
     BATCH_FLUSH,
-    SINK_BATCH,
-    SINK_NONE,
     CompiledEngine,
     CompiledExecutor,
     compiled_function,
@@ -167,7 +165,7 @@ class TestCompiledTier:
     def test_generated_source_is_valid_python(self):
         program = get_workload("pi").build(0.02)
         decoded = Executor._decode(program.instructions)
-        for sink, pbs in ((SINK_NONE, False), (SINK_BATCH, True)):
+        for sink, pbs in ((False, False), (True, True)):
             source = generate_source(
                 program, decoded, sink=sink, pbs=pbs, record_consumed=False
             )

@@ -12,13 +12,15 @@ from repro.functional import (
 )
 from repro.isa import F, Op, ProgramBuilder, R
 
+from .events import Collector
+
 
 def run_program(builder, seed=0, **kwargs):
     program = builder.build()
     executor = Executor(program, seed=seed, **kwargs)
-    events = []
-    state = executor.run(sink=events.append)
-    return executor, state, events
+    collector = Collector()
+    state = executor.run(sink=collector)
+    return executor, state, collector.rows
 
 
 class TestArithmetic:
@@ -252,9 +254,9 @@ class TestDeterminism:
         def trace(seed):
             builder = TestProbabilisticWithoutPbs().build_prob_loop(200)
             executor = Executor(builder.build(), seed=seed)
-            pcs = []
-            executor.run(sink=lambda e: pcs.append((e.pc, e.taken)))
-            return pcs
+            collector = Collector()
+            executor.run(sink=collector)
+            return list(zip(collector.batch.pcs, collector.batch.takens))
 
         assert trace(42) == trace(42)
         assert trace(42) != trace(43)

@@ -5,22 +5,24 @@ import pytest
 from repro.branch import AlwaysNotTaken, AlwaysTaken, PerfectPredictor, Tournament
 from repro.core import PBSEngine
 from repro.functional import Executor
-from repro.functional.trace import EventBatch, ProbMode, TraceEvent
+from repro.functional.trace import ProbMode
 from repro.isa import F, Op, OpClass, ProgramBuilder, R
 from repro.pipeline import CoreConfig, OoOCore, eight_wide, four_wide
 
+from .events import Row, batch_of
+
 
 def feed_events(core, events):
-    core.consume_batch(EventBatch.from_events(events))
+    core.consume_batch(batch_of(events))
     return core.finalize()
 
 
 def alu(pc, dest=-1, srcs=()):
-    return TraceEvent(pc, Op.ADD, OpClass.IALU, dest, srcs, next_pc=pc + 1)
+    return Row(pc, Op.ADD, OpClass.IALU, dest, srcs, next_pc=pc + 1)
 
 
 def branch(pc, taken, prob_mode=ProbMode.NOT_PROB, srcs=()):
-    return TraceEvent(
+    return Row(
         pc, Op.BLT, OpClass.BRANCH, -1, srcs,
         is_cond_branch=True, taken=taken, target=0, next_pc=0,
         prob_mode=prob_mode,
@@ -66,7 +68,7 @@ class TestDataflowBound:
 
     def test_long_latency_chain(self):
         events = [
-            TraceEvent(i, Op.FMUL, OpClass.FMUL, 33, (33,), next_pc=i + 1)
+            Row(i, Op.FMUL, OpClass.FMUL, 33, (33,), next_pc=i + 1)
             for i in range(2000)
         ]
         stats = feed_events(OoOCore(four_wide(), PerfectPredictor()), events)
@@ -102,7 +104,7 @@ class TestBranchPenalty:
             fast.append(alu(1, dest=5))
             fast.append(branch(10, True, srcs=(5,)))
             slow.append(
-                TraceEvent(1, Op.FDIV, OpClass.FDIV, 5, (), next_pc=2)
+                Row(1, Op.FDIV, OpClass.FDIV, 5, (), next_pc=2)
             )
             slow.append(branch(10, True, srcs=(5,)))
         fast_stats = feed_events(OoOCore(four_wide(), AlwaysNotTaken()), fast)
@@ -117,7 +119,7 @@ class TestRobWindow:
         events = []
         for i in range(200):
             events.append(
-                TraceEvent(0, Op.LOAD, OpClass.LOAD, 1, (2,), addr=i * 4096)
+                Row(0, Op.LOAD, OpClass.LOAD, 1, (2,), addr=i * 4096)
             )
             events.extend(alu(j) for j in range(7))
         small = feed_events(OoOCore(config, PerfectPredictor()), list(events))

@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core import PBSConfig
-from repro.functional.trace import EventBatch, ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.serve import Coordinator
 from repro.serve.client import CoordinatorError
@@ -31,6 +31,8 @@ from repro.trace import (
     unpack_events_batch,
 )
 
+from .events import Collector, Row, batch_of
+
 SCALE = 0.02
 
 
@@ -38,50 +40,30 @@ def _normalized(result) -> str:
     return replace(result, wall_time=0.0).to_json(indent=2)
 
 
-def _event(**overrides) -> TraceEvent:
+def _event(**overrides) -> Row:
     base = dict(
         pc=7, op=Op.ADD, op_class=OP_CLASS[Op.ADD], dest=3, srcs=(1, 2),
         is_cond_branch=False, taken=False, target=None, next_pc=8,
         addr=None, is_store=False, prob_mode=ProbMode.NOT_PROB,
     )
     base.update(overrides)
-    return TraceEvent(**base)
-
-
-EVENT_FIELDS = TraceEvent.__slots__
-
-
-def _assert_events_equal(a: TraceEvent, b: TraceEvent):
-    for field in EVENT_FIELDS:
-        assert getattr(a, field) == getattr(b, field), field
-
-
-class _Collect:
-    """A batch sink that appends every replayed batch to one
-    :class:`EventBatch` (replay reuses its batch between frames)."""
-
-    def __init__(self):
-        self.batch = EventBatch()
-
-    def consume_batch(self, batch):
-        for column in EventBatch.__slots__:
-            getattr(self.batch, column).extend(getattr(batch, column))
+    return Row(**base)
 
 
 def _write(path, events, compress=True, events_per_frame=4, meta=None):
     writer = TraceWriter(path, compress=compress,
                          events_per_frame=events_per_frame)
-    writer.consume_batch(EventBatch.from_events(events))
+    writer.consume_batch(batch_of(events))
     writer.finalize(meta or {"workload": "x"})
     return path
 
 
 def _replayed(path) -> list:
     """Every event of a trace file, through ``TraceReader.replay``."""
-    collect = _Collect()
+    collect = Collector()
     count = TraceReader(path).replay(collect)
     assert count == len(collect.batch)
-    return list(collect.batch.events())
+    return collect.rows
 
 
 class TestEventPacking:
@@ -117,10 +99,7 @@ class TestEventPacking:
         # each record on its own, whatever the framing.
         path = _write(tmp_path / "t.trace", self.CASES, compress=False,
                       events_per_frame=len(self.CASES))
-        decoded = _replayed(path)
-        assert len(decoded) == len(self.CASES)
-        for original, restored in zip(self.CASES, decoded):
-            _assert_events_equal(original, restored)
+        assert _replayed(path) == self.CASES
 
     def test_corrupt_payload_raises(self, tmp_path):
         path = _write(tmp_path / "t.trace", self.CASES[:1], compress=False)
@@ -141,15 +120,12 @@ class TestTraceFile:
             reader = TraceReader(path)
             assert reader.meta["events"] == len(events)
             assert reader.meta["workload"] == "x"
-            decoded = _replayed(path)
-            assert len(decoded) == len(events)
-            for original, restored in zip(events, decoded):
-                _assert_events_equal(original, restored)
+            assert _replayed(path) == events
 
     def test_unfinalized_file_is_unreadable(self, tmp_path):
         path = tmp_path / "partial.trace"
         writer = TraceWriter(path)
-        writer.consume_batch(EventBatch.from_events([_event()]))
+        writer.consume_batch(batch_of([_event()]))
         writer._flush_frame()
         writer._handle.close()
         with pytest.raises(TraceFormatError):
@@ -215,7 +191,7 @@ class TestTraceStore:
     def _capture_one(self, store, digest, events=None, meta=None):
         capture = store.writer(digest)
         capture.sink.consume_batch(
-            EventBatch.from_events(events or TestEventPacking.CASES)
+            batch_of(events or TestEventPacking.CASES)
         )
         capture.commit(meta or {
             "workload": "pi", "scale": SCALE, "seed": 1, "pbs_config": None,
@@ -246,7 +222,7 @@ class TestTraceStore:
         store = TraceStore(tmp_path)
         digest = trace_digest("pi", SCALE, 3, None)
         capture = store.writer(digest)
-        capture.sink.consume_batch(EventBatch.from_events([_event()]))
+        capture.sink.consume_batch(batch_of([_event()]))
         capture.abort()
         assert store.open(digest) is None
         assert not list(tmp_path.glob("??/*"))

@@ -12,7 +12,7 @@ the functional simulator against each other.
 
 import pytest
 
-from repro.core import PBSEngine
+from repro.core import PBSConfig, PBSEngine
 from repro.functional.trace import ProbMode
 from repro.workloads import (
     all_workloads,
@@ -21,6 +21,8 @@ from repro.workloads import (
     workload_names,
 )
 from repro.workloads.mc_integ import TRUE_INTEGRAL
+
+from .events import Collector
 
 SMALL = 0.08  # scale used for per-test runs (a few thousand instructions)
 
@@ -142,17 +144,24 @@ class TestStatisticalSanity:
         assert 0 < sum(successes) <= 6
 
 
+def run_with_pbs(name, scale, seed):
+    """One run of workload ``name`` under the paper's PBS config, and
+    the engine that handled it."""
+    engine = PBSEngine(PBSConfig())
+    return get_workload(name).run(scale=scale, seed=seed, pbs=engine), engine
+
+
 class TestUnderPbs:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_high_hit_rate(self, name):
-        run = get_workload(name).run_with_pbs(scale=0.25, seed=5)
-        assert run.pbs_engine.stats.hit_rate > 0.80, run.pbs_engine.stats.as_dict()
+        _, engine = run_with_pbs(name, scale=0.25, seed=5)
+        assert engine.stats.hit_rate > 0.80, engine.stats.as_dict()
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_no_fallbacks_at_paper_config(self, name):
         """The paper's 4-branch configuration suffices for all benchmarks."""
-        run = get_workload(name).run_with_pbs(scale=0.25, seed=5)
-        stats = run.pbs_engine.stats
+        _, engine = run_with_pbs(name, scale=0.25, seed=5)
+        stats = engine.stats
         assert stats.const_mismatches == 0
         assert stats.capacity_rejects == 0
         assert stats.value_count_rejects == 0
@@ -171,24 +180,24 @@ class TestUnderPbs:
     def test_accuracy_small(self, name, tolerance):
         workload = get_workload(name)
         base = workload.run(scale=0.5, seed=11)
-        pbs = workload.run_with_pbs(scale=0.5, seed=11)
+        pbs, _ = run_with_pbs(name, scale=0.5, seed=11)
         error = workload.accuracy_error(base.outputs, pbs.outputs)
         assert error < tolerance
 
     def test_prob_events_marked(self):
-        events = []
-        get_workload("pi").run(scale=SMALL, seed=1, sink=events.append)
-        prob = [e for e in events if e.prob_mode != ProbMode.NOT_PROB]
+        collector = Collector()
+        get_workload("pi").run(scale=SMALL, seed=1, sink=collector)
+        prob = [m for m in collector.batch.prob_modes if m != ProbMode.NOT_PROB]
         assert prob
-        assert all(e.prob_mode == ProbMode.PREDICTED for e in prob)
+        assert all(m == ProbMode.PREDICTED for m in prob)
 
     def test_dynamic_prob_share_is_minority(self):
         """Figure 1's left bar: probabilistic branches are a minority of
         dynamic branches for the loop-structured benchmarks."""
         for name in ("bandit", "genetic", "swaptions"):
-            events = []
-            get_workload(name).run(scale=SMALL, seed=1, sink=events.append)
-            branches = [e for e in events if e.is_cond_branch]
+            collector = Collector()
+            get_workload(name).run(scale=SMALL, seed=1, sink=collector)
+            branches = [e for e in collector.rows if e.is_cond_branch]
             prob = [e for e in branches if e.prob_mode != ProbMode.NOT_PROB]
             assert 0 < len(prob) < 0.5 * len(branches), name
 
@@ -203,7 +212,6 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_pbs_deterministic_replay(self, name):
-        workload = get_workload(name)
-        first = workload.run_with_pbs(scale=SMALL, seed=9).outputs
-        second = workload.run_with_pbs(scale=SMALL, seed=9).outputs
+        first = run_with_pbs(name, scale=SMALL, seed=9)[0].outputs
+        second = run_with_pbs(name, scale=SMALL, seed=9)[0].outputs
         assert first == second
