@@ -277,6 +277,76 @@ def test_bench_tagescl_with_harness(benchmark):
     bench_with_harness(benchmark, TageSCL)
 
 
+def memory_mix_batches():
+    """20k rows as 1024-row ``EventBatch``es: the branch stream above
+    every fifth row, with ALU ops, loads and stores between them (half
+    of the memory rows on a few hot lines, half over 512 KiB)."""
+    from repro.functional.trace import EventBatch, ProbMode
+    from repro.isa import Op, OpClass
+
+    rng = random.Random(4)
+    kinds = (
+        (Op.ADD, OpClass.IALU), (Op.MUL, OpClass.IMUL),
+        (Op.LOAD, OpClass.LOAD), (Op.LOAD, OpClass.LOAD),
+        (Op.STORE, OpClass.STORE),
+    )
+    rows = []
+    for i in range(20_000):
+        pc = rng.randrange(64) * 2
+        if i % 5 == 4:
+            taken = rng.random() < 0.6
+            rows.append((pc, Op.BLT, OpClass.BRANCH, -1, (1, 2), True, taken,
+                         0, 0 if taken else pc + 1, None, False))
+            continue
+        op, op_class = rng.choice(kinds)
+        memory = op_class in (OpClass.LOAD, OpClass.STORE)
+        addr = None
+        if memory:
+            addr = (rng.randrange(64) if rng.random() < 0.5
+                    else rng.randrange(65_536))
+        rows.append((pc, op, op_class,
+                     -1 if op_class == OpClass.STORE else rng.randrange(32),
+                     (rng.randrange(32), rng.randrange(32)), False, False,
+                     None, pc + 1, addr, op_class == OpClass.STORE))
+    batches = []
+    for start in range(0, len(rows), 1024):
+        batch = EventBatch()
+        for column, values in zip(EventBatch.__slots__,
+                                  zip(*rows[start:start + 1024])):
+            setattr(batch, column, list(values))
+        batch.prob_modes = [ProbMode.NOT_PROB] * len(batch.pcs)
+        batches.append(batch)
+    return batches
+
+
+def test_bench_ooo_cores_sharing_a_group(benchmark):
+    """A 4-wide and an 8-wide core timing one Tournament harness's rows
+    in one trace group, as figure8's runs do, over 1024-row batches
+    with a memory mix: the group classifies and walks the memory
+    hierarchy once per batch, then times each core."""
+    from repro.pipeline import eight_wide, four_wide
+    from repro.sim import FanOut, Session
+    from repro.sim.session import _build_consumers
+
+    batches = memory_mix_batches()
+
+    def run():
+        sessions = [
+            Session("pi").predictors("tournament").timing(config)
+            for config in (four_wide, eight_wide)
+        ]
+        group = FanOut(_build_consumers(sessions))
+        for batch in batches:
+            group.consume_batch(batch)
+        return [
+            session.cores["tournament"].finalize().cycles
+            for session in sessions
+        ]
+
+    four, eight = benchmark(run)
+    assert four > eight > 20_000 / 8
+
+
 def test_bench_pbs_transactions(benchmark):
     rng = random.Random(5)
     values = [rng.random() for _ in range(20_000)]

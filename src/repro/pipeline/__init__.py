@@ -2,7 +2,7 @@
 
 from .config import DEFAULT_LATENCIES, CoreConfig, eight_wide, four_wide
 from .metrics import CoreStats
-from .model import OoOCore
+from .model import LatencyWalk, OoOCore
 
 __all__ = [
     "DEFAULT_LATENCIES",
@@ -10,5 +10,6 @@ __all__ = [
     "eight_wide",
     "four_wide",
     "CoreStats",
+    "LatencyWalk",
     "OoOCore",
 ]

@@ -22,15 +22,57 @@ dominate.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Optional
+from itertools import compress, count
+from typing import Dict, List, Optional
 
 from ..branch.base import BranchPredictor
 from ..branch.harness import PredictorHarness
 from ..isa.opcodes import OpClass
+from ..isa.registers import NUM_REGS
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
 from .metrics import CoreStats
+
+
+class LatencyWalk:
+    """One latency table walking one memory hierarchy, batch by batch.
+
+    :meth:`column` gives each row of a batch its execution latency: its
+    op class's entry in ``latencies``, or for a load the hierarchy's
+    latency for its address.  A store's access still updates the
+    caches, and the store costs ``latencies[STORE]``.  Cache state
+    depends only on the address order, never on cycle timing, so one
+    walk serves every core with the same latency table exactly,
+    whatever its width or predictor.
+    """
+
+    def __init__(
+        self,
+        latencies: Dict[OpClass, int],
+        hierarchy: Optional[MemoryHierarchy] = None,
+    ):
+        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
+        # A load's latency always comes from the hierarchy, so the
+        # table need not name LOAD.
+        self._latency_of = {OpClass.LOAD: 0, **latencies}.__getitem__
+        is_memory = [False] * (max(OpClass) + 1)
+        is_memory[OpClass.LOAD] = is_memory[OpClass.STORE] = True
+        self._is_memory = is_memory.__getitem__
+
+    def column(self, batch) -> List[int]:
+        """The latency of every row of ``batch``, in row order."""
+        classes = batch.classes
+        column = list(map(self._latency_of, classes))
+        access = self.hierarchy.access
+        addrs = batch.addrs
+        LOAD = OpClass.LOAD
+        # Most rows touch no memory: find the ones that do in C.
+        for i in compress(count(), map(self._is_memory, classes)):
+            if classes[i] == LOAD:
+                column[i] = access(addrs[i])
+            else:
+                access(addrs[i])
+        return column
 
 
 class OoOCore:
@@ -38,13 +80,14 @@ class OoOCore:
 
     Branch classification is delegated to a
     :class:`~repro.branch.PredictorHarness`, so ``stats.branches`` *is*
-    that harness's :class:`~repro.branch.BranchStats`.  The constructor
-    builds the core its own harness from ``predictor`` and the harness
-    options; :meth:`sharing` times the rows of a harness that other
-    consumers read too.  Each batch is classified first, then timed:
-    predictor state depends only on the ``(pc, taken, prob_mode)``
-    order, never on cycle timing, so one classification serves every
-    core width exactly.
+    that harness's :class:`~repro.branch.BranchStats`, and row
+    latencies to a :class:`LatencyWalk`.  The constructor builds the
+    core its own harness from ``predictor`` and the harness options,
+    and its own walk over ``hierarchy``; :meth:`sharing` times the rows
+    of a harness and a walk that other consumers read too.  Each batch
+    is classified and walked first, then timed: predictor and cache
+    state depend only on the trace order, never on cycle timing, so one
+    classification and one walk serve every core width exactly.
     """
 
     def __init__(
@@ -61,48 +104,56 @@ class OoOCore:
             filter_probabilistic=filter_probabilistic,
             pbs_inserts_history=pbs_inserts_history,
             oracle_pcs=oracle_pcs,
-        ), hierarchy)
+        ), LatencyWalk(config.latencies, hierarchy))
 
     @classmethod
-    def sharing(cls, config: CoreConfig, harness: PredictorHarness) -> "OoOCore":
-        """A core timing the rows ``harness`` classifies.
+    def sharing(
+        cls, config: CoreConfig, harness: PredictorHarness, walk: LatencyWalk
+    ) -> "OoOCore":
+        """A core timing the rows ``harness`` classifies and ``walk``
+        gives latencies.
 
-        The harness is fed elsewhere (it may serve other cores and
-        MPKI readers too), so this core must be fed
-        ``consume_batch(batch, mispredicted)`` with the rows the
-        harness reported for that batch.
+        Both are fed elsewhere (they may serve other cores, and the
+        harness MPKI readers too), so this core must be fed
+        ``consume_batch(batch, mispredicted, latencies)`` with the rows
+        the harness reported and the column the walk returned for that
+        batch.
         """
         core = cls.__new__(cls)
-        core._attach(config, harness, None)
+        core._attach(config, harness, walk)
         return core
 
-    def _attach(self, config, harness, hierarchy) -> None:
+    def _attach(self, config, harness, walk) -> None:
         self.config = config
         self.harness = harness
         self.predictor = harness.predictor
-        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
+        self.walk = walk
         self.stats = CoreStats(config.name, predictor_name=self.predictor.name)
         self.stats.branches = harness.stats
 
-        self._latency: Dict[int, int] = dict(config.latencies)
-        self._reg_ready: Dict[int, int] = {}
+        self._reg_ready: List[int] = [0] * NUM_REGS
+        # The ROB as a ring of the last rob_size commit cycles, oldest
+        # at _rob_slot; -1 marks a slot no instruction has used yet.
+        self._rob: List[int] = [-1] * config.rob_size
+        self._rob_slot = 0
         self._frontend_ready = 0
         self._dispatch_cycle = 0
         self._dispatch_slots = 0
         self._commit_cycle = 0
         self._commit_slots = 0
-        self._commit_times = deque()
-        self._last_cycle = 0
 
     # ------------------------------------------------------------------
-    def consume_batch(self, batch, mispredicted=None) -> None:
+    def consume_batch(self, batch, mispredicted=None, latencies=None) -> None:
         """Time one batch.  ``mispredicted`` lists, in row order, the
         rows of the batch that the core's harness already classified
-        as mispredicted; without it the core classifies the batch
-        through its harness first."""
+        as mispredicted, and ``latencies`` is the batch's column from
+        the core's walk; without them the core classifies the batch
+        through its harness and walks it first."""
         if mispredicted is None:
             mispredicted = []
             self.harness.consume_batch(batch, mispredicted)
+        if latencies is None:
+            latencies = self.walk.column(batch)
         n = len(batch.pcs)
         # Past the last misprediction, next_miss is n: no row index
         # reaches it.
@@ -114,37 +165,27 @@ class OoOCore:
         penalty = config.mispredict_penalty
         stats = self.stats
         stats.instructions += n
-        latency_of = self._latency
-        access = self.hierarchy.access
         reg_ready = self._reg_ready
-        ready_of = reg_ready.get
-        commit_times = self._commit_times
-        pop_oldest = commit_times.popleft
-        push_commit = commit_times.append
-        LOAD = OpClass.LOAD
-        STORE = OpClass.STORE
+        rob = self._rob
+        rob_slot = self._rob_slot
 
         frontend_ready = self._frontend_ready
         dispatch_cycle = self._dispatch_cycle
         dispatch_slots = self._dispatch_slots
         commit_cycle = self._commit_cycle
         commit_slots = self._commit_slots
-        last_cycle = self._last_cycle
         branch_stall = 0
         next_miss = next(misses, n)
 
-        srcs_col = batch.srcs
-        classes = batch.classes
-        addrs = batch.addrs
-        dests = batch.dests
-        for i in range(n):
+        for i, srcs, latency, dest in zip(
+            range(n), batch.srcs, latencies, batch.dests
+        ):
             # ----- dispatch: front-end bandwidth + ROB occupancy -------
             dispatch = frontend_ready
-            if len(commit_times) >= rob_size:
-                # The slot frees the cycle after its occupant commits.
-                oldest = pop_oldest()
-                if oldest + 1 > dispatch:
-                    dispatch = oldest + 1
+            # The slot frees the cycle after its occupant commits.
+            oldest = rob[rob_slot]
+            if oldest >= dispatch:
+                dispatch = oldest + 1
             if dispatch > dispatch_cycle:
                 dispatch_cycle = dispatch
                 dispatch_slots = 1
@@ -158,21 +199,11 @@ class OoOCore:
 
             # ----- issue & execute: dataflow --------------------------
             ready = dispatch + 1
-            for reg in srcs_col[i]:
-                when = ready_of(reg, 0)
+            for reg in srcs:
+                when = reg_ready[reg]
                 if when > ready:
                     ready = when
-
-            op_class = classes[i]
-            if op_class == LOAD:
-                complete = ready + access(addrs[i])
-            elif op_class == STORE:
-                access(addrs[i])
-                complete = ready + latency_of[STORE]
-            else:
-                complete = ready + latency_of[op_class]
-
-            dest = dests[i]
+            complete = ready + latency
             if dest >= 0:
                 reg_ready[dest] = complete
 
@@ -200,21 +231,23 @@ class OoOCore:
             else:
                 commit_slots = 1
             commit_cycle = commit
-            push_commit(commit)
-            if commit > last_cycle:
-                last_cycle = commit
+            rob[rob_slot] = commit
+            rob_slot += 1
+            if rob_slot == rob_size:
+                rob_slot = 0
 
+        self._rob_slot = rob_slot
         self._frontend_ready = frontend_ready
         self._dispatch_cycle = dispatch_cycle
         self._dispatch_slots = dispatch_slots
         self._commit_cycle = commit_cycle
         self._commit_slots = commit_slots
-        self._last_cycle = last_cycle
         stats.branch_stall_cycles += branch_stall
 
     # ------------------------------------------------------------------
     def finalize(self) -> CoreStats:
-        """Close accounting and return the stats object."""
+        """Close accounting and return the stats object.  Commit is in
+        order, so the last commit cycle is the run's last cycle."""
         stats = self.stats
-        stats.cycles = self._last_cycle if self._last_cycle else 1
+        stats.cycles = self._commit_cycle if self._commit_cycle else 1
         return stats

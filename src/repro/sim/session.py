@@ -292,19 +292,40 @@ class Session:
         return result
 
 
-class _Classifier:
-    """One harness and the cores that time its rows: each batch is
-    classified once, and every core reads the mispredicted rows."""
+class _Timing:
+    """Every core of one run and what they read: each batch is
+    classified once per harness and walked once per latency table,
+    then every core times it from its harness's mispredicted rows and
+    its table's latency column."""
 
-    def __init__(self, harness):
-        self.harness = harness
-        self.cores: List = []
+    def __init__(self):
+        self.harnesses: Dict[object, object] = {}  # harness key -> harness
+        self.walks: Dict[tuple, object] = {}       # latency table -> walk
+        self.cores: List[tuple] = []               # (core, harness key, table)
+
+    def add(self, key, harness, config):
+        """A new core timing ``harness``'s rows under ``config``."""
+        from ..pipeline import LatencyWalk, OoOCore
+
+        table = tuple(sorted(config.latencies.items()))
+        walk = self.walks.get(table)
+        if walk is None:
+            walk = self.walks[table] = LatencyWalk(config.latencies)
+        self.harnesses[key] = harness
+        core = OoOCore.sharing(config, harness, walk)
+        self.cores.append((core, key, table))
+        return core
 
     def consume_batch(self, batch) -> None:
-        mispredicted: List[int] = []
-        self.harness.consume_batch(batch, mispredicted)
-        for core in self.cores:
-            core.consume_batch(batch, mispredicted)
+        rows = {}
+        for key, harness in self.harnesses.items():
+            rows[key] = mispredicted = []
+            harness.consume_batch(batch, mispredicted)
+        columns = {
+            table: walk.column(batch) for table, walk in self.walks.items()
+        }
+        for core, key, table in self.cores:
+            core.consume_batch(batch, rows[key], columns[table])
 
 
 def _harness_key(spec: _PredictorSpec):
@@ -321,39 +342,42 @@ def _harness_key(spec: _PredictorSpec):
 
 def _build_consumers(sessions: Sequence[Session]) -> List[object]:
     """Fresh consumers for one run of ``sessions``: one harness per
-    distinct (predictor, harness options), each with the cores that
-    time its rows, then every session's caller-owned sinks.  Each
+    distinct (predictor, harness options) and, when any session is
+    timed, one :class:`_Timing` that feeds the harnesses cores read,
+    walks the memory hierarchy once per distinct latency table and
+    times every core; then every session's caller-owned sinks.  Each
     session's ``harnesses``/``cores`` map its own labels, in its own
     order, onto them."""
     from ..branch import PredictorHarness
-    from ..pipeline import OoOCore
 
-    classifiers: Dict[object, _Classifier] = {}
+    harnesses: Dict[object, object] = {}
+    timing = _Timing()
     sinks: List[object] = []
     for session in sessions:
         session.harnesses = {}
         session.cores = {}
-        timing = session._timing_config
+        core_config = session._timing_config
         for spec in session._specs:
             key = _harness_key(spec)
-            classifier = classifiers.get(key)
-            if classifier is None:
-                classifier = classifiers[key] = _Classifier(
-                    PredictorHarness(spec.make(), **spec.options)
+            harness = harnesses.get(key)
+            if harness is None:
+                harness = harnesses[key] = PredictorHarness(
+                    spec.make(), **spec.options
                 )
-            if timing is None:
-                session.harnesses[spec.label] = classifier.harness
+            if core_config is None:
+                session.harnesses[spec.label] = harness
                 continue
-            config = replace(timing, latencies=dict(timing.latencies))
-            core = OoOCore.sharing(config, classifier.harness)
-            classifier.cores.append(core)
-            session.cores[spec.label] = core
+            config = replace(core_config, latencies=dict(core_config.latencies))
+            session.cores[spec.label] = timing.add(key, harness, config)
         sinks.extend(session._extra_sinks)
     # A harness no core reads is fed directly.
-    return [
-        classifier if classifier.cores else classifier.harness
-        for classifier in classifiers.values()
-    ] + sinks
+    consumers = [
+        harness for key, harness in harnesses.items()
+        if key not in timing.harnesses
+    ]
+    if timing.cores:
+        consumers.append(timing)
+    return consumers + sinks
 
 
 def run_group(sessions: Sequence[Session]) -> List[RunResult]:

@@ -13,6 +13,8 @@ arbitrary cut points give identical results:
 * ``PredictorHarness``, ``OoOCore`` (whose timing state crosses batch
   boundaries), ``MispredictBreakdown`` and ``TraceWriter`` give
   identical stats or bytes under any chunking;
+* a timed trace group walks the memory hierarchy once per latency
+  table, and every core in it equals its solo run;
 * the sim-layer ``FanOut`` feeds every member the same stream, and its
   ``sink_batches`` counter surfaces through sweep stats;
 * the sink-attached diff mode holds interp and compiled to the same
@@ -323,6 +325,57 @@ def test_core_branches_are_its_harness_stats(pbs_stream):
     core = feed(OoOCore(four_wide(), create_predictor("tournament")), [pbs_stream])
     assert core.stats.branches is core.harness.stats
     assert core.finalize().branches.as_dict() == harness_stats([pbs_stream])
+
+
+def test_timed_group_walks_memory_once_per_latency_table():
+    # Figure 8's shape: both baselines on the 4-wide and the 8-wide
+    # core, plus one core whose latency table differs.
+    from dataclasses import replace
+
+    from repro.isa.opcodes import OpClass
+    from repro.pipeline import eight_wide
+    from repro.sim.session import run_group
+
+    slow_alu = replace(four_wide(), name="slow-alu")
+    slow_alu.latencies[OpClass.IALU] = 2
+
+    def sessions():
+        return [
+            Session(WORKLOAD, scale=SCALE, seed=SEED).pbs()
+            .predictors(name).timing(config)
+            for name in ("tournament", "tage-sc-l")
+            for config in (four_wide, eight_wide)
+        ] + [
+            Session(WORKLOAD, scale=SCALE, seed=SEED).pbs()
+            .predictors("tournament").timing(slow_alu)
+        ]
+
+    group = sessions()
+    collector = Collector()
+    group[0].sink(collector)
+    results = run_group(group)
+    for session, result in zip(sessions(), results):
+        solo = session.run()
+        assert result.cores == solo.cores
+        assert result.predictors == solo.predictors
+    assert (results[4].core("tournament").cycles
+            > results[0].core("tournament").cycles)
+
+    memory_rows = sum(
+        op_class in (OpClass.LOAD, OpClass.STORE)
+        for op_class in collector.batch.classes
+    )
+    assert memory_rows > 1000
+    cores = [core for session in group for core in session.cores.values()]
+    walks = {id(core.walk): core.walk for core in cores}
+    assert len(walks) == 2
+    assert cores[-1].walk is not cores[0].walk
+    assert all(core.walk is cores[0].walk for core in cores[:4])
+    for walk in walks.values():
+        assert walk.hierarchy.l1.accesses == memory_rows
+    # Each harness is shared by its predictor's two cores.
+    assert cores[0].harness is cores[1].harness is cores[4].harness
+    assert cores[2].harness is cores[3].harness
 
 
 # ----------------------------------------------------------------------

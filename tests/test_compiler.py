@@ -1,7 +1,5 @@
 """Tests for the §V-B compiler support: CFG, taint, auto-marking."""
 
-import pytest
-
 from repro.compiler import (
     ControlFlowGraph,
     TaintAnalysis,

@@ -6,7 +6,6 @@ statistical-correctness property that PBS only permutes (and slightly
 duplicates) the consumed value stream.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

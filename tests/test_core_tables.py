@@ -1,7 +1,5 @@
 """Direct unit tests for the PBS hardware tables."""
 
-import pytest
-
 from repro.core import PBSConfig, PBSEngine, ProbBTB, SwapTable
 
 KEY_A = (100, 0, 0)

@@ -1,6 +1,5 @@
 """Tests for the randomness battery and confidence intervals."""
 
-import math
 import random
 
 import numpy as np
