@@ -308,9 +308,9 @@ class MispredictBreakdown(AnalysisPass):
             ]
             per_branch.sort(key=lambda row: (-row["mispredicts"], row["pc"]))
             payload[name] = {
-                # The harness's own accounting, verbatim: matches the
-                # PredictorMetrics a Session run reports for this
-                # predictor, field for field.
+                # The harness's own accounting, verbatim: the same
+                # BranchStats a Session run reports for this predictor,
+                # without its name.
                 **harness.stats.as_dict(),
                 "per_branch": (
                     per_branch[: self.top] if self.top is not None else per_branch

@@ -20,31 +20,28 @@ Two paper-specific behaviours live here:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict
 
 from ..functional.trace import ProbMode
 from .base import BranchPredictor
 
 
+@dataclass(slots=True)
 class BranchStats:
-    """Misprediction counters split by branch category."""
+    """Misprediction counters split by branch category.
 
-    __slots__ = (
-        "instructions",
-        "regular_branches",
-        "regular_mispredicts",
-        "prob_branches",
-        "prob_mispredicts",
-        "pbs_hits",
-    )
+    A harness counts into one named after its predictor; a
+    :class:`~repro.sim.RunResult` holds a copy named after its label.
+    """
 
-    def __init__(self):
-        self.instructions = 0
-        self.regular_branches = 0
-        self.regular_mispredicts = 0
-        self.prob_branches = 0
-        self.prob_mispredicts = 0
-        self.pbs_hits = 0
+    name: str = ""
+    instructions: int = 0
+    regular_branches: int = 0
+    regular_mispredicts: int = 0
+    prob_branches: int = 0
+    prob_mispredicts: int = 0
+    pbs_hits: int = 0
 
     @property
     def branches(self) -> int:
@@ -73,6 +70,7 @@ class BranchStats:
         return 1000.0 * self.prob_mispredicts / self.instructions
 
     def as_dict(self) -> Dict[str, float]:
+        """The counters and ``mpki``, without ``name``."""
         return {
             "instructions": self.instructions,
             "regular_branches": self.regular_branches,
@@ -110,7 +108,7 @@ class PredictorHarness:
         #: (control-flow decoupling's branch-on-queue): counted as
         #: regular, never mispredicted and invisible to the predictor.
         self.oracle_pcs = oracle_pcs
-        self.stats = BranchStats()
+        self.stats = BranchStats(predictor.name)
 
     def consume_batch(self, batch, mispredicted=None) -> None:
         """Classify every conditional-branch row of an :class:`EventBatch`.

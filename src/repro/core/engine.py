@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from .config import PBSConfig
@@ -42,35 +43,21 @@ from .context import ContextTable
 from .tables import BranchKey, ProbBTB, ProbInFlightTable, Record, SwapTable
 
 
+@dataclass(slots=True)
 class PBSStats:
     """Aggregate PBS behaviour counters."""
 
-    __slots__ = (
-        "instances",
-        "hits",
-        "bootstraps",
-        "fallbacks",
-        "const_mismatches",
-        "capacity_rejects",
-        "swap_rejects",
-        "value_count_rejects",
-        "deep_call_rejects",
-        "loop_flushes",
-        "allocations",
-    )
-
-    def __init__(self):
-        self.instances = 0
-        self.hits = 0
-        self.bootstraps = 0
-        self.fallbacks = 0
-        self.const_mismatches = 0
-        self.capacity_rejects = 0
-        self.swap_rejects = 0
-        self.value_count_rejects = 0
-        self.deep_call_rejects = 0
-        self.loop_flushes = 0
-        self.allocations = 0
+    instances: int = 0
+    hits: int = 0
+    bootstraps: int = 0
+    fallbacks: int = 0
+    const_mismatches: int = 0
+    capacity_rejects: int = 0
+    swap_rejects: int = 0
+    value_count_rejects: int = 0
+    deep_call_rejects: int = 0
+    loop_flushes: int = 0
+    allocations: int = 0
 
     @property
     def hit_rate(self) -> float:

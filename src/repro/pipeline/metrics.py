@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict
 
 from ..branch.harness import BranchStats
 
 
+@dataclass(slots=True)
 class CoreStats:
-    """Cycle and branch statistics for one timed run."""
+    """Cycle and branch statistics for one timed run.
 
-    def __init__(self, core_name: str, predictor_name: str = ""):
-        self.core_name = core_name
-        self.predictor_name = predictor_name
-        self.instructions = 0
-        self.cycles = 0
-        self.branches = BranchStats()
-        #: Front-end idle cycles attributable to branch mispredictions
-        #: (resolution delay + refill penalty).
-        self.branch_stall_cycles = 0
+    A core counts into one named after its predictor; a
+    :class:`~repro.sim.RunResult` holds a copy named after its label.
+    ``core`` names the :class:`~repro.pipeline.CoreConfig`.
+    """
+
+    name: str = ""
+    core: str = ""
+    instructions: int = 0
+    cycles: int = 0
+    #: Front-end idle cycles attributable to branch mispredictions
+    #: (resolution delay + refill penalty).
+    branch_stall_cycles: int = 0
+    branches: BranchStats = field(default_factory=BranchStats)
 
     @property
     def ipc(self) -> float:
@@ -49,9 +55,11 @@ class CoreStats:
         return {"base": base, "branch": branch, "other": other}
 
     def as_dict(self) -> Dict[str, float]:
+        """A flat view with ``name`` as ``predictor`` and the branch
+        counters prefixed ``branch_``."""
         data = {
-            "core": self.core_name,
-            "predictor": self.predictor_name,
+            "core": self.core,
+            "predictor": self.name,
             "instructions": self.instructions,
             "cycles": self.cycles,
             "ipc": self.ipc,
@@ -61,10 +69,3 @@ class CoreStats:
             {f"branch_{k}": v for k, v in self.branches.as_dict().items()}
         )
         return data
-
-    def __repr__(self) -> str:
-        return (
-            f"<CoreStats {self.core_name}/{self.predictor_name}: "
-            f"{self.instructions} insns, {self.cycles} cycles, "
-            f"IPC {self.ipc:.3f}, MPKI {self.mpki:.3f}>"
-        )

@@ -23,7 +23,7 @@ dominate.
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..branch.base import BranchPredictor
 from ..branch.harness import PredictorHarness
@@ -35,26 +35,31 @@ from .metrics import CoreStats
 
 
 class LatencyWalk:
-    """One latency table walking one memory hierarchy, batch by batch.
+    """One core configuration's latencies walking one memory hierarchy,
+    batch by batch.
 
     :meth:`column` gives each row of a batch its execution latency: its
-    op class's entry in ``latencies``, or for a load the hierarchy's
-    latency for its address.  A store's access still updates the
-    caches, and the store costs ``latencies[STORE]``.  Cache state
-    depends only on the address order, never on cycle timing, so one
-    walk serves every core with the same latency table exactly,
-    whatever its width or predictor.
+    op class's entry in ``config.latencies``, or for a load the
+    hierarchy's latency for its address.  A store's access still
+    updates the caches, and the store costs ``latencies[STORE]``.
+    Without a ``hierarchy`` the walk builds the default one with an L1
+    hit costing ``config.l1_latency``; a hierarchy passed in keeps its
+    own latencies.  Cache state depends only on the address order,
+    never on cycle timing, so one walk serves every core with the same
+    latency table and ``l1_latency`` exactly, whatever its width or
+    predictor.
     """
 
     def __init__(
-        self,
-        latencies: Dict[OpClass, int],
-        hierarchy: Optional[MemoryHierarchy] = None,
+        self, config: CoreConfig, hierarchy: Optional[MemoryHierarchy] = None
     ):
-        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
+        if hierarchy is None:
+            hierarchy = MemoryHierarchy()
+            hierarchy.l1.latency = config.l1_latency
+        self.hierarchy = hierarchy
         # A load's latency always comes from the hierarchy, so the
         # table need not name LOAD.
-        self._latency_of = {OpClass.LOAD: 0, **latencies}.__getitem__
+        self._latency_of = {OpClass.LOAD: 0, **config.latencies}.__getitem__
         is_memory = [False] * (max(OpClass) + 1)
         is_memory[OpClass.LOAD] = is_memory[OpClass.STORE] = True
         self._is_memory = is_memory.__getitem__
@@ -104,7 +109,7 @@ class OoOCore:
             filter_probabilistic=filter_probabilistic,
             pbs_inserts_history=pbs_inserts_history,
             oracle_pcs=oracle_pcs,
-        ), LatencyWalk(config.latencies, hierarchy))
+        ), LatencyWalk(config, hierarchy))
 
     @classmethod
     def sharing(
@@ -128,8 +133,9 @@ class OoOCore:
         self.harness = harness
         self.predictor = harness.predictor
         self.walk = walk
-        self.stats = CoreStats(config.name, predictor_name=self.predictor.name)
-        self.stats.branches = harness.stats
+        self.stats = CoreStats(
+            self.predictor.name, config.name, branches=harness.stats
+        )
 
         self._reg_ready: List[int] = [0] * NUM_REGS
         # The ROB as a ring of the last rob_size commit cycles, oldest

@@ -56,7 +56,7 @@ from .registry import (
     workload_class,
     workload_names,
 )
-from .results import CoreMetrics, PBSMetrics, PredictorMetrics, RunResult
+from .results import RunResult
 from .session import DEFAULT_SCALE, DEFAULT_SEED, FanOut, Session
 from .sweep import MODES, RunSpec, Sweep, SweepResult, run_specs
 
@@ -127,9 +127,6 @@ __all__ = [
     "workload_class",
     "paper_workload_names",
     "workload_names",
-    "CoreMetrics",
-    "PBSMetrics",
-    "PredictorMetrics",
     "RunResult",
     "DEFAULT_SCALE",
     "DEFAULT_SEED",

@@ -2,128 +2,32 @@
 
 A :class:`RunResult` is what :meth:`repro.sim.Session.run` returns: plain
 dataclasses of primitives, picklable across worker processes and JSON
-round-trippable for the on-disk sweep cache.  The derived quantities
-(MPKI, IPC, hit rates) are properties computed exactly the way the live
-``BranchStats`` / ``CoreStats`` / ``PBSStats`` objects compute them, so a
-result deserialized from cache renders identically to a fresh one.
+round-trippable for the on-disk sweep cache.  Its records are the
+counters the simulation itself keeps: :class:`~repro.branch.BranchStats`
+(counted by each predictor harness), :class:`~repro.pipeline.CoreStats`
+(by each timing core) and :class:`~repro.core.PBSStats` (by the PBS
+engine), each copied out of the run.  The derived quantities (MPKI, IPC,
+hit rates) are their properties, so a result deserialized from cache
+renders identically to a fresh one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
+if TYPE_CHECKING:
+    from ..branch import BranchStats
+    from ..core import PBSStats
+    from ..pipeline import CoreStats
 
-@dataclass
-class PredictorMetrics:
-    """Branch-predictor accounting for one trace consumer (mirrors
-    :class:`repro.branch.BranchStats`)."""
-
-    name: str = ""
-    instructions: int = 0
-    regular_branches: int = 0
-    regular_mispredicts: int = 0
-    prob_branches: int = 0
-    prob_mispredicts: int = 0
-    pbs_hits: int = 0
-
-    @property
-    def branches(self) -> int:
-        return self.regular_branches + self.prob_branches + self.pbs_hits
-
-    @property
-    def mispredicts(self) -> int:
-        return self.regular_mispredicts + self.prob_mispredicts
-
-    @property
-    def mpki(self) -> float:
-        if self.instructions == 0:
-            return 0.0
-        return 1000.0 * self.mispredicts / self.instructions
-
-    @property
-    def regular_mpki(self) -> float:
-        if self.instructions == 0:
-            return 0.0
-        return 1000.0 * self.regular_mispredicts / self.instructions
-
-    @property
-    def prob_mpki(self) -> float:
-        if self.instructions == 0:
-            return 0.0
-        return 1000.0 * self.prob_mispredicts / self.instructions
-
-    @classmethod
-    def from_stats(cls, name: str, stats) -> "PredictorMetrics":
-        return cls(
-            name=name,
-            instructions=stats.instructions,
-            regular_branches=stats.regular_branches,
-            regular_mispredicts=stats.regular_mispredicts,
-            prob_branches=stats.prob_branches,
-            prob_mispredicts=stats.prob_mispredicts,
-            pbs_hits=stats.pbs_hits,
-        )
-
-
-@dataclass
-class CoreMetrics:
-    """Timing-model outcome for one core (mirrors
-    :class:`repro.pipeline.CoreStats`)."""
-
-    name: str = ""
-    core: str = ""
-    instructions: int = 0
-    cycles: int = 0
-    branch_stall_cycles: int = 0
-    branches: PredictorMetrics = field(default_factory=PredictorMetrics)
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def mpki(self) -> float:
-        if self.instructions == 0:
-            return 0.0
-        return 1000.0 * self.branches.mispredicts / self.instructions
-
-    @classmethod
-    def from_stats(cls, name: str, stats) -> "CoreMetrics":
-        return cls(
-            name=name,
-            core=stats.core_name,
-            instructions=stats.instructions,
-            cycles=stats.cycles,
-            branch_stall_cycles=stats.branch_stall_cycles,
-            branches=PredictorMetrics.from_stats(name, stats.branches),
-        )
-
-
-@dataclass
-class PBSMetrics:
-    """PBS engine counters (mirrors :class:`repro.core.PBSStats`)."""
-
-    instances: int = 0
-    hits: int = 0
-    bootstraps: int = 0
-    fallbacks: int = 0
-    const_mismatches: int = 0
-    capacity_rejects: int = 0
-    swap_rejects: int = 0
-    value_count_rejects: int = 0
-    deep_call_rejects: int = 0
-    loop_flushes: int = 0
-    allocations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.instances if self.instances else 0.0
-
-    @classmethod
-    def from_stats(cls, stats) -> "PBSMetrics":
-        return cls(**stats.as_dict())
+#: Run bookkeeping that never changes the simulated statistics, so
+#: neither serialized nor read back.
+_TRANSIENT_FIELDS = (
+    "cached", "trace_origin", "engine_used", "compiled_hit",
+    "sink_batches", "sink_fallbacks",
+)
 
 
 @dataclass
@@ -135,9 +39,9 @@ class RunResult:
     seed: int
     pbs: bool = False
     pbs_config: Optional[Dict] = None
-    predictors: Dict[str, PredictorMetrics] = field(default_factory=dict)
-    cores: Dict[str, CoreMetrics] = field(default_factory=dict)
-    pbs_stats: Optional[PBSMetrics] = None
+    predictors: Dict[str, BranchStats] = field(default_factory=dict)
+    cores: Dict[str, CoreStats] = field(default_factory=dict)
+    pbs_stats: Optional[PBSStats] = None
     outputs: Dict[str, float] = field(default_factory=dict)
     instructions: int = 0
     wall_time: float = 0.0
@@ -169,44 +73,41 @@ class RunResult:
     sink_fallbacks: int = 0
 
     # -- convenience accessors -----------------------------------------
-    def predictor(self, name: str) -> PredictorMetrics:
+    def predictor(self, name: str) -> BranchStats:
         return self.predictors[name]
 
-    def core(self, name: str) -> CoreMetrics:
+    def core(self, name: str) -> CoreStats:
         return self.cores[name]
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict:
         data = asdict(self)
-        data.pop("cached")
-        data.pop("trace_origin")
-        data.pop("engine_used")
-        data.pop("compiled_hit")
-        data.pop("sink_batches")
-        data.pop("sink_fallbacks")
+        for name in _TRANSIENT_FIELDS:
+            del data[name]
         return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
+        # Imported here: the counting packages import repro.sim.
+        from ..branch import BranchStats
+        from ..core import PBSStats
+        from ..pipeline import CoreStats
+
         data = dict(data)
-        data.pop("cached", None)
-        data.pop("trace_origin", None)
-        data.pop("engine_used", None)
-        data.pop("compiled_hit", None)
-        data.pop("sink_batches", None)
-        data.pop("sink_fallbacks", None)
+        for name in _TRANSIENT_FIELDS:
+            data.pop(name, None)
         data["predictors"] = {
-            name: PredictorMetrics(**metrics)
-            for name, metrics in (data.get("predictors") or {}).items()
+            name: BranchStats(**stats)
+            for name, stats in (data.get("predictors") or {}).items()
         }
         cores = {}
-        for name, metrics in (data.get("cores") or {}).items():
-            metrics = dict(metrics)
-            metrics["branches"] = PredictorMetrics(**metrics["branches"])
-            cores[name] = CoreMetrics(**metrics)
+        for name, stats in (data.get("cores") or {}).items():
+            stats = dict(stats)
+            stats["branches"] = BranchStats(**stats["branches"])
+            cores[name] = CoreStats(**stats)
         data["cores"] = cores
         if data.get("pbs_stats") is not None:
-            data["pbs_stats"] = PBSMetrics(**data["pbs_stats"])
+            data["pbs_stats"] = PBSStats(**data["pbs_stats"])
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..functional import as_batch_sink
 from .registry import create_predictor, get_workload
-from .results import CoreMetrics, PBSMetrics, PredictorMetrics, RunResult
+from .results import RunResult
 
 #: Default evaluation scale: large enough for stable branch-predictor
 #: steady state, small enough for pure-Python simulation.
@@ -266,6 +266,8 @@ class Session:
     ) -> RunResult:
         """This session's result of a finished run: its cores are
         finalized, and every container in the result is its own."""
+        from ..core import PBSStats
+
         for core in self.cores.values():
             core.finalize()
         result = RunResult(
@@ -275,14 +277,17 @@ class Session:
             pbs=self._pbs_config is not None,
             pbs_config=self._resolved_pbs_config(),
             predictors={
-                label: PredictorMetrics.from_stats(label, harness.stats)
+                label: replace(harness.stats, name=label)
                 for label, harness in self.harnesses.items()
             },
             cores={
-                label: CoreMetrics.from_stats(label, core.stats)
+                label: replace(
+                    core.stats, name=label,
+                    branches=replace(core.stats.branches, name=label),
+                )
                 for label, core in self.cores.items()
             },
-            pbs_stats=PBSMetrics(**pbs_stats) if pbs_stats else None,
+            pbs_stats=PBSStats(**pbs_stats) if pbs_stats else None,
             outputs=dict(outputs),
             instructions=instructions,
             wall_time=wall_time,
@@ -294,26 +299,26 @@ class Session:
 
 class _Timing:
     """Every core of one run and what they read: each batch is
-    classified once per harness and walked once per latency table,
-    then every core times it from its harness's mispredicted rows and
-    its table's latency column."""
+    classified once per harness and walked once per latency table and
+    L1 latency, then every core times it from its harness's
+    mispredicted rows and its walk's latency column."""
 
     def __init__(self):
         self.harnesses: Dict[object, object] = {}  # harness key -> harness
-        self.walks: Dict[tuple, object] = {}       # latency table -> walk
-        self.cores: List[tuple] = []               # (core, harness key, table)
+        self.walks: Dict[tuple, object] = {}       # walk key -> walk
+        self.cores: List[tuple] = []               # (core, harness key, walk key)
 
     def add(self, key, harness, config):
         """A new core timing ``harness``'s rows under ``config``."""
         from ..pipeline import LatencyWalk, OoOCore
 
-        table = tuple(sorted(config.latencies.items()))
-        walk = self.walks.get(table)
+        walk_key = (tuple(sorted(config.latencies.items())), config.l1_latency)
+        walk = self.walks.get(walk_key)
         if walk is None:
-            walk = self.walks[table] = LatencyWalk(config.latencies)
+            walk = self.walks[walk_key] = LatencyWalk(config)
         self.harnesses[key] = harness
         core = OoOCore.sharing(config, harness, walk)
-        self.cores.append((core, key, table))
+        self.cores.append((core, key, walk_key))
         return core
 
     def consume_batch(self, batch) -> None:
@@ -322,10 +327,10 @@ class _Timing:
             rows[key] = mispredicted = []
             harness.consume_batch(batch, mispredicted)
         columns = {
-            table: walk.column(batch) for table, walk in self.walks.items()
+            walk_key: walk.column(batch) for walk_key, walk in self.walks.items()
         }
-        for core, key, table in self.cores:
-            core.consume_batch(batch, rows[key], columns[table])
+        for core, key, walk_key in self.cores:
+            core.consume_batch(batch, rows[key], columns[walk_key])
 
 
 def _harness_key(spec: _PredictorSpec):
@@ -344,10 +349,10 @@ def _build_consumers(sessions: Sequence[Session]) -> List[object]:
     """Fresh consumers for one run of ``sessions``: one harness per
     distinct (predictor, harness options) and, when any session is
     timed, one :class:`_Timing` that feeds the harnesses cores read,
-    walks the memory hierarchy once per distinct latency table and
-    times every core; then every session's caller-owned sinks.  Each
-    session's ``harnesses``/``cores`` map its own labels, in its own
-    order, onto them."""
+    walks the memory hierarchy once per distinct latency table and L1
+    latency and times every core; then every session's caller-owned
+    sinks.  Each session's ``harnesses``/``cores`` map its own labels,
+    in its own order, onto them."""
     from ..branch import PredictorHarness
 
     harnesses: Dict[object, object] = {}

@@ -23,8 +23,9 @@ class ReferenceCore:
         self.config = config
         self.harness = PredictorHarness(predictor)
         self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
-        self.stats = CoreStats(config.name, predictor_name=predictor.name)
-        self.stats.branches = self.harness.stats
+        self.stats = CoreStats(
+            predictor.name, config.name, branches=self.harness.stats
+        )
         self._reg_ready = {}
         self._frontend_ready = 0
         self._dispatch_cycle = 0

@@ -378,6 +378,72 @@ def test_timed_group_walks_memory_once_per_latency_table():
     assert cores[2].harness is cores[3].harness
 
 
+def test_l1_latency_prices_l1_hits_and_splits_the_walk():
+    from dataclasses import replace
+
+    from repro.sim.session import run_group
+
+    slow_l1 = replace(four_wide(), name="slow-l1", l1_latency=8)
+
+    def sessions():
+        return [
+            Session(WORKLOAD, scale=SCALE, seed=SEED)
+            .predictors("tournament").timing(config)
+            for config in (four_wide, slow_l1)
+        ]
+
+    group = sessions()
+    results = run_group(group)
+    default, slow = (result.core("tournament") for result in results)
+    assert slow.cycles > default.cycles
+    assert slow.instructions == default.instructions
+    for session, result in zip(sessions(), results):
+        assert session.run().cores == result.cores
+    (fast_core,), (slow_core,) = (session.cores.values() for session in group)
+    assert fast_core.walk is not slow_core.walk
+    assert fast_core.walk.hierarchy.l1.latency == 4
+    assert slow_core.walk.hierarchy.l1.latency == 8
+
+
+def test_each_result_owns_its_records():
+    """Two labels share one harness, which a timed core reads too; no
+    result record is a live counter or another result's record, and a
+    later run leaves them as they were."""
+    from dataclasses import replace
+
+    from repro.sim.session import run_group
+
+    group = [
+        Session(WORKLOAD, scale=SCALE, seed=SEED).pbs()
+        .predictor("tournament", label="a").predictor("tournament", label="b"),
+        Session(WORKLOAD, scale=SCALE, seed=SEED).pbs()
+        .predictor("tournament", label="core").timing(),
+    ]
+    untimed, timed = run_group(group)
+    core = group[1].cores["core"]
+    harness = group[0].harnesses["a"]
+    assert harness is group[0].harnesses["b"] is core.harness
+
+    records = {
+        "a": untimed.predictors["a"],
+        "b": untimed.predictors["b"],
+        "core": timed.cores["core"].branches,
+    }
+    assert len({id(record) for record in records.values()}) == 3
+    for label, record in records.items():
+        assert record is not harness.stats
+        assert record == replace(harness.stats, name=label)
+    assert timed.cores["core"] is not core.stats
+    assert timed.cores["core"].name == "core"
+    assert untimed.pbs_stats is not timed.pbs_stats
+    assert untimed.pbs_stats is not group[0].pbs_engine.stats
+
+    before = [untimed.to_dict(), timed.to_dict()]
+    for session in group:
+        session.run()
+    assert [untimed.to_dict(), timed.to_dict()] == before
+
+
 # ----------------------------------------------------------------------
 # MispredictBreakdown and TraceWriter.
 # ----------------------------------------------------------------------

@@ -16,10 +16,10 @@ import random
 
 import pytest
 
+from repro.branch import BranchStats
+from repro.core import PBSStats
+from repro.pipeline import CoreStats
 from repro.sim import (
-    CoreMetrics,
-    PBSMetrics,
-    PredictorMetrics,
     ProtocolError,
     RunResult,
     RunSpec,
@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover — hypothesis ships in CI
 
 def _random_result(rng: random.Random) -> RunResult:
     def metrics(name):
-        return PredictorMetrics(
+        return BranchStats(
             name=name,
             instructions=rng.randrange(10**9),
             regular_branches=rng.randrange(10**6),
@@ -54,7 +54,7 @@ def _random_result(rng: random.Random) -> RunResult:
         for name in rng.sample(["a", "b", "c", "tournament"], rng.randrange(4))
     }
     cores = {
-        name: CoreMetrics(
+        name: CoreStats(
             name=name, core=f"{name}-core",
             instructions=rng.randrange(10**9),
             cycles=rng.randrange(10**9),
@@ -71,8 +71,8 @@ def _random_result(rng: random.Random) -> RunResult:
         pbs_config={"num_branches": rng.randrange(8)} if rng.random() < 0.5 else None,
         predictors=predictors,
         cores=cores,
-        pbs_stats=PBSMetrics(instances=rng.randrange(10**6),
-                             hits=rng.randrange(10**6))
+        pbs_stats=PBSStats(instances=rng.randrange(10**6),
+                           hits=rng.randrange(10**6))
         if rng.random() < 0.5 else None,
         outputs={f"out{i}": rng.uniform(-1e9, 1e9) for i in range(rng.randrange(4))},
         instructions=rng.randrange(10**9),
@@ -111,18 +111,18 @@ if HAVE_HYPOTHESIS:
     short_text = st.text(max_size=12)
 
     predictor_metrics = st.builds(
-        PredictorMetrics,
+        BranchStats,
         name=short_text, instructions=counts,
         regular_branches=counts, regular_mispredicts=counts,
         prob_branches=counts, prob_mispredicts=counts, pbs_hits=counts,
     )
     core_metrics = st.builds(
-        CoreMetrics,
+        CoreStats,
         name=short_text, core=short_text, instructions=counts,
         cycles=counts, branch_stall_cycles=counts, branches=predictor_metrics,
     )
     pbs_metrics = st.builds(
-        PBSMetrics, instances=counts, hits=counts, bootstraps=counts,
+        PBSStats, instances=counts, hits=counts, bootstraps=counts,
         fallbacks=counts, allocations=counts,
     )
     run_results = st.builds(
