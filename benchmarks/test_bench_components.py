@@ -9,7 +9,7 @@ import random
 
 from repro.branch import TageSCL, Tournament
 from repro.core import PBSEngine
-from repro.functional import Executor
+from repro.functional import EventBatch, Executor
 from repro.isa import ProgramBuilder, R
 from repro.workloads import get_workload
 
@@ -224,7 +224,7 @@ def test_bench_tagescl_prediction(benchmark):
 
 def harness_batches():
     """The 20k-branch stream above as 1024-row ``EventBatch``es."""
-    from repro.functional.trace import EventBatch, ProbMode
+    from repro.functional.trace import ProbMode
     from repro.isa import Op, OpClass
 
     rng = random.Random(3)
@@ -277,11 +277,67 @@ def test_bench_tagescl_with_harness(benchmark):
     bench_with_harness(benchmark, TageSCL)
 
 
+class RecordingSink:
+    """Keeps a copy of every ``EventBatch`` a run delivers."""
+
+    def __init__(self):
+        self.batches = []
+
+    def consume_batch(self, batch):
+        copy = EventBatch()
+        for column in EventBatch.__slots__:
+            setattr(copy, column, list(getattr(batch, column)))
+        self.batches.append(copy)
+
+
+def paper_stream_batches(scale):
+    """The batches each paper workload at ``scale`` delivers to its
+    sinks, without and with PBS: one batch list per (workload, mode)."""
+    from repro.sim import paper_workload_names
+
+    streams = []
+    for name in paper_workload_names():
+        for pbs in (False, True):
+            sink = RecordingSink()
+            get_workload(name).run(
+                scale=scale, seed=1, pbs=PBSEngine() if pbs else None, sink=sink
+            )
+            streams.append(sink.batches)
+    return streams
+
+
+# Fold-field masking history (2-vCPU Xeon VM, CPython 3.11): masking
+# each fold field as the probe shifts it down, extracting a field the
+# index and a tag share once, and hashing each distinct pc once per
+# batch took this benchmark from a 0.92 s to a 0.78 s minimum at the
+# default scale (5.1 to 4.4 µs per op over its 180,147 harness ops;
+# benchmarks/TAGE_history.md).
+def test_bench_tagescl_with_harness_on_paper_streams(benchmark, bench_scale):
+    """The batches the eight paper workloads feed a TAGE-SC-L harness,
+    without and with PBS, one fresh harness per stream: the kernel under
+    the provider mix and PBS history inserts of the real workloads, not
+    the uniform random pcs of the benchmark above."""
+    from repro.branch import PredictorHarness
+
+    streams = paper_stream_batches(bench_scale)
+
+    def run():
+        branches = 0
+        for batches in streams:
+            harness = PredictorHarness(TageSCL())
+            for batch in batches:
+                harness.consume_batch(batch)
+            branches += harness.stats.branches
+        return branches
+
+    assert benchmark(run) > 0
+
+
 def memory_mix_batches():
     """20k rows as 1024-row ``EventBatch``es: the branch stream above
     every fifth row, with ALU ops, loads and stores between them (half
     of the memory rows on a few hot lines, half over 512 KiB)."""
-    from repro.functional.trace import EventBatch, ProbMode
+    from repro.functional.trace import ProbMode
     from repro.isa import Op, OpClass
 
     rng = random.Random(4)

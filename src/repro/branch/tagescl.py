@@ -115,24 +115,35 @@ class TageSCL(BranchPredictor):
         last_table = num_tables - 1
         index_bits = tage._index_bits
         index_mask = tage._index_mask
+        tag_bits = tage.tag_bits
         tag_mask = tage._tag_mask
+        tag1_mask = tag_mask >> 1
+        # The index fold is one of the tag folds when their widths match.
+        index_is_tag0 = index_bits == tag_bits
+        index_is_tag1 = index_bits == tag_bits - 1
         tag_tables = tage.tag
         ctr_tables = tage.ctr
         useful_tables = tage.useful
         # Per table, longest history first: its number, the pc hash
-        # shift, the history-length constant and three fold offsets.
+        # shift, the history-length constant, three fold offsets and
+        # its tags.
         lookup = [
             (
                 table,
                 tage._pc_shifts[table],
                 tage._length_bits[table],
                 offsets[(length, index_bits)],
-                offsets[(length, tage.tag_bits)],
-                offsets[(length, tage.tag_bits - 1)],
+                offsets[(length, tag_bits)],
+                offsets[(length, tag_bits - 1)],
                 tag_tables[table],
             )
             for table, length in enumerate(tage.history_lengths)
         ][::-1]
+        # The terms of every hash that depend on the pc alone, per
+        # distinct pc of this batch: the lookup with each table's pc
+        # hash in place of its pc shift and length bits, the tag's and
+        # the corrector index's pc bits.
+        pc_terms = {}
         indices = [0] * num_tables
         tags = [0] * num_tables
         ctr_min = tage.CTR_MIN
@@ -191,16 +202,43 @@ class TageSCL(BranchPredictor):
                         else:
                             loop_pred = directions[entry]
 
+                terms = pc_terms.get(pc)
+                if terms is None:
+                    terms = pc_terms[pc] = (
+                        [
+                            (table, (pc ^ (pc >> pc_shift) ^ length_bits)
+                             & index_mask, at_index, at_tag0, at_tag1,
+                             table_tags)
+                            for table, pc_shift, length_bits, at_index,
+                            at_tag0, at_tag1, table_tags in lookup
+                        ],
+                        pc & tag_mask,
+                        pc & sc_mask,
+                    )
+                probes, pc_tag, pc_sc = terms
+
                 # TAGE lookup: provider and alternate, longest first.
+                # Each fold field is masked as it is shifted down, so
+                # the hashes are on small ints.
                 provider = alt = -1
-                for table, pc_shift, length_bits, at_index, at_tag0, at_tag1, \
-                        table_tags in lookup:
-                    index = (
-                        pc ^ (pc >> pc_shift) ^ (comp >> at_index) ^ length_bits
-                    ) & index_mask
-                    tag = (
-                        pc ^ (comp >> at_tag0) ^ ((comp >> at_tag1) << 1)
-                    ) & tag_mask
+                for table, pc_index, at_index, at_tag0, at_tag1, \
+                        table_tags in probes:
+                    folded = (comp >> at_index) & index_mask
+                    index = pc_index ^ folded
+                    if index_is_tag0:
+                        tag = pc_tag ^ folded ^ (
+                            ((comp >> at_tag1) & tag1_mask) << 1
+                        )
+                    elif index_is_tag1:
+                        tag = (
+                            pc_tag ^ ((comp >> at_tag0) & tag_mask)
+                            ^ (folded << 1)
+                        )
+                    else:
+                        tag = (
+                            pc_tag ^ ((comp >> at_tag0) & tag_mask)
+                            ^ (((comp >> at_tag1) & tag1_mask) << 1)
+                        )
                     indices[table] = index
                     tags[table] = tag
                     if table_tags[index] == tag:
@@ -237,7 +275,7 @@ class TageSCL(BranchPredictor):
                 total = 2 * bias[bias_index] + 1
                 k = 0
                 for sc_table, at in sc_tables:
-                    index = (pc ^ (comp >> at)) & sc_mask
+                    index = pc_sc ^ ((comp >> at) & sc_mask)
                     sc_indices[k] = index
                     k += 1
                     total += 2 * sc_table[index] + 1

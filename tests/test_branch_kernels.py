@@ -61,8 +61,9 @@ VARIANTS = {
     "tage-sc-l/short-loops": lambda: TageSCL(
         loop=LoopPredictor(entries=32, count_bits=4)
     ),
-    # Folds with no shared (length, width) pairs, a corrector history
-    # longer than TAGE's, and index and tag widths that differ.
+    # No fold that TAGE and the corrector share, a corrector history
+    # longer than TAGE's, and a tag0 width that differs from the index
+    # width (the index and tag1 folds are one field).
     "tage-sc-l/odd-geometry": lambda: TageSCL(
         tage=Tage(
             base_entries=256,
@@ -75,6 +76,20 @@ VARIANTS = {
             bias_entries=64, table_entries=32, history_lengths=(6, 9, 21)
         ),
         loop=LoopPredictor(entries=8, count_bits=5),
+    ),
+    # Index, tag0 and tag1 folds of three different widths (5, 8 and 7
+    # bits), so no table's index field is one of its tag fields; the
+    # history lengths run from below those widths to over twice them.
+    "tage-sc-l/distinct-widths": lambda: TageSCL(
+        tage=Tage(
+            base_entries=256,
+            table_entries=32,
+            tag_bits=8,
+            history_lengths=(3, 5, 8, 17, 23, 40),
+        ),
+        corrector=StatisticalCorrector(
+            bias_entries=64, table_entries=64, history_lengths=(4, 13, 29)
+        ),
     ),
     "tournament/small": small_tournament,
 }
