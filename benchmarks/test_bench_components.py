@@ -306,12 +306,6 @@ def paper_stream_batches(scale):
     return streams
 
 
-# Fold-field masking history (2-vCPU Xeon VM, CPython 3.11): masking
-# each fold field as the probe shifts it down, extracting a field the
-# index and a tag share once, and hashing each distinct pc once per
-# batch took this benchmark from a 0.92 s to a 0.78 s minimum at the
-# default scale (5.1 to 4.4 µs per op over its 180,147 harness ops;
-# benchmarks/TAGE_history.md).
 def test_bench_tagescl_with_harness_on_paper_streams(benchmark, bench_scale):
     """The batches the eight paper workloads feed a TAGE-SC-L harness,
     without and with PBS, one fresh harness per stream: the kernel under

@@ -118,9 +118,8 @@ class TageSCL(BranchPredictor):
         tag_bits = tage.tag_bits
         tag_mask = tage._tag_mask
         tag1_mask = tag_mask >> 1
-        # The index fold is one of the tag folds when their widths match.
+        # The index fold is the tag0 fold when their widths match.
         index_is_tag0 = index_bits == tag_bits
-        index_is_tag1 = index_bits == tag_bits - 1
         tag_tables = tage.tag
         ctr_tables = tage.ctr
         useful_tables = tage.useful
@@ -228,11 +227,6 @@ class TageSCL(BranchPredictor):
                     if index_is_tag0:
                         tag = pc_tag ^ folded ^ (
                             ((comp >> at_tag1) & tag1_mask) << 1
-                        )
-                    elif index_is_tag1:
-                        tag = (
-                            pc_tag ^ ((comp >> at_tag0) & tag_mask)
-                            ^ (folded << 1)
                         )
                     else:
                         tag = (

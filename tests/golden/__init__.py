@@ -6,7 +6,9 @@ grid.  Every registered executor backend — including ``http``, driven
 against an in-process coordinator and worker — is replayed against
 these fixtures and must reproduce them **byte for byte** (wall time,
 the one non-deterministic field, is normalized to ``0.0`` on both
-sides).
+sides).  ``stdout/`` holds the stdout of ``pbs-experiments run figure6``
+and ``run figure7`` at scale 0.05, which pins the bytes of two whole
+artefacts.
 
 Regenerate after an *intentional* simulation-semantics change with::
 

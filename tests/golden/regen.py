@@ -3,14 +3,18 @@
 Runs the canonical grid through the ``serial`` executor (the reference
 backend) and rewrites every ``<workload>-<mode>-seed<N>.json`` fixture
 plus the ``specs.json`` manifest (spec dict + digest + fixture file per
-grid point).  Only run this after an intentional change to simulation
-semantics, and commit the resulting diff together with the change that
-caused it.
+grid point), and the ``stdout/<artefact>-scale<S>.txt`` snapshots of
+``pbs-experiments run <artefact> --scale <S>``.  Only run this after an
+intentional change to simulation semantics, and commit the resulting
+diff together with the change that caused it.
 """
 
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 
+from repro.experiments import runner
 from repro.sim import SerialExecutor
 
 from . import (
@@ -22,6 +26,11 @@ from . import (
     golden_specs,
     normalized_json,
 )
+
+#: Artefacts whose stdout is pinned byte for byte, and at what scale:
+#: figure6 prints TAGE-SC-L MPKI and figure7 runs it inside the cores.
+STDOUT_ARTEFACTS = ("figure6", "figure7")
+STDOUT_SCALE = "0.05"
 
 
 def main() -> int:
@@ -41,6 +50,13 @@ def main() -> int:
     print(f"wrote specs.json ({len(manifest)} fixtures)", file=sys.stderr)
     (GOLDEN_DIR / CFD_ORACLE_FIXTURE).write_text(cfd_oracle_json())
     print(f"wrote {CFD_ORACLE_FIXTURE}", file=sys.stderr)
+    for artefact in STDOUT_ARTEFACTS:
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            runner.main(["run", artefact, "--scale", STDOUT_SCALE])
+        name = f"{artefact}-scale{STDOUT_SCALE}.txt"
+        (GOLDEN_DIR / "stdout" / name).write_text(stdout.getvalue())
+        print(f"wrote stdout/{name}", file=sys.stderr)
     return 0
 
 

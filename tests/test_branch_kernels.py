@@ -63,7 +63,8 @@ VARIANTS = {
     ),
     # No fold that TAGE and the corrector share, a corrector history
     # longer than TAGE's, and a tag0 width that differs from the index
-    # width (the index and tag1 folds are one field).
+    # width. The index and tag1 fields coincide here, so a kernel that
+    # took one for the other would pass; distinct-widths below would not.
     "tage-sc-l/odd-geometry": lambda: TageSCL(
         tage=Tage(
             base_entries=256,
